@@ -296,24 +296,6 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(out, (a,), bw)
 
 
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along the last axis: out[..., j] = a[..., idx[..., j]]-style pick.
-
-    `idx` must have the shape of `a` minus the last axis; the result drops
-    that axis: out[i0, .., ik] = a[i0, .., ik, idx[i0, .., ik]].
-    """
-    if idx.shape != a.shape[:-1]:
-        raise ShapeError(f"gather_last index shape {idx.shape} must equal {a.shape[:-1]}")
-    out = np.take_along_axis(a.values, idx[..., None], axis=-1)[..., 0]
-
-    def bw(g):
-        ga = np.zeros_like(a.values)
-        np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
-        return (ga,)
-
-    return Tensor(out, (a,), bw)
-
-
 def rows(a: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup (embedding gather): out[i] = a[ids[i]]."""
     ids = np.asarray(ids, dtype=np.intp)

@@ -10,6 +10,7 @@ stored parameters while updates point against the perturbed loss.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -174,8 +175,6 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
                out_dir=None, log_fn=None) -> list[float]:
     """Run `total_steps` over the dataset in fixed batch order, optionally
     writing periodic checkpoints and per-step metric records."""
-    import os
-
     optimizer = Adam(model, cfg)
     rng = Rng(cfg.seed)
     utts = dataset.utterances
@@ -229,8 +228,16 @@ def checkpoint_bytes(model: TransducerModel) -> bytes:
 
 
 def save_checkpoint(model: TransducerModel, path):
-    with open(path, "wb") as f:
-        f.write(checkpoint_bytes(model))
+    """Write to a temporary file beside `path`, then rename it over `path`,
+    so a failure part-way leaves any previous checkpoint there intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(checkpoint_bytes(model))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class _Reader:

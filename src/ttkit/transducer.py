@@ -4,8 +4,10 @@ The joint network turns one audio activation and one label-history activation
 into a distribution over the output vocabulary (blank included). Stacking
 those distributions over every (frame, history-length) pair gives the
 log-probability grid; the training loss marginalizes over all monotonic
-alignments through that grid with a log-space forward recursion, built inside
-the differentiation graph so `backward` yields exact loss gradients.
+alignments through that grid. It is one graph node per example: the forward
+pass runs the log-space alpha recursion over the lattice's anti-diagonals in
+numpy, and the backward pass gets the exact gradient in closed form from the
+matching beta recursion and the arc occupancies (Graves 2012).
 
 `brute_force_log_prob` enumerates alignments outright and exists purely as
 the small-instance oracle for the recursion.
@@ -24,7 +26,7 @@ from .tensor import Rng, ShapeError, Tensor
 
 BLANK_ID = 0
 
-# Test hook: added to every blank transition inside the forward recursion.
+# Test hook: added to every blank transition inside the lattice kernel.
 # Non-zero values deliberately break the oracle-equivalence suite.
 dp_perturbation = 0.0
 
@@ -159,40 +161,85 @@ def _check_loss_args(grid: LogProbGrid, y: Sequence[int]):
             raise ValueError(f"label {label} outside vocab of size {grid.vocab_size} (blank forbidden)")
 
 
+def _skew(a: np.ndarray) -> np.ndarray:
+    """[T, W] -> [T+W-1, W] with s[t+u, u] = a[t, u] and -inf elsewhere, so
+    each anti-diagonal t+u = d of `a` becomes the contiguous row d."""
+    T, W = a.shape
+    s = np.full((T + W - 1, W), -np.inf)
+    t, u = np.indices(a.shape)
+    s[t + u, u] = a
+    return s
+
+
+def _diagonal(d: int, T: int, U: int) -> tuple[int, int]:
+    """Column range [lo, hi) of the lattice points (d-u, u) on diagonal d."""
+    return max(0, d - T + 1), min(d, U) + 1
+
+
+def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
+    """Skewed forward variables: A[t+u, u] = log-mass of all path prefixes
+    from (0, 0) to (t, u). Off-lattice entries stay -inf."""
+    A = np.full((T + U, U + 1), -np.inf)
+    A[0, 0] = 0.0
+    for d in range(1, T + U):
+        lo, hi = _diagonal(d, T, U)
+        row = A[d - 1, lo:hi] + blank[d - 1, lo:hi]  # blank from (t-1, u); -inf at t = 0
+        e = max(lo, 1)
+        row[e - lo:] = np.logaddexp(row[e - lo:], A[d - 1, e - 1:hi - 1] + emit[d - 1, e - 1:hi - 1])
+        A[d, lo:hi] = row
+    return A
+
+
+def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
+    """Skewed backward variables: B[t+u, u] = log-mass of all path suffixes
+    from (t, u) to the end, the final blank included; B[T+U, U] = 0 is the
+    point past that blank. Off-lattice entries stay -inf."""
+    B = np.full((T + U + 1, U + 2), -np.inf)
+    B[T + U, U] = 0.0
+    for d in range(T + U - 1, -1, -1):
+        lo, hi = _diagonal(d, T, U)
+        B[d, lo:hi] = np.logaddexp(blank[d, lo:hi] + B[d + 1, lo:hi],                 # to (t+1, u)
+                                   emit[d, lo:hi] + B[d + 1, lo + 1:hi + 1])          # to (t, u+1)
+    return B
+
+
 def rnnt_log_prob(grid: LogProbGrid, y: Sequence[int]) -> Tensor:
-    """log P(y | x): forward recursion over the alignment lattice.
+    """log P(y | x): the alignment-lattice marginal as one graph node.
 
     alpha(t, u) accumulates all paths reaching frame t with u labels emitted;
     blanks advance the frame, target labels advance the history, and the path
-    closes with the blank consuming the final frame. Runs inside the graph,
-    so gradients flow through every on-lattice grid entry.
+    closes with the blank consuming the final frame. The forward pass runs
+    the alpha recursion in numpy, one anti-diagonal t+u at a time; the
+    backward pass runs the matching beta recursion and writes the arc
+    occupancies exp(alpha + arc + beta_next - log P) into the blank and
+    target-label entries of the grid. Every other grid entry gets gradient 0,
+    and so does the whole grid when log P is -inf (no path has mass).
     """
     y = list(y)
     _check_loss_args(grid, y)
     T, U = grid.T, len(y)
-    lp = grid.log_probs
+    lp = grid.log_probs.values
+    labels = np.asarray(y, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        blank = _skew(lp[:, :U + 1, BLANK_ID] + dp_perturbation)
+        emit = _skew(np.concatenate([lp[:, np.arange(U), labels], np.full((T, 1), -np.inf)], axis=1))
+        A = _alpha(blank, emit, T, U)
+        log_p = A[T + U - 1, U] + blank[T + U - 1, U]
 
-    blanks = lp[:, :U + 1, BLANK_ID]  # [T, U+1]
-    if dp_perturbation != 0.0:
-        blanks = tt.add(blanks, Tensor(dp_perturbation))
-    if U > 0:
-        idx = np.broadcast_to(np.asarray(y, dtype=np.intp), (T, U)).copy()
-        labels = tt.gather_last(lp[:, :U, :], idx)  # [T, U]; labels[t, u] = lp[t, u, y[u]]
-    else:
-        labels = None
+    def bw(g):
+        grad = np.zeros_like(lp)
+        if log_p == -np.inf:
+            return (grad,)
+        with np.errstate(all="ignore"):
+            B = _beta(blank, emit, T, U)
+            blank_occ = np.exp(A + blank + B[1:, :U + 1] - log_p)
+            emit_occ = np.exp(A + emit + B[1:, 1:] - log_p)
+        t, u = np.indices((T, U + 1))
+        grad[:, :U + 1, BLANK_ID] = g * blank_occ[t + u, u]
+        grad[:, np.arange(U), labels] = g * emit_occ[t + u, u][:, :U]
+        return (grad,)
 
-    # alpha[t][u], 0-based frames; alpha[0][0] = log 1
-    prev_row: list[Tensor] = [Tensor(0.0)]
-    for u in range(1, U + 1):
-        prev_row.append(tt.add(prev_row[u - 1], labels[0, u - 1]))
-    for t in range(1, T):
-        row: list[Tensor] = [tt.add(prev_row[0], blanks[t - 1, 0])]
-        for u in range(1, U + 1):
-            stay = tt.add(prev_row[u], blanks[t - 1, u])
-            emit = tt.add(row[u - 1], labels[t, u - 1])
-            row.append(tt.logaddexp(stay, emit))
-        prev_row = row
-    return tt.add(prev_row[U], blanks[T - 1, U])
+    return Tensor(log_p, (grid.log_probs,), bw)
 
 
 def enumerate_alignments(T: int, U: int) -> Iterator[tuple[int, ...]]:

@@ -250,16 +250,3 @@ def test_rng_substreams_independent():
     root.substream("noise").normal((100,))
     a2 = Rng(9).substream("dropout").normal((4,))
     np.testing.assert_array_equal(a1, a2)
-
-
-def test_gather_last_matches_manual():
-    rng = Rng(4)
-    a = Tensor(rng.normal((3, 4, 5)))
-    idx = np.array([[0, 1, 2, 3], [4, 3, 2, 1], [0, 0, 1, 1]])
-    out = tt.gather_last(a, idx)
-    for i in range(3):
-        for j in range(4):
-            assert out.values[i, j] == a.values[i, j, idx[i, j]]
-    backward(tt.tsum(out))
-    num = finite_difference_gradient(lambda: tt.tsum(tt.gather_last(a, idx)).item(), a)
-    assert max_gradient_error(a.grad, num) < 1e-4

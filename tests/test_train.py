@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -223,6 +224,26 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     for (na, pa), (nb, pb) in zip(model.named_params(), loaded.named_params()):
         assert na == nb
         assert pa.values.tobytes() == pb.values.tobytes()
+
+
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    model, _ = tiny_setup()
+    path = tmp_path / "model.ttck"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+
+    class Exploding:
+        @property
+        def values(self):
+            raise OSError("serialisation failed")
+
+    named = model.named_params()
+    named[0][1].values += 1.0  # a completed save would now write different bytes
+    monkeypatch.setattr(model, "named_params", lambda: named[:3] + [("boom", Exploding())] + named[3:])
+    with pytest.raises(OSError, match="serialisation failed"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ttck"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

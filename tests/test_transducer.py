@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttkit import tensor as tt
 from ttkit import transducer as tr
 from ttkit.tensor import Rng, ShapeError, Tensor, backward, finite_difference_gradient, max_gradient_error
 from ttkit.transducer import (
+    BLANK_ID,
     LogProbGrid,
     Vocab,
     batch_loss,
@@ -235,6 +239,110 @@ def test_loss_gradient_matches_finite_differences():
     for name, p in list(params.named("j")) + [("audio", audio), ("label", label)]:
         num = finite_difference_gradient(loss, p)
         assert max_gradient_error(p.grad, num) < 1e-4, name
+
+
+def scalar_graph_log_prob(grid, y):
+    """Slow reference: the lattice recursion as about 3*T*U scalar graph
+    nodes, each alpha entry an add or logaddexp node over the one before."""
+    y = list(y)
+    T, U, V = grid.T, len(y), grid.vocab_size
+    lp = grid.log_probs
+    blanks = lp[:, :U + 1, BLANK_ID]  # [T, U+1]
+    if U > 0:
+        idx = np.broadcast_to(np.asarray(y, dtype=np.intp), (T, U)).reshape(T * U, 1)
+        labels = tt.reshape(tt.gather_cols(tt.reshape(lp[:, :U, :], (T * U, V)), idx), (T, U))
+    prev_row = [Tensor(0.0)]
+    for u in range(1, U + 1):
+        prev_row.append(tt.add(prev_row[u - 1], labels[0, u - 1]))
+    for t in range(1, T):
+        row = [tt.add(prev_row[0], blanks[t - 1, 0])]
+        for u in range(1, U + 1):
+            stay = tt.add(prev_row[u], blanks[t - 1, u])
+            emit = tt.add(row[u - 1], labels[t, u - 1])
+            row.append(tt.logaddexp(stay, emit))
+        prev_row = row
+    return tt.add(prev_row[U], blanks[T - 1, U])
+
+
+@pytest.mark.parametrize("T,U,V", [(9, 4, 7), (71, 16, 7), (200, 40, 7)])
+def test_fused_loss_matches_scalar_graph(T, U, V):
+    rng = Rng(T * 1000 + U)
+    y = [rng.integers(1, V) for _ in range(U)]
+    logits = rng.normal((T, U + 1, V), sigma=2.0)
+    results = []
+    for loss_fn in (scalar_graph_log_prob, rnnt_log_prob):
+        leaf = Tensor(logits.copy())
+        value = loss_fn(LogProbGrid(tt.log_softmax(leaf, axis=-1)), y)
+        backward(value)
+        results.append((value.item(), leaf.grad))
+    (ref, ref_grad), (got, got_grad) = results
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert np.abs(got_grad - ref_grad).max() < 1e-10
+
+
+@st.composite
+def lattice_instances(draw):
+    T = draw(st.integers(1, 6))
+    U = draw(st.integers(0, 4))
+    V = draw(st.integers(2, 5))
+    extra_rows = draw(st.integers(0, 1))  # history rows beyond the targets are off-lattice
+    y = draw(st.lists(st.integers(1, V - 1), min_size=U, max_size=U))
+    shape = (T, U + 1 + extra_rows, V)
+    rng = Rng(draw(st.integers(0, 2**31)))
+    lp = tt.log_softmax(Tensor(rng.normal(shape, sigma=2.0)), axis=-1).values
+    lp[rng.substream("dead").uniform(shape) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))] = -np.inf
+    return lp, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_instances())
+def test_fused_loss_properties(instance):
+    lp, y = instance
+    T, U = lp.shape[0], len(y)
+    leaf = Tensor(lp)
+    value = rnnt_log_prob(LogProbGrid(leaf), y)
+    oracle = brute_force_log_prob(lp, y)
+    assert value.item() == oracle or abs(value.item() - oracle) < 1e-9
+    backward(value)
+    grad = leaf.grad
+    assert not np.isnan(grad).any()
+    on_lattice = np.zeros(lp.shape, dtype=bool)
+    on_lattice[:T - 1, :U + 1, BLANK_ID] = True
+    on_lattice[T - 1, U, BLANK_ID] = True  # the final blank
+    on_lattice[:, np.arange(U), y] = True
+    assert (grad[~on_lattice] == 0).all()
+    assert (grad[np.isneginf(lp)] == 0).all()
+    if np.isfinite(oracle):
+        # every path takes T blanks and U labels, so the occupancies sum to that
+        assert grad[..., BLANK_ID].sum() == pytest.approx(T, abs=1e-9)
+        assert grad.sum() == pytest.approx(T + U, abs=1e-9)
+
+
+def test_loss_on_non_finite_grid_raises_no_warning():
+    lp = np.log(np.full((3, 3, 3), 1 / 3))
+    lp[1, 1, 0], lp[0, 1, 2], lp[2, 0, 1] = np.nan, np.inf, -np.inf
+    leaf = Tensor(lp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = rnnt_log_prob(LogProbGrid(leaf), [2, 1])
+        backward(value, check_finite=False)
+    assert np.isnan(value.item())
+
+
+@pytest.mark.parametrize("T,U", [(1, 0), (4, 2), (30, 9)])
+@pytest.mark.parametrize("B", [1, 3])
+def test_batch_loss_graph_size_is_independent_of_lattice(T, U, B):
+    grids = [LogProbGrid(Tensor(random_grid(T, U, 5, Rng(b)).log_probs.values)) for b in range(B)]
+    root = batch_loss([(g, [1 + (u % 4) for u in range(U)]) for g in grids])
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    # B loss nodes, B - 1 adds and one neg on top of the B grid leaves
+    assert len(seen) - B == B + (B - 1) + 1
 
 
 def test_dp_perturbation_hook_breaks_equivalence():

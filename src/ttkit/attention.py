@@ -6,6 +6,11 @@ relative-position term indexed by the clipped query-key offset plus two
 global bias vectors, so scores depend on content and relative offset only.
 That offset-only dependence is what makes cached streaming inference exact:
 a window's encoding is the same at any absolute position.
+
+All heads of one attention block form a single graph node with a
+closed-form backward (`_multi_head_attention`): projections, scores, mask,
+softmax, weighted sum and output projection run as [heads, T, head_dim]
+numpy matmuls. Batch `encode` and the streaming `encoder_layer_step` share it.
 """
 
 from __future__ import annotations
@@ -207,32 +212,6 @@ class Counters:
         self.joint_evals = 0
 
 
-def attention_scores(
-    q: Tensor,
-    k: Tensor,
-    rel_emb: Tensor,
-    content_bias: Tensor,
-    pos_bias: Tensor,
-    q_positions: np.ndarray,
-    k_positions: np.ndarray,
-    max_offset: int,
-) -> Tensor:
-    """Single-head attention scores over explicit absolute positions.
-
-    score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias) . r_{o(i,j)}]
-                  / sqrt(head_dim), with o(i, j) the offset i - j clipped to
-    [-max_offset, max_offset]. Only the offset enters, so shifting both
-    position vectors leaves the scores unchanged.
-    """
-    head_dim = q.shape[-1]
-    offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
-    idx = np.clip(offsets, -max_offset, max_offset) + max_offset
-    content = tt.matmul(tt.add(q, content_bias), tt.transpose(k))
-    pos_all = tt.matmul(tt.add(q, pos_bias), tt.transpose(rel_emb))
-    pos = tt.gather_cols(pos_all, idx)
-    return tt.mul(tt.add(content, pos), Tensor(1.0 / math.sqrt(head_dim)))
-
-
 def _multi_head_attention(
     h: Tensor,
     h_keys: Tensor,
@@ -244,27 +223,73 @@ def _multi_head_attention(
     mask_bool: np.ndarray | None,
     counters: Counters | None,
 ) -> Tensor:
-    """Shared core of batch and single-query attention: h provides queries,
-    h_keys provides keys/values."""
-    dh = config.head_dim
-    q_all = tt.matmul(h, layer.wq)
-    k_all = tt.matmul(h_keys, layer.wk)
-    v_all = tt.matmul(h_keys, layer.wv)
-    heads = []
-    for i in range(config.num_heads):
-        cols = slice(i * dh, (i + 1) * dh)
-        scores = attention_scores(
-            q_all[:, cols], k_all[:, cols],
-            params.rel_emb[i], params.content_bias[i], params.pos_bias[i],
-            q_positions, k_positions, config.rel_offset,
+    """All heads of windowed relative-position attention as one graph node.
+
+    h provides queries, h_keys keys/values; batch encoding passes the same
+    tensor twice, a streaming step one query row against its window. Per head,
+    score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias) . r_{o(i,j)}]
+    / sqrt(head_dim), with o(i, j) the offset i - j clipped to
+    [-max_offset, max_offset]; only the offset enters, so shifting both
+    position vectors leaves the scores unchanged. Masked scores get zero
+    weight, and the softmax-weighted values of all heads are concatenated and
+    projected by wo. Heads run as [H, T, head_dim] matmuls, and the backward
+    is closed-form over the nine parents.
+    """
+    H, dh, m = config.num_heads, config.head_dim, config.rel_offset
+    tq, tk = h.shape[0], h_keys.shape[0]
+    offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
+    idx = np.clip(offsets, -m, m) + m
+    if counters is not None:
+        counters.attention_scores += H * tq * tk
+
+    def split(a: np.ndarray) -> np.ndarray:  # [T, H*dh] -> [H, T, dh]
+        return a.reshape(a.shape[0], H, dh).transpose(1, 0, 2)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # [H, T, dh] -> [T, H*dh]
+        return a.transpose(1, 0, 2).reshape(a.shape[1], H * dh)
+
+    q = split(h.values @ layer.wq.values)
+    k = split(h_keys.values @ layer.wk.values)
+    v = split(h_keys.values @ layer.wv.values)
+    rel = params.rel_emb.values                            # [H, R, dh]
+    qc = q + params.content_bias.values[:, None, :]
+    qp = q + params.pos_bias.values[:, None, :]
+    scale = 1.0 / math.sqrt(dh)
+    pos = np.take_along_axis(qp @ rel.transpose(0, 2, 1), np.broadcast_to(idx, (H, tq, tk)), axis=2)
+    scores = (qc @ k.transpose(0, 2, 1) + pos) * scale
+    if mask_bool is not None:
+        scores = np.where(mask_bool, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)           # [H, Tq, Tk]
+    heads = merge(weights @ v)
+
+    def bw(g):
+        d_heads = split(g @ layer.wo.values.T)
+        d_weights = d_heads @ v.transpose(0, 2, 1)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
+        # sum the position-score gradient into each row's clipped offsets
+        slots = (np.arange(H * tq).reshape(H, tq, 1) * rel.shape[1] + idx).ravel()
+        d_pos = np.bincount(slots, d_scores.ravel(), H * tq * rel.shape[1]).reshape(H, tq, -1)
+        d_qc = d_scores @ k
+        d_qp = d_pos @ rel
+        d_q = merge(d_qc + d_qp)
+        d_k = merge(d_scores.transpose(0, 2, 1) @ qc)
+        d_v = merge(weights.transpose(0, 2, 1) @ d_heads)
+        return (
+            d_q @ layer.wq.values.T,
+            d_k @ layer.wk.values.T + d_v @ layer.wv.values.T,
+            h.values.T @ d_q,
+            h_keys.values.T @ d_k,
+            h_keys.values.T @ d_v,
+            heads.T @ g,
+            d_pos.transpose(0, 2, 1) @ qp,
+            d_qc.sum(axis=1),
+            d_qp.sum(axis=1),
         )
-        if counters is not None:
-            counters.attention_scores += scores.size
-        if mask_bool is not None:
-            scores = tt.apply_mask(scores, mask_bool)
-        weights = tt.softmax(scores, axis=-1)
-        heads.append(tt.matmul(weights, v_all[:, cols]))
-    return tt.matmul(tt.concat(heads, axis=1), layer.wo)
+
+    parents = (h, h_keys, layer.wq, layer.wk, layer.wv, layer.wo,
+               params.rel_emb, params.content_bias, params.pos_bias)
+    return Tensor(heads @ layer.wo.values, parents, bw)
 
 
 def encoder_layer(

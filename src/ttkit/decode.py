@@ -242,10 +242,6 @@ class Hypothesis:
     score: float
     state: LabelState
 
-    @property
-    def non_blank_count(self) -> int:
-        return len(self.labels)
-
 
 def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
                 fusion: FusionConfig | None = None,

@@ -5,6 +5,11 @@ computation graph; calling `backward` on a scalar root accumulates gradients
 into every reachable tensor in a fixed topological order, so repeated runs
 with identical inputs produce bitwise-identical values and gradients.
 
+The cost of a graph is Python work per node, not arithmetic, so the hot
+composite ops are single nodes with a closed-form backward: `layer_norm`
+(parents x, gain, bias) and `log_softmax` (`softmax` is its `exp`). The
+elementwise and reduction primitives remain for everything else.
+
 Graph recording can be suspended with `no_grad()` for inference paths that
 must not retain history (e.g. streaming state caches).
 """
@@ -359,7 +364,24 @@ def logaddexp(a: Tensor, b: Tensor) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
+    """One node: a - logsumexp(a). The backward is g - softmax * sum(g).
+
+    Non-finite logits give NaN (a +inf entry, a row of all -inf) without
+    floating-point warnings; the caller's finiteness checks report them.
+    """
+    with np.errstate(all="ignore"):
+        m = np.max(a.values, axis=axis, keepdims=True)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        lse = m_safe + np.log(np.exp(a.values - m_safe).sum(axis=axis, keepdims=True))
+        lse = np.where(np.isfinite(m), lse, m)
+        out = a.values - lse
+
+    def bw(g):
+        with np.errstate(all="ignore"):
+            p = np.where(np.isneginf(lse), 0.0, np.exp(out))
+            return (g - p * g.sum(axis=axis, keepdims=True),)
+
+    return Tensor(out, (a,), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -367,12 +389,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = powc(add(var, Tensor(eps)), -0.5)
-    return add(mul(mul(xc, inv), gain), bias)
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One node over (x, gain, bias); with x̂ = (x - mean) * inv the backward is
+    dx = inv * (dx̂ - mean(dx̂) - x̂ * mean(dx̂ * x̂)), dx̂ = g * gain.
+    """
+    scale = 1.0 / x.shape[-1]
+    xc = x.values - x.values.sum(axis=-1, keepdims=True) * scale
+    inv = np.power((xc * xc).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
+    xhat = xc * inv
+
+    def bw(g):
+        dxhat = g * gain.values
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+
+    return Tensor(xhat * gain.values + bias.values, (x, gain, bias), bw)
 
 
 def dropout(x: Tensor, ratio: float, rng: "Rng", training: bool) -> Tensor:

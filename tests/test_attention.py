@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttkit import attention as att
 from ttkit import tensor as tt
@@ -16,9 +18,9 @@ def small_config(num_layers=2, left=2, right=1, model_dim=8, **kw):
         model_dim=model_dim,
         ff_dim1=12,
         ff_dim2=model_dim,
-        num_heads=2,
+        num_heads=kw.pop("num_heads", 2),
         head_dim=4,
-        dropout_ratio=0.0,
+        dropout_ratio=kw.pop("dropout_ratio", 0.0),
         input_dim=kw.pop("input_dim", 5),
         **kw,
     )
@@ -71,6 +73,51 @@ def test_mask_rejects_negative():
         AttentionMask(-1, 0)
 
 
+# ------------------------------------------- composed reference attention
+#
+# The per-head graph of scalar-sized ops that `_multi_head_attention` fuses
+# into one node. It is slow but built only from primitives with their own
+# tests, so it serves as the reference for the fused values and gradients.
+
+def attention_scores(q, k, rel_emb, content_bias, pos_bias, q_positions, k_positions, max_offset):
+    """Single-head attention scores over explicit absolute positions.
+
+    score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias) . r_{o(i,j)}]
+                  / sqrt(head_dim), with o(i, j) the offset i - j clipped to
+    [-max_offset, max_offset].
+    """
+    head_dim = q.shape[-1]
+    offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
+    idx = np.clip(offsets, -max_offset, max_offset) + max_offset
+    content = tt.matmul(tt.add(q, content_bias), tt.transpose(k))
+    pos_all = tt.matmul(tt.add(q, pos_bias), tt.transpose(rel_emb))
+    pos = tt.gather_cols(pos_all, idx)
+    return tt.mul(tt.add(content, pos), Tensor(1.0 / math.sqrt(head_dim)))
+
+
+def composed_multi_head_attention(h, h_keys, layer, params, config, q_positions, k_positions,
+                                  mask_bool, counters):
+    dh = config.head_dim
+    q_all = tt.matmul(h, layer.wq)
+    k_all = tt.matmul(h_keys, layer.wk)
+    v_all = tt.matmul(h_keys, layer.wv)
+    heads = []
+    for i in range(config.num_heads):
+        cols = slice(i * dh, (i + 1) * dh)
+        scores = attention_scores(
+            q_all[:, cols], k_all[:, cols],
+            params.rel_emb[i], params.content_bias[i], params.pos_bias[i],
+            q_positions, k_positions, config.rel_offset,
+        )
+        if counters is not None:
+            counters.attention_scores += scores.size
+        if mask_bool is not None:
+            scores = tt.apply_mask(scores, mask_bool)
+        weights = tt.softmax(scores, axis=-1)
+        heads.append(tt.matmul(weights, v_all[:, cols]))
+    return tt.matmul(tt.concat(heads, axis=1), layer.wo)
+
+
 # ------------------------------------------------------- attention scores
 
 def _head_inputs(rng, L=6, dh=4, max_off=3):
@@ -87,7 +134,7 @@ def test_scores_zero_position_params_reduce_to_dot_product():
     q, k, rel, u, v = _head_inputs(rng)
     L, dh = q.shape
     pos = np.arange(L)
-    scores = att.attention_scores(q, k, tt.zeros(rel.shape), tt.zeros(4), tt.zeros(4), pos, pos, 3)
+    scores = attention_scores(q, k, tt.zeros(rel.shape), tt.zeros(4), tt.zeros(4), pos, pos, 3)
     expected = (q.values @ k.values.T) / math.sqrt(dh)
     np.testing.assert_allclose(scores.values, expected, atol=1e-12)
 
@@ -96,8 +143,8 @@ def test_scores_shift_invariant():
     rng = Rng(1)
     q, k, rel, u, v = _head_inputs(rng)
     pos = np.arange(6)
-    s0 = att.attention_scores(q, k, rel, u, v, pos, pos, 3)
-    s1 = att.attention_scores(q, k, rel, u, v, pos + 17, pos + 17, 3)
+    s0 = attention_scores(q, k, rel, u, v, pos, pos, 3)
+    s1 = attention_scores(q, k, rel, u, v, pos + 17, pos + 17, 3)
     np.testing.assert_array_equal(s0.values, s1.values)
 
 
@@ -106,9 +153,65 @@ def test_scores_clip_beyond_max_offset():
     q, k, rel, u, v = _head_inputs(rng, L=1, max_off=2)
     # a single query against single keys at offsets max and max+1
     for sign in (+1, -1):
-        near = att.attention_scores(q, k, rel, u, v, np.array([0]), np.array([-sign * 2]), 2)
-        far = att.attention_scores(q, k, rel, u, v, np.array([0]), np.array([-sign * 3]), 2)
+        near = attention_scores(q, k, rel, u, v, np.array([0]), np.array([-sign * 2]), 2)
+        far = attention_scores(q, k, rel, u, v, np.array([0]), np.array([-sign * 3]), 2)
         np.testing.assert_array_equal(near.values, far.values)
+
+
+# ------------------------------------------------- fused attention node
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tk=st.integers(1, 9),
+    streaming=st.booleans(),
+    heads=st.integers(1, 3),
+    head_dim=st.integers(1, 4),
+    model_dim=st.integers(1, 5),
+    max_offset=st.integers(0, 4),
+    window=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+    shift=st.integers(-5, 5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_fused_attention_matches_composed(tk, streaming, heads, head_dim, model_dim, max_offset,
+                                          window, shift, seed, data):
+    cfg = EncoderConfig(num_layers=1, model_dim=model_dim, ff_dim1=2, ff_dim2=model_dim,
+                        num_heads=heads, head_dim=head_dim, dropout_ratio=0.0,
+                        mask=AttentionMask(None, None), input_dim=model_dim,
+                        max_relative_offset=max_offset)
+    rng = Rng(seed)
+    params = att.init_encoder_params(cfg, rng.substream("params"))
+    for name, p in params.named("p"):
+        p.values[...] = rng.substream(name).normal(p.shape)
+    layer = params.layers[0]
+    keys = Tensor(rng.substream("h").normal((tk, model_dim)))
+    k_pos = np.arange(tk) + shift
+    mask = None if window is None else build_mask(tk, AttentionMask(*window))
+    if streaming:  # one query row against its window, as `encoder_layer_step` calls it
+        q_local = data.draw(st.integers(0, tk - 1), label="q_local")
+        queries = Tensor(keys.values[q_local:q_local + 1].copy())
+        q_pos = k_pos[q_local:q_local + 1]
+        mask = None if mask is None else mask[q_local:q_local + 1]
+    else:  # self-attention: the same tensor provides queries and keys
+        queries, q_pos = keys, k_pos
+    upstream = Tensor(rng.substream("g").normal((queries.shape[0], model_dim)))
+    parents = [queries, keys, layer.wq, layer.wk, layer.wv, layer.wo,
+               params.rel_emb, params.content_bias, params.pos_bias]
+
+    results = []
+    for fn in (att._multi_head_attention, composed_multi_head_attention):
+        for p in parents:
+            p.zero_grad()
+        counters = att.Counters()
+        out = fn(queries, keys, layer, params, cfg, q_pos, k_pos, mask, counters)
+        backward(tt.tsum(tt.mul(out, upstream)))
+        results.append((out.values, [p.grad.copy() for p in parents], counters.attention_scores))
+
+    (fused, fused_grads, fused_count), (ref, ref_grads, ref_count) = results
+    assert fused_count == ref_count == heads * queries.shape[0] * tk
+    assert np.max(np.abs(fused - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))  # relative to scale
+    for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
+        assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
 
 
 # ----------------------------------------------------------- encoder layer
@@ -159,6 +262,34 @@ def test_layer_gradient_check():
             continue
         num = finite_difference_gradient(loss, p)
         assert max_gradient_error(p.grad, num) < 1e-4, name
+
+
+def _graph_ops(root):
+    """Non-leaf tensors reachable from `root`."""
+    seen, stack, ops = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        ops += node.backward_fn is not None
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return ops
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
+    # two layer norms, one attention node, three dropouts when training, and
+    # the feed-forward block: 2 matmuls, 2 bias adds, a relu and 2 residual adds
+    expected = 2 + 1 + 7 + (3 if training else 0)
+    for num_heads in (1, 2, 3):
+        for seq_len in (1, 4, 9):
+            cfg = small_config(num_layers=1, num_heads=num_heads, dropout_ratio=0.1)
+            params = att.init_encoder_params(cfg, Rng(num_heads))
+            x = Tensor(Rng(seq_len).normal((seq_len, cfg.model_dim)))
+            out = att.encoder_layer(x, build_mask(seq_len, cfg.mask), params.layers[0], params, cfg,
+                                    Rng(0), training)
+            assert _graph_ops(out) == expected, (num_heads, seq_len)
 
 
 # ----------------------------------------------------------------- stack

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ttkit.tensor as tt
 from ttkit import decode as dec
@@ -14,10 +16,10 @@ from ttkit.tensor import Rng
 
 
 def small_model(audio_mask=AttentionMask(4, 1), label_left=4, seed=0, vocab_size=4,
-                blank_bias=0.0, num_audio_layers=2):
+                blank_bias=0.0, num_audio_layers=2, frontend=None):
     cfg = desk_config(vocab_size=vocab_size, feature_dim=6, audio_mask=audio_mask,
                       label_left=label_left, dropout=0.0, model_dim=8,
-                      num_audio_layers=num_audio_layers)
+                      num_audio_layers=num_audio_layers, frontend=frontend)
     model = init_model(cfg, Rng(seed))
     model.params.joint.out_b.values[0] += blank_bias
     return model
@@ -251,6 +253,22 @@ def test_stream_equals_batch_greedy_across_masks():
             with tt.no_grad():
                 enc = model.encode_audio(model.prepare_features(feats)).values
             assert np.abs(np.stack(st.activations) - enc).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(left=st.integers(0, 3), right=st.integers(0, 2), layers=st.integers(0, 3),
+       label_left=st.one_of(st.none(), st.integers(0, 4)), frames=st.integers(1, 20),
+       stack=st.integers(1, 3), subsample=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_stream_equals_batch_property(left, right, layers, label_left, frames, stack, subsample, seed):
+    model = small_model(audio_mask=AttentionMask(left, right), label_left=label_left,
+                        seed=seed, num_audio_layers=layers,
+                        frontend=FrontendConfig(stack=stack, subsample=subsample))
+    feats = Rng(seed + 1).normal((frames, 6))
+    streamed, st_ = stream_decode(model, feats, record_activations=True)
+    assert streamed == greedy_decode(model, feats)
+    with tt.no_grad():
+        enc = model.encode_audio(model.prepare_features(feats)).values
+    assert np.abs(np.stack(st_.activations) - enc).max() < 1e-9
 
 
 def test_stream_constant_per_frame_work():

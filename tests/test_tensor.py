@@ -104,6 +104,80 @@ def test_layer_norm_zero_gain_gives_bias():
     np.testing.assert_array_equal(out.values, np.broadcast_to(bias.values, (5, 4)))
 
 
+# Composed references for the fused layer-norm and log-softmax nodes.
+
+def composed_layer_norm(x, gain, bias, eps):
+    mu = tt.mean(x, axis=-1, keepdims=True)
+    xc = tt.sub(x, mu)
+    var = tt.mean(tt.mul(xc, xc), axis=-1, keepdims=True)
+    inv = tt.powc(tt.add(var, Tensor(eps)), -0.5)
+    return tt.add(tt.mul(tt.mul(xc, inv), gain), bias)
+
+
+def composed_log_softmax(a, axis):
+    return tt.sub(a, tt.logsumexp(a, axis=axis, keepdims=True))
+
+
+def _fused_and_composed(fused, composed, inputs, upstream):
+    """(values, input gradients) of both graphs under the same upstream
+    gradient, which reaches only the finite outputs."""
+    out = []
+    for fn in (fused, composed):
+        for t in inputs:
+            t.zero_grad()
+        y = fn(*inputs)
+        finite = np.isfinite(y.values)
+        backward(tt.tsum(tt.mul(y[finite], Tensor(upstream[finite]))))
+        out.append((y.values, [t.grad.copy() for t in inputs]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(1,), (2,), (5,), (1, 3), (4, 1), (3, 6)]),
+       eps=st.sampled_from([1e-12, 1e-5, 0.1]),
+       constant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_layer_norm_matches_composed(shape, eps, constant, seed):
+    rng = Rng(seed)
+    x = Tensor(rng.normal(shape) + 3.0 * rng.normal(shape[:-1] + (1,)))  # rows off-centre
+    if constant:
+        x.values[...] = x.values.mean()
+    gain, bias = Tensor(rng.normal(shape[-1:])), Tensor(rng.normal(shape[-1:]))
+    (fv, fg), (cv, cg) = _fused_and_composed(
+        lambda *t: tt.layer_norm(*t, eps), lambda *t: composed_layer_norm(*t, eps),
+        [x, gain, bias], rng.normal(shape))
+    assert np.max(np.abs(fv - cv)) <= 1e-12 * max(1.0, np.max(np.abs(cv)))
+    for name, a, b in zip(("x", "gain", "bias"), fg, cg):
+        assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(1,), (4,), (3, 5), (2, 3, 4)]),
+       axis=st.integers(-1, 0),
+       masked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_log_softmax_matches_composed(shape, axis, masked, seed):
+    rng = Rng(seed)
+    values = rng.normal(shape, sigma=5.0)
+    if masked:
+        drop = rng.uniform(shape) < 0.3
+        np.moveaxis(drop, axis, 0)[0] = False  # -inf entries, never a whole row
+        values[drop] = -np.inf
+    (fv, fg), (cv, cg) = _fused_and_composed(
+        lambda t: tt.log_softmax(t, axis), lambda t: composed_log_softmax(t, axis),
+        [Tensor(values)], rng.normal(shape))
+    np.testing.assert_array_equal(np.isneginf(fv), np.isneginf(values))
+    finite = np.isfinite(values)
+    assert np.max(np.abs(fv[finite] - cv[finite])) <= 1e-12 * max(1.0, np.max(np.abs(cv[finite])))
+    assert np.max(np.abs(fg[0] - cg[0])) <= 1e-10
+
+
+def test_layer_norm_and_log_softmax_are_one_node():
+    x, gain, bias = Tensor(Rng(0).normal((3, 4))), tt.ones(4), tt.zeros(4)
+    assert tt.layer_norm(x, gain, bias).parents == (x, gain, bias)
+    assert tt.log_softmax(x, axis=-1).parents == (x,)
+
+
 def test_dropout_inference_identity():
     x = Tensor(Rng(0).normal((8, 8)))
     out = tt.dropout(x, 0.1, Rng(1), training=False)

@@ -329,6 +329,23 @@ def test_loss_on_non_finite_grid_raises_no_warning():
     assert np.isnan(value.item())
 
 
+def test_grid_from_non_finite_logits_raises_no_warning():
+    logits = Rng(3).normal((3, 3, 3))
+    logits[0, 0, 1], logits[1, 2, 0], logits[2, 1, :] = np.inf, -np.inf, np.nan
+    logits[1, 0, :] = -np.inf
+    leaf = Tensor(logits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = LogProbGrid(tt.log_softmax(leaf, axis=-1))
+        value = rnnt_log_prob(grid, [2, 1])
+        backward(value, check_finite=False)
+    assert np.isnan(value.item())
+    lp = grid.log_probs.values
+    assert np.isnan(lp[0, 0, 1]) and np.isneginf(lp[0, 0, [0, 2]]).all()  # a +inf logit
+    assert np.isnan(lp[1, 0]).all() and np.isnan(lp[2, 1]).all()  # an all -inf row, a NaN row
+    assert np.isneginf(lp[1, 2, 0]) and np.isfinite(lp[1, 2, 1:]).all()
+
+
 @pytest.mark.parametrize("T,U", [(1, 0), (4, 2), (30, 9)])
 @pytest.mark.parametrize("B", [1, 3])
 def test_batch_loss_graph_size_is_independent_of_lattice(T, U, B):

@@ -74,9 +74,9 @@ class EncoderConfig:
     ff_dim2: int
     num_heads: int
     head_dim: int
-    dropout_ratio: float
     mask: AttentionMask
     input_dim: int
+    dropout_ratio: float = 0.1
     max_relative_offset: int | None = None  # None: derived as left + right
     ln_eps: float = 1e-5
     final_layer_norm: bool = True
@@ -87,6 +87,8 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.num_layers < 0:
             raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
+        if self.max_relative_offset is not None and self.max_relative_offset < 0:
+            raise ValueError(f"max_relative_offset must be >= 0, got {self.max_relative_offset}")
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ValueError(f"dropout_ratio must be in [0, 1), got {self.dropout_ratio}")
 

@@ -288,8 +288,6 @@ def cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttkit", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="upper bound on internal parallelism (all current kernels are serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a config file")
@@ -343,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        _log("error: --threads must be >= 1")
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except SystemExit as e:

@@ -1,12 +1,17 @@
 """Run configuration: one JSON document with nested sections, validated
 strictly. Unknown keys are hard errors naming the offending key path, and
 every value failure points at its path, so mask typos cannot pass silently.
+
+The config dataclasses are the schema: each section accepts one key per
+field, typed by the field's annotation and defaulting to the field's
+default. Only the mask windows, the derived fields and `paths` are read by
+hand.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .attention import AttentionMask, EncoderConfig
 from .frontend import FrontendConfig
@@ -20,9 +25,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-_REQUIRED = object()
-
-
 class _Section:
     def __init__(self, data, path: str):
         if not isinstance(data, dict):
@@ -31,26 +33,23 @@ class _Section:
         self.path = path
         self.seen: set[str] = set()
 
-    def get(self, key: str, cast, default=_REQUIRED):
+    def get(self, key: str, cast, default=MISSING):
         self.seen.add(key)
         if key not in self.data:
-            if default is _REQUIRED:
+            if default is MISSING:
                 raise ConfigError(f"{self.path}.{key}", "missing required key")
             return default
         try:
             return cast(self.data[key])
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{self.path}.{key}", str(e)) from e
 
-    def section(self, key: str, required: bool = True) -> "_Section | None":
+    def section(self, key: str, required: bool = True) -> "_Section":
+        """The nested object at `key`; a missing optional one reads as empty."""
         self.seen.add(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"{self.path}.{key}", "missing required section")
-            return None
-        return _Section(self.data[key], f"{self.path}.{key}")
+        if required and key not in self.data:
+            raise ConfigError(f"{self.path}.{key}", "missing required section")
+        return _Section(self.data.get(key, {}), f"{self.path}.{key}")
 
     def finish(self):
         unknown = sorted(set(self.data) - self.seen)
@@ -109,29 +108,27 @@ class RunConfig:
     paths: dict = field(default_factory=dict)
 
 
-def _encoder_section(sec: _Section, mask: AttentionMask, input_dim: int) -> EncoderConfig:
-    cfg = dict(
-        num_layers=sec.get("num_layers", _int),
-        model_dim=sec.get("model_dim", _int),
-        ff_dim1=sec.get("ff_dim1", _int),
-        ff_dim2=sec.get("ff_dim2", _int),
-        num_heads=sec.get("num_heads", _int),
-        head_dim=sec.get("head_dim", _int),
-        dropout_ratio=sec.get("dropout_ratio", _float, 0.1),
-        max_relative_offset=sec.get("max_relative_offset", _int, None),
-        ln_eps=sec.get("ln_eps", _float, 1e-5),
-        final_layer_norm=sec.get("final_layer_norm", _bool, True),
-    )
+# A JSON null never stands for None: leaving the key out selects the default.
+_CASTS = {"int": _int, "int | None": _int, "float": _float, "bool": _bool}
+
+
+def _build(cls, sec: _Section, **derived):
+    """One `cls` from one section: a key per field not in `derived`, cast by
+    the field's annotation, defaulting to the field's default."""
+    kw = dict(derived)
+    for f in fields(cls):
+        if f.name not in kw:
+            kw[f.name] = sec.get(f.name, _CASTS[f.type], f.default)
     sec.finish()
     try:
-        return EncoderConfig(mask=mask, input_dim=input_dim, **cfg)
+        return cls(**kw)
     except ValueError as e:
         raise ConfigError(sec.path, str(e)) from e
 
 
 def parse_run_config(document: dict) -> RunConfig:
     root = _Section(document, "config")
-    seed = root.get("seed", _int, 0)
+    seed = root.get("seed", _int, TrainConfig.seed)
 
     mask_sec = root.section("mask")
     audio_mask = AttentionMask(mask_sec.get("audio_left", _mask_side),
@@ -139,101 +136,29 @@ def parse_run_config(document: dict) -> RunConfig:
     label_mask = AttentionMask(mask_sec.get("label_left", _mask_side), 0)
     mask_sec.finish()
 
-    fe_sec = root.section("frontend", required=False)
-    if fe_sec is None:
-        frontend = FrontendConfig()
-    else:
-        kw = dict(
-            stack=fe_sec.get("stack", _int, 1),
-            subsample=fe_sec.get("subsample", _int, 1),
-            freq_mask_width=fe_sec.get("freq_mask_width", _int, 0),
-            freq_mask_count=fe_sec.get("freq_mask_count", _int, 0),
-            time_mask_width=fe_sec.get("time_mask_width", _int, 0),
-            time_mask_count=fe_sec.get("time_mask_count", _int, 0),
-            augment_enabled=fe_sec.get("augment_enabled", _bool, False),
-        )
-        fe_sec.finish()
-        try:
-            frontend = FrontendConfig(**kw)
-        except ValueError as e:
-            raise ConfigError(fe_sec.path, str(e)) from e
+    frontend = _build(FrontendConfig, root.section("frontend", required=False))
 
     model_sec = root.section("model")
-    vocab_size = model_sec.get("vocab_size", _int)
     feature_dim = model_sec.get("feature_dim", _int)
-    joint_dim = model_sec.get("joint_dim", _int)
-    audio_sec = model_sec.section("audio")
-    audio = _encoder_section(audio_sec, audio_mask, feature_dim * frontend.stack)
+    audio = _build(EncoderConfig, model_sec.section("audio"),
+                   mask=audio_mask, input_dim=feature_dim * frontend.stack)
     label_sec = model_sec.section("label")
     label_input_dim = label_sec.get("input_dim", _int, None)
     if label_input_dim is None:
         label_input_dim = label_sec.get("model_dim", _int)  # embeddings default to model width
-    label = _encoder_section(label_sec, label_mask, label_input_dim)
-    model_sec.finish()
-    try:
-        model = ModelConfig(vocab_size=vocab_size, feature_dim=feature_dim,
-                            joint_dim=joint_dim, audio=audio, label=label, frontend=frontend)
-    except ValueError as e:
-        raise ConfigError("config.model", str(e)) from e
+    label = _build(EncoderConfig, label_sec, mask=label_mask, input_dim=label_input_dim)
+    model = _build(ModelConfig, model_sec, audio=audio, label=label, frontend=frontend)
 
-    sch_sec = root.section("schedule", required=False)
-    if sch_sec is None:
-        schedule = ScheduleConfig()
-    else:
-        kw = dict(
-            peak_lr=sch_sec.get("peak_lr", _float, 2.5e-4),
-            warmup_steps=sch_sec.get("warmup_steps", _int, 4000),
-            hold_until=sch_sec.get("hold_until", _int, 30000),
-            decay_until=sch_sec.get("decay_until", _int, 200000),
-            final_lr=sch_sec.get("final_lr", _float, 2.5e-6),
-        )
-        sch_sec.finish()
-        try:
-            schedule = ScheduleConfig(**kw)
-        except ValueError as e:
-            raise ConfigError(sch_sec.path, str(e)) from e
-
-    tr_sec = root.section("train", required=False)
-    if tr_sec is None:
-        train = TrainConfig(seed=seed)
-    else:
-        kw = dict(
-            batch_size=tr_sec.get("batch_size", _int, 8),
-            total_steps=tr_sec.get("total_steps", _int, 1000),
-            weight_noise_sigma=tr_sec.get("weight_noise_sigma", _float, 0.0),
-            weight_noise_start_step=tr_sec.get("weight_noise_start_step", _int, 10000),
-            adam_beta1=tr_sec.get("adam_beta1", _float, 0.9),
-            adam_beta2=tr_sec.get("adam_beta2", _float, 0.999),
-            adam_eps=tr_sec.get("adam_eps", _float, 1e-8),
-            grad_clip_norm=tr_sec.get("grad_clip_norm", _float, 5.0),
-            checkpoint_interval=tr_sec.get("checkpoint_interval", _int, 200),
-        )
-        tr_sec.finish()
-        try:
-            train = TrainConfig(seed=seed, **kw)
-        except ValueError as e:
-            raise ConfigError(tr_sec.path, str(e)) from e
-
+    schedule = _build(ScheduleConfig, root.section("schedule", required=False))
+    train = _build(TrainConfig, root.section("train", required=False), seed=seed)
     de_sec = root.section("decode", required=False)
-    if de_sec is None:
-        decode = DecodeOptions()
-    else:
-        decode = DecodeOptions(
-            beam_width=de_sec.get("beam_width", _int, 4),
-            lm_weight=de_sec.get("lm_weight", _float, 0.0),
-            length_bonus=de_sec.get("length_bonus", _float, 0.0),
-            max_symbols_per_frame=de_sec.get("max_symbols_per_frame", _int, 10),
-        )
-        de_sec.finish()
-        if decode.beam_width < 1 or decode.max_symbols_per_frame < 1:
-            raise ConfigError(de_sec.path, "beam_width and max_symbols_per_frame must be >= 1")
+    decode = _build(DecodeOptions, de_sec)
+    if decode.beam_width < 1 or decode.max_symbols_per_frame < 1:
+        raise ConfigError(de_sec.path, "beam_width and max_symbols_per_frame must be >= 1")
 
     paths_sec = root.section("paths", required=False)
-    paths = {}
-    if paths_sec is not None:
-        for key in list(paths_sec.data):
-            paths[key] = paths_sec.get(key, _str)
-        paths_sec.finish()
+    paths = {key: paths_sec.get(key, _str) for key in paths_sec.data}
+    paths_sec.finish()
 
     root.finish()
     return RunConfig(seed=seed, model=model, schedule=schedule, train=train,
@@ -252,29 +177,8 @@ def load_run_config(path) -> RunConfig:
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:
-    """Canonical view of every effective setting, for run logging."""
-    from .model import model_config_to_dict
-
-    return {
-        "seed": cfg.seed,
-        "model": model_config_to_dict(cfg.model),
-        "schedule": {
-            "peak_lr": cfg.schedule.peak_lr, "warmup_steps": cfg.schedule.warmup_steps,
-            "hold_until": cfg.schedule.hold_until, "decay_until": cfg.schedule.decay_until,
-            "final_lr": cfg.schedule.final_lr,
-        },
-        "train": {
-            "batch_size": cfg.train.batch_size, "total_steps": cfg.train.total_steps,
-            "weight_noise_sigma": cfg.train.weight_noise_sigma,
-            "weight_noise_start_step": cfg.train.weight_noise_start_step,
-            "adam_beta1": cfg.train.adam_beta1, "adam_beta2": cfg.train.adam_beta2,
-            "adam_eps": cfg.train.adam_eps, "grad_clip_norm": cfg.train.grad_clip_norm,
-            "checkpoint_interval": cfg.train.checkpoint_interval,
-        },
-        "decode": {
-            "beam_width": cfg.decode.beam_width, "lm_weight": cfg.decode.lm_weight,
-            "length_bonus": cfg.decode.length_bonus,
-            "max_symbols_per_frame": cfg.decode.max_symbols_per_frame,
-        },
-        "paths": dict(cfg.paths),
-    }
+    """Canonical view of every effective setting, for run logging. The train
+    seed is the run seed, so it appears once, at the top."""
+    resolved = asdict(cfg)
+    del resolved["train"]["seed"]
+    return resolved

@@ -394,11 +394,3 @@ class StreamState:
         self.emitted.extend(emitted)
         return emitted
 
-
-def stream_step(state: StreamState, frame: np.ndarray) -> tuple[StreamState, list[int]]:
-    """Functional face of `StreamState.step`; mutates and returns the state."""
-    return state, state.step(frame)
-
-
-def flush(state: StreamState) -> list[int]:
-    return state.flush()

@@ -7,7 +7,7 @@ with a flat named-parameter view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -163,51 +163,28 @@ def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
     return TransducerModel(config, params)
 
 
-def _mask_to_dict(mask: AttentionMask) -> dict:
-    return {"left": mask.left, "right": mask.right}
+def parameter_count(config: ModelConfig) -> int:
+    """Number of values `init_model(config)` allocates, without allocating."""
+    def encoder(e: EncoderConfig) -> int:
+        d, hd = e.model_dim, e.num_heads * e.head_dim
+        layer = 4 * d * hd + (d + 1) * e.ff_dim1 + (e.ff_dim1 + 1) * e.ff_dim2 + 4 * d
+        return (e.input_dim + 3) * d + e.num_layers * layer + (2 * e.rel_offset + 3) * hd
 
-
-def _encoder_config_to_dict(cfg: EncoderConfig) -> dict:
-    return {
-        "num_layers": cfg.num_layers, "model_dim": cfg.model_dim,
-        "ff_dim1": cfg.ff_dim1, "ff_dim2": cfg.ff_dim2,
-        "num_heads": cfg.num_heads, "head_dim": cfg.head_dim,
-        "dropout_ratio": cfg.dropout_ratio, "mask": _mask_to_dict(cfg.mask),
-        "input_dim": cfg.input_dim, "max_relative_offset": cfg.max_relative_offset,
-        "ln_eps": cfg.ln_eps, "final_layer_norm": cfg.final_layer_norm,
-    }
-
-
-def _encoder_config_from_dict(d: dict) -> EncoderConfig:
-    d = dict(d)
-    mask = d.pop("mask")
-    return EncoderConfig(mask=AttentionMask(mask["left"], mask["right"]), **d)
+    j, v = config.joint_dim, config.vocab_size
+    return (encoder(config.audio) + encoder(config.label) + v * config.label.input_dim
+            + (config.audio.model_dim + config.label.model_dim + 2) * j + (j + 1) * v)
 
 
 def model_config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "vocab_size": cfg.vocab_size, "feature_dim": cfg.feature_dim,
-        "joint_dim": cfg.joint_dim,
-        "audio": _encoder_config_to_dict(cfg.audio),
-        "label": _encoder_config_to_dict(cfg.label),
-        "frontend": {
-            "stack": cfg.frontend.stack, "subsample": cfg.frontend.subsample,
-            "freq_mask_width": cfg.frontend.freq_mask_width,
-            "freq_mask_count": cfg.frontend.freq_mask_count,
-            "time_mask_width": cfg.frontend.time_mask_width,
-            "time_mask_count": cfg.frontend.time_mask_count,
-            "augment_enabled": cfg.frontend.augment_enabled,
-        },
-    }
+    return asdict(cfg)
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=d["vocab_size"], feature_dim=d["feature_dim"], joint_dim=d["joint_dim"],
-        audio=_encoder_config_from_dict(d["audio"]),
-        label=_encoder_config_from_dict(d["label"]),
-        frontend=FrontendConfig(**d["frontend"]),
-    )
+    def encoder(e: dict) -> EncoderConfig:
+        return EncoderConfig(**{**e, "mask": AttentionMask(**e["mask"])})
+
+    return ModelConfig(**{**d, "audio": encoder(d["audio"]), "label": encoder(d["label"]),
+                          "frontend": FrontendConfig(**d["frontend"])})
 
 
 def desk_config(

@@ -8,6 +8,7 @@ distinct, which keeps run-length deduplication lossless.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -193,14 +194,23 @@ def write_dataset(dataset: Dataset, path):
         f.write(dataset_bytes(dataset))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
+class BinaryReader:
+    """Cursor over one `.ttds` or `.ttck` file. Checks the magic and version
+    on construction; every violation of the format raises `error`."""
+
+    def __init__(self, data: bytes, error: type[ValueError], magic: bytes, version: int, kind: str):
         self.data = data
         self.at = 0
+        self.error = error
+        if self.take(4) != magic:
+            raise error(f"bad magic: not a {kind} file")
+        found = self.u32()
+        if found != version:
+            raise error(f"unsupported {kind} version {found}")
 
     def take(self, n: int) -> bytes:
         if self.at + n > len(self.data):
-            raise DatasetFormatError(f"truncated file: needed {n} bytes at offset {self.at}")
+            raise self.error(f"truncated file: needed {n} bytes at offset {self.at}")
         chunk = self.data[self.at:self.at + n]
         self.at += n
         return chunk
@@ -211,28 +221,42 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self) -> str:
+        """A u64 length, then that many bytes of UTF-8."""
+        raw = self.take(self.u64())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise self.error(f"text at offset {self.at - len(raw)} is not UTF-8: {e}") from e
+
+    def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+        raw = self.take(math.prod(shape) * np.dtype(dtype).itemsize)
+        try:
+            return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError as e:
+            raise self.error(f"bad array shape {shape}: {e}") from e
+
+    def finish(self, last: str):
+        if self.at != len(self.data):
+            raise self.error(f"{len(self.data) - self.at} trailing bytes after last {last}")
+
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(4) != _MAGIC:
-        raise DatasetFormatError("bad magic: not a dataset file")
-    version = r.u32()
-    if version != _VERSION:
-        raise DatasetFormatError(f"unsupported dataset version {version}")
+        r = BinaryReader(f.read(), DatasetFormatError, _MAGIC, _VERSION, "dataset")
     num_labels = r.u64()
     count = r.u64()
     utts = []
     for _ in range(count):
-        ident = r.take(r.u64()).decode("utf-8")
-        t, d = r.u64(), r.u64()
-        features = np.frombuffer(r.take(t * d * 8), dtype="<f8").reshape(t, d).copy()
-        n_labels = r.u64()
-        labels = np.frombuffer(r.take(n_labels * 4), dtype="<u4").tolist()
+        ident = r.text()
+        features = r.array((r.u64(), r.u64()), "<f8").copy()
+        labels = r.array((r.u64(),), "<u4").tolist()
         for label in labels:
             if not 1 <= label <= num_labels:
                 raise DatasetFormatError(f"label {label} outside declared vocab of {num_labels}")
-        utts.append(Utterance(id=ident, features=features, labels=[int(x) for x in labels]))
-    if r.at != len(r.data):
-        raise DatasetFormatError(f"{len(r.data) - r.at} trailing bytes after last utterance")
+        try:
+            utts.append(Utterance(id=ident, features=features, labels=labels))
+        except ValueError as e:
+            raise DatasetFormatError(f"utterance {ident!r}: {e}") from e
+    r.finish("utterance")
     return Dataset(num_labels, utts)

@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tt
-from .model import ModelParams, TransducerModel, init_model, model_config_from_dict, model_config_to_dict
-from .tasks import Utterance
+from .model import (ModelParams, TransducerModel, init_model, model_config_from_dict,
+                    model_config_to_dict, parameter_count)
+from .tasks import BinaryReader, Utterance
 from .tensor import NumericsError, Rng, Tensor, backward
 from .transducer import batch_loss
 
@@ -240,61 +241,43 @@ def save_checkpoint(model: TransducerModel, path):
             os.remove(tmp)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.at = 0
-
-    def take(self, n: int) -> bytes:
-        if self.at + n > len(self.data):
-            raise CheckpointFormatError(f"truncated file: needed {n} bytes at offset {self.at}")
-        chunk = self.data[self.at:self.at + n]
-        self.at += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
 def load_checkpoint(path) -> TransducerModel:
     """Rebuild the model from the embedded config and stored tensors. Tensor
     names and shapes must agree exactly with what the config implies."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(4) != _MAGIC:
-        raise CheckpointFormatError("bad magic: not a checkpoint file")
-    version = r.u32()
-    if version != _VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        r = BinaryReader(f.read(), CheckpointFormatError, _MAGIC, _VERSION, "checkpoint")
+    doc = r.text()
     try:
-        config = model_config_from_dict(json.loads(r.take(r.u64()).decode("utf-8")))
+        config = model_config_from_dict(json.loads(doc))
+        implied = parameter_count(config)
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointFormatError(f"bad embedded config: {e}") from e
 
-    model = init_model(config, Rng(0))
+    stored = {}
+    for _ in range(r.u64()):
+        name = r.text()
+        if name in stored:
+            raise CheckpointFormatError(f"duplicate tensor {name!r}")
+        stored[name] = r.array(tuple(r.u64() for _ in range(r.u64())), "<f8")
+    r.finish("tensor")
+    # compared before init_model allocates what the config asks for
+    held = sum(a.size for a in stored.values())
+    if held != implied:
+        raise CheckpointFormatError(f"shape disagreement: file holds {held} values, config implies {implied}")
+
+    try:
+        model = init_model(config, Rng(0))
+    except (ValueError, TypeError) as e:
+        raise CheckpointFormatError(f"bad embedded config: {e}") from e
     expected = dict(model.named_params())
-    count = r.u64()
-    if count != len(expected):
-        raise CheckpointFormatError(f"checkpoint has {count} tensors, config implies {len(expected)}")
-    seen = set()
-    for _ in range(count):
-        name = r.take(r.u64()).decode("utf-8")
+    if len(stored) != len(expected):
+        raise CheckpointFormatError(f"checkpoint has {len(stored)} tensors, config implies {len(expected)}")
+    for name, values in stored.items():
         if name not in expected:
             raise CheckpointFormatError(f"unexpected tensor {name!r}")
-        if name in seen:
-            raise CheckpointFormatError(f"duplicate tensor {name!r}")
-        seen.add(name)
-        rank = r.u64()
-        shape = tuple(r.u64() for _ in range(rank))
         p = expected[name]
-        if shape != p.shape:
+        if values.shape != p.shape:
             raise CheckpointFormatError(
-                f"shape disagreement for {name!r}: file has {shape}, config implies {p.shape}")
-        n = int(np.prod(shape)) if shape else 1
-        p.values[...] = np.frombuffer(r.take(n * 8), dtype="<f8").reshape(shape)
-    if r.at != len(r.data):
-        raise CheckpointFormatError(f"{len(r.data) - r.at} trailing bytes after last tensor")
+                f"shape disagreement for {name!r}: file has {values.shape}, config implies {p.shape}")
+        p.values[...] = values
     return model

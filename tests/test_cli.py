@@ -1,10 +1,12 @@
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ttkit.cli import main
-from ttkit.config import ConfigError, parse_run_config
+from ttkit.config import ConfigError, load_run_config, parse_run_config, resolved_config_dict
 from ttkit.tasks import SyntheticTaskConfig, gen_synthetic, write_dataset
 
 
@@ -83,6 +85,199 @@ def test_table_mask_triples_expressible():
         doc["mask"] = {"audio_left": left, "audio_right": right, "label_left": label_left}
         run = parse_run_config(doc)
         assert run.model.audio.mask.left == left
+
+
+# ------------------------------------------------------- config behaviour pins
+# Literal expectations for what a config resolves to, how it fails and what a
+# checkpoint embeds, so the schema can change shape without changing behaviour.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_required_keys_only_yields_dataclass_defaults():
+    encoder = {"num_layers": 1, "ff_dim1": 32, "num_heads": 2}
+    doc = {"mask": {"audio_left": 4, "audio_right": 1, "label_left": None},
+           "model": {"vocab_size": 5, "feature_dim": 8, "joint_dim": 16,
+                     "audio": dict(encoder, model_dim=16, ff_dim2=16, head_dim=8),
+                     "label": dict(encoder, model_dim=12, ff_dim2=12, head_dim=6,
+                                   max_relative_offset=4)}}
+    encoder_defaults = {"dropout_ratio": 0.1, "ln_eps": 1e-05, "final_layer_norm": True}
+    assert resolved_config_dict(parse_run_config(doc)) == {
+        "seed": 0,
+        "model": {
+            "vocab_size": 5, "feature_dim": 8, "joint_dim": 16,
+            "audio": dict(encoder, model_dim=16, ff_dim2=16, head_dim=8, input_dim=8,
+                          mask={"left": 4, "right": 1}, max_relative_offset=None,
+                          **encoder_defaults),
+            "label": dict(encoder, model_dim=12, ff_dim2=12, head_dim=6, input_dim=12,
+                          mask={"left": None, "right": 0}, max_relative_offset=4,
+                          **encoder_defaults),
+            "frontend": {"stack": 1, "subsample": 1, "freq_mask_width": 0,
+                         "freq_mask_count": 0, "time_mask_width": 0, "time_mask_count": 0,
+                         "augment_enabled": False},
+        },
+        "schedule": {"peak_lr": 0.00025, "warmup_steps": 4000, "hold_until": 30000,
+                     "decay_until": 200000, "final_lr": 2.5e-06},
+        "train": {"batch_size": 8, "total_steps": 1000, "weight_noise_sigma": 0.0,
+                  "weight_noise_start_step": 10000, "adam_beta1": 0.9, "adam_beta2": 0.999,
+                  "adam_eps": 1e-08, "grad_clip_norm": 5.0, "checkpoint_interval": 200},
+        "decode": {"beam_width": 4, "lm_weight": 0.0, "length_bonus": 0.0,
+                   "max_symbols_per_frame": 10},
+        "paths": {},
+    }
+
+
+_DELETE = object()
+
+CONFIG_ERRORS = [
+    # (key path to set or delete, new value, exact error text)
+    ((), [], "config: expected an object, got list"),
+    (("extra",), 1, "config.extra: unknown key"),
+    (("seed",), "3", "config.seed: expected an integer, got '3'"),
+    (("seed",), True, "config.seed: expected an integer, got True"),
+    (("mask",), _DELETE, "config.mask: missing required section"),
+    (("mask",), [], "config.mask: expected an object, got list"),
+    (("mask", "label_right"), 0, "config.mask.label_right: unknown key"),
+    (("mask", "audio_right"), _DELETE, "config.mask.audio_right: missing required key"),
+    (("mask", "audio_left"), -2,
+     'config.mask.audio_left: expected a non-negative integer or "unlimited", got -2'),
+    (("mask", "label_left"), "forever",
+     'config.mask.label_left: expected a non-negative integer or "unlimited", got \'forever\''),
+    (("model",), _DELETE, "config.model: missing required section"),
+    (("model", "vocab_size"), _DELETE, "config.model.vocab_size: missing required key"),
+    (("model", "vocab_size"), 1, "config.model: vocab_size must be >= 2, got 1"),
+    (("model", "joint_dim"), 0, "config.model: joint_dim must be positive"),
+    (("model", "feature_dim"), 8.0, "config.model.feature_dim: expected an integer, got 8.0"),
+    (("model", "frontend"), {}, "config.model.frontend: unknown key"),
+    (("model", "audio"), _DELETE, "config.model.audio: missing required section"),
+    (("model", "audio"), "x", "config.model.audio: expected an object, got str"),
+    (("model", "audio", "typo_key"), 1, "config.model.audio.typo_key: unknown key"),
+    (("model", "audio", "input_dim"), 8, "config.model.audio.input_dim: unknown key"),
+    (("model", "audio", "num_heads"), _DELETE, "config.model.audio.num_heads: missing required key"),
+    (("model", "audio", "model_dim"), 1.5, "config.model.audio.model_dim: expected an integer, got 1.5"),
+    (("model", "audio", "dropout_ratio"), "0.1",
+     "config.model.audio.dropout_ratio: expected a number, got '0.1'"),
+    (("model", "audio", "dropout_ratio"), 1.0,
+     "config.model.audio: dropout_ratio must be in [0, 1), got 1.0"),
+    (("model", "audio", "final_layer_norm"), 1,
+     "config.model.audio.final_layer_norm: expected true/false, got 1"),
+    (("model", "audio", "max_relative_offset"), None,
+     "config.model.audio.max_relative_offset: expected an integer, got None"),
+    (("model", "audio", "num_layers"), -1, "config.model.audio: num_layers must be >= 0, got -1"),
+    (("model", "label", "input_dim"), "x", "config.model.label.input_dim: expected an integer, got 'x'"),
+    (("model", "label", "input_dim"), 0, "config.model.label: input_dim must be positive, got 0"),
+    (("model", "label", "model_dim"), _DELETE, "config.model.label.model_dim: missing required key"),
+    (("model", "label", "mask"), {}, "config.model.label.mask: unknown key"),
+    (("frontend",), 3, "config.frontend: expected an object, got int"),
+    (("frontend",), {"stride": 2}, "config.frontend.stride: unknown key"),
+    (("frontend",), {"stack": 0}, "config.frontend: stack and subsample must be >= 1, got 0, 1"),
+    (("frontend",), {"augment_enabled": "yes"},
+     "config.frontend.augment_enabled: expected true/false, got 'yes'"),
+    (("frontend",), {"freq_mask_width": -1}, "config.frontend: freq_mask_width must be >= 0"),
+    (("schedule", "warmup_steps"), 0,
+     "config.schedule: need 0 < warmup_steps <= hold_until < decay_until, got 0, 10, 30"),
+    (("schedule", "final_lr"), 0.1, "config.schedule: need 0 < final_lr <= peak_lr, got 0.1, 0.002"),
+    (("schedule", "peak"), 1.0, "config.schedule.peak: unknown key"),
+    (("schedule", "peak_lr"), True, "config.schedule.peak_lr: expected a number, got True"),
+    (("train",), [], "config.train: expected an object, got list"),
+    (("train", "batch_size"), 0,
+     "config.train: batch_size/checkpoint_interval must be >= 1 and total_steps >= 0"),
+    (("train", "seed"), 3, "config.train.seed: unknown key"),
+    (("train", "grad_clip_norm"), 0.0, "config.train: grad_clip_norm must be positive"),
+    (("train", "weight_noise_sigma"), -0.1, "config.train: weight_noise_sigma must be >= 0"),
+    (("decode",), {"beam_width": 0},
+     "config.decode: beam_width and max_symbols_per_frame must be >= 1"),
+    (("decode",), {"max_symbols_per_frame": 0},
+     "config.decode: beam_width and max_symbols_per_frame must be >= 1"),
+    (("decode",), {"beam": 2}, "config.decode.beam: unknown key"),
+    (("decode",), {"lm_weight": "high"}, "config.decode.lm_weight: expected a number, got 'high'"),
+    (("paths",), {"dataset": 5}, "config.paths.dataset: expected a string, got 5"),
+    (("paths",), "data", "config.paths: expected an object, got str"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", CONFIG_ERRORS,
+                         ids=[".".join(p) + f"={v!r}" for p, v, _ in CONFIG_ERRORS])
+def test_config_error_text(path, value, message):
+    doc = base_config()
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(doc)
+    assert str(info.value) == message
+    assert info.value.path == message.split(": ", 1)[0]
+
+
+RESOLVED_DESK = (
+    '{"decode": {"beam_width": 4, "length_bonus": 0.0, "lm_weight": 0.0, "max_symbols_per_frame": 10}, '
+    '"model": {"audio": {"dropout_ratio": 0.1, "ff_dim1": 64, "ff_dim2": 32, "final_layer_norm": true, '
+    '"head_dim": 16, "input_dim": 16, "ln_eps": 1e-05, "mask": {"left": 10, "right": 0}, '
+    '"max_relative_offset": 16, "model_dim": 32, "num_heads": 2, "num_layers": 2}, "feature_dim": 16, '
+    '"frontend": {"augment_enabled": false, "freq_mask_count": 0, "freq_mask_width": 0, "stack": 1, '
+    '"subsample": 1, "time_mask_count": 0, "time_mask_width": 0}, "joint_dim": 32, '
+    '"label": {"dropout_ratio": 0.1, "ff_dim1": 64, "ff_dim2": 32, "final_layer_norm": true, '
+    '"head_dim": 16, "input_dim": 32, "ln_eps": 1e-05, "mask": {"left": 2, "right": 0}, '
+    '"max_relative_offset": 16, "model_dim": 32, "num_heads": 2, "num_layers": 1}, "vocab_size": 7}, '
+    '"paths": {"dataset": "data/train.ttds"}, '
+    '"schedule": {"decay_until": 500, "final_lr": 0.0003, "hold_until": 170, "peak_lr": 0.003, '
+    '"warmup_steps": 50}, "seed": 0, '
+    '"train": {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "batch_size": 8, '
+    '"checkpoint_interval": 100, "grad_clip_norm": 5.0, "total_steps": 500, "weight_noise_sigma": 0.0, '
+    '"weight_noise_start_step": 10000}}'
+)
+
+RESOLVED_PAPER = (
+    '{"decode": {"beam_width": 8, "length_bonus": 0.0, "lm_weight": 0.0, "max_symbols_per_frame": 10}, '
+    '"model": {"audio": {"dropout_ratio": 0.1, "ff_dim1": 2048, "ff_dim2": 512, "final_layer_norm": true, '
+    '"head_dim": 64, "input_dim": 512, "ln_eps": 1e-05, "mask": {"left": 10, "right": 0}, '
+    '"max_relative_offset": 32, "model_dim": 512, "num_heads": 8, "num_layers": 18}, "feature_dim": 128, '
+    '"frontend": {"augment_enabled": true, "freq_mask_count": 2, "freq_mask_width": 50, "stack": 4, '
+    '"subsample": 3, "time_mask_count": 10, "time_mask_width": 30}, "joint_dim": 512, '
+    '"label": {"dropout_ratio": 0.1, "ff_dim1": 2048, "ff_dim2": 512, "final_layer_norm": true, '
+    '"head_dim": 64, "input_dim": 512, "ln_eps": 1e-05, "mask": {"left": 20, "right": 0}, '
+    '"max_relative_offset": 32, "model_dim": 512, "num_heads": 8, "num_layers": 2}, "vocab_size": 7}, '
+    '"paths": {"dataset": "data/train.ttds"}, '
+    '"schedule": {"decay_until": 200000, "final_lr": 2.5e-06, "hold_until": 30000, "peak_lr": 0.00025, '
+    '"warmup_steps": 4000}, "seed": 0, '
+    '"train": {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "batch_size": 16, '
+    '"checkpoint_interval": 1000, "grad_clip_norm": 5.0, "total_steps": 200000, '
+    '"weight_noise_sigma": 0.01, "weight_noise_start_step": 10000}}'
+)
+
+
+@pytest.mark.parametrize("name, expected", [("desk.json", RESOLVED_DESK),
+                                            ("paper.json", RESOLVED_PAPER)])
+def test_resolved_config_of_shipped_configs(name, expected):
+    run = load_run_config(CONFIGS / name)
+    # the same rendering `ttkit train` prints as its "resolved config" line
+    assert json.dumps(resolved_config_dict(run), sort_keys=True) == expected
+
+
+def test_checkpoint_embedded_config():
+    from ttkit.attention import AttentionMask
+    from ttkit.model import desk_config, init_model
+    from ttkit.tensor import Rng
+    from ttkit.train import checkpoint_bytes
+
+    raw = checkpoint_bytes(init_model(desk_config(audio_mask=AttentionMask(10, 2), label_left=2), Rng(0)))
+    length = struct.unpack("<Q", raw[8:16])[0]
+    assert raw[16:16 + length].decode() == (
+        '{"audio":{"dropout_ratio":0.1,"ff_dim1":64,"ff_dim2":32,"final_layer_norm":true,'
+        '"head_dim":16,"input_dim":16,"ln_eps":1e-05,"mask":{"left":10,"right":2},'
+        '"max_relative_offset":16,"model_dim":32,"num_heads":2,"num_layers":2},"feature_dim":16,'
+        '"frontend":{"augment_enabled":false,"freq_mask_count":0,"freq_mask_width":0,"stack":1,'
+        '"subsample":1,"time_mask_count":0,"time_mask_width":0},"joint_dim":32,'
+        '"label":{"dropout_ratio":0.1,"ff_dim1":64,"ff_dim2":32,"final_layer_norm":true,'
+        '"head_dim":16,"input_dim":32,"ln_eps":1e-05,"mask":{"left":2,"right":0},'
+        '"max_relative_offset":16,"model_dim":32,"num_heads":2,"num_layers":1},"vocab_size":7}')
 
 
 # ------------------------------------------------------------------- train
@@ -185,6 +380,23 @@ def test_cli_decode_unreadable_checkpoint_exits_2(trained, tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_cli_decode_malformed_dataset_exits_2(trained, tmp_path, capsys):
+    raw = bytearray(Path(trained["data"]).read_bytes())
+    raw[32] = 0xFF  # first byte of the first utterance id
+    bad = tmp_path / "bad.ttds"
+    bad.write_bytes(bytes(raw))
+    code = main(["decode", "--checkpoint", trained["ckpt"], "--dataset", str(bad)])
+    assert code == 2
+    assert "bad dataset file" in capsys.readouterr().err
+
+
+def test_negative_max_relative_offset_is_config_error():
+    doc = base_config()
+    doc["model"]["label"]["max_relative_offset"] = -1
+    with pytest.raises(ConfigError, match=r"^config\.model\.label: max_relative_offset must be >= 0, got -1$"):
+        parse_run_config(doc)
+
+
 def test_cli_stream_mode_rejects_unlimited_mask(tmp_path, capsys):
     data_path = tmp_path / "d.ttds"
     small_dataset(data_path, size=4)
@@ -277,6 +489,3 @@ def test_cli_gen_data_roundtrip(tmp_path):
     data = read_dataset(out)
     assert data.num_labels == 4 and len(data.utterances) == 10
 
-
-def test_cli_threads_flag_validated(capsys):
-    assert main(["--threads", "0", "selftest"]) == 2

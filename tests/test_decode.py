@@ -352,11 +352,3 @@ def test_stream_with_stacking_frontend():
         feats = Rng(600 + n).normal((n, 4))
         streamed, _ = stream_decode(model, feats)
         assert streamed == greedy_decode(model, feats)
-
-
-def test_stream_functional_wrappers():
-    model = blank_forcing_model()
-    st = StreamState(model)
-    st2, out = dec.stream_step(st, Rng(14).normal(6))
-    assert st2 is st and out == []
-    assert dec.flush(st) == []

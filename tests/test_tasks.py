@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ttkit.tasks import (
     Dataset,
+    Utterance,
     DatasetFormatError,
     SyntheticTaskConfig,
     corpus_wer,
@@ -177,3 +178,86 @@ def test_split_slices_consecutively():
     assert [len(p.utterances) for p in (train, dev, test)] == [6, 2, 2]
     assert train.utterances[0].id == "utt00000"
     assert test.utterances[-1].id == "utt00009"
+
+
+def _write_raw_utterance(path, t, d, ident=b"u0"):
+    """A one-utterance dataset file with the given header fields."""
+    import struct
+
+    body = struct.pack("<Q", len(ident)) + ident + struct.pack("<QQ", t, d)
+    body += b"\0" * (8 * t * d) + struct.pack("<Q", 1) + struct.pack("<I", 1)
+    path.write_bytes(b"TTDS" + struct.pack("<IQQ", 1, 2, 1) + body)
+
+
+@pytest.mark.parametrize("t, d, ident, match", [
+    (1, 2, b"\xffid", "not UTF-8"),
+    (2 ** 62, 0, b"u0", "bad array shape"),
+    (2 ** 64 - 1, 0, b"u0", "bad array shape"),
+    (0, 3, b"u0", "utterance 'u0'"),
+    (0, 0, b"u0", "utterance 'u0'"),
+])
+def test_dataset_malformed_utterance_is_format_error(tmp_path, t, d, ident, match):
+    path = tmp_path / "d.ttds"
+    _write_raw_utterance(path, t, d, ident)
+    with pytest.raises(DatasetFormatError, match=match):
+        read_dataset(path)
+
+
+def test_dataset_zero_width_features_still_load(tmp_path):
+    path = tmp_path / "d.ttds"
+    write_dataset(Dataset(2, [Utterance("u0", np.zeros((3, 0)), [1])]), path)
+    assert read_dataset(path).utterances[0].features.shape == (3, 0)
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """`raw` truncated, with one byte flipped, or with bytes inserted."""
+    kind = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(st.binary(min_size=1, max_size=4)) + raw[at:]
+
+
+FUZZ_DATASET = dataset_bytes(gen_synthetic(task_config(size=3, feature_dim=2, label_len=(1, 3))))
+
+
+def _fuzz_checkpoint_bytes():
+    from ttkit.attention import AttentionMask
+    from ttkit.model import desk_config, init_model
+    from ttkit.tensor import Rng
+    from ttkit.train import checkpoint_bytes
+
+    cfg = desk_config(vocab_size=4, feature_dim=3, audio_mask=AttentionMask(2, 1), label_left=2,
+                      num_audio_layers=1, model_dim=4, max_relative_offset=2)
+    return checkpoint_bytes(init_model(cfg, Rng(0)))
+
+
+FUZZ_CHECKPOINT = _fuzz_checkpoint_bytes()
+
+
+@given(data=damaged(FUZZ_DATASET))
+@settings(max_examples=300, deadline=None)
+def test_damaged_dataset_loads_or_raises_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ttds"
+    path.write_bytes(data)
+    try:
+        read_dataset(path)
+    except DatasetFormatError:
+        pass
+
+
+@given(data=damaged(FUZZ_CHECKPOINT))
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_loads_or_raises_format_error(tmp_path_factory, data):
+    from ttkit.train import CheckpointFormatError, load_checkpoint
+
+    path = tmp_path_factory.getbasetemp() / "fuzz.ttck"
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except CheckpointFormatError:
+        pass

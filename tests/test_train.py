@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ttkit.attention import AttentionMask
-from ttkit.model import desk_config, init_model, model_config_from_dict, model_config_to_dict
+from ttkit.frontend import FrontendConfig
+from ttkit.model import (desk_config, init_model, model_config_from_dict, model_config_to_dict,
+                         parameter_count)
 from ttkit.tasks import SyntheticTaskConfig, gen_synthetic
 from ttkit.tensor import NumericsError, Rng, Tensor
 from ttkit.train import (
@@ -302,3 +304,58 @@ def test_model_config_dict_roundtrip():
     back = model_config_from_dict(model_config_to_dict(cfg))
     assert model_config_to_dict(back) == model_config_to_dict(cfg)
     assert back.audio.mask == cfg.audio.mask
+
+
+def _with_embedded_config(raw: bytes, edit) -> bytes:
+    import struct
+
+    config_len = struct.unpack("<Q", raw[8:16])[0]
+    doc = json.loads(raw[16:16 + config_len].decode())
+    edit(doc)
+    new_doc = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:8] + struct.pack("<Q", len(new_doc)) + new_doc + raw[16 + config_len:]
+
+
+def test_checkpoint_non_utf8_tensor_name_is_format_error(tmp_path):
+    model, _ = tiny_setup()
+    raw = bytearray(checkpoint_bytes(model))
+    at = raw.index(b"audio.input_w")
+    raw[at] = 0xFF
+    path = tmp_path / "m.ttck"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_larger_than_file_is_rejected_before_allocation(tmp_path):
+    model, _ = tiny_setup()
+
+    def huge(doc):  # about 10**11 parameters: allocating them would exhaust memory
+        doc["audio"].update(model_dim=10 ** 5, ff_dim1=10 ** 5, ff_dim2=10 ** 5)
+
+    path = tmp_path / "m.ttck"
+    path.write_bytes(_with_embedded_config(checkpoint_bytes(model), huge))
+    with pytest.raises(CheckpointFormatError, match="shape disagreement"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_negative_relative_offset_is_format_error(tmp_path):
+    model, _ = tiny_setup()
+
+    def negative(doc):
+        doc["label"]["max_relative_offset"] = -1
+
+    path = tmp_path / "m.ttck"
+    path.write_bytes(_with_embedded_config(checkpoint_bytes(model), negative))
+    with pytest.raises(CheckpointFormatError, match="max_relative_offset must be >= 0"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(),
+    desk_config(audio_mask=AttentionMask(10, 2), label_left=2, num_audio_layers=0),
+    desk_config(vocab_size=4, feature_dim=3, model_dim=6, num_label_layers=3,
+                frontend=FrontendConfig(stack=3, subsample=2), max_relative_offset=0),
+])
+def test_parameter_count_matches_init(cfg):
+    assert parameter_count(cfg) == sum(p.size for _, p in init_model(cfg, Rng(0)).named_params())

@@ -119,7 +119,18 @@ def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfi
     return out
 
 
+def _decode_options_or_exit(**kw) -> DecodeOptions:
+    try:
+        return DecodeOptions(**kw)
+    except ValueError as e:
+        _log(f"error: {e}")
+        raise SystemExit(EXIT_USAGE)
+
+
 def cmd_decode(args) -> int:
+    opts = _decode_options_or_exit(beam_width=args.beam_width, lm_weight=args.lm_weight,
+                                   length_bonus=args.length_bonus,
+                                   max_symbols_per_frame=args.max_symbols_per_frame)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
@@ -129,9 +140,6 @@ def cmd_decode(args) -> int:
                                   or model.config.audio.mask.right is None):
         _log("error: stream mode requires a finite audio attention window in the checkpoint")
         return EXIT_USAGE
-    opts = DecodeOptions(beam_width=args.beam_width, lm_weight=args.lm_weight,
-                         length_bonus=args.length_bonus,
-                         max_symbols_per_frame=args.max_symbols_per_frame)
     fusion = _build_fusion(args, model)
     vocab = model.vocab
     lines = [f"{utt_id}\t{' '.join(vocab.name(l) for l in labels)}"
@@ -146,12 +154,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    opts = _decode_options_or_exit(beam_width=args.beam_width,
+                                   max_symbols_per_frame=args.max_symbols_per_frame)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "mode": args.mode}, 0)
-    opts = DecodeOptions(beam_width=args.beam_width,
-                         max_symbols_per_frame=args.max_symbols_per_frame)
     refs = {utt.id: utt.labels for utt in data.utterances}
     per_utt = []
     for utt_id, hyp in _transcribe(model, data, args.mode, opts, None):

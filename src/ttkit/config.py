@@ -97,6 +97,10 @@ class DecodeOptions:
     length_bonus: float = 0.0
     max_symbols_per_frame: int = 10
 
+    def __post_init__(self):
+        if self.beam_width < 1 or self.max_symbols_per_frame < 1:
+            raise ValueError("beam_width and max_symbols_per_frame must be >= 1")
+
 
 @dataclass
 class RunConfig:
@@ -151,10 +155,7 @@ def parse_run_config(document: dict) -> RunConfig:
 
     schedule = _build(ScheduleConfig, root.section("schedule", required=False))
     train = _build(TrainConfig, root.section("train", required=False), seed=seed)
-    de_sec = root.section("decode", required=False)
-    decode = _build(DecodeOptions, de_sec)
-    if decode.beam_width < 1 or decode.max_symbols_per_frame < 1:
-        raise ConfigError(de_sec.path, "beam_width and max_symbols_per_frame must be >= 1")
+    decode = _build(DecodeOptions, root.section("decode", required=False))
 
     paths_sec = root.section("paths", required=False)
     paths = {key: paths_sec.get(key, _str) for key in paths_sec.data}

@@ -9,6 +9,11 @@ layers) no matter how long the stream has run. Right context makes each
 layer's frontier lag the layer below by `right` positions; `flush` drains
 that look-ahead at end of stream, reproducing batch behavior exactly on the
 true final frames.
+
+Beam search shares label-encoder states: a finite label window makes the
+label activation a function of the last few ids, so one search computes one
+state per distinct context and every hypothesis ending in it holds that same,
+never-mutated state.
 """
 
 from __future__ import annotations
@@ -180,23 +185,46 @@ class LabelState:
     """Incrementally encoded label history: one push per emitted label,
     always holding the activation encoding the full history so far, plus its
     joint-network projection (the half of the joint that decoding reuses
-    across frames)."""
+    across frames).
+
+    With a finite label window the top activation depends only on the last
+    `num_layers * left + 1` ids of the history (start id included): two
+    histories ending in the same such `context` see identical windows at
+    identical relative offsets. States derived through `advanced` from one
+    root therefore share one `memo`, holding one state per context, and
+    are never mutated once reached that way; `advance` mutates in place."""
 
     def __init__(self, model: TransducerModel):
+        cfg = model.config.label
+        past = att.receptive_field(cfg.num_layers, cfg.mask, 0.0).past_frames
         self.model = model
-        self.encoder = IncrementalEncoder(model.config.label, model.params.label, model.counters)
-        self.vec = self.encoder.push(model.params.label_embedding.values[BLANK_ID])[0]
-        self.proj = model.project_label(self.vec)
+        self.keep = slice(None) if math.isinf(past) else slice(-int(past) - 1, None)
+        self.memo: dict[tuple[int, ...], LabelState] = {}
+        self.context = (BLANK_ID,)
+        self.encoder = IncrementalEncoder(cfg, model.params.label, model.counters)
+        self._push(BLANK_ID)
 
     def advanced(self, label: int) -> "LabelState":
-        other = LabelState.__new__(LabelState)
-        other.model = self.model
-        other.encoder = self.encoder.clone()
-        other.vec = other.encoder.push(self.model.params.label_embedding.values[label])[0]
-        other.proj = self.model.project_label(other.vec)
+        """The state one label on, shared by every state of this search
+        whose history ends in the same context."""
+        context = (self.context + (label,))[self.keep]
+        other = self.memo.get(context)
+        if other is None:
+            other = LabelState.__new__(LabelState)
+            other.model, other.keep, other.memo = self.model, self.keep, self.memo
+            other.context = context
+            other.encoder = self.encoder.clone()
+            other._push(label)
+            self.memo[context] = other
         return other
 
     def advance(self, label: int):
+        if self.memo.get(self.context) is self:
+            del self.memo[self.context]  # its context no longer describes it
+        self.context = (self.context + (label,))[self.keep]
+        self._push(label)
+
+    def _push(self, label: int):
         self.vec = self.encoder.push(self.model.params.label_embedding.values[label])[0]
         self.proj = self.model.project_label(self.vec)
 
@@ -235,8 +263,9 @@ def _greedy_frame(model, enc_row, state: LabelState, out: list[int], cap: int):
 @dataclass
 class Hypothesis:
     """One beam entry: a blank-free label sequence, its accumulated score
-    (joint log-probs plus any fusion terms), and the cached label-encoder
-    state for exactly that history."""
+    (joint log-probs plus any fusion terms), and the label-encoder state for
+    that history, shared with every hypothesis of the search whose history
+    ends in the same context and never mutated."""
 
     labels: tuple[int, ...]
     score: float
@@ -265,7 +294,7 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
         done: dict[tuple[int, ...], Hypothesis] = {}
         for round_i in range(max_symbols_per_frame + 1):
             # children: (labels, score, parent_state, emitted label or None);
-            # label-encoder states materialize only for surviving children
+            # label-encoder states are looked up only for surviving children
             children: list[tuple[tuple[int, ...], float, LabelState, int | None]] = []
             allow_emit = round_i < max_symbols_per_frame
             for hyp in active:

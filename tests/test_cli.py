@@ -390,6 +390,20 @@ def test_cli_decode_malformed_dataset_exits_2(trained, tmp_path, capsys):
     assert "bad dataset file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decode", "--max-symbols-per-frame", "0"],
+    ["decode", "--max-symbols-per-frame", "-1"],
+    ["decode", "--mode", "beam", "--beam-width", "0"],
+    ["eval", "--mode", "beam", "--beam-width", "0"],
+], ids=["decode-cap-0", "decode-cap-neg", "decode-beam-0", "eval-beam-0"])
+def test_cli_decode_options_out_of_range_exit_2(trained, capsys, argv):
+    code = main(argv + ["--checkpoint", trained["ckpt"], "--dataset", trained["data"]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: beam_width and max_symbols_per_frame must be >= 1" in captured.err
+
+
 def test_negative_max_relative_offset_is_config_error():
     doc = base_config()
     doc["model"]["label"]["max_relative_offset"] = -1

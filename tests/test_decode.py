@@ -16,10 +16,11 @@ from ttkit.tensor import Rng
 
 
 def small_model(audio_mask=AttentionMask(4, 1), label_left=4, seed=0, vocab_size=4,
-                blank_bias=0.0, num_audio_layers=2, frontend=None):
+                blank_bias=0.0, num_audio_layers=2, frontend=None, num_label_layers=1):
     cfg = desk_config(vocab_size=vocab_size, feature_dim=6, audio_mask=audio_mask,
                       label_left=label_left, dropout=0.0, model_dim=8,
-                      num_audio_layers=num_audio_layers, frontend=frontend)
+                      num_audio_layers=num_audio_layers, frontend=frontend,
+                      num_label_layers=num_label_layers)
     model = init_model(cfg, Rng(seed))
     model.params.joint.out_b.values[0] += blank_bias
     return model
@@ -212,6 +213,115 @@ def test_beam_nbest_ordering_deterministic():
     assert scores == sorted(scores, reverse=True)
     again = beam_decode(model, feats, beam_width=4)
     assert [h.labels for h in nbest] == [h.labels for h in again]
+
+
+def unshared_advanced(self, label):
+    """Reference for `LabelState.advanced`: a private clone and one push for
+    every call, sharing nothing between hypotheses."""
+    other = dec.LabelState.__new__(dec.LabelState)
+    other.model = self.model
+    other.encoder = self.encoder.clone()
+    other.vec = other.encoder.push(self.model.params.label_embedding.values[label])[0]
+    other.proj = self.model.project_label(other.vec)
+    return other
+
+
+def label_state_after(model, history):
+    """A fresh state moved along the full history with in-place `advance`."""
+    state = dec.LabelState(model)
+    for label in history:
+        state.advance(label)
+    return state
+
+
+def walk(state, history):
+    for label in history:
+        state = state.advanced(label)
+    return state
+
+
+def assert_same_state(state, reference):
+    assert state.vec.tobytes() == reference.vec.tobytes()
+    assert state.proj.tobytes() == reference.proj.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(label_layers=st.integers(0, 3), label_left=st.one_of(st.none(), st.integers(0, 4)),
+       vocab=st.integers(2, 5), seed=st.integers(0, 2**16), data=st.data())
+def test_shared_label_states_equal_full_history_states(label_layers, label_left, vocab, seed, data):
+    model = small_model(label_left=label_left, num_label_layers=label_layers,
+                        vocab_size=vocab, seed=seed)
+    span = None if label_left is None else label_layers * label_left + 1
+    labels = st.integers(1, vocab - 1)
+    # every prefix followed by every suffix: pairs that share a suffix but
+    # differ earlier, histories shorter and longer than the span, and a tree
+    # of shared prefixes under one root
+    prefixes = data.draw(st.lists(st.lists(labels, max_size=5), min_size=2, max_size=3))
+    suffixes = data.draw(st.lists(st.lists(labels, max_size=14), min_size=1, max_size=2))
+    histories = [p + s for p in prefixes for s in suffixes]
+    extra = data.draw(labels)
+
+    root = dec.LabelState(model)
+    by_context = {}
+    for h in histories:
+        state = walk(root, h)
+        context = (tr.BLANK_ID, *h) if span is None else (tr.BLANK_ID, *h)[-span:]
+        assert state.context == context
+        assert by_context.setdefault(context, state) is state  # one state per context
+        assert_same_state(state, label_state_after(model, h))
+
+    # `advance` on a state reached through `advanced` takes it out of the
+    # memo, and on the root keeps its context in step with its history
+    for h in histories:
+        if h:
+            state = walk(root, h)
+            state.advance(extra)
+            assert_same_state(state, label_state_after(model, h + [extra]))
+            assert_same_state(walk(root, h), label_state_after(model, h))
+    root.advance(extra)
+    for h in histories:
+        assert_same_state(walk(root, h), label_state_after(model, [extra] + h))
+
+
+def test_beam_equals_unshared_beam(monkeypatch):
+    lm = BigramLm.fit([[1, 2, 3], [3, 2, 1, 1], [2, 2], [1, 3, 3]], num_labels=3)
+    fusions = [None, FusionConfig(lm_weight=0.5, lm=lm), FusionConfig(length_bonus=0.4),
+               FusionConfig(lm_weight=0.3, length_bonus=0.2, lm=lm)]
+    for i in range(16):
+        model = small_model(seed=i, label_left=[None, 0, 1, 2, 3][i % 5],
+                            num_label_layers=i % 4, blank_bias=0.5)
+        feats = Rng(500 + i).normal((10, 6))
+        width, fusion = 1 + (3 * i) % 8, fusions[i % 4]
+        shared = beam_decode(model, feats, beam_width=width, fusion=fusion)
+        with monkeypatch.context() as m:
+            m.setattr(dec.LabelState, "advanced", unshared_advanced)
+            unshared = beam_decode(model, feats, beam_width=width, fusion=fusion)
+        assert [(h.labels, h.score) for h in shared] == [(h.labels, h.score) for h in unshared], i
+        for a, b in zip(shared, unshared):
+            assert_same_state(a.state, b.state)
+
+
+def test_beam_label_pushes_bounded_by_contexts(monkeypatch):
+    # V=3, one label layer, label_left 1: the activation depends on the last
+    # two ids, so the start state, (start, v) and (u, v) are all there are
+    V = 3
+    model = small_model(vocab_size=V, label_left=1, blank_bias=1.0)
+    feats = Rng(12).normal((60, 6))
+    push = dec.IncrementalEncoder.push
+    pushes = []
+
+    def counting_push(self, row):
+        pushes.append(self.config is model.config.label)
+        return push(self, row)
+
+    monkeypatch.setattr(dec.IncrementalEncoder, "push", counting_push)
+    shared = beam_decode(model, feats, beam_width=4)
+    shared_pushes, pushes[:] = sum(pushes), []
+    monkeypatch.setattr(dec.LabelState, "advanced", unshared_advanced)
+    unshared = beam_decode(model, feats, beam_width=4)
+    assert [h.labels for h in shared] == [h.labels for h in unshared]
+    assert shared_pushes <= 1 + (V - 1) + (V - 1) ** 2
+    assert sum(pushes) > shared_pushes
 
 
 def test_fusion_requires_lm():

@@ -127,7 +127,19 @@ def test_required_keys_only_yields_dataclass_defaults():
     }
 
 
-_DELETE = object()
+class _Delete:
+    """Marks a case that removes the key instead of setting it.
+
+    The repr is fixed text so the case ids are the same on every run. It is the
+    text the ids were first recorded with, when the marker was a bare object()
+    whose repr held its memory address.
+    """
+
+    def __repr__(self):
+        return "<object object at 0x7f6b44d4efe0>"
+
+
+_DELETE = _Delete()
 
 CONFIG_ERRORS = [
     # (key path to set or delete, new value, exact error text)

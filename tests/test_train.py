@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from ttkit.attention import AttentionMask
+from ttkit.config import load_run_config
 from ttkit.frontend import FrontendConfig
 from ttkit.model import (desk_config, init_model, model_config_from_dict, model_config_to_dict,
                          parameter_count)
@@ -228,6 +231,21 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
         assert pa.values.tobytes() == pb.values.tobytes()
 
 
+def test_loaded_checkpoint_trains_like_the_original(tmp_path):
+    model, data = tiny_setup(seed=4)
+    path = tmp_path / "m.ttck"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert all(p.values.flags.writeable for _, p in loaded.named_params())
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=1, hold_until=2, decay_until=3, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=4)
+    batch = data.utterances[:4]
+    losses = [train_step(m, Adam(m, cfg), batch, 1, sched, cfg, Rng(0)) for m in (model, loaded)]
+    assert losses[0] == losses[1]
+    assert checkpoint_bytes(loaded) == checkpoint_bytes(model)
+    assert checkpoint_bytes(loaded) != path.read_bytes()  # the step moved the parameters
+
+
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     model, _ = tiny_setup()
     path = tmp_path / "model.ttck"
@@ -299,6 +317,36 @@ def test_checkpoint_mismatched_model_dim_is_shape_error(tmp_path):
         load_checkpoint(path)
 
 
+def _with_records(model, edit) -> bytes:
+    """`model`'s checkpoint with its list of (name, values) records passed
+    through `edit`."""
+    raw = checkpoint_bytes(model)
+    out = bytearray(raw[:16 + struct.unpack("<Q", raw[8:16])[0]])
+    records = edit([(name, p.values) for name, p in model.named_params()])
+    out += struct.pack("<Q", len(records))
+    for name, a in records:
+        out += struct.pack("<Q", len(name)) + name.encode()
+        out += struct.pack(f"<{1 + a.ndim}Q", a.ndim, *a.shape) + a.astype("<f8").tobytes()
+    return bytes(out)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: [("audio.input_x" if n == "audio.input_w" else n, a) for n, a in r],
+     "unexpected tensor 'audio.input_x'"),
+    (lambda r: r[:1] + r, "duplicate tensor 'audio.input_w'"),
+    (lambda r: [(n, a.reshape(2 * a.shape[0], -1) if n == "audio.input_w" else a) for n, a in r],
+     r"shape disagreement for 'audio.input_w': file has \(16, 4\), config implies \(8, 8\)"),
+], ids=["renamed", "duplicated", "reshaped"])
+def test_checkpoint_tensor_record_errors(tmp_path, edit, message):
+    model, _ = tiny_setup()
+    path = tmp_path / "m.ttck"
+    path.write_bytes(_with_records(model, lambda r: r))
+    assert path.read_bytes() == checkpoint_bytes(model)
+    path.write_bytes(_with_records(model, edit))
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
 def test_model_config_dict_roundtrip():
     cfg = desk_config(audio_mask=AttentionMask(10, 2), label_left=2)
     back = model_config_from_dict(model_config_to_dict(cfg))
@@ -351,11 +399,28 @@ def test_checkpoint_negative_relative_offset_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("cfg", [
+COUNT_CONFIGS = [
     desk_config(),
     desk_config(audio_mask=AttentionMask(10, 2), label_left=2, num_audio_layers=0),
     desk_config(vocab_size=4, feature_dim=3, model_dim=6, num_label_layers=3,
                 frontend=FrontendConfig(stack=3, subsample=2), max_relative_offset=0),
-])
+]
+
+
+@pytest.mark.parametrize("cfg", COUNT_CONFIGS)
 def test_parameter_count_matches_init(cfg):
     assert parameter_count(cfg) == sum(p.size for _, p in init_model(cfg, Rng(0)).named_params())
+
+
+DESK_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
+
+
+@pytest.mark.parametrize("cfg, digest", zip(COUNT_CONFIGS + [load_run_config(DESK_JSON).model], [
+    "67e9d571562b4b0581a70f6d24b99eb924849c0bb726d61c2ee029080d31655e",
+    "add956607373ada2e330d0263e96d86526d5bf094228fef4787eebb47682f4f3",
+    "9d3a68203dc3e7dfed55ec74e867dd32a72c3a7b58c6075419126f51844eb4e3",
+    "462e819dd3caf2a5a00c76bb6e8a02d80d606f6d52731209280a43ecbb334f40",
+]), ids=["desk", "lookahead_no_audio_layers", "stacked_three_label_layers", "desk_json"])
+def test_init_checkpoint_bytes_pinned(cfg, digest):
+    # pins the parameter names, their order and every initial value
+    assert hashlib.sha256(checkpoint_bytes(init_model(cfg, Rng(0)))).hexdigest() == digest

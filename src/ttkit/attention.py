@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
 from . import tensor as tt
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import ParamSpec, ParamTree, Rng, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class EncoderConfig:
 
 
 @dataclass
-class LayerParams:
+class LayerParams(ParamTree):
     wq: Tensor
     wk: Tensor
     wv: Tensor
@@ -116,18 +115,9 @@ class LayerParams:
     ln2_g: Tensor
     ln2_b: Tensor
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for f in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            yield f"{prefix}.{f}", getattr(self, f)
-
-    def transform(self, fn: Callable[[Tensor], Tensor]) -> "LayerParams":
-        return LayerParams(**{k: fn(v) for k, v in ((f, getattr(self, f)) for f in
-                              ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2",
-                               "ln1_g", "ln1_b", "ln2_g", "ln2_b"))})
-
 
 @dataclass
-class EncoderParams:
+class EncoderParams(ParamTree):
     """Weights for one encoder stack.
 
     Relative-position parameters (`rel_emb`, per head over clipped offsets,
@@ -144,61 +134,37 @@ class EncoderParams:
     final_g: Tensor
     final_b: Tensor
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.input_w", self.input_w
-        yield f"{prefix}.input_b", self.input_b
-        for i, layer in enumerate(self.layers):
-            yield from layer.named(f"{prefix}.layer{i}")
-        yield f"{prefix}.rel_emb", self.rel_emb
-        yield f"{prefix}.content_bias", self.content_bias
-        yield f"{prefix}.pos_bias", self.pos_bias
-        yield f"{prefix}.final_g", self.final_g
-        yield f"{prefix}.final_b", self.final_b
 
-    def transform(self, fn: Callable[[Tensor], Tensor]) -> "EncoderParams":
-        return EncoderParams(
-            input_w=fn(self.input_w),
-            input_b=fn(self.input_b),
-            layers=[layer.transform(fn) for layer in self.layers],
-            rel_emb=fn(self.rel_emb),
-            content_bias=fn(self.content_bias),
-            pos_bias=fn(self.pos_bias),
-            final_g=fn(self.final_g),
-            final_b=fn(self.final_b),
-        )
+def encoder_param_spec(config: EncoderConfig, stream: tuple[str, ...] = ()) -> EncoderParams:
+    """The stack's parameters as `ParamSpec` leaves. Random ones draw from
+    substreams of `stream` labeled by their name within the stack."""
+    d, H, dh = config.model_dim, config.num_heads, config.head_dim
+    hd, ff1, ff2 = H * dh, config.ff_dim1, config.ff_dim2
+
+    def dense(label: str, fan_in: int, fan_out: int) -> ParamSpec:
+        return ParamSpec((fan_in, fan_out), 1.0 / math.sqrt(fan_in), stream + (label,))
+
+    return EncoderParams(
+        input_w=dense("input_w", config.input_dim, d),
+        input_b=ParamSpec((d,)),
+        layers=[LayerParams(
+            wq=dense(f"layer{i}.wq", d, hd), wk=dense(f"layer{i}.wk", d, hd),
+            wv=dense(f"layer{i}.wv", d, hd), wo=dense(f"layer{i}.wo", hd, d),
+            w1=dense(f"layer{i}.w1", d, ff1), b1=ParamSpec((ff1,)),
+            w2=dense(f"layer{i}.w2", ff1, ff2), b2=ParamSpec((ff2,)),
+            ln1_g=ParamSpec((d,), "ones"), ln1_b=ParamSpec((d,)),
+            ln2_g=ParamSpec((d,), "ones"), ln2_b=ParamSpec((d,)),
+        ) for i in range(config.num_layers)],
+        rel_emb=ParamSpec((H, 2 * config.rel_offset + 1, dh), 0.02, stream + ("rel_emb",)),
+        content_bias=ParamSpec((H, dh)),
+        pos_bias=ParamSpec((H, dh)),
+        final_g=ParamSpec((d,), "ones"),
+        final_b=ParamSpec((d,)),
+    )
 
 
 def init_encoder_params(config: EncoderConfig, rng: Rng) -> EncoderParams:
-    d, hd = config.model_dim, config.num_heads * config.head_dim
-
-    def dense(label: str, fan_in: int, fan_out: int) -> Tensor:
-        return Tensor(rng.substream(label).normal((fan_in, fan_out), sigma=1.0 / math.sqrt(fan_in)))
-
-    layers = []
-    for i in range(config.num_layers):
-        layers.append(LayerParams(
-            wq=dense(f"layer{i}.wq", d, hd),
-            wk=dense(f"layer{i}.wk", d, hd),
-            wv=dense(f"layer{i}.wv", d, hd),
-            wo=dense(f"layer{i}.wo", hd, d),
-            w1=dense(f"layer{i}.w1", d, config.ff_dim1),
-            b1=tt.zeros(config.ff_dim1),
-            w2=dense(f"layer{i}.w2", config.ff_dim1, config.ff_dim2),
-            b2=tt.zeros(config.ff_dim2),
-            ln1_g=tt.ones(d), ln1_b=tt.zeros(d),
-            ln2_g=tt.ones(d), ln2_b=tt.zeros(d),
-        ))
-    k = 2 * config.rel_offset + 1
-    return EncoderParams(
-        input_w=dense("input_w", config.input_dim, d),
-        input_b=tt.zeros(d),
-        layers=layers,
-        rel_emb=Tensor(rng.substream("rel_emb").normal((config.num_heads, k, config.head_dim), sigma=0.02)),
-        content_bias=tt.zeros((config.num_heads, config.head_dim)),
-        pos_bias=tt.zeros((config.num_heads, config.head_dim)),
-        final_g=tt.ones(d),
-        final_b=tt.zeros(d),
-    )
+    return encoder_param_spec(config).transform(lambda spec: spec.materialize(rng))
 
 
 class Counters:
@@ -206,10 +172,6 @@ class Counters:
     meaningful when a single stream or call sequence owns the model."""
 
     def __init__(self):
-        self.attention_scores = 0
-        self.joint_evals = 0
-
-    def reset(self):
         self.attention_scores = 0
         self.joint_evals = 0
 
@@ -393,7 +355,12 @@ class ReceptiveField:
 def receptive_field(num_layers: int, mask: AttentionMask, frame_ms: float) -> ReceptiveField:
     """Aggregate per-layer context over a stack: each layer extends reach by
     (left, right), so look-ahead latency is num_layers * right * frame_ms.
-    Unlimited sides are reported as unbounded (inf)."""
-    past = math.inf if mask.left is None else num_layers * mask.left
-    future = math.inf if mask.right is None else num_layers * mask.right
-    return ReceptiveField(past, future, future * frame_ms)
+    Unlimited sides are reported as unbounded (inf); a stack of no layers
+    sees only the current row, whatever the mask."""
+    def reach(side: int | None) -> float:
+        if side is None:
+            return math.inf if num_layers else 0
+        return num_layers * side
+
+    future = reach(mask.right)
+    return ReceptiveField(reach(mask.left), future, future * frame_ms)

@@ -8,7 +8,7 @@ with a flat named-parameter view.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import tensor as tt
 from . import transducer as tr
 from .attention import AttentionMask, Counters, EncoderConfig, EncoderParams
 from .frontend import FrontendConfig
-from .tensor import Rng, Tensor
+from .tensor import ParamSpec, ParamTree, Rng, Tensor
 from .transducer import JointParams, LogProbGrid, Vocab
 
 
@@ -50,25 +50,24 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams:
+class ModelParams(ParamTree):
     audio: EncoderParams
     label: EncoderParams
     label_embedding: Tensor       # [V, label.input_dim]; row 0 doubles as start-of-sequence
     joint: JointParams
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.audio.named("audio")
-        yield from self.label.named("label")
-        yield "label_embedding", self.label_embedding
-        yield from self.joint.named("joint")
 
-    def transform(self, fn: Callable[[Tensor], Tensor]) -> "ModelParams":
-        return ModelParams(
-            audio=self.audio.transform(fn),
-            label=self.label.transform(fn),
-            label_embedding=fn(self.label_embedding),
-            joint=self.joint.transform(fn),
-        )
+def param_spec(config: ModelConfig) -> ModelParams:
+    """Every parameter's name (its field path), shape and initializer: the
+    one schema that initialization, counting and loading derive from. Each
+    group draws from the substream of its own label."""
+    return ModelParams(
+        audio=att.encoder_param_spec(config.audio, ("audio",)),
+        label=att.encoder_param_spec(config.label, ("label",)),
+        label_embedding=ParamSpec((config.vocab_size, config.label.input_dim), 1.0, ("embedding",)),
+        joint=tr.joint_param_spec(config.audio.model_dim, config.label.model_dim,
+                                  config.joint_dim, config.vocab_size, ("joint",)),
+    )
 
 
 class TransducerModel:
@@ -151,28 +150,12 @@ class TransducerModel:
 
 
 def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
-    emb = Tensor(rng.substream("embedding").normal(
-        (config.vocab_size, config.label.input_dim)))
-    params = ModelParams(
-        audio=att.init_encoder_params(config.audio, rng.substream("audio")),
-        label=att.init_encoder_params(config.label, rng.substream("label")),
-        label_embedding=emb,
-        joint=tr.init_joint_params(config.audio.model_dim, config.label.model_dim,
-                                   config.joint_dim, config.vocab_size, rng.substream("joint")),
-    )
-    return TransducerModel(config, params)
+    return TransducerModel(config, param_spec(config).transform(lambda spec: spec.materialize(rng)))
 
 
 def parameter_count(config: ModelConfig) -> int:
     """Number of values `init_model(config)` allocates, without allocating."""
-    def encoder(e: EncoderConfig) -> int:
-        d, hd = e.model_dim, e.num_heads * e.head_dim
-        layer = 4 * d * hd + (d + 1) * e.ff_dim1 + (e.ff_dim1 + 1) * e.ff_dim2 + 4 * d
-        return (e.input_dim + 3) * d + e.num_layers * layer + (2 * e.rel_offset + 3) * hd
-
-    j, v = config.joint_dim, config.vocab_size
-    return (encoder(config.audio) + encoder(config.label) + v * config.label.input_dim
-            + (config.audio.model_dim + config.label.model_dim + 2) * j + (j + 1) * v)
+    return sum(spec.size for _, spec in param_spec(config).named())
 
 
 def model_config_to_dict(cfg: ModelConfig) -> dict:

@@ -17,8 +17,11 @@ must not retain history (e.g. streaming state caches).
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from dataclasses import fields
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +47,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -479,10 +478,6 @@ def finite_difference_gradient(loss_fn: Callable[[], float], param: Tensor, h: f
     return grad
 
 
-def gradients_close(analytic: np.ndarray, numeric: np.ndarray, rtol: float = 1e-4, atol: float = 1e-8) -> bool:
-    return bool(np.all(np.abs(analytic - numeric) <= atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))))
-
-
 def max_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst relative disagreement, floored at unit scale for tiny gradients."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
@@ -524,3 +519,56 @@ class Rng:
         """Uniform integers in [low, high)."""
         out = self.gen.integers(low, high, size=shape)
         return int(out) if shape is None else out
+
+
+class ParamSpec(NamedTuple):
+    """Schema leaf: a parameter's shape and initializer: "zeros" (default),
+    "ones", or the standard deviation of a zero-mean normal drawn from the
+    substream reached through the labels of `stream`."""
+
+    shape: tuple[int, ...]
+    init: float | str = "zeros"
+    stream: tuple[str, ...] = ()
+
+    @property
+    def size(self) -> int:
+        return math.prod(map(operator.index, self.shape))  # TypeError for a non-integer size
+
+    def materialize(self, rng: Rng) -> Tensor:
+        if isinstance(self.init, str):
+            return (zeros if self.init == "zeros" else ones)(self.shape)
+        for label in self.stream:
+            rng = rng.substream(label)
+        return Tensor(rng.normal(self.shape, sigma=self.init))
+
+
+class ParamTree:
+    """Base of the parameter dataclasses. A field holds a leaf (a `Tensor`,
+    or a `ParamSpec` in a schema), a nested tree or a list of trees. Leaves
+    are named by their field path, list items as `layer{i}`, and visited in
+    field order."""
+
+    def _fields(self, prefix: str):
+        """Per field: its key, whether it is a list, its (name, value) items."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                yield f.name, True, [(f"{prefix}.layer{i}".lstrip("."), v) for i, v in enumerate(value)]
+            else:
+                yield f.name, False, [(f"{prefix}.{f.name}".lstrip("."), value)]
+
+    def named(self, prefix: str = "") -> Iterator[tuple[str, object]]:
+        for _, _, items in self._fields(prefix):
+            for name, value in items:
+                yield from value.named(name) if isinstance(value, ParamTree) else [(name, value)]
+
+    def map(self, fn: Callable[[str, object], object], prefix: str = ""):
+        """The same tree with every leaf replaced by `fn(name, leaf)`."""
+        out = {}
+        for key, is_list, items in self._fields(prefix):
+            mapped = [v.map(fn, n) if isinstance(v, ParamTree) else fn(n, v) for n, v in items]
+            out[key] = mapped if is_list else mapped[0]
+        return type(self)(**out)
+
+    def transform(self, fn: Callable[[object], object]):
+        return self.map(lambda _, value: fn(value))

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tt
-from .model import (ModelParams, TransducerModel, init_model, model_config_from_dict,
-                    model_config_to_dict, parameter_count)
+from .model import (ModelParams, TransducerModel, model_config_from_dict, model_config_to_dict,
+                    param_spec)
 from .tasks import BinaryReader, Utterance
 from .tensor import NumericsError, Rng, Tensor, backward
 from .transducer import batch_loss
@@ -235,6 +235,8 @@ def save_checkpoint(model: TransducerModel, path):
     try:
         with open(tmp, "wb") as f:
             f.write(checkpoint_bytes(model))
+            f.flush()
+            os.fsync(f.fileno())  # on disk before the rename can expose it
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -243,16 +245,11 @@ def save_checkpoint(model: TransducerModel, path):
 
 def load_checkpoint(path) -> TransducerModel:
     """Rebuild the model from the embedded config and stored tensors. Tensor
-    names and shapes must agree exactly with what the config implies."""
+    names and shapes must agree exactly with the config's `param_spec`; the
+    parameters are copies of the stored arrays, and nothing is drawn."""
     with open(path, "rb") as f:
         r = BinaryReader(f.read(), CheckpointFormatError, _MAGIC, _VERSION, "checkpoint")
     doc = r.text()
-    try:
-        config = model_config_from_dict(json.loads(doc))
-        implied = parameter_count(config)
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointFormatError(f"bad embedded config: {e}") from e
-
     stored = {}
     for _ in range(r.u64()):
         name = r.text()
@@ -260,24 +257,28 @@ def load_checkpoint(path) -> TransducerModel:
             raise CheckpointFormatError(f"duplicate tensor {name!r}")
         stored[name] = r.array(tuple(r.u64() for _ in range(r.u64())), "<f8")
     r.finish("tensor")
-    # compared before init_model allocates what the config asks for
+    try:
+        config = model_config_from_dict(json.loads(doc))
+        # the schema grows with the layer count, which the file bounds
+        layers = config.audio.num_layers + config.label.num_layers
+        if layers > len(stored):
+            raise ValueError(f"{layers} encoder layers but only {len(stored)} tensors")
+        spec = param_spec(config)
+        expected = dict(spec.named())
+        implied = sum(s.size for s in expected.values())
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointFormatError(f"bad embedded config: {e}") from e
+    # compared before anything the config asks for is allocated
     held = sum(a.size for a in stored.values())
     if held != implied:
         raise CheckpointFormatError(f"shape disagreement: file holds {held} values, config implies {implied}")
-
-    try:
-        model = init_model(config, Rng(0))
-    except (ValueError, TypeError) as e:
-        raise CheckpointFormatError(f"bad embedded config: {e}") from e
-    expected = dict(model.named_params())
     if len(stored) != len(expected):
         raise CheckpointFormatError(f"checkpoint has {len(stored)} tensors, config implies {len(expected)}")
     for name, values in stored.items():
         if name not in expected:
             raise CheckpointFormatError(f"unexpected tensor {name!r}")
-        p = expected[name]
-        if values.shape != p.shape:
-            raise CheckpointFormatError(
-                f"shape disagreement for {name!r}: file has {values.shape}, config implies {p.shape}")
-        p.values[...] = values
-    return model
+        if values.shape != expected[name].shape:
+            raise CheckpointFormatError(f"shape disagreement for {name!r}: file has {values.shape}, "
+                                        f"config implies {expected[name].shape}")
+    # the stored arrays are read-only views of the file's bytes
+    return TransducerModel(config, spec.map(lambda name, _: Tensor(stored[name].copy())))

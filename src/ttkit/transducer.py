@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import ParamSpec, ParamTree, Rng, ShapeError, Tensor
 
 BLANK_ID = 0
 
@@ -67,7 +67,7 @@ class Vocab:
 
 
 @dataclass
-class JointParams:
+class JointParams(ParamTree):
     audio_w: Tensor   # [d_audio, joint_dim]
     audio_b: Tensor
     label_w: Tensor   # [d_label, joint_dim]
@@ -75,27 +75,27 @@ class JointParams:
     out_w: Tensor     # [joint_dim, V]
     out_b: Tensor
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for f in ("audio_w", "audio_b", "label_w", "label_b", "out_w", "out_b"):
-            yield f"{prefix}.{f}", getattr(self, f)
 
-    def transform(self, fn: Callable[[Tensor], Tensor]) -> "JointParams":
-        return JointParams(*(fn(getattr(self, f)) for f in
-                             ("audio_w", "audio_b", "label_w", "label_b", "out_w", "out_b")))
-
-
-def init_joint_params(d_audio: int, d_label: int, joint_dim: int, vocab_size: int, rng: Rng) -> JointParams:
+def joint_param_spec(d_audio: int, d_label: int, joint_dim: int, vocab_size: int,
+                     stream: tuple[str, ...] = ()) -> JointParams:
+    """The joint's parameters as `ParamSpec` leaves. Weights draw from
+    substreams of `stream` labeled by their name."""
     def dense(label, fan_in, fan_out):
-        return Tensor(rng.substream(label).normal((fan_in, fan_out), sigma=1.0 / np.sqrt(fan_in)))
+        return ParamSpec((fan_in, fan_out), 1.0 / np.sqrt(fan_in), stream + (label,))
 
     return JointParams(
         audio_w=dense("audio_w", d_audio, joint_dim),
-        audio_b=tt.zeros(joint_dim),
+        audio_b=ParamSpec((joint_dim,)),
         label_w=dense("label_w", d_label, joint_dim),
-        label_b=tt.zeros(joint_dim),
+        label_b=ParamSpec((joint_dim,)),
         out_w=dense("out_w", joint_dim, vocab_size),
-        out_b=tt.zeros(vocab_size),
+        out_b=ParamSpec((vocab_size,)),
     )
+
+
+def init_joint_params(d_audio: int, d_label: int, joint_dim: int, vocab_size: int, rng: Rng) -> JointParams:
+    return joint_param_spec(d_audio, d_label, joint_dim, vocab_size).transform(
+        lambda spec: spec.materialize(rng))
 
 
 @dataclass

@@ -251,7 +251,8 @@ def assert_same_state(state, reference):
 def test_shared_label_states_equal_full_history_states(label_layers, label_left, vocab, seed, data):
     model = small_model(label_left=label_left, num_label_layers=label_layers,
                         vocab_size=vocab, seed=seed)
-    span = None if label_left is None else label_layers * label_left + 1
+    # a stack of no layers sees only the newest id, whatever its window
+    span = None if label_left is None and label_layers else label_layers * (label_left or 0) + 1
     labels = st.integers(1, vocab - 1)
     # every prefix followed by every suffix: pairs that share a suffix but
     # differ earlier, histories shorter and longer than the span, and a tree
@@ -322,6 +323,28 @@ def test_beam_label_pushes_bounded_by_contexts(monkeypatch):
     assert [h.labels for h in shared] == [h.labels for h in unshared]
     assert shared_pushes <= 1 + (V - 1) + (V - 1) ** 2
     assert sum(pushes) > shared_pushes
+
+
+def test_beam_label_pushes_without_label_layers(monkeypatch):
+    # with no label layers the activation is the last id's embedding
+    # projection whatever the label window, so V states cover every history
+    V = 3
+    feats = Rng(12).normal((60, 6))
+    push = dec.IncrementalEncoder.push
+    pushes = []
+
+    def counting_push(self, row):
+        pushes.append(self.config.num_layers == 0)
+        return push(self, row)
+
+    monkeypatch.setattr(dec.IncrementalEncoder, "push", counting_push)
+    counts = []
+    for label_left in (None, 0):
+        model = small_model(vocab_size=V, label_left=label_left, num_label_layers=0, blank_bias=1.0)
+        beam_decode(model, feats, beam_width=4)
+        counts.append(sum(pushes))
+        pushes[:] = []
+    assert counts[0] == counts[1] <= V
 
 
 def test_fusion_requires_lm():

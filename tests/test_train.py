@@ -246,6 +246,16 @@ def test_loaded_checkpoint_trains_like_the_original(tmp_path):
     assert checkpoint_bytes(loaded) != path.read_bytes()  # the step moved the parameters
 
 
+def test_checkpoint_is_synced_before_rename(tmp_path, monkeypatch):
+    model, _ = tiny_setup()
+    calls = []
+    fsync, replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd))[1])
+    monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b))[1])
+    save_checkpoint(model, tmp_path / "m.ttck")
+    assert calls == ["fsync", "replace"]
+
+
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     model, _ = tiny_setup()
     path = tmp_path / "model.ttck"
@@ -384,6 +394,18 @@ def test_checkpoint_config_larger_than_file_is_rejected_before_allocation(tmp_pa
     path = tmp_path / "m.ttck"
     path.write_bytes(_with_embedded_config(checkpoint_bytes(model), huge))
     with pytest.raises(CheckpointFormatError, match="shape disagreement"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_with_more_layers_than_tensors_is_rejected(tmp_path):
+    model, _ = tiny_setup()
+
+    def deep(doc):  # each layer stores tensors, so a file this small cannot hold them
+        doc["audio"]["num_layers"] = 10 ** 4
+
+    path = tmp_path / "m.ttck"
+    path.write_bytes(_with_embedded_config(checkpoint_bytes(model), deep))
+    with pytest.raises(CheckpointFormatError, match="10001 encoder layers"):
         load_checkpoint(path)
 
 

@@ -41,14 +41,6 @@ class AttentionMask:
     def is_finite(self) -> bool:
         return self.left is not None and self.right is not None
 
-    def window(self, seq_len: int | None = None) -> int:
-        """Largest number of positions a single query can attend."""
-        if not self.is_finite:
-            if seq_len is None:
-                raise ValueError("unbounded mask has no fixed window")
-            return seq_len
-        return self.left + self.right + 1
-
 
 def build_mask(seq_len: int, mask: AttentionMask) -> np.ndarray:
     """Boolean [seq_len, seq_len] matrix; entry (i, j) true iff j is inside

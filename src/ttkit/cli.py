@@ -12,8 +12,7 @@ import json
 import sys
 import time
 
-import numpy as np
-
+from . import checks
 from . import decode as dec
 from . import transducer as tr
 from .config import ConfigError, DecodeOptions, load_run_config, resolved_config_dict
@@ -61,11 +60,7 @@ def _load_checkpoint_or_exit(path):
 
 
 def cmd_train(args) -> int:
-    try:
-        run = load_run_config(args.config)
-    except ConfigError as e:
-        _log(f"error: {e}")
-        return EXIT_USAGE
+    run = load_run_config(args.config)  # main reports a ConfigError or NumericsError
     _print_resolved(resolved_config_dict(run), run.seed)
     if "dataset" not in run.paths:
         _log("error: config.paths.dataset: missing required key")
@@ -74,13 +69,13 @@ def cmd_train(args) -> int:
     if data.num_labels + 1 != run.model.vocab_size:
         _log(f"error: dataset vocab {data.num_labels}+blank != config.model.vocab_size {run.model.vocab_size}")
         return EXIT_USAGE
+    if not data.utterances:
+        _log(f"error: dataset {run.paths['dataset']} holds no utterances")
+        return EXIT_USAGE
     model = init_model(run.model, Rng(run.seed))
-    try:
-        losses = train_loop(model, data, run.schedule, run.train, out_dir=args.out)
-    except NumericsError as e:
-        _log(f"error: {e}")
-        return EXIT_NUMERIC
-    _log(f"trained {len(losses)} steps; final loss {losses[-1]:.4f}; checkpoints in {args.out}")
+    losses = train_loop(model, data, run.schedule, run.train, out_dir=args.out)
+    final = f"; final loss {losses[-1]:.4f}" if losses else ""
+    _log(f"trained {len(losses)} steps{final}; checkpoints in {args.out}")
     return EXIT_OK
 
 
@@ -99,6 +94,9 @@ def _build_fusion(args, model) -> FusionConfig | None:
 
 def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfig | None):
     """One (id, labels) pair per utterance, ordered by id."""
+    if mode == "stream" and not model.config.audio.mask.is_finite:
+        _log("error: stream mode requires a finite audio attention window in the checkpoint")
+        raise SystemExit(EXIT_USAGE)
     out = []
     for utt in sorted(data.utterances, key=lambda u: u.id):
         if mode == "greedy":
@@ -136,10 +134,6 @@ def cmd_decode(args) -> int:
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "mode": args.mode, "beam_width": args.beam_width,
                      "lm_weight": args.lm_weight, "length_bonus": args.length_bonus}, 0)
-    if args.mode == "stream" and (model.config.audio.mask.left is None
-                                  or model.config.audio.mask.right is None):
-        _log("error: stream mode requires a finite audio attention window in the checkpoint")
-        return EXIT_USAGE
     fusion = _build_fusion(args, model)
     vocab = model.vocab
     lines = [f"{utt_id}\t{' '.join(vocab.name(l) for l in labels)}"
@@ -161,6 +155,9 @@ def cmd_eval(args) -> int:
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "mode": args.mode}, 0)
     refs = {utt.id: utt.labels for utt in data.utterances}
+    if not any(refs.values()):
+        _log(f"error: dataset {args.dataset} has no reference labels to score against")
+        return EXIT_USAGE
     per_utt = []
     for utt_id, hyp in _transcribe(model, data, args.mode, opts, None):
         ref = refs[utt_id]
@@ -199,94 +196,20 @@ def cmd_gen_data(args) -> int:
 
 # ----------------------------------------------------------------- selftest
 
-def _suite_oracle() -> bool:
-    from .transducer import brute_force_log_prob, random_grid, rnnt_log_prob
-
-    rng = Rng(2024)
-    for trial in range(400):
-        T = rng.integers(1, 5)
-        U = rng.integers(0, 4)
-        V = rng.integers(2, 5)
-        grid = random_grid(T, U, V, rng.substream(f"grid{trial}"))
-        y = [rng.integers(1, V) for _ in range(U)]
-        if abs(rnnt_log_prob(grid, y).item() - brute_force_log_prob(grid, y)) >= 1e-9:
-            return False
-    return True
-
-
-def _suite_gradients() -> bool:
-    from . import tensor as tt
-    from .model import desk_config
-    from .attention import AttentionMask
-    from .tensor import backward, finite_difference_gradient, max_gradient_error
-    from .transducer import batch_loss
-
-    cfg = desk_config(vocab_size=4, feature_dim=6, audio_mask=AttentionMask(2, 1),
-                      label_left=2, dropout=0.0, model_dim=8,
-                      num_audio_layers=1, num_label_layers=1)
-    model = init_model(cfg, Rng(5))
-    feats = Rng(6).normal((3, 6))
-    y = [1, 2]
-
-    def loss_value():
-        grid = model.example_grid(feats, y)
-        return batch_loss([(grid, y)]).item()
-
-    loss = batch_loss([(model.example_grid(feats, y), y)])
-    backward(loss)
-    for name, p in model.named_params():
-        num = finite_difference_gradient(loss_value, p)
-        if p.grad is None:
-            if np.abs(num).max() >= 1e-8:
-                return False
-            continue
-        if max_gradient_error(p.grad, num) >= 1e-4:
-            return False
-    return True
-
-
-def _suite_streaming() -> bool:
-    from .attention import AttentionMask
-    from .model import desk_config
-
-    for (left, right), label_left in [((10, 0), 2), ((10, 2), 2), ((2, 0), 20)]:
-        cfg = desk_config(vocab_size=5, feature_dim=6, audio_mask=AttentionMask(left, right),
-                          label_left=label_left, dropout=0.0, model_dim=8)
-        model = init_model(cfg, Rng(7))
-        feats = Rng(8).normal((15, 6))
-        batch = dec.greedy_decode(model, feats)
-        state = StreamState(model)
-        streamed = []
-        for t in range(15):
-            streamed.extend(state.step(feats[t]))
-        streamed.extend(state.flush())
-        if streamed != batch:
-            return False
-    return True
-
-
-def _suite_schedule() -> bool:
-    from .train import ScheduleConfig, lr_at
-
-    s = ScheduleConfig()
-    points = [(0, 0.0), (4000, 2.5e-4), (30000, 2.5e-4), (200000, 2.5e-6), (115000, 2.5e-5)]
-    return all(abs(lr_at(step, s) - want) <= 1e-12 * max(1.0, abs(want)) for step, want in points)
-
-
 def cmd_selftest(args) -> int:
     if args.perturb_dp:
         tr.dp_perturbation = 0.01
     suites = [
-        ("oracle-equivalence", _suite_oracle),
-        ("gradient-check", _suite_gradients),
-        ("streaming-equivalence", _suite_streaming),
-        ("lr-schedule", _suite_schedule),
+        ("oracle-equivalence", checks.oracle_gaps),
+        ("gradient-check", checks.gradient_errors),
+        ("streaming-equivalence", checks.stream_runs),
+        ("lr-schedule", checks.schedule_points),
     ]
     failures = 0
     try:
-        for name, fn in suites:
+        for name, cases in suites:
             start = time.monotonic()
-            ok = fn()
+            ok = all(case.ok for case in cases())
             failures += not ok
             print(f"{name:<24} {'PASS' if ok else 'FAIL'}  ({time.monotonic() - start:.1f}s)")
     finally:

@@ -26,6 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import attention as att
+from . import frontend as fe
 from . import tensor as tt
 from .attention import Counters, EncoderConfig, EncoderParams
 from .model import TransducerModel
@@ -328,46 +329,6 @@ def _merge(done: dict, hyp: Hypothesis):
         done[hyp.labels] = Hypothesis(hyp.labels, np.logaddexp(prior.score, hyp.score), prior.state)
 
 
-class _StreamStacker:
-    """Streaming frame stacker: emits each stacked row as soon as its input
-    span is complete; `finish` emits tail rows with last-frame padding."""
-
-    def __init__(self, stack: int, subsample: int):
-        self.stack = stack
-        self.subsample = subsample
-        self.frames: list[np.ndarray] = []   # raw frames from self.offset onward
-        self.offset = 0
-        self.next_row = 0
-        self.total = 0
-
-    def push(self, frame: np.ndarray) -> list[np.ndarray]:
-        self.frames.append(np.asarray(frame, dtype=np.float64))
-        self.total += 1
-        rows = []
-        while self.next_row * self.subsample + self.stack <= self.total:
-            rows.append(self._row(self.next_row))
-            self.next_row += 1
-        return rows
-
-    def finish(self) -> list[np.ndarray]:
-        rows = []
-        m = math.ceil(self.total / self.subsample)
-        while self.next_row < m:
-            rows.append(self._row(self.next_row))
-            self.next_row += 1
-        return rows
-
-    def _row(self, i: int) -> np.ndarray:
-        first = i * self.subsample
-        picks = [min(first + k, self.total - 1) - self.offset for k in range(self.stack)]
-        row = np.concatenate([self.frames[p] for p in picks])
-        keep_from = (self.next_row + 1) * self.subsample
-        while self.offset < keep_from and len(self.frames) > 1:
-            self.frames.pop(0)
-            self.offset += 1
-        return row
-
-
 class StreamState:
     """Single-owner streaming decoder state.
 
@@ -379,16 +340,16 @@ class StreamState:
 
     def __init__(self, model: TransducerModel, max_symbols_per_frame: int = 10,
                  record_activations: bool = False):
-        mask = model.config.audio.mask
-        if mask.left is None or mask.right is None:
+        if not model.config.audio.mask.is_finite:
             raise ValueError("streaming requires a finite audio attention window on both sides")
         self.model = model
         self.max_symbols_per_frame = max_symbols_per_frame
-        self.stacker = _StreamStacker(model.config.frontend.stack, model.config.frontend.subsample)
+        self.stack = model.config.frontend.stack
+        self.subsample = model.config.frontend.subsample
+        self.frames: list[np.ndarray] = []  # raw frames from the next row's first frame on
+        self.skip = 0  # frames before the next row's first, when subsample > stack
         self.encoder = IncrementalEncoder(model.config.audio, model.params.audio, model.counters)
         self.label_state = LabelState(model)
-        self.frames_consumed = 0
-        self.emitted: list[int] = []
         self.flushed = False
         self.activations: list[np.ndarray] | None = [] if record_activations else None
 
@@ -396,10 +357,16 @@ class StreamState:
         """Consume one raw feature frame; return labels emitted by it."""
         if self.flushed:
             raise StreamError("step after flush")
-        self.frames_consumed += 1
-        new = []
-        for stacked_row in self.stacker.push(frame):
-            new.extend(self.encoder.push(stacked_row))
+        if self.skip:
+            self.skip -= 1
+            return []
+        self.frames.append(np.asarray(frame, dtype=np.float64))
+        if len(self.frames) < self.stack:
+            return []
+        # the row `frontend.stack_subsample` makes from these frames
+        new = self.encoder.push(np.concatenate(self.frames))
+        del self.frames[:self.subsample]
+        self.skip = max(0, self.subsample - self.stack)
         return self._decode_rows(new)
 
     def flush(self) -> list[int]:
@@ -409,8 +376,9 @@ class StreamState:
             raise StreamError("double flush")
         self.flushed = True
         new = []
-        for stacked_row in self.stacker.finish():
-            new.extend(self.encoder.push(stacked_row))
+        if self.frames:  # the tail rows, padded by repeating the final frame
+            for row in fe.stack_subsample(np.stack(self.frames), self.stack, self.subsample):
+                new.extend(self.encoder.push(row))
         new.extend(self.encoder.finish())
         return self._decode_rows(new)
 
@@ -420,6 +388,5 @@ class StreamState:
             if self.activations is not None:
                 self.activations.append(row)
             _greedy_frame(self.model, row, self.label_state, emitted, self.max_symbols_per_frame)
-        self.emitted.extend(emitted)
         return emitted
 

@@ -88,10 +88,6 @@ class TransducerModel:
         noise views share the underlying leaves through the graph)."""
         return TransducerModel(self.config, params, self.counters)
 
-    def zero_grad(self):
-        for _, p in self.params.named():
-            p.zero_grad()
-
     # ------------------------------------------------------------ forward
 
     def prepare_features(self, features: np.ndarray, rng: Rng | None = None, training: bool = False) -> np.ndarray:
@@ -122,11 +118,6 @@ class TransducerModel:
         labels = self.encode_labels(y, rng, training)
         self.counters.joint_evals += audio.shape[0] * labels.shape[0]
         return tr.log_prob_grid(audio, labels, self.params.joint)
-
-    def joint_log_probs(self, audio_vec: np.ndarray, label_vec: np.ndarray) -> np.ndarray:
-        """Single (frame, history) joint distribution for decoding."""
-        return self.joint_from_projections(self.project_audio(audio_vec),
-                                           self.project_label(label_vec))
 
     # Decoding evaluates the joint many times against few distinct encoder
     # activations, so the two linear halves are exposed for caching. The

@@ -147,7 +147,9 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
         raise ValueError("train_step needs a non-empty batch")
     lr = lr_at(step, schedule)
     step_rng = rng.substream(f"step{step}")
-    model.zero_grad()
+    named = model.named_params()
+    for _, p in named:
+        p.zero_grad()
 
     fwd = model
     if cfg.weight_noise_sigma > 0.0 and step >= cfg.weight_noise_start_step:
@@ -166,7 +168,7 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     backward(loss)
 
     grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.values))
-             for name, p in model.named_params()}
+             for name, p in named}
     clip_gradients(grads, cfg.grad_clip_norm)
     optimizer.step(model, grads, lr)
     return value

@@ -6,9 +6,10 @@ import time
 import numpy as np
 
 import ttkit.tensor as tt
+from ttkit import checks
 from ttkit import transducer as tr
 from ttkit.attention import AttentionMask, receptive_field
-from ttkit.decode import BigramLm, FusionConfig, StreamState, beam_decode, greedy_decode
+from ttkit.decode import BigramLm, FusionConfig, beam_decode, greedy_decode
 from ttkit.model import desk_config, init_model
 from ttkit.tasks import (
     SyntheticTaskConfig,
@@ -19,13 +20,12 @@ from ttkit.tasks import (
     symbol_templates,
     write_dataset,
 )
-from ttkit.tensor import Rng, backward, finite_difference_gradient, max_gradient_error
+from ttkit.tensor import Rng
 from ttkit.train import (
     ScheduleConfig,
     TrainConfig,
     checkpoint_bytes,
     load_checkpoint,
-    lr_at,
     save_checkpoint,
     train_loop,
 )
@@ -70,20 +70,13 @@ def train_toy(seed: int, mask: AttentionMask, label_left):
 
 def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
-    rng = Rng(20240)
     worst = 0.0
-    for trial in range(1000):
-        T = rng.integers(1, 5)
-        U = rng.integers(0, 4)
-        V = rng.integers(2, 5)
-        grid = tr.random_grid(T, U, V, rng.substream(f"grid{trial}"))
-        y = [rng.integers(1, V) for _ in range(U)]
-        gap = abs(tr.rnnt_log_prob(grid, y).item() - tr.brute_force_log_prob(grid, y))
-        worst = max(worst, gap)
-        assert gap < 1e-9, (trial, T, U, V, y)
+    for n, case in enumerate(checks.oracle_gaps(), 1):
+        worst = max(worst, case.gap)
+        assert case.gap < 1e-9, case.case
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    print(f"\n[PASS] criterion 1: oracle equivalence over 1000 instances, "
+    print(f"\n[PASS] criterion 1: oracle equivalence over {n} instances, "
           f"worst gap {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -98,28 +91,15 @@ def test_criterion_2_uniform_grid_closed_form():
 
 def test_criterion_3_end_to_end_gradient():
     start = time.monotonic()
-    cfg = desk_config(vocab_size=4, feature_dim=6, audio_mask=AttentionMask(2, 1),
-                      label_left=2, dropout=0.0, model_dim=8,
-                      num_audio_layers=1, num_label_layers=1)
-    model = init_model(cfg, Rng(31))
-    feats = Rng(32).normal((3, 6))
-    y = [1, 2]
-
-    def loss_value():
-        return tr.batch_loss([(model.example_grid(feats, y), y)]).item()
-
-    backward(tr.batch_loss([(model.example_grid(feats, y), y)]))
     worst = 0.0
     checked = 0
-    for name, p in model.named_params():
-        num = finite_difference_gradient(loss_value, p)
-        if p.grad is None:
-            assert np.abs(num).max() < 1e-8, name
+    for case in checks.gradient_errors():
+        if case.error is None:
+            assert case.fd_max < 1e-8, case.name
             continue
-        err = max_gradient_error(p.grad, num)
-        worst = max(worst, err)
-        checked += p.size
-        assert err < 1e-4, name
+        worst = max(worst, case.error)
+        checked += case.size
+        assert case.error < 1e-4, case.name
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     print(f"\n[PASS] criterion 3: end-to-end gradient on {checked} parameter "
@@ -177,51 +157,26 @@ def test_criterion_5_receptive_field_and_latency():
 
 def test_criterion_6_streaming_equivalence_and_constant_work():
     start = time.monotonic()
-    combos = [(a, ll) for a in (STREAMABLE, LOOKAHEAD, AttentionMask(2, 0)) for ll in (2, 20)]
-    for audio_mask, label_left in combos:
-        cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=audio_mask,
-                          label_left=label_left, dropout=0.0, model_dim=16)
-        model = init_model(cfg, Rng(61))
-        feats = Rng(62).normal((40, 8))
-        batch = greedy_decode(model, feats)
-
-        state = StreamState(model, record_activations=True)
-        streamed = []
-        per_frame = []
-        for t in range(40):
-            before = model.counters.joint_evals
-            out = state.step(feats[t])
-            streamed.extend(out)
-            per_frame.append((model.counters.joint_evals - before, len(out)))
-        streamed.extend(state.flush())
-
-        assert streamed == batch, (audio_mask, label_left)
-        with tt.no_grad():
-            enc = model.encode_audio(model.prepare_features(feats)).values
-        gap = np.abs(np.stack(state.activations) - enc).max()
-        assert gap < 1e-9, (audio_mask, label_left)
-        # constant per-frame work: one joint evaluation closes each frame on
-        # blank, plus exactly one per emitted label; at the emission cap the
-        # frame closes without the blank check. Either way the count is a
-        # function of the frame's own emissions, never of t.
-        warmup = cfg.audio.num_layers * audio_mask.right
-        for t in range(warmup, 40):
-            evals, emitted = per_frame[t]
+    for n, run in enumerate(checks.stream_runs(), 1):
+        assert run.streamed == run.batch, run.setting
+        assert run.activation_gap < 1e-9, run.setting
+        # constant per-frame work: the joint evaluations of a frame are a
+        # function of its own emissions (see `checks.stream_runs`), never of t
+        for t in range(run.warmup, len(run.per_frame)):
+            evals, emitted = run.per_frame[t]
             expected = emitted + 1 if emitted < 10 else 10
-            assert evals == expected, (audio_mask, label_left, t, per_frame[t])
+            assert evals == expected, (*run.setting, t, run.per_frame[t])
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    print(f"\n[PASS] criterion 6: streaming == batch for 6 mask settings "
+    print(f"\n[PASS] criterion 6: streaming == batch for {n} mask settings "
           f"(activations <= 1e-9, per-frame joint cost constant), {elapsed:.1f}s")
 
 
 def test_criterion_7_lr_schedule_published_points():
-    s = ScheduleConfig()  # 2.5e-4 / 4K / 30K / 200K / 2.5e-6
-    for step, want in [(0, 0.0), (4000, 2.5e-4), (30000, 2.5e-4), (200000, 2.5e-6)]:
-        got = lr_at(step, s)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), step
-    print("\n[PASS] criterion 7: schedule hits {0, 4000, 30000, 200000} -> "
-          "{0, 2.5e-4, 2.5e-4, 2.5e-6} exactly")
+    for p in checks.schedule_points():  # 2.5e-4 / 4K / 30K / 200K / 2.5e-6
+        assert abs(p.got - p.want) <= 1e-12 * max(1.0, abs(p.want)), p.step
+    print("\n[PASS] criterion 7: schedule hits {0, 4000, 30000, 115000, 200000} -> "
+          "{0, 2.5e-4, 2.5e-4, 2.5e-5, 2.5e-6} exactly")
 
 
 def test_criterion_8_toy_convergence_within_budget():

@@ -5,9 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttkit.attention import AttentionMask
 from ttkit.cli import main
 from ttkit.config import ConfigError, load_run_config, parse_run_config, resolved_config_dict
-from ttkit.tasks import SyntheticTaskConfig, gen_synthetic, write_dataset
+from ttkit.model import desk_config, init_model
+from ttkit.tasks import (Dataset, SyntheticTaskConfig, Utterance, gen_synthetic, read_dataset,
+                         write_dataset)
+from ttkit.tensor import Rng
+from ttkit.train import checkpoint_bytes, save_checkpoint
 
 
 def base_config(**overrides):
@@ -274,11 +279,6 @@ def test_resolved_config_of_shipped_configs(name, expected):
 
 
 def test_checkpoint_embedded_config():
-    from ttkit.attention import AttentionMask
-    from ttkit.model import desk_config, init_model
-    from ttkit.tensor import Rng
-    from ttkit.train import checkpoint_bytes
-
     raw = checkpoint_bytes(init_model(desk_config(audio_mask=AttentionMask(10, 2), label_left=2), Rng(0)))
     length = struct.unpack("<Q", raw[8:16])[0]
     assert raw[16:16 + length].decode() == (
@@ -439,6 +439,44 @@ def test_cli_stream_mode_rejects_unlimited_mask(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+EDGE_INPUTS = {  # case: (exit code, text on stderr)
+    "train-zero-steps": (0, "trained 0 steps"),
+    "train-empty-dataset": (2, "holds no utterances"),
+    "eval-stream-unbounded-mask": (2, "error: stream mode requires a finite audio attention window"),
+    "eval-no-reference-labels": (2, "has no reference labels"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_INPUTS)
+def test_cli_edge_inputs_exit_cleanly(tmp_path, capsys, case):
+    """Inputs that once ended in a traceback; the eval cases score the
+    checkpoint of a 1-step run."""
+    data, run = tmp_path / "d.ttds", tmp_path / "run"
+    assert main(["gen-data", "--out", str(data), "--vocab", "4", "--feature-dim", "8",
+                 "--size", "0" if case == "train-empty-dataset" else "4"]) == 0
+    doc = base_config(paths={"dataset": str(data)})
+    doc["train"]["total_steps"] = 0 if case == "train-zero-steps" else 1
+    if case == "eval-stream-unbounded-mask":
+        doc["mask"]["audio_left"] = "unlimited"
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    argv = ["train", "--config", str(tmp_path / "run.json"), "--out", str(run)]
+    if case.startswith("eval"):
+        assert main(argv) == 0
+        if case == "eval-no-reference-labels":
+            write_dataset(Dataset(4, [Utterance("u0", np.zeros((3, 8)), [])]), data)
+        argv = ["eval", "--mode", "stream", "--checkpoint", str(run / "ckpt_final.ttck"),
+                "--dataset", str(data)]
+    capsys.readouterr()
+    code, message = EDGE_INPUTS[case]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    if code == 0:
+        assert (run / "ckpt_final.ttck").exists()
+    else:
+        assert captured.out == ""
+
+
 def test_cli_eval_reports_wer(trained, capsys):
     assert main(["eval", "--checkpoint", trained["ckpt"], "--dataset", trained["data"]]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -448,10 +486,6 @@ def test_cli_eval_reports_wer(trained, capsys):
 
 
 def test_cli_eval_blank_only_model_scores_all_deletions(tmp_path, capsys):
-    from ttkit.model import desk_config, init_model
-    from ttkit.tensor import Rng
-    from ttkit.train import save_checkpoint
-
     data_path = tmp_path / "d.ttds"
     small_dataset(data_path, size=6)
     cfg = desk_config(vocab_size=5, feature_dim=8, dropout=0.0, model_dim=16)
@@ -467,8 +501,6 @@ def test_cli_eval_blank_only_model_scores_all_deletions(tmp_path, capsys):
 
 def test_cli_eval_perfect_handcrafted_model_scores_zero(tmp_path, capsys):
     from test_decode import handcrafted_model
-    from ttkit.tasks import Dataset, Utterance, write_dataset
-    from ttkit.train import save_checkpoint
 
     # the handcrafted model emits exactly [1] on [+1, -1] feature tracks
     model = handcrafted_model()
@@ -511,7 +543,6 @@ def test_cli_gen_data_roundtrip(tmp_path):
     out = tmp_path / "gen.ttds"
     assert main(["gen-data", "--out", str(out), "--vocab", "4", "--size", "10",
                  "--seed", "5"]) == 0
-    from ttkit.tasks import read_dataset
     data = read_dataset(out)
     assert data.num_labels == 4 and len(data.utterances) == 10
 

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ttkit.tensor as tt
@@ -10,7 +11,7 @@ from ttkit import decode as dec
 from ttkit import transducer as tr
 from ttkit.attention import AttentionMask, EncoderConfig
 from ttkit.decode import BigramLm, FusionConfig, StreamError, StreamState, beam_decode, greedy_decode
-from ttkit.frontend import FrontendConfig
+from ttkit.frontend import FrontendConfig, stack_subsample
 from ttkit.model import ModelConfig, desk_config, init_model
 from ttkit.tensor import Rng
 
@@ -78,7 +79,7 @@ def greedy_path_score(model, feats, labels):
     for t in range(enc.shape[0]):
         per_frame = 0
         while True:
-            lp = model.joint_log_probs(enc[t], state.vec)
+            lp = model.joint_from_projections(model.project_audio(enc[t]), state.proj)
             best = int(np.argmax(lp))
             if best == tr.BLANK_ID:
                 score += lp[tr.BLANK_ID]
@@ -402,6 +403,23 @@ def test_stream_equals_batch_property(left, right, layers, label_left, frames, s
     with tt.no_grad():
         enc = model.encode_audio(model.prepare_features(feats)).values
     assert np.abs(np.stack(st_.activations) - enc).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=st.integers(1, 5), subsample=st.integers(1, 5), frames=st.integers(1, 12))
+@example(stack=2, subsample=5, frames=12)  # subsample > stack
+@example(stack=5, subsample=3, frames=3)   # fewer frames than one row
+def test_stream_stacked_rows_equal_stack_subsample_bitwise(stack, subsample, frames):
+    model = small_model(num_audio_layers=0, frontend=FrontendConfig(stack=stack, subsample=subsample))
+    feats = Rng(frames).normal((frames, 6))
+    st_ = StreamState(model)
+    with mock.patch.object(st_.encoder, "push", wraps=st_.encoder.push) as push:
+        for t in range(frames):
+            st_.step(feats[t])
+        st_.flush()
+    pushed = np.stack([call.args[0] for call in push.call_args_list])
+    want = stack_subsample(feats, stack, subsample)
+    assert pushed.shape == want.shape and pushed.tobytes() == want.tobytes()
 
 
 def test_stream_constant_per_frame_work():

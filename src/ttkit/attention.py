@@ -10,7 +10,8 @@ a window's encoding is the same at any absolute position.
 All heads of one attention block form a single graph node with a
 closed-form backward (`_multi_head_attention`): projections, scores, mask,
 softmax, weighted sum and output projection run as [heads, T, head_dim]
-numpy matmuls. Batch `encode` and the streaming `encoder_layer_step` share it.
+numpy matmuls. Batch `encode` and the streaming `encoder_layer_step` share
+one layer body, `encoder_layer`, and one closing rule, `final_norm`.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ class EncoderConfig:
             raise ValueError(f"max_relative_offset must be >= 0, got {self.max_relative_offset}")
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ValueError(f"dropout_ratio must be in [0, 1), got {self.dropout_ratio}")
+        if self.ff_dim2 != self.model_dim:
+            raise ValueError(
+                f"ff_dim2 ({self.ff_dim2}) must equal model_dim ({self.model_dim}) for the residual")
 
     @property
     def rel_offset(self) -> int:
@@ -250,21 +254,22 @@ def _multi_head_attention(
 
 def encoder_layer(
     x: Tensor,
-    mask_bool: np.ndarray,
+    mask_bool: np.ndarray | None,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
     rng: Rng | None = None,
     training: bool = False,
     counters: Counters | None = None,
+    query: int | None = None,
 ) -> Tensor:
     """One encoder layer: pre-norm windowed multi-head attention with a
-    residual, then a pre-norm two-dense feed-forward block with a residual."""
+    residual, then a pre-norm two-dense feed-forward block with a residual.
+
+    With `query` set, only that row is computed, and it attends every row of
+    `x`; `mask_bool` must then be None."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
-    if config.ff_dim2 != config.model_dim:
-        raise ShapeError(
-            f"ff_dim2 ({config.ff_dim2}) must equal model_dim ({config.model_dim}) for the residual")
     positions = np.arange(x.shape[0])
     eps = config.ln_eps
 
@@ -274,13 +279,24 @@ def encoder_layer(
         return tt.dropout(t, config.dropout_ratio, rng, training)
 
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
-    attn = _multi_head_attention(h, h, layer, params, config, positions, positions, mask_bool, counters)
+    hq, q_positions = h, positions
+    if query is not None:
+        x, hq, q_positions = x[query:query + 1], h[query:query + 1], positions[query:query + 1]
+    attn = _multi_head_attention(hq, h, layer, params, config, q_positions, positions, mask_bool, counters)
     x = tt.add(x, drop(attn))
 
     h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
     f = drop(tt.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)))
     f = drop(tt.add(tt.matmul(f, layer.w2), layer.b2))
     return tt.add(x, f)
+
+
+def final_norm(h: Tensor, config: EncoderConfig, params: EncoderParams) -> Tensor:
+    """The stack's closing LayerNorm, applied with `final_layer_norm` to a
+    stack of at least one layer."""
+    if config.final_layer_norm and config.num_layers > 0:
+        h = tt.layer_norm(h, params.final_g, params.final_b, config.ln_eps)
+    return h
 
 
 def encode(
@@ -291,8 +307,8 @@ def encode(
     training: bool = False,
     counters: Counters | None = None,
 ) -> Tensor:
-    """Project the input to model_dim and run the full layer stack under the
-    shared mask. With `final_layer_norm` a closing LayerNorm is applied."""
+    """Project the input to model_dim, run the full layer stack under the
+    shared mask and close with `final_norm`."""
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
@@ -301,36 +317,23 @@ def encode(
     for i, layer in enumerate(params.layers):
         layer_rng = rng.substream(f"layer{i}") if dropout_live else None
         h = encoder_layer(h, mask_bool, layer, params, config, layer_rng, training, counters)
-    if config.final_layer_norm and config.num_layers > 0:
-        h = tt.layer_norm(h, params.final_g, params.final_b, config.ln_eps)
-    return h
+    return final_norm(h, config, params)
 
 
 def encoder_layer_step(
     window: np.ndarray,
     q_local: int,
-    positions: np.ndarray,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
     counters: Counters | None = None,
 ) -> np.ndarray:
-    """Compute one layer's output at a single position from the window of
-    layer-below outputs that position may attend. Work is bounded by the
-    window size regardless of how much stream history precedes it."""
+    """One layer's output at row `q_local` of `window`, the layer-below
+    outputs that position may attend; scores depend only on offsets. Work is
+    bounded by the window size however much stream history precedes it."""
     with tt.no_grad():
-        w = Tensor(window)
-        h = tt.layer_norm(w, layer.ln1_g, layer.ln1_b, config.ln_eps)
-        hq = h[q_local:q_local + 1]
-        attn = _multi_head_attention(
-            hq, h, layer, params, config,
-            positions[q_local:q_local + 1], positions, None, counters,
-        )
-        x = tt.add(w[q_local:q_local + 1], attn)
-        h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, config.ln_eps)
-        f = tt.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1))
-        f = tt.add(tt.matmul(f, layer.w2), layer.b2)
-        return tt.add(x, f).values[0]
+        out = encoder_layer(Tensor(window), None, layer, params, config, counters=counters, query=q_local)
+    return out.values[0]
 
 
 @dataclass(frozen=True)

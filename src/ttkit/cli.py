@@ -48,6 +48,20 @@ def _load_dataset_or_exit(path):
         raise SystemExit(EXIT_USAGE)
 
 
+def _check_fits(data, path, config, features: bool = True, labels: bool = True):
+    """Exit 2 unless every utterance of `data` has the model's feature width
+    (when `features`) and only label ids the model can emit (when `labels`)."""
+    for utt in data.utterances:
+        if features and utt.features.shape[1] != config.feature_dim:
+            _log(f"error: dataset {path}: utterance {utt.id} has feature dim "
+                 f"{utt.features.shape[1]}, the model takes {config.feature_dim}")
+            raise SystemExit(EXIT_USAGE)
+        if labels and max(utt.labels, default=0) >= config.vocab_size:
+            _log(f"error: dataset {path}: utterance {utt.id} holds label {max(utt.labels)}, "
+                 f"beyond the model's {config.vocab_size - 1} labels")
+            raise SystemExit(EXIT_USAGE)
+
+
 def _load_checkpoint_or_exit(path):
     try:
         return load_checkpoint(path)
@@ -72,6 +86,7 @@ def cmd_train(args) -> int:
     if not data.utterances:
         _log(f"error: dataset {run.paths['dataset']} holds no utterances")
         return EXIT_USAGE
+    _check_fits(data, run.paths["dataset"], run.model)
     model = init_model(run.model, Rng(run.seed))
     losses = train_loop(model, data, run.schedule, run.train, out_dir=args.out)
     final = f"; final loss {losses[-1]:.4f}" if losses else ""
@@ -88,6 +103,7 @@ def _build_fusion(args, model) -> FusionConfig | None:
             _log("error: --lm-weight needs --lm-dataset to fit the bundled bigram scorer")
             raise SystemExit(EXIT_USAGE)
         lm_data = _load_dataset_or_exit(args.lm_dataset)
+        _check_fits(lm_data, args.lm_dataset, model.config, features=False)
         lm = BigramLm.fit([u.labels for u in lm_data.utterances], model.vocab.size - 1)
     return FusionConfig(lm_weight=args.lm_weight, length_bonus=args.length_bonus, lm=lm)
 
@@ -131,6 +147,7 @@ def cmd_decode(args) -> int:
                                    max_symbols_per_frame=args.max_symbols_per_frame)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
+    _check_fits(data, args.dataset, model.config, labels=False)
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "mode": args.mode, "beam_width": args.beam_width,
                      "lm_weight": args.lm_weight, "length_bonus": args.length_bonus}, 0)
@@ -152,6 +169,7 @@ def cmd_eval(args) -> int:
                                    max_symbols_per_frame=args.max_symbols_per_frame)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
+    _check_fits(data, args.dataset, model.config)
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "mode": args.mode}, 0)
     refs = {utt.id: utt.labels for utt in data.utterances}

@@ -1,10 +1,11 @@
 """Frame-synchronous decoding: greedy, beam with optional shallow fusion,
 and streaming one-step inference over cached encoder state.
 
-Streaming keeps a ring buffer of post-layer activations per encoder layer.
-Because attention scores depend only on content and relative offset, a new
-position's activation can be computed from those cached windows alone, so
-the work per consumed frame is bounded by a constant (window size times
+Streaming keeps, per encoder layer, the post-layer activations that a later
+position of the layer above may still attend. Because attention scores
+depend only on content and relative offset, a new position's activation can
+be computed from that window alone, with the batch encoder's own layer body,
+so the work per consumed frame is bounded by a constant (window size times
 layers) no matter how long the stream has run. Right context makes each
 layer's frontier lag the layer below by `right` positions; `flush` drains
 that look-ahead at end of stream, reproducing batch behavior exactly on the
@@ -19,7 +20,6 @@ never-mutated state.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -57,10 +57,6 @@ class FusionConfig:
         if self.lm_weight != 0.0 and self.lm is None:
             raise ValueError("fusion with lm_weight != 0 needs an lm scorer")
 
-    @property
-    def enabled(self) -> bool:
-        return self.lm_weight != 0.0 or self.length_bonus != 0.0
-
 
 class BigramLm:
     """Add-k smoothed bigram scorer over label ids with a start context; the
@@ -92,8 +88,10 @@ class IncrementalEncoder:
 
     Layer l may compute position q once layer l-1 holds positions up to
     q + right, so the top frontier lags the input by num_layers * right;
-    `finish` closes the gap with end-of-sequence windows. Each layer keeps
-    only its last left + right + 1 outputs (unbounded when left is None).
+    `finish` closes the gap with end-of-sequence windows. `rows[l]` keeps
+    the layer-l outputs (l=0: projected inputs) that layer l+1 may still
+    attend, at most left + right + 1 of them with a finite left window;
+    `first[l]` is the position of its first row.
     """
 
     def __init__(self, config: EncoderConfig, params: EncoderParams, counters: Counters | None = None):
@@ -102,17 +100,15 @@ class IncrementalEncoder:
         self.config = config
         self.params = params
         self.counters = counters
-        cap = None if config.mask.left is None else config.mask.left + config.mask.right + 1
-        # bufs[l] holds layer-l outputs (l=0: projected inputs), consumed by layer l+1
-        self.bufs: list[deque] = [deque(maxlen=cap) for _ in range(max(config.num_layers, 1))]
-        self.counts = [0] * (config.num_layers + 1)
+        self.rows: list[list[np.ndarray]] = [[] for _ in range(config.num_layers + 1)]
+        self.first = [0] * (config.num_layers + 1)
         self.finished = False
 
     def clone(self) -> "IncrementalEncoder":
         other = IncrementalEncoder.__new__(IncrementalEncoder)
         other.config, other.params, other.counters = self.config, self.params, self.counters
-        other.bufs = [deque(buf, maxlen=buf.maxlen) for buf in self.bufs]
-        other.counts = list(self.counts)
+        other.rows = [list(rows) for rows in self.rows]
+        other.first = list(self.first)
         other.finished = self.finished
         return other
 
@@ -120,66 +116,42 @@ class IncrementalEncoder:
         """Feed one input row; returns top-layer rows that became final."""
         if self.finished:
             raise StreamError("push after finish")
-        with tt.no_grad():
-            proj = row @ self.params.input_w.values + self.params.input_b.values
-        self.counts[0] += 1
-        if self.config.num_layers == 0:
-            return [proj]
-        self.bufs[0].append(proj)
-        return self._advance(final=False)
+        self.rows[0].append(row @ self.params.input_w.values + self.params.input_b.values)
+        return self._advance(self.first[0] + len(self.rows[0]))
 
     def finish(self) -> list[np.ndarray]:
         """Signal end of input and drain the per-layer look-ahead."""
         if self.finished:
             raise StreamError("finish called twice")
         self.finished = True
-        if self.config.num_layers == 0:
-            return []
-        return self._advance(final=True)
+        # one frontier step per pass keeps each layer within left + right + 1 rows
+        end = self.first[0] + len(self.rows[0])
+        n_pass = self.config.num_layers * self.config.mask.right
+        return [row for k in range(1, n_pass + 1) for row in self._advance(end + k)]
 
-    def _advance(self, final: bool) -> list[np.ndarray]:
-        # Advance in waves of at most one row per layer, so a parent layer
-        # never evicts buffer rows a child has yet to attend (the drain at
-        # end of stream would otherwise outpace the ring buffers).
+    def _advance(self, frontier: int) -> list[np.ndarray]:
+        """One pass over layers 1..L in order. Layer l computes the positions
+        below both its input's count and frontier - l * right, and then the
+        rows of layer l-1 that no later position attends are dropped."""
         left, right = self.config.mask.left, self.config.mask.right
-        n_layers = self.config.num_layers
-        total = self.counts[0] if self.finished else None
-        new_top: list[np.ndarray] = []
-        progressed = True
-        while progressed:
-            progressed = False
-            for layer_i in range(1, n_layers + 1):
-                below = self.counts[layer_i - 1]
-                # a layer may pass the steady-state frontier only once the
-                # layer below is complete; otherwise its right window would
-                # be truncated mid-drain
-                parent_done = final and (layer_i == 1 or below == total)
-                limit = below if parent_done else max(0, below - right)
-                if self.counts[layer_i] >= limit:
-                    continue
-                q = self.counts[layer_i]
-                hi = min(q + right, below - 1)
+        for l, layer in enumerate(self.params.layers, start=1):
+            src, base = self.rows[l - 1], self.first[l - 1]
+            below = base + len(src)
+            done = self.first[l] + len(self.rows[l])
+            for q in range(done, min(below, frontier - l * right)):
                 lo = 0 if left is None else max(0, q - left)
-                src = self.bufs[layer_i - 1]
-                base = below - len(src)
-                window = np.stack([src[k - base] for k in range(lo, hi + 1)])
-                out = att.encoder_layer_step(
-                    window, q - lo, np.arange(lo, hi + 1),
-                    self.params.layers[layer_i - 1], self.params, self.config, self.counters)
-                self.counts[layer_i] += 1
-                progressed = True
-                if layer_i < n_layers:
-                    self.bufs[layer_i].append(out)
-                else:
-                    new_top.append(self._finalize(out))
-        return new_top
-
-    def _finalize(self, row: np.ndarray) -> np.ndarray:
-        if self.config.final_layer_norm:
-            with tt.no_grad():
-                return tt.layer_norm(Tensor(row), self.params.final_g,
-                                     self.params.final_b, self.config.ln_eps).values
-        return row
+                window = np.stack(src[lo - base:min(q + right + 1, below) - base])
+                self.rows[l].append(att.encoder_layer_step(
+                    window, q - lo, layer, self.params, self.config, self.counters))
+            if left is not None:
+                stale = max(0, self.first[l] + len(self.rows[l]) - left - base)
+                del src[:stale]
+                self.first[l - 1] += stale
+        top = self.rows[-1]
+        self.rows[-1] = []
+        self.first[-1] += len(top)
+        with tt.no_grad():
+            return [att.final_norm(Tensor(row), self.config, self.params).values for row in top]
 
 
 class LabelState:

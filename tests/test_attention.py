@@ -393,7 +393,7 @@ def test_encoder_layer_step_matches_batch():
     for q in range(8):
         lo, hi = max(0, q - 2), min(7, q + 1)
         window = x[lo:hi + 1]
-        out = att.encoder_layer_step(window, q - lo, np.arange(lo, hi + 1), params.layers[0], params, cfg)
+        out = att.encoder_layer_step(window, q - lo, params.layers[0], params, cfg)
         np.testing.assert_allclose(out, batch[q], atol=1e-9)
 
 

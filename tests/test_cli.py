@@ -477,6 +477,59 @@ def test_cli_edge_inputs_exit_cleanly(tmp_path, capsys, case):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "decode", "eval"])
+def test_cli_dataset_feature_dim_mismatch_exits_2(trained, tmp_path, capsys, command):
+    """A 16-dim dataset against the 8-dim model: exit 2 before any step."""
+    data = tmp_path / "wide.ttds"
+    assert main(["gen-data", "--out", str(data), "--vocab", "4", "--feature-dim", "16",
+                 "--size", "4"]) == 0
+    if command == "train":
+        (tmp_path / "run.json").write_text(json.dumps(base_config(paths={"dataset": str(data)})))
+        argv = ["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "run")]
+    else:
+        argv = [command, "--checkpoint", trained["ckpt"], "--dataset", str(data)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "has feature dim 16, the model takes 8" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["lm-dataset", "eval"])
+def test_cli_labels_beyond_model_vocab_exit_2(trained, tmp_path, capsys, case):
+    """Label ids 5..9 against the checkpoint's 4 labels: exit 2, where the
+    bigram fit raised IndexError and eval scored them as errors."""
+    wide = tmp_path / "vocab9.ttds"
+    assert main(["gen-data", "--out", str(wide), "--vocab", "9", "--feature-dim", "8",
+                 "--size", "20"]) == 0
+    if case == "eval":
+        argv = ["eval", "--checkpoint", trained["ckpt"], "--dataset", str(wide)]
+    else:
+        argv = ["decode", "--checkpoint", trained["ckpt"], "--dataset", trained["data"],
+                "--mode", "beam", "--lm-weight", "0.5", "--lm-dataset", str(wide)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "beyond the model's 4 labels" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_train_ff_dim2_mismatch_exits_2(tmp_path, capsys):
+    """The residual needs ff_dim2 == model_dim; the config parse says so,
+    where training used to die with a ShapeError at step 0."""
+    data = tmp_path / "d.ttds"
+    assert main(["gen-data", "--out", str(data), "--vocab", "6", "--size", "8"]) == 0
+    doc = json.loads((CONFIGS / "desk.json").read_text())
+    doc["model"]["audio"]["ff_dim2"] = 16
+    doc["paths"]["dataset"] = str(data)
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "run")]) == 2
+    assert ("error: config.model.audio: ff_dim2 (16) must equal model_dim (32) for the residual"
+            in capsys.readouterr().err)
+
+
 def test_cli_eval_reports_wer(trained, capsys):
     assert main(["eval", "--checkpoint", trained["ckpt"], "--dataset", trained["data"]]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ttkit.attention as att
 import ttkit.tensor as tt
 from ttkit import decode as dec
 from ttkit import transducer as tr
@@ -353,12 +354,6 @@ def test_fusion_requires_lm():
         FusionConfig(lm_weight=0.5, lm=None)
 
 
-def test_fusion_disabled_iff_both_zero():
-    assert not FusionConfig().enabled
-    assert FusionConfig(length_bonus=0.1).enabled
-    assert FusionConfig(lm_weight=0.1, lm=BigramLm(3)).enabled
-
-
 # ------------------------------------------------------------------- lm
 
 def test_bigram_lm_is_a_distribution():
@@ -436,6 +431,31 @@ def test_stream_constant_per_frame_work():
     assert costs[19][0] == 1  # one finalized frame, one joint evaluation
     # all steady-state steps cost the same
     assert len(set(costs[10:])) == 1
+
+
+@pytest.mark.parametrize("left, right, layers", [(2, 1, 3), (1, 2, 3), (0, 3, 2), (4, 1, 1)])
+def test_incremental_encoder_holds_at_most_one_window_per_layer(monkeypatch, left, right, layers):
+    """Rows no later position can attend are dropped as the stream goes, so
+    no layer ever holds more than one attention window, in the end-of-stream
+    drain too."""
+    model = small_model(audio_mask=AttentionMask(left, right), num_audio_layers=layers)
+    enc = dec.IncrementalEncoder(model.config.audio, model.params.audio)
+    held = []
+    step = att.encoder_layer_step
+
+    def recording_step(*args, **kw):
+        held.append(max(len(rows) for rows in enc.rows))
+        return step(*args, **kw)
+
+    monkeypatch.setattr(att, "encoder_layer_step", recording_step)
+    out = []
+    for row in Rng(14).normal((20, model.config.audio.input_dim)):
+        out += enc.push(row)
+    drained = len(held)
+    out += enc.finish()
+    assert len(out) == 20
+    assert len(held) - drained == layers * (layers + 1) // 2 * right  # the drain steps
+    assert max(held) <= left + right + 1
 
 
 def test_stream_lookahead_delays_first_emission():

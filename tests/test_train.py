@@ -327,6 +327,20 @@ def test_checkpoint_mismatched_model_dim_is_shape_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_ff_dim2_mismatch_is_config_error(tmp_path):
+    model, _ = tiny_setup()
+    raw = checkpoint_bytes(model)
+    config_len = struct.unpack("<Q", raw[8:16])[0]
+    doc = json.loads(raw[16:16 + config_len].decode())
+    doc["label"]["ff_dim2"] = 4  # model_dim stays 8
+    new_doc = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "m.ttck"
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new_doc)) + new_doc + raw[16 + config_len:])
+    with pytest.raises(CheckpointFormatError,
+                       match=r"bad embedded config: ff_dim2 \(4\) must equal model_dim \(8\)"):
+        load_checkpoint(path)
+
+
 def _with_records(model, edit) -> bytes:
     """`model`'s checkpoint with its list of (name, values) records passed
     through `edit`."""

@@ -460,3 +460,37 @@ DESK_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.
 def test_init_checkpoint_bytes_pinned(cfg, digest):
     # pins the parameter names, their order and every initial value
     assert hashlib.sha256(checkpoint_bytes(init_model(cfg, Rng(0)))).hexdigest() == digest
+
+
+def _regularized_run():
+    """Six steps with dropout, SpecAugment and weight noise all live."""
+    task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
+                               feature_dim=6, noise_sigma=0.1, size=8, seed=2)
+    frontend = FrontendConfig(stack=2, subsample=2, freq_mask_width=2, freq_mask_count=1,
+                              time_mask_width=1, time_mask_count=1, augment_enabled=True)
+    cfg = desk_config(vocab_size=5, feature_dim=6, label_left=2, dropout=0.1, model_dim=8,
+                      frontend=frontend)
+    model = init_model(cfg, Rng(1))
+    sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=2e-4)
+    train = TrainConfig(batch_size=4, total_steps=6, seed=5, weight_noise_sigma=0.01,
+                        weight_noise_start_step=2)
+    losses = train_loop(model, gen_synthetic(task), sched, train)
+    return np.array(losses).tobytes() + checkpoint_bytes(model)
+
+
+def test_regularized_training_bytes_pinned():
+    # pins every draw of dropout, SpecAugment and weight noise through a short run
+    assert hashlib.sha256(_regularized_run()).hexdigest() == (
+        "562bd39cb26376c2cd12b0f4bcea289f4b71fa9e2adb20d14436d8b92be04887")
+
+
+def test_grid_without_rng_ignores_regularizers():
+    task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
+                               feature_dim=6, noise_sigma=0.1, size=1, seed=3)
+    utt = gen_synthetic(task).utterances[0]
+    live = FrontendConfig(time_mask_width=2, time_mask_count=1, augment_enabled=True)
+    grids = []
+    for dropout, frontend in ((0.1, live), (0.0, FrontendConfig())):
+        cfg = desk_config(vocab_size=5, feature_dim=6, dropout=dropout, model_dim=8, frontend=frontend)
+        grids.append(init_model(cfg, Rng(4)).example_grid(utt.features, utt.labels))
+    assert grids[0].log_probs.values.tobytes() == grids[1].log_probs.values.tobytes()

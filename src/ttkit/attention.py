@@ -259,35 +259,30 @@ def encoder_layer(
     params: EncoderParams,
     config: EncoderConfig,
     rng: Rng | None = None,
-    training: bool = False,
     counters: Counters | None = None,
     query: int | None = None,
 ) -> Tensor:
     """One encoder layer: pre-norm windowed multi-head attention with a
     residual, then a pre-norm two-dense feed-forward block with a residual.
 
-    With `query` set, only that row is computed, and it attends every row of
-    `x`; `mask_bool` must then be None."""
+    Dropout draws from `rng` when one is given (training). With `query` set,
+    only that row is computed, and it attends every row of `x`; `mask_bool`
+    must then be None."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     positions = np.arange(x.shape[0])
     eps = config.ln_eps
-
-    def drop(t: Tensor) -> Tensor:
-        if rng is None or not training:
-            return t
-        return tt.dropout(t, config.dropout_ratio, rng, training)
 
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
     hq, q_positions = h, positions
     if query is not None:
         x, hq, q_positions = x[query:query + 1], h[query:query + 1], positions[query:query + 1]
     attn = _multi_head_attention(hq, h, layer, params, config, q_positions, positions, mask_bool, counters)
-    x = tt.add(x, drop(attn))
+    x = tt.add(x, tt.dropout(attn, config.dropout_ratio, rng))
 
     h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
-    f = drop(tt.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)))
-    f = drop(tt.add(tt.matmul(f, layer.w2), layer.b2))
+    f = tt.dropout(tt.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), config.dropout_ratio, rng)
+    f = tt.dropout(tt.add(tt.matmul(f, layer.w2), layer.b2), config.dropout_ratio, rng)
     return tt.add(x, f)
 
 
@@ -304,7 +299,6 @@ def encode(
     config: EncoderConfig,
     params: EncoderParams,
     rng: Rng | None = None,
-    training: bool = False,
     counters: Counters | None = None,
 ) -> Tensor:
     """Project the input to model_dim, run the full layer stack under the
@@ -313,10 +307,9 @@ def encode(
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
     mask_bool = build_mask(x.shape[0], config.mask)
-    dropout_live = training and config.dropout_ratio > 0.0 and rng is not None
     for i, layer in enumerate(params.layers):
-        layer_rng = rng.substream(f"layer{i}") if dropout_live else None
-        h = encoder_layer(h, mask_bool, layer, params, config, layer_rng, training, counters)
+        h = encoder_layer(h, mask_bool, layer, params, config,
+                          rng.substream(f"layer{i}") if rng else None, counters)
     return final_norm(h, config, params)
 
 

@@ -3,6 +3,9 @@
 Ties the encoder stacks and joint parameters to a vocabulary and frontend so
 training, decoding, and checkpointing can treat the whole model as one unit
 with a flat named-parameter view.
+
+An `Rng` passed to the forward methods means training: SpecAugment and
+dropout draw from its labeled substreams. Without one they are skipped.
 """
 
 from __future__ import annotations
@@ -90,32 +93,31 @@ class TransducerModel:
 
     # ------------------------------------------------------------ forward
 
-    def prepare_features(self, features: np.ndarray, rng: Rng | None = None, training: bool = False) -> np.ndarray:
-        """Frontend: stacking/subsampling, plus masking when training."""
+    def prepare_features(self, features: np.ndarray, rng: Rng | None = None) -> np.ndarray:
+        """Frontend: stacking/subsampling, plus masking when given an `rng`."""
         out = fe.stack_subsample(features, self.config.frontend.stack, self.config.frontend.subsample)
-        if training and rng is not None:
+        if rng is not None:
             out = fe.spec_augment(out, self.config.frontend, rng.substream("augment"))
         return out
 
-    def encode_audio(self, stacked: np.ndarray, rng: Rng | None = None, training: bool = False) -> Tensor:
+    def encode_audio(self, stacked: np.ndarray, rng: Rng | None = None) -> Tensor:
         """Audio encoder over already-prepared (stacked) features."""
         return att.encode(Tensor(stacked), self.config.audio, self.params.audio,
-                          rng.substream("audio") if rng else None, training, self.counters)
+                          rng.substream("audio") if rng else None, self.counters)
 
-    def encode_labels(self, y: Sequence[int], rng: Rng | None = None, training: bool = False) -> Tensor:
+    def encode_labels(self, y: Sequence[int], rng: Rng | None = None) -> Tensor:
         """Label encoder over the start token plus the target history; row u
         encodes the first u labels."""
         self.vocab.check_targets(y)
         ids = np.array([tr.BLANK_ID] + list(y), dtype=np.intp)
         emb = tt.rows(self.params.label_embedding, ids)
         return att.encode(emb, self.config.label, self.params.label,
-                          rng.substream("label") if rng else None, training, self.counters)
+                          rng.substream("label") if rng else None, self.counters)
 
-    def example_grid(self, features: np.ndarray, y: Sequence[int],
-                     rng: Rng | None = None, training: bool = False) -> LogProbGrid:
-        stacked = self.prepare_features(features, rng, training)
-        audio = self.encode_audio(stacked, rng, training)
-        labels = self.encode_labels(y, rng, training)
+    def example_grid(self, features: np.ndarray, y: Sequence[int], rng: Rng | None = None) -> LogProbGrid:
+        stacked = self.prepare_features(features, rng)
+        audio = self.encode_audio(stacked, rng)
+        labels = self.encode_labels(y, rng)
         self.counters.joint_evals += audio.shape[0] * labels.shape[0]
         return tr.log_prob_grid(audio, labels, self.params.joint)
 

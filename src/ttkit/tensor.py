@@ -407,12 +407,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(xhat * gain.values + bias.values, (x, gain, bias), bw)
 
 
-def dropout(x: Tensor, ratio: float, rng: "Rng", training: bool) -> Tensor:
+def dropout(x: Tensor, ratio: float, rng: "Rng | None") -> Tensor:
     """Zero each element with probability `ratio`, scaling survivors by
-    1/(1-ratio) in training mode; identity in inference mode."""
+    1/(1-ratio). An `rng` means training; without one this is the identity."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if not training or ratio == 0.0:
+    if rng is None or ratio == 0.0:
         return x
     keep = rng.uniform(x.shape) >= ratio
     scale = keep / (1.0 - ratio)

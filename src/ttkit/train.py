@@ -142,6 +142,8 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
 
     Deterministic for a given (seed, step): augmentation, dropout, and noise
     all draw from labeled sub-streams keyed by the step and example index.
+    Passing each example its `Rng` is what makes the forward pass a training
+    one; each regularizer's own config decides whether it runs.
     """
     if not batch:
         raise ValueError("train_step needs a non-empty batch")
@@ -151,14 +153,12 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     for _, p in named:
         p.zero_grad()
 
-    fwd = model
-    if cfg.weight_noise_sigma > 0.0 and step >= cfg.weight_noise_start_step:
-        fwd = model.with_params(apply_weight_noise(
-            model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
+    fwd = model.with_params(apply_weight_noise(
+        model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
 
     items = []
     for i, utt in enumerate(batch):
-        grid = fwd.example_grid(utt.features, utt.labels, step_rng.substream(f"ex{i}"), training=True)
+        grid = fwd.example_grid(utt.features, utt.labels, step_rng.substream(f"ex{i}"))
         items.append((grid, utt.labels))
     loss = batch_loss(items)
     value = loss.item()

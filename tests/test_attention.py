@@ -288,7 +288,7 @@ def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
             params = att.init_encoder_params(cfg, Rng(num_heads))
             x = Tensor(Rng(seq_len).normal((seq_len, cfg.model_dim)))
             out = att.encoder_layer(x, build_mask(seq_len, cfg.mask), params.layers[0], params, cfg,
-                                    Rng(0), training)
+                                    Rng(0) if training else None)
             assert _graph_ops(out) == expected, (num_heads, seq_len)
 
 

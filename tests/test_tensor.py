@@ -180,28 +180,28 @@ def test_layer_norm_and_log_softmax_are_one_node():
 
 def test_dropout_inference_identity():
     x = Tensor(Rng(0).normal((8, 8)))
-    out = tt.dropout(x, 0.1, Rng(1), training=False)
+    out = tt.dropout(x, 0.1, None)
     assert out is x
 
 
 def test_dropout_zero_ratio_identity():
     x = Tensor(Rng(0).normal((8, 8)))
-    out = tt.dropout(x, 0.0, Rng(1), training=True)
+    out = tt.dropout(x, 0.0, Rng(1))
     assert out is x
 
 
 def test_dropout_mean_preserved():
     x = tt.ones(100_000)
-    out = tt.dropout(x, 0.1, Rng(42), training=True)
+    out = tt.dropout(x, 0.1, Rng(42))
     assert abs(out.values.mean() - 1.0) < 0.02
 
 
 def test_dropout_bad_ratio():
     x = tt.ones(3)
     with pytest.raises(ValueError):
-        tt.dropout(x, 1.0, Rng(0), training=True)
+        tt.dropout(x, 1.0, Rng(0))
     with pytest.raises(ValueError):
-        tt.dropout(x, -0.1, Rng(0), training=True)
+        tt.dropout(x, -0.1, Rng(0))
 
 
 def test_backward_sum_gives_ones():

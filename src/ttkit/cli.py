@@ -28,6 +28,10 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+class UsageError(Exception):
+    """A bad invocation or input file; `main` prints it and exits 2."""
+
+
 def _log(message: str):
     print(message, file=sys.stderr)
 
@@ -41,51 +45,44 @@ def _load_dataset_or_exit(path):
     try:
         return read_dataset(path)
     except FileNotFoundError:
-        _log(f"error: dataset not found: {path}")
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"dataset not found: {path}") from None
     except DatasetFormatError as e:
-        _log(f"error: bad dataset file: {e}")
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"bad dataset file: {e}") from None
 
 
 def _check_fits(data, path, config, features: bool = True, labels: bool = True):
-    """Exit 2 unless every utterance of `data` has the model's feature width
-    (when `features`) and only label ids the model can emit (when `labels`)."""
+    """Raise a UsageError unless every utterance of `data` has the model's
+    feature width (when `features`) and only label ids the model can emit
+    (when `labels`)."""
     for utt in data.utterances:
         if features and utt.features.shape[1] != config.feature_dim:
-            _log(f"error: dataset {path}: utterance {utt.id} has feature dim "
-                 f"{utt.features.shape[1]}, the model takes {config.feature_dim}")
-            raise SystemExit(EXIT_USAGE)
+            raise UsageError(f"dataset {path}: utterance {utt.id} has feature dim "
+                             f"{utt.features.shape[1]}, the model takes {config.feature_dim}")
         if labels and max(utt.labels, default=0) >= config.vocab_size:
-            _log(f"error: dataset {path}: utterance {utt.id} holds label {max(utt.labels)}, "
-                 f"beyond the model's {config.vocab_size - 1} labels")
-            raise SystemExit(EXIT_USAGE)
+            raise UsageError(f"dataset {path}: utterance {utt.id} holds label {max(utt.labels)}, "
+                             f"beyond the model's {config.vocab_size - 1} labels")
 
 
 def _load_checkpoint_or_exit(path):
     try:
         return load_checkpoint(path)
     except FileNotFoundError:
-        _log(f"error: checkpoint not found: {path}")
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"checkpoint not found: {path}") from None
     except CheckpointFormatError as e:
-        _log(f"error: unreadable checkpoint: {e}")
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"unreadable checkpoint: {e}") from None
 
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config)  # main reports a ConfigError or NumericsError
     _print_resolved(resolved_config_dict(run), run.seed)
     if "dataset" not in run.paths:
-        _log("error: config.paths.dataset: missing required key")
-        return EXIT_USAGE
+        raise UsageError("config.paths.dataset: missing required key")
     data = _load_dataset_or_exit(run.paths["dataset"])
     if data.num_labels + 1 != run.model.vocab_size:
-        _log(f"error: dataset vocab {data.num_labels}+blank != config.model.vocab_size {run.model.vocab_size}")
-        return EXIT_USAGE
+        raise UsageError(f"dataset vocab {data.num_labels}+blank != config.model.vocab_size "
+                         f"{run.model.vocab_size}")
     if not data.utterances:
-        _log(f"error: dataset {run.paths['dataset']} holds no utterances")
-        return EXIT_USAGE
+        raise UsageError(f"dataset {run.paths['dataset']} holds no utterances")
     _check_fits(data, run.paths["dataset"], run.model)
     model = init_model(run.model, Rng(run.seed))
     losses = train_loop(model, data, run.schedule, run.train, out_dir=args.out)
@@ -100,8 +97,7 @@ def _build_fusion(args, model) -> FusionConfig | None:
     lm = None
     if args.lm_weight != 0.0:
         if not args.lm_dataset:
-            _log("error: --lm-weight needs --lm-dataset to fit the bundled bigram scorer")
-            raise SystemExit(EXIT_USAGE)
+            raise UsageError("--lm-weight needs --lm-dataset to fit the bundled bigram scorer")
         lm_data = _load_dataset_or_exit(args.lm_dataset)
         _check_fits(lm_data, args.lm_dataset, model.config, features=False)
         lm = BigramLm.fit([u.labels for u in lm_data.utterances], model.vocab.size - 1)
@@ -109,11 +105,9 @@ def _build_fusion(args, model) -> FusionConfig | None:
 
 
 def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfig | None):
-    """One (id, labels) pair per utterance, ordered by id."""
+    """Yield one (utterance, labels) pair per utterance, ordered by id."""
     if mode == "stream" and not model.config.audio.mask.is_finite:
-        _log("error: stream mode requires a finite audio attention window in the checkpoint")
-        raise SystemExit(EXIT_USAGE)
-    out = []
+        raise UsageError("stream mode requires a finite audio attention window in the checkpoint")
     for utt in sorted(data.utterances, key=lambda u: u.id):
         if mode == "greedy":
             labels = dec.greedy_decode(model, utt.features, opts.max_symbols_per_frame)
@@ -129,16 +123,14 @@ def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfi
             labels.extend(state.flush())
         else:
             raise ValueError(f"unknown decode mode {mode!r}")
-        out.append((utt.id, labels))
-    return out
+        yield utt, labels
 
 
 def _decode_options_or_exit(**kw) -> DecodeOptions:
     try:
         return DecodeOptions(**kw)
     except ValueError as e:
-        _log(f"error: {e}")
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(str(e)) from None
 
 
 def cmd_decode(args) -> int:
@@ -153,8 +145,8 @@ def cmd_decode(args) -> int:
                      "lm_weight": args.lm_weight, "length_bonus": args.length_bonus}, 0)
     fusion = _build_fusion(args, model)
     vocab = model.vocab
-    lines = [f"{utt_id}\t{' '.join(vocab.name(l) for l in labels)}"
-             for utt_id, labels in _transcribe(model, data, args.mode, opts, fusion)]
+    lines = [f"{utt.id}\t{' '.join(vocab.name(l) for l in labels)}"
+             for utt, labels in _transcribe(model, data, args.mode, opts, fusion)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
         with open(args.output, "w") as f:
@@ -172,18 +164,13 @@ def cmd_eval(args) -> int:
     _check_fits(data, args.dataset, model.config)
     _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
                      "mode": args.mode}, 0)
-    refs = {utt.id: utt.labels for utt in data.utterances}
-    if not any(refs.values()):
-        _log(f"error: dataset {args.dataset} has no reference labels to score against")
-        return EXIT_USAGE
-    per_utt = []
-    for utt_id, hyp in _transcribe(model, data, args.mode, opts, None):
-        ref = refs[utt_id]
-        per_utt.append({"id": utt_id, "ref_len": len(ref),
-                        "errors": edit_distance(ref, hyp),
-                        "ref": ref, "hyp": hyp})
+    if not any(utt.labels for utt in data.utterances):
+        raise UsageError(f"dataset {args.dataset} has no reference labels to score against")
+    per_utt = [{"id": utt.id, "ref_len": len(utt.labels), "errors": edit_distance(utt.labels, hyp),
+                "ref": utt.labels, "hyp": hyp}
+               for utt, hyp in _transcribe(model, data, args.mode, opts, None)]
     report = {
-        "wer": corpus_wer([(refs[r["id"]], r["hyp"]) for r in per_utt]),
+        "wer": corpus_wer([(r["ref"], r["hyp"]) for r in per_utt]),
         "utterances": per_utt,
     }
     json.dump(report, sys.stdout)
@@ -200,8 +187,7 @@ def cmd_gen_data(args) -> int:
             size=args.size, seed=args.seed, bigram_scale=args.bigram_scale,
             first_index=args.first_index)
     except ValueError as e:
-        _log(f"error: {e}")
-        return EXIT_USAGE
+        raise UsageError(str(e)) from None
     _print_resolved({"command": "gen-data", "out": args.out, "vocab": args.vocab,
                      "label_len": [args.min_labels, args.max_labels],
                      "frames_per_label": [args.min_frames, args.max_frames],
@@ -292,9 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
-    except ConfigError as e:
+    except (UsageError, ConfigError) as e:
         _log(f"error: {e}")
         return EXIT_USAGE
     except NumericsError as e:

@@ -569,6 +569,21 @@ def test_cli_eval_perfect_handcrafted_model_scores_zero(tmp_path, capsys):
     assert all(r["hyp"] == r["ref"] for r in report["utterances"])
 
 
+def test_cli_eval_scores_utterances_sharing_an_id_against_their_own_labels(tmp_path, capsys):
+    feats = Rng(1).normal((4, 8))
+    refs = [[1, 2, 1, 4, 2], [1, 2, 3, 4, 1, 2, 3, 4]]
+    data_path = tmp_path / "dup.ttds"
+    write_dataset(Dataset(4, [Utterance(id="dup", features=feats, labels=y) for y in refs]), data_path)
+    model = init_model(desk_config(vocab_size=5, feature_dim=8, dropout=0.0, model_dim=16), Rng(0))
+    model.params.joint.out_b.values[0] += 10.0  # blank everywhere: every label is a deletion
+    ckpt = tmp_path / "blank.ttck"
+    save_checkpoint(model, ckpt)
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [r["ref"] for r in report["utterances"]] == refs
+    assert [(r["ref_len"], r["errors"]) for r in report["utterances"]] == [(5, 5), (8, 8)]
+
+
 # --------------------------------------------------------------- selftest
 
 def test_cli_selftest_passes(capsys):

@@ -10,8 +10,12 @@ a window's encoding is the same at any absolute position.
 All heads of one attention block form a single graph node with a
 closed-form backward (`_multi_head_attention`): projections, scores, mask,
 softmax, weighted sum and output projection run as [heads, T, head_dim]
-numpy matmuls. Batch `encode` and the streaming `encoder_layer_step` share
-one layer body, `encoder_layer`, and one closing rule, `final_norm`.
+numpy matmuls. Batch `encode` runs that node in `encoder_layer`. The
+streaming `encoder_layer_step` builds no graph: it takes each input row's
+layer-norm and keys/values from `key_value_row`, computed once per row, and
+projects only its query row. Both run one attention forward (`_attend`),
+one layer-norm forward (`tensor.layer_norm_forward`) and one closing rule
+(`final_norm`).
 """
 
 from __future__ import annotations
@@ -172,6 +176,56 @@ class Counters:
         self.joint_evals = 0
 
 
+def _split(a: np.ndarray, config: EncoderConfig) -> np.ndarray:  # [T, H*dh] -> [H, T, dh]
+    return a.reshape(a.shape[0], config.num_heads, config.head_dim).transpose(1, 0, 2)
+
+
+def _merge(a: np.ndarray) -> np.ndarray:  # [H, T, dh] -> [T, H*dh]
+    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
+
+
+def _attend(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    params: EncoderParams,
+    config: EncoderConfig,
+    q_positions: np.ndarray,
+    k_positions: np.ndarray,
+    mask_bool: np.ndarray | None,
+    counters: Counters | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Windowed relative-position attention over projected heads: queries
+    q [H, Tq, dh] against keys and values k, v [H, Tk, dh].
+
+    Per head, score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias)
+    . r_{o(i,j)}] / sqrt(head_dim), with o(i, j) the offset i - j clipped to
+    [-max_offset, max_offset]; only the offset enters, so shifting both
+    position vectors leaves the scores unchanged. Masked scores get zero
+    weight. Returns the clipped offset indices into `rel_emb`, the content
+    and position queries, the softmax weights [H, Tq, Tk] and the weighted
+    values of all heads concatenated, [Tq, H*dh]. The graph node and the
+    cached streaming step both run this forward.
+    """
+    H, m = config.num_heads, config.rel_offset
+    tq, tk = q.shape[1], k.shape[1]
+    offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
+    idx = np.minimum(np.maximum(offsets, -m), m) + m
+    if counters is not None:
+        counters.attention_scores += H * tq * tk
+    rel = params.rel_emb.values                            # [H, R, dh]
+    qc = q + params.content_bias.values[:, None, :]
+    qp = q + params.pos_bias.values[:, None, :]
+    scale = 1.0 / math.sqrt(config.head_dim)
+    pos = (qp @ rel.transpose(0, 2, 1))[:, np.arange(tq)[:, None], idx]  # [H, Tq, Tk]
+    scores = (qc @ k.transpose(0, 2, 1) + pos) * scale
+    if mask_bool is not None:
+        scores = np.where(mask_bool, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)           # [H, Tq, Tk]
+    return idx, qc, qp, weights, _merge(weights @ v)
+
+
 def _multi_head_attention(
     h: Tensor,
     h_keys: Tensor,
@@ -185,46 +239,22 @@ def _multi_head_attention(
 ) -> Tensor:
     """All heads of windowed relative-position attention as one graph node.
 
-    h provides queries, h_keys keys/values; batch encoding passes the same
-    tensor twice, a streaming step one query row against its window. Per head,
-    score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias) . r_{o(i,j)}]
-    / sqrt(head_dim), with o(i, j) the offset i - j clipped to
-    [-max_offset, max_offset]; only the offset enters, so shifting both
-    position vectors leaves the scores unchanged. Masked scores get zero
-    weight, and the softmax-weighted values of all heads are concatenated and
-    projected by wo. Heads run as [H, T, head_dim] matmuls, and the backward
-    is closed-form over the nine parents.
+    h provides queries, h_keys keys/values (batch encoding passes the same
+    tensor twice). The q/k/v projections feed `_attend`, and the
+    concatenated heads are projected by wo. Heads run as [H, T, head_dim]
+    matmuls, and the backward is closed-form over the nine parents.
     """
-    H, dh, m = config.num_heads, config.head_dim, config.rel_offset
-    tq, tk = h.shape[0], h_keys.shape[0]
-    offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
-    idx = np.clip(offsets, -m, m) + m
-    if counters is not None:
-        counters.attention_scores += H * tq * tk
-
-    def split(a: np.ndarray) -> np.ndarray:  # [T, H*dh] -> [H, T, dh]
-        return a.reshape(a.shape[0], H, dh).transpose(1, 0, 2)
-
-    def merge(a: np.ndarray) -> np.ndarray:  # [H, T, dh] -> [T, H*dh]
-        return a.transpose(1, 0, 2).reshape(a.shape[1], H * dh)
-
-    q = split(h.values @ layer.wq.values)
-    k = split(h_keys.values @ layer.wk.values)
-    v = split(h_keys.values @ layer.wv.values)
-    rel = params.rel_emb.values                            # [H, R, dh]
-    qc = q + params.content_bias.values[:, None, :]
-    qp = q + params.pos_bias.values[:, None, :]
-    scale = 1.0 / math.sqrt(dh)
-    pos = np.take_along_axis(qp @ rel.transpose(0, 2, 1), np.broadcast_to(idx, (H, tq, tk)), axis=2)
-    scores = (qc @ k.transpose(0, 2, 1) + pos) * scale
-    if mask_bool is not None:
-        scores = np.where(mask_bool, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)           # [H, Tq, Tk]
-    heads = merge(weights @ v)
+    H, tq = config.num_heads, h.shape[0]
+    q = _split(h.values @ layer.wq.values, config)
+    k = _split(h_keys.values @ layer.wk.values, config)
+    v = _split(h_keys.values @ layer.wv.values, config)
+    idx, qc, qp, weights, heads = _attend(q, k, v, params, config, q_positions, k_positions,
+                                          mask_bool, counters)
+    rel = params.rel_emb.values
+    scale = 1.0 / math.sqrt(config.head_dim)
 
     def bw(g):
-        d_heads = split(g @ layer.wo.values.T)
+        d_heads = _split(g @ layer.wo.values.T, config)
         d_weights = d_heads @ v.transpose(0, 2, 1)
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
         # sum the position-score gradient into each row's clipped offsets
@@ -232,9 +262,9 @@ def _multi_head_attention(
         d_pos = np.bincount(slots, d_scores.ravel(), H * tq * rel.shape[1]).reshape(H, tq, -1)
         d_qc = d_scores @ k
         d_qp = d_pos @ rel
-        d_q = merge(d_qc + d_qp)
-        d_k = merge(d_scores.transpose(0, 2, 1) @ qc)
-        d_v = merge(weights.transpose(0, 2, 1) @ d_heads)
+        d_q = _merge(d_qc + d_qp)
+        d_k = _merge(d_scores.transpose(0, 2, 1) @ qc)
+        d_v = _merge(weights.transpose(0, 2, 1) @ d_heads)
         return (
             d_q @ layer.wq.values.T,
             d_k @ layer.wk.values.T + d_v @ layer.wv.values.T,
@@ -260,24 +290,17 @@ def encoder_layer(
     config: EncoderConfig,
     rng: Rng | None = None,
     counters: Counters | None = None,
-    query: int | None = None,
 ) -> Tensor:
     """One encoder layer: pre-norm windowed multi-head attention with a
     residual, then a pre-norm two-dense feed-forward block with a residual.
-
-    Dropout draws from `rng` when one is given (training). With `query` set,
-    only that row is computed, and it attends every row of `x`; `mask_bool`
-    must then be None."""
+    Dropout draws from `rng` when one is given (training)."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     positions = np.arange(x.shape[0])
     eps = config.ln_eps
 
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
-    hq, q_positions = h, positions
-    if query is not None:
-        x, hq, q_positions = x[query:query + 1], h[query:query + 1], positions[query:query + 1]
-    attn = _multi_head_attention(hq, h, layer, params, config, q_positions, positions, mask_bool, counters)
+    attn = _multi_head_attention(h, h, layer, params, config, positions, positions, mask_bool, counters)
     x = tt.add(x, tt.dropout(attn, config.dropout_ratio, rng))
 
     h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
@@ -286,12 +309,16 @@ def encoder_layer(
     return tt.add(x, f)
 
 
-def final_norm(h: Tensor, config: EncoderConfig, params: EncoderParams) -> Tensor:
+def final_norm(h: Tensor | np.ndarray, config: EncoderConfig,
+               params: EncoderParams) -> Tensor | np.ndarray:
     """The stack's closing LayerNorm, applied with `final_layer_norm` to a
-    stack of at least one layer."""
-    if config.final_layer_norm and config.num_layers > 0:
-        h = tt.layer_norm(h, params.final_g, params.final_b, config.ln_eps)
-    return h
+    stack of at least one layer: to a graph `Tensor` in batch `encode`, to a
+    plain row in the streaming step."""
+    if not (config.final_layer_norm and config.num_layers > 0):
+        return h
+    if isinstance(h, Tensor):
+        return tt.layer_norm(h, params.final_g, params.final_b, config.ln_eps)
+    return tt.layer_norm_forward(h, params.final_g.values, params.final_b.values, config.ln_eps)[0]
 
 
 def encode(
@@ -313,20 +340,40 @@ def encode(
     return final_norm(h, config, params)
 
 
+def key_value_row(
+    row: np.ndarray,
+    layer: LayerParams,
+    config: EncoderConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the streaming step needs of one input row of `layer`, computed
+    once when the row arrives: its ln1 output [model_dim] and its keys and
+    values, [num_heads * head_dim] each."""
+    h = tt.layer_norm_forward(row, layer.ln1_g.values, layer.ln1_b.values, config.ln_eps)[0]
+    return h, h @ layer.wk.values, h @ layer.wv.values
+
+
 def encoder_layer_step(
-    window: np.ndarray,
+    x_row: np.ndarray,
+    window: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     q_local: int,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
     counters: Counters | None = None,
 ) -> np.ndarray:
-    """One layer's output at row `q_local` of `window`, the layer-below
-    outputs that position may attend; scores depend only on offsets. Work is
-    bounded by the window size however much stream history precedes it."""
-    with tt.no_grad():
-        out = encoder_layer(Tensor(window), None, layer, params, config, counters=counters, query=q_local)
-    return out.values[0]
+    """`encoder_layer`'s output row for the input row `x_row`, without a
+    graph. `window` holds the `key_value_row`s of the inputs that position
+    may attend, `x_row`'s own at index `q_local`; only the query row is
+    projected, and scores depend only on offsets, so the work is bounded by
+    the window size however much stream history precedes it."""
+    q = _split((window[q_local][0] @ layer.wq.values)[None], config)
+    k = _split(np.array([kv[1] for kv in window]), config)
+    v = _split(np.array([kv[2] for kv in window]), config)
+    heads = _attend(q, k, v, params, config, [q_local], np.arange(len(window)), None, counters)[-1]
+    x = x_row + heads[0] @ layer.wo.values
+    h2 = tt.layer_norm_forward(x, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)[0]
+    f = h2 @ layer.w1.values + layer.b1.values
+    return x + (np.where(f > 0, f, 0.0) @ layer.w2.values + layer.b2.values)
 
 
 @dataclass(frozen=True)

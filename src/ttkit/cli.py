@@ -12,6 +12,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import checks
 from . import decode as dec
 from . import transducer as tr
@@ -51,13 +53,15 @@ def _load_dataset_or_exit(path):
 
 
 def _check_fits(data, path, config, features: bool = True, labels: bool = True):
-    """Raise a UsageError unless every utterance of `data` has the model's
-    feature width (when `features`) and only label ids the model can emit
-    (when `labels`)."""
+    """Raise a UsageError unless every utterance of `data` has finite
+    features of the model's width (when `features`) and only label ids the
+    model can emit (when `labels`)."""
     for utt in data.utterances:
         if features and utt.features.shape[1] != config.feature_dim:
             raise UsageError(f"dataset {path}: utterance {utt.id} has feature dim "
                              f"{utt.features.shape[1]}, the model takes {config.feature_dim}")
+        if features and not np.isfinite(utt.features).all():
+            raise UsageError(f"dataset {path}: utterance {utt.id} has non-finite features")
         if labels and max(utt.labels, default=0) >= config.vocab_size:
             raise UsageError(f"dataset {path}: utterance {utt.id} holds label {max(utt.labels)}, "
                              f"beyond the model's {config.vocab_size - 1} labels")

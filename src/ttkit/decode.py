@@ -2,14 +2,15 @@
 and streaming one-step inference over cached encoder state.
 
 Streaming keeps, per encoder layer, the post-layer activations that a later
-position of the layer above may still attend. Because attention scores
-depend only on content and relative offset, a new position's activation can
-be computed from that window alone, with the batch encoder's own layer body,
-so the work per consumed frame is bounded by a constant (window size times
-layers) no matter how long the stream has run. Right context makes each
-layer's frontier lag the layer below by `right` positions; `flush` drains
-that look-ahead at end of stream, reproducing batch behavior exactly on the
-true final frames.
+position of the layer above may still attend, each with the layer-normed
+keys and values the layer above computed from it once, when it arrived.
+Because attention scores depend only on content and relative offset, a new
+position's activation can be computed from that cached window alone, by
+`attention.encoder_layer_step`, so the work per consumed frame is bounded by
+a constant (window size times layers) no matter how long the stream has
+run. Right context makes each layer's frontier lag the layer below by
+`right` positions; `flush` drains that look-ahead at end of stream,
+reproducing batch behavior exactly on the true final frames.
 
 Beam search shares label-encoder states: a finite label window makes the
 label activation a function of the last few ids, so one search computes one
@@ -30,7 +31,6 @@ from . import frontend as fe
 from . import tensor as tt
 from .attention import Counters, EncoderConfig, EncoderParams
 from .model import TransducerModel
-from .tensor import Tensor
 from .transducer import BLANK_ID
 
 
@@ -91,7 +91,9 @@ class IncrementalEncoder:
     `finish` closes the gap with end-of-sequence windows. `rows[l]` keeps
     the layer-l outputs (l=0: projected inputs) that layer l+1 may still
     attend, at most left + right + 1 of them with a finite left window;
-    `first[l]` is the position of its first row.
+    `first[l]` is the position of its first row. `kv[l]` holds, row for row
+    beside `rows[l]` (l < num_layers), layer l+1's `key_value_row` of it,
+    computed once when the row arrives.
     """
 
     def __init__(self, config: EncoderConfig, params: EncoderParams, counters: Counters | None = None):
@@ -101,6 +103,7 @@ class IncrementalEncoder:
         self.params = params
         self.counters = counters
         self.rows: list[list[np.ndarray]] = [[] for _ in range(config.num_layers + 1)]
+        self.kv: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(config.num_layers)]
         self.first = [0] * (config.num_layers + 1)
         self.finished = False
 
@@ -108,6 +111,7 @@ class IncrementalEncoder:
         other = IncrementalEncoder.__new__(IncrementalEncoder)
         other.config, other.params, other.counters = self.config, self.params, self.counters
         other.rows = [list(rows) for rows in self.rows]
+        other.kv = [list(kv) for kv in self.kv]
         other.first = list(self.first)
         other.finished = self.finished
         return other
@@ -116,7 +120,7 @@ class IncrementalEncoder:
         """Feed one input row; returns top-layer rows that became final."""
         if self.finished:
             raise StreamError("push after finish")
-        self.rows[0].append(row @ self.params.input_w.values + self.params.input_b.values)
+        self._append(0, row @ self.params.input_w.values + self.params.input_b.values)
         return self._advance(self.first[0] + len(self.rows[0]))
 
     def finish(self) -> list[np.ndarray]:
@@ -129,29 +133,33 @@ class IncrementalEncoder:
         n_pass = self.config.num_layers * self.config.mask.right
         return [row for k in range(1, n_pass + 1) for row in self._advance(end + k)]
 
+    def _append(self, l: int, row: np.ndarray):
+        self.rows[l].append(row)
+        if l < self.config.num_layers:
+            self.kv[l].append(att.key_value_row(row, self.params.layers[l], self.config))
+
     def _advance(self, frontier: int) -> list[np.ndarray]:
         """One pass over layers 1..L in order. Layer l computes the positions
         below both its input's count and frontier - l * right, and then the
         rows of layer l-1 that no later position attends are dropped."""
         left, right = self.config.mask.left, self.config.mask.right
         for l, layer in enumerate(self.params.layers, start=1):
-            src, base = self.rows[l - 1], self.first[l - 1]
+            src, kv, base = self.rows[l - 1], self.kv[l - 1], self.first[l - 1]
             below = base + len(src)
             done = self.first[l] + len(self.rows[l])
             for q in range(done, min(below, frontier - l * right)):
                 lo = 0 if left is None else max(0, q - left)
-                window = np.stack(src[lo - base:min(q + right + 1, below) - base])
-                self.rows[l].append(att.encoder_layer_step(
-                    window, q - lo, layer, self.params, self.config, self.counters))
+                window = kv[lo - base:min(q + right + 1, below) - base]
+                self._append(l, att.encoder_layer_step(
+                    src[q - base], window, q - lo, layer, self.params, self.config, self.counters))
             if left is not None:
                 stale = max(0, self.first[l] + len(self.rows[l]) - left - base)
-                del src[:stale]
+                del src[:stale], kv[:stale]
                 self.first[l - 1] += stale
         top = self.rows[-1]
         self.rows[-1] = []
         self.first[-1] += len(top)
-        with tt.no_grad():
-            return [att.final_norm(Tensor(row), self.config, self.params).values for row in top]
+        return [att.final_norm(row, self.config, self.params) for row in top]
 
 
 class LabelState:
@@ -204,6 +212,8 @@ class LabelState:
 
 def _batch_encode_audio(model: TransducerModel, features: np.ndarray) -> np.ndarray:
     stacked = model.prepare_features(features)
+    if not len(stacked):  # no frames: nothing to attend, no frame to decode
+        return np.zeros((0, model.config.audio.model_dim))
     with tt.no_grad():
         return model.encode_audio(stacked).values
 

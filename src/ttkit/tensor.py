@@ -387,16 +387,24 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return exp(log_softmax(a, axis=axis))
 
 
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`layer_norm`'s values: (output, x̂, inv) for x̂ = (x - mean) * inv,
+    inv = 1 / sqrt(var + eps), output = x̂ * gain + bias over the last axis."""
+    scale = 1.0 / x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * scale
+    inv = np.power((xc * xc).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     One node over (x, gain, bias); with x̂ = (x - mean) * inv the backward is
     dx = inv * (dx̂ - mean(dx̂) - x̂ * mean(dx̂ * x̂)), dx̂ = g * gain.
     """
-    scale = 1.0 / x.shape[-1]
-    xc = x.values - x.values.sum(axis=-1, keepdims=True) * scale
-    inv = np.power((xc * xc).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
-    xhat = xc * inv
+    out, xhat, inv = layer_norm_forward(x.values, gain.values, bias.values, eps)
 
     def bw(g):
         dxhat = g * gain.values
@@ -404,7 +412,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
-    return Tensor(xhat * gain.values + bias.values, (x, gain, bias), bw)
+    return Tensor(out, (x, gain, bias), bw)
 
 
 def dropout(x: Tensor, ratio: float, rng: "Rng | None") -> Tensor:

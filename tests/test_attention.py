@@ -392,9 +392,43 @@ def test_encoder_layer_step_matches_batch():
     batch = att.encoder_layer(Tensor(x), mask, params.layers[0], params, cfg).values
     for q in range(8):
         lo, hi = max(0, q - 2), min(7, q + 1)
-        window = x[lo:hi + 1]
-        out = att.encoder_layer_step(window, q - lo, params.layers[0], params, cfg)
+        window = [att.key_value_row(row, params.layers[0], cfg) for row in x[lo:hi + 1]]
+        out = att.encoder_layer_step(x[q], window, q - lo, params.layers[0], params, cfg)
         np.testing.assert_allclose(out, batch[q], atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    left=st.one_of(st.none(), st.integers(0, 3)),
+    right=st.integers(0, 2),
+    layers=st.integers(1, 3),
+    seq_len=st.integers(1, 9),
+    heads=st.integers(1, 3),
+    max_offset=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_cached_step_matches_batch_layer_property(left, right, layers, seq_len, heads, max_offset,
+                                                  seed):
+    """At every layer and position, the graph-free step over cached
+    `key_value_row`s gives the batch layer's row, up to the rounding of
+    one-row against window products."""
+    cfg = small_config(num_layers=layers, left=left, right=right, num_heads=heads,
+                       max_relative_offset=max_offset)
+    rng = Rng(seed)
+    params = att.init_encoder_params(cfg, rng.substream("params"))
+    for name, p in params.named("p"):
+        p.values[...] = rng.substream(name).normal(p.shape)
+    x = rng.substream("x").normal((seq_len, cfg.model_dim))
+    mask = build_mask(seq_len, cfg.mask)
+    for layer in params.layers:
+        batch = att.encoder_layer(Tensor(x), mask, layer, params, cfg).values
+        cached = [att.key_value_row(row, layer, cfg) for row in x]
+        for q in range(seq_len):
+            lo = 0 if left is None else max(0, q - left)
+            window = cached[lo:min(seq_len, q + right + 1)]
+            out = att.encoder_layer_step(x[q], window, q - lo, layer, params, cfg)
+            assert np.max(np.abs(out - batch[q])) <= 1e-12 * max(1.0, np.max(np.abs(batch[q])))
+        x = batch
 
 
 # --------------------------------------------------------- receptive field

@@ -496,6 +496,28 @@ def test_cli_dataset_feature_dim_mismatch_exits_2(trained, tmp_path, capsys, com
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "decode", "eval"])
+def test_cli_dataset_non_finite_features_exit_2(trained, tmp_path, capsys, command):
+    """One NaN feature, or all-inf features, exit 2 naming the utterance,
+    where decode and eval reported transcripts and train a non-finite loss."""
+    data = tmp_path / "nonfinite.ttds"
+    nan_one = np.ones((4, 8))
+    nan_one[2, 5] = np.nan
+    write_dataset(Dataset(4, [Utterance("u-nan", nan_one, [1, 2]),
+                              Utterance("u-inf", np.full((3, 8), np.inf), [3])]), data)
+    if command == "train":
+        (tmp_path / "run.json").write_text(json.dumps(base_config(paths={"dataset": str(data)})))
+        argv = ["train", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "run")]
+    else:
+        argv = [command, "--checkpoint", trained["ckpt"], "--dataset", str(data)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"dataset {data}: utterance u-nan has non-finite features" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("case", ["lm-dataset", "eval"])
 def test_cli_labels_beyond_model_vocab_exit_2(trained, tmp_path, capsys, case):
     """Label ids 5..9 against the checkpoint's 4 labels: exit 2, where the

@@ -146,6 +146,17 @@ def test_beam_width_one_equals_greedy():
         assert beam[0].labels == tuple(greedy), seed
 
 
+def test_zero_frames_decode_to_nothing():
+    """No frames: greedy and stream emit nothing, and beam keeps only the
+    empty hypothesis at score 0."""
+    model = small_model(blank_bias=-10.0)
+    features = np.zeros((0, model.config.feature_dim))
+    assert dec.greedy_decode(model, features) == []
+    beam = dec.beam_decode(model, features, 4)
+    assert [(h.labels, h.score) for h in beam] == [((), 0.0)]
+    assert StreamState(model).flush() == []
+
+
 def test_beam_rejects_zero_width():
     with pytest.raises(ValueError):
         beam_decode(small_model(), Rng(0).normal((3, 6)), beam_width=0)
@@ -456,6 +467,56 @@ def test_incremental_encoder_holds_at_most_one_window_per_layer(monkeypatch, lef
     assert len(out) == 20
     assert len(held) - drained == layers * (layers + 1) // 2 * right  # the drain steps
     assert max(held) <= left + right + 1
+
+
+def test_incremental_encoder_computes_each_key_value_row_once(monkeypatch):
+    """Each row's layer-norm and keys/values are computed once per layer,
+    when the row arrives, never again for a later window, in the drain too."""
+    model = small_model(audio_mask=AttentionMask(2, 1), num_audio_layers=3)
+    layers = model.params.audio.layers
+    enc = dec.IncrementalEncoder(model.config.audio, model.params.audio)
+    calls = [0] * len(layers)
+    key_value_row = att.key_value_row
+
+    def counting(row, layer, config):
+        calls[next(i for i, p in enumerate(layers) if p is layer)] += 1
+        return key_value_row(row, layer, config)
+
+    monkeypatch.setattr(att, "key_value_row", counting)
+    out = []
+    for row in Rng(15).normal((20, model.config.audio.input_dim)):
+        out += enc.push(row)
+    out += enc.finish()
+    assert len(out) == 20
+    assert calls == [20, 20, 20]
+
+
+@pytest.mark.parametrize("left, right, layers", [(2, 1, 3), (1, 2, 3), (0, 3, 2), (4, 1, 1), (None, 1, 2)])
+def test_incremental_encoder_key_value_cache_follows_rows(monkeypatch, left, right, layers):
+    """After every push and every drain step, `kv[l]` holds one entry per
+    row of `rows[l]`, and each entry is that row's `key_value_row`."""
+    model = small_model(audio_mask=AttentionMask(left, right), num_audio_layers=layers)
+    cfg, params = model.config.audio, model.params.audio
+    enc = dec.IncrementalEncoder(cfg, params)
+    advance = enc._advance
+    checked = []
+
+    def checking_advance(frontier):
+        top = advance(frontier)
+        assert len(enc.kv) == layers
+        for rows, kv, layer in zip(enc.rows, enc.kv, params.layers):
+            assert len(kv) == len(rows)
+            for row, entry in zip(rows, kv):
+                for a, b in zip(entry, att.key_value_row(row, layer, cfg)):
+                    np.testing.assert_array_equal(a, b)
+        checked.append(frontier)
+        return top
+
+    monkeypatch.setattr(enc, "_advance", checking_advance)
+    for row in Rng(16).normal((20, cfg.input_dim)):
+        enc.push(row)
+    enc.finish()
+    assert len(checked) == 20 + layers * right
 
 
 def test_stream_lookahead_delays_first_emission():

@@ -7,26 +7,31 @@ global bias vectors, so scores depend on content and relative offset only.
 That offset-only dependence is what makes cached streaming inference exact:
 a window's encoding is the same at any absolute position.
 
-All heads of one attention block form a single graph node with a
-closed-form backward (`_multi_head_attention`): projections, scores, mask,
-softmax, weighted sum and output projection run as [heads, T, head_dim]
-numpy matmuls. Batch `encode` runs that node in `encoder_layer`. The
-streaming `encoder_layer_step` builds no graph: it takes each input row's
-layer-norm and keys/values from `key_value_row`, computed once per row, and
-projects only its query row. Both run one attention forward (`_attend`),
-one layer-norm forward (`tensor.layer_norm_forward`) and one closing rule
-(`final_norm`).
+`encode` runs one sequence [T, d] or a padded batch [B, T, d] with
+per-example lengths through the same code: a layer is five graph nodes
+whatever B, T and the head count. All heads of one attention block form a
+single node with a closed-form backward (`_multi_head_attention`):
+projections, scores, mask, softmax, weighted sum and output projection run
+as [..., heads, T, head_dim] numpy matmuls, under the window mask joined
+with each example's key-length mask (`batch_mask`). The feed-forward block
+with its layer-norm, dropouts and residual is one node too (`_feed_forward`).
+The streaming `encoder_layer_step` builds no graph: it takes each input
+row's layer-norm and keys/values from `key_value_row`, computed once per
+row, and projects only its query row. Both run one attention forward
+(`_attend`), one feed-forward forward (`_feed_forward_values`) and one
+closing rule (`final_norm`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .tensor import ParamSpec, ParamTree, Rng, ShapeError, Tensor
+from .tensor import BatchRng, ParamSpec, ParamTree, Rng, ShapeError, Tensor, flat_rows, unbroadcast
 
 
 @dataclass(frozen=True)
@@ -176,12 +181,21 @@ class Counters:
         self.joint_evals = 0
 
 
-def _split(a: np.ndarray, config: EncoderConfig) -> np.ndarray:  # [T, H*dh] -> [H, T, dh]
-    return a.reshape(a.shape[0], config.num_heads, config.head_dim).transpose(1, 0, 2)
+def batch_mask(window: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """[B, 1, T, T]: the [T, T] `window` joined with each example's key-length
+    mask, for a batch padded to T whose example b fills its first lengths[b]
+    rows. A padded query keeps its whole window, so its softmax row is never
+    empty; nothing downstream reads its output."""
+    valid = np.arange(window.shape[0]) < np.asarray(lengths)[:, None]  # [B, T]
+    return (window & (valid[:, None, :] | ~valid[:, :, None]))[:, None]
 
 
-def _merge(a: np.ndarray) -> np.ndarray:  # [H, T, dh] -> [T, H*dh]
-    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
+def _split(a: np.ndarray, config: EncoderConfig) -> np.ndarray:  # [..., T, H*dh] -> [..., H, T, dh]
+    return a.reshape(a.shape[:-1] + (config.num_heads, config.head_dim)).swapaxes(-2, -3)
+
+
+def _merge(a: np.ndarray) -> np.ndarray:  # [..., H, T, dh] -> [..., T, H*dh]
+    return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
 
 
 def _attend(
@@ -193,93 +207,135 @@ def _attend(
     q_positions: np.ndarray,
     k_positions: np.ndarray,
     mask_bool: np.ndarray | None,
-    counters: Counters | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Windowed relative-position attention over projected heads: queries
-    q [H, Tq, dh] against keys and values k, v [H, Tk, dh].
+    q [..., H, Tq, dh] against keys and values k, v [..., H, Tk, dh].
 
     Per head, score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias)
     . r_{o(i,j)}] / sqrt(head_dim), with o(i, j) the offset i - j clipped to
     [-max_offset, max_offset]; only the offset enters, so shifting both
     position vectors leaves the scores unchanged. Masked scores get zero
     weight. Returns the clipped offset indices into `rel_emb`, the content
-    and position queries, the softmax weights [H, Tq, Tk] and the weighted
-    values of all heads concatenated, [Tq, H*dh]. The graph node and the
-    cached streaming step both run this forward.
+    and position queries, the softmax weights [..., H, Tq, Tk] and the
+    weighted values of all heads concatenated, [..., Tq, H*dh]. The graph
+    node and the cached streaming step both run this forward.
     """
-    H, m = config.num_heads, config.rel_offset
-    tq, tk = q.shape[1], k.shape[1]
+    m = config.rel_offset
+    tq = q.shape[-2]
     offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
     idx = np.minimum(np.maximum(offsets, -m), m) + m
-    if counters is not None:
-        counters.attention_scores += H * tq * tk
     rel = params.rel_emb.values                            # [H, R, dh]
     qc = q + params.content_bias.values[:, None, :]
     qp = q + params.pos_bias.values[:, None, :]
     scale = 1.0 / math.sqrt(config.head_dim)
-    pos = (qp @ rel.transpose(0, 2, 1))[:, np.arange(tq)[:, None], idx]  # [H, Tq, Tk]
-    scores = (qc @ k.transpose(0, 2, 1) + pos) * scale
+    pos = (qp @ rel.transpose(0, 2, 1))[..., np.arange(tq)[:, None], idx]  # [..., H, Tq, Tk]
+    scores = (qc @ k.swapaxes(-1, -2) + pos) * scale
     if mask_bool is not None:
         scores = np.where(mask_bool, scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)           # [H, Tq, Tk]
+    weights = e / e.sum(axis=-1, keepdims=True)           # [..., H, Tq, Tk]
     return idx, qc, qp, weights, _merge(weights @ v)
 
 
 def _multi_head_attention(
     h: Tensor,
-    h_keys: Tensor,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
-    q_positions: np.ndarray,
-    k_positions: np.ndarray,
     mask_bool: np.ndarray | None,
     counters: Counters | None,
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """All heads of windowed relative-position attention as one graph node.
+    """All heads of windowed relative-position self-attention as one graph
+    node over h [T, d], or over a padded batch [B, T, d] with per-example
+    `lengths` (and a `batch_mask`).
 
-    h provides queries, h_keys keys/values (batch encoding passes the same
-    tensor twice). The q/k/v projections feed `_attend`, and the
-    concatenated heads are projected by wo. Heads run as [H, T, head_dim]
-    matmuls, and the backward is closed-form over the nine parents.
+    The q/k/v projections feed `_attend`, and the concatenated heads are
+    projected by wo. Heads run as [..., H, T, head_dim] matmuls, and the
+    backward is closed-form over the eight parents. A batch counts each
+    example's own T_b^2 scores per head; padding adds none.
     """
-    H, tq = config.num_heads, h.shape[0]
+    t = h.shape[-2]
+    if counters is not None:
+        rows = np.full(h.shape[:-2], t) if lengths is None else np.asarray(lengths)
+        counters.attention_scores += config.num_heads * int((rows * rows).sum())
     q = _split(h.values @ layer.wq.values, config)
-    k = _split(h_keys.values @ layer.wk.values, config)
-    v = _split(h_keys.values @ layer.wv.values, config)
-    idx, qc, qp, weights, heads = _attend(q, k, v, params, config, q_positions, k_positions,
-                                          mask_bool, counters)
+    k = _split(h.values @ layer.wk.values, config)
+    v = _split(h.values @ layer.wv.values, config)
+    positions = np.arange(t)
+    idx, qc, qp, weights, heads = _attend(q, k, v, params, config, positions, positions, mask_bool)
     rel = params.rel_emb.values
     scale = 1.0 / math.sqrt(config.head_dim)
 
     def bw(g):
         d_heads = _split(g @ layer.wo.values.T, config)
-        d_weights = d_heads @ v.transpose(0, 2, 1)
+        d_weights = d_heads @ v.swapaxes(-1, -2)
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
         # sum the position-score gradient into each row's clipped offsets
-        slots = (np.arange(H * tq).reshape(H, tq, 1) * rel.shape[1] + idx).ravel()
-        d_pos = np.bincount(slots, d_scores.ravel(), H * tq * rel.shape[1]).reshape(H, tq, -1)
+        n_rows, n_off = d_scores.size // t, rel.shape[1]
+        slots = (np.arange(n_rows).reshape(*d_scores.shape[:-1], 1) * n_off + idx).ravel()
+        d_pos = np.bincount(slots, d_scores.ravel(), n_rows * n_off).reshape(*d_scores.shape[:-1], n_off)
         d_qc = d_scores @ k
         d_qp = d_pos @ rel
         d_q = _merge(d_qc + d_qp)
-        d_k = _merge(d_scores.transpose(0, 2, 1) @ qc)
-        d_v = _merge(weights.transpose(0, 2, 1) @ d_heads)
+        d_k = _merge(d_scores.swapaxes(-1, -2) @ qc)
+        d_v = _merge(weights.swapaxes(-1, -2) @ d_heads)
+        hr = flat_rows(h.values)
         return (
-            d_q @ layer.wq.values.T,
-            d_k @ layer.wk.values.T + d_v @ layer.wv.values.T,
-            h.values.T @ d_q,
-            h_keys.values.T @ d_k,
-            h_keys.values.T @ d_v,
-            heads.T @ g,
-            d_pos.transpose(0, 2, 1) @ qp,
-            d_qc.sum(axis=1),
-            d_qp.sum(axis=1),
+            d_q @ layer.wq.values.T + (d_k @ layer.wk.values.T + d_v @ layer.wv.values.T),
+            hr.T @ flat_rows(d_q),
+            hr.T @ flat_rows(d_k),
+            hr.T @ flat_rows(d_v),
+            flat_rows(heads).T @ flat_rows(g),
+            unbroadcast(d_pos.swapaxes(-1, -2) @ qp, rel.shape),
+            unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
+            unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
         )
 
-    parents = (h, h_keys, layer.wq, layer.wk, layer.wv, layer.wo,
+    parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias)
     return Tensor(heads @ layer.wo.values, parents, bw)
+
+
+def _feed_forward_values(x: np.ndarray, layer: LayerParams, config: EncoderConfig,
+                         s1: np.ndarray | None = None, s2: np.ndarray | None = None):
+    """The feed-forward half of a layer over rows x: x + D2(D1(relu(LN(x) W1
+    + b1)) W2 + b2), with D1, D2 the dropout factors `s1`, `s2` when given.
+    Returns the output and what the backward needs."""
+    h2, xhat, inv = tt.layer_norm_forward(x, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)
+    pre = h2 @ layer.w1.values + layer.b1.values
+    a = np.where(pre > 0, pre, 0.0)
+    if s1 is not None:
+        a = a * s1
+    f = a @ layer.w2.values + layer.b2.values
+    if s2 is not None:
+        f = f * s2
+    return x + f, (h2, xhat, inv, pre, a)
+
+
+def _feed_forward(x: Tensor, layer: LayerParams, config: EncoderConfig, rng) -> Tensor:
+    """The pre-norm feed-forward block with its residual as one graph node
+    over (x, ln2 gain and bias, W1, b1, W2, b2), its two dropouts drawn from
+    `rng` when one is given. The backward is closed-form."""
+    ratio = config.dropout_ratio
+    s1 = tt.dropout_scale(x.shape[:-1] + (config.ff_dim1,), ratio, rng)
+    s2 = tt.dropout_scale(x.shape, ratio, rng)
+    out, (h2, xhat, inv, pre, a) = _feed_forward_values(x.values, layer, config, s1, s2)
+
+    def bw(g):
+        d_f = g if s2 is None else g * s2
+        d_a = d_f @ layer.w2.values.T
+        if s1 is not None:
+            d_a = d_a * s1
+        d_pre = d_a * (pre > 0)
+        dx, d_gain, d_bias = tt.layer_norm_backward(d_pre @ layer.w1.values.T, layer.ln2_g.values,
+                                                    xhat, inv)
+        return (g + dx, d_gain, d_bias,
+                flat_rows(h2).T @ flat_rows(d_pre), unbroadcast(d_pre, layer.b1.shape),
+                flat_rows(a).T @ flat_rows(d_f), unbroadcast(d_f, layer.b2.shape))
+
+    parents = (x, layer.ln2_g, layer.ln2_b, layer.w1, layer.b1, layer.w2, layer.b2)
+    return Tensor(out, parents, bw)
 
 
 def encoder_layer(
@@ -288,25 +344,20 @@ def encoder_layer(
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
-    rng: Rng | None = None,
+    rng: Rng | BatchRng | None = None,
     counters: Counters | None = None,
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """One encoder layer: pre-norm windowed multi-head attention with a
-    residual, then a pre-norm two-dense feed-forward block with a residual.
-    Dropout draws from `rng` when one is given (training)."""
+    """One encoder layer over rows [T, d] or a padded batch [B, T, d]:
+    pre-norm windowed multi-head attention with a residual, then the
+    pre-norm feed-forward block with a residual. Dropout draws from `rng`
+    when one is given (training)."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
-    positions = np.arange(x.shape[0])
-    eps = config.ln_eps
-
-    h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
-    attn = _multi_head_attention(h, h, layer, params, config, positions, positions, mask_bool, counters)
+    h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
+    attn = _multi_head_attention(h, layer, params, config, mask_bool, counters, lengths)
     x = tt.add(x, tt.dropout(attn, config.dropout_ratio, rng))
-
-    h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
-    f = tt.dropout(tt.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), config.dropout_ratio, rng)
-    f = tt.dropout(tt.add(tt.matmul(f, layer.w2), layer.b2), config.dropout_ratio, rng)
-    return tt.add(x, f)
+    return _feed_forward(x, layer, config, rng)
 
 
 def final_norm(h: Tensor | np.ndarray, config: EncoderConfig,
@@ -325,18 +376,23 @@ def encode(
     x: Tensor,
     config: EncoderConfig,
     params: EncoderParams,
-    rng: Rng | None = None,
+    rng: Rng | BatchRng | None = None,
     counters: Counters | None = None,
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """Project the input to model_dim, run the full layer stack under the
-    shared mask and close with `final_norm`."""
+    shared mask and close with `final_norm`. `x` is one sequence's rows
+    [T, input_dim], or a batch padded to [B, T, input_dim] whose example b
+    fills its first lengths[b] rows; a padded row never reaches a valid one."""
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
-    mask_bool = build_mask(x.shape[0], config.mask)
+    mask_bool = build_mask(x.shape[-2], config.mask)
+    if lengths is not None:
+        mask_bool = batch_mask(mask_bool, lengths)
     for i, layer in enumerate(params.layers):
         h = encoder_layer(h, mask_bool, layer, params, config,
-                          rng.substream(f"layer{i}") if rng else None, counters)
+                          rng.substream(f"layer{i}") if rng else None, counters, lengths)
     return final_norm(h, config, params)
 
 
@@ -366,14 +422,13 @@ def encoder_layer_step(
     may attend, `x_row`'s own at index `q_local`; only the query row is
     projected, and scores depend only on offsets, so the work is bounded by
     the window size however much stream history precedes it."""
+    if counters is not None:
+        counters.attention_scores += config.num_heads * len(window)
     q = _split((window[q_local][0] @ layer.wq.values)[None], config)
     k = _split(np.array([kv[1] for kv in window]), config)
     v = _split(np.array([kv[2] for kv in window]), config)
-    heads = _attend(q, k, v, params, config, [q_local], np.arange(len(window)), None, counters)[-1]
-    x = x_row + heads[0] @ layer.wo.values
-    h2 = tt.layer_norm_forward(x, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)[0]
-    f = h2 @ layer.w1.values + layer.b1.values
-    return x + (np.where(f > 0, f, 0.0) @ layer.w2.values + layer.b2.values)
+    heads = _attend(q, k, v, params, config, [q_local], np.arange(len(window)), None)[-1]
+    return _feed_forward_values(x_row + heads[0] @ layer.wo.values, layer, config)[0]
 
 
 @dataclass(frozen=True)

@@ -45,20 +45,22 @@ class GradientError(NamedTuple):
 
 
 def gradient_errors():
-    """Every parameter of a 1+1-layer, model_dim 8 model on one 3-frame example."""
+    """Every parameter of a 1+1-layer, model_dim 8 model, through the
+    training loss on a batch of two examples of 3 and 5 frames, so the
+    finite differences also cover the padding."""
     cfg = desk_config(vocab_size=4, feature_dim=6, audio_mask=AttentionMask(2, 1),
                       label_left=2, dropout=0.0, model_dim=8,
                       num_audio_layers=1, num_label_layers=1)
     model = init_model(cfg, Rng(31))
-    feats = Rng(32).normal((3, 6))
-    y = [1, 2]
+    feats = [Rng(32).normal((3, 6)), Rng(33).normal((5, 6))]
+    ys = [[1, 2], [3]]
 
-    def loss_value():
-        return tr.batch_loss([(model.example_grid(feats, y), y)]).item()
+    def loss():
+        return tr.batch_loss(model.batch_grid(feats, ys), ys)
 
-    tt.backward(tr.batch_loss([(model.example_grid(feats, y), y)]))
+    tt.backward(loss())
     for name, p in model.named_params():
-        num = tt.finite_difference_gradient(loss_value, p)
+        num = tt.finite_difference_gradient(lambda: loss().item(), p)
         fd_max = float(np.abs(num).max())
         error = None if p.grad is None else tt.max_gradient_error(p.grad, num)
         yield GradientError(name, p.size, error, fd_max,

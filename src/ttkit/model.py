@@ -5,12 +5,14 @@ training, decoding, and checkpointing can treat the whole model as one unit
 with a flat named-parameter view.
 
 An `Rng` passed to the forward methods means training: SpecAugment and
-dropout draw from its labeled substreams. Without one they are skipped.
+dropout draw from its labeled substreams. Without one they are skipped. A
+batch runs as one padded graph (`batch_grid`) with one `Rng` per example.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ from . import tensor as tt
 from . import transducer as tr
 from .attention import AttentionMask, Counters, EncoderConfig, EncoderParams
 from .frontend import FrontendConfig
-from .tensor import ParamSpec, ParamTree, Rng, Tensor
+from .tensor import BatchRng, ParamSpec, ParamTree, Rng, Tensor
 from .transducer import JointParams, LogProbGrid, Vocab
 
 
@@ -100,31 +102,55 @@ class TransducerModel:
             out = fe.spec_augment(out, self.config.frontend, rng.substream("augment"))
         return out
 
-    def encode_audio(self, stacked: np.ndarray, rng: Rng | None = None) -> Tensor:
-        """Audio encoder over already-prepared (stacked) features."""
+    def encode_audio(self, stacked: np.ndarray, rng: Rng | Sequence[Rng] | None = None,
+                     lengths: np.ndarray | None = None) -> Tensor:
+        """Audio encoder over prepared (stacked) features: one example's
+        [T, F] rows and its `Rng`, or a batch padded to [B, T, F] with its
+        examples' frame counts `lengths` and one `Rng` each."""
         return att.encode(Tensor(stacked), self.config.audio, self.params.audio,
-                          rng.substream("audio") if rng else None, self.counters)
+                          _substream(rng, "audio", lengths), self.counters, lengths)
 
-    def encode_labels(self, y: Sequence[int], rng: Rng | None = None) -> Tensor:
+    def encode_labels(self, y: Sequence[int] | np.ndarray, rng: Rng | Sequence[Rng] | None = None,
+                      lengths: np.ndarray | None = None) -> Tensor:
         """Label encoder over the start token plus the target history; row u
-        encodes the first u labels."""
-        self.vocab.check_targets(y)
-        ids = np.array([tr.BLANK_ID] + list(y), dtype=np.intp)
+        encodes the first u labels. `y` is one example's targets, or a batch's
+        padded [B, U] with its examples' label counts `lengths` (and one
+        `Rng` each)."""
+        y = np.asarray(y, dtype=np.intp)
+        for targets, n in zip(np.atleast_2d(y), [y.shape[-1]] if lengths is None else lengths):
+            self.vocab.check_targets(targets[:n])
+        ids = np.concatenate([np.full(y.shape[:-1] + (1,), tr.BLANK_ID), y], axis=-1)
+        rows = None if lengths is None else np.asarray(lengths) + 1
         emb = tt.rows(self.params.label_embedding, ids)
         return att.encode(emb, self.config.label, self.params.label,
-                          rng.substream("label") if rng else None, self.counters)
+                          _substream(rng, "label", rows), self.counters, rows)
 
     def example_grid(self, features: np.ndarray, y: Sequence[int], rng: Rng | None = None) -> LogProbGrid:
+        """One example's [T, U+1, V] grid."""
         stacked = self.prepare_features(features, rng)
         audio = self.encode_audio(stacked, rng)
         labels = self.encode_labels(y, rng)
         self.counters.joint_evals += audio.shape[0] * labels.shape[0]
         return tr.log_prob_grid(audio, labels, self.params.joint)
 
+    def batch_grid(self, features: Sequence[np.ndarray], ys: Sequence[Sequence[int]],
+                   rngs: Sequence[Rng] | None = None) -> LogProbGrid:
+        """A batch's grids as one padded [B, T, U+1, V] graph node. Each
+        example is prepared alone (`prepare_features`, with its own `Rng`),
+        then the encoders and the joint run once over the padded batch;
+        padding adds no attention score or joint evaluation to the counters."""
+        stacked, frames = pad([self.prepare_features(f, r)
+                               for f, r in zip(features, rngs or repeat(None))])
+        targets, label_counts = pad([np.asarray(y, dtype=np.intp) for y in ys])
+        audio = self.encode_audio(stacked, rngs, frames)
+        labels = self.encode_labels(targets, rngs, label_counts)
+        self.counters.joint_evals += int(frames @ (label_counts + 1))
+        return tr.log_prob_grid(audio, labels, self.params.joint, frames)
+
     # Decoding evaluates the joint many times against few distinct encoder
-    # activations, so the two linear halves are exposed for caching. The
-    # arithmetic matches joint_logits exactly: tanh((a W_a + b_a) + (l W_l
-    # + b_l)) W_o + b_o, then log-softmax.
+    # activations, so the two linear halves are exposed for caching. They
+    # compute `transducer.log_prob_grid` at one (frame, history) pair:
+    # tanh((a W_a + b_a) + (l W_l + b_l)) W_o + b_o, then log-softmax.
 
     def project_audio(self, audio_vec: np.ndarray) -> np.ndarray:
         j = self.params.joint
@@ -140,6 +166,24 @@ class TransducerModel:
         logits = np.tanh(audio_proj + label_proj) @ j.out_w.values + j.out_b.values
         m = logits.max()
         return logits - (m + np.log(np.exp(logits - m).sum()))
+
+
+def pad(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of different lengths stacked on a new leading batch axis, zero
+    past each one's own length, and those lengths."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.zeros((len(rows), lengths.max()) + rows[0].shape[1:], dtype=rows[0].dtype)
+    for b, r in enumerate(rows):
+        out[b, :len(r)] = r
+    return out, lengths
+
+
+def _substream(rng: Rng | Sequence[Rng] | None, label: str, lengths) -> Rng | BatchRng | None:
+    """The `label` substream of one example's `Rng`, or of each example's
+    in a batch padded past `lengths`."""
+    if rng is None:
+        return None
+    return rng.substream(label) if lengths is None else BatchRng(rng, lengths).substream(label)
 
 
 def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:

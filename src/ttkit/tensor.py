@@ -5,10 +5,15 @@ computation graph; calling `backward` on a scalar root accumulates gradients
 into every reachable tensor in a fixed topological order, so repeated runs
 with identical inputs produce bitwise-identical values and gradients.
 
-The cost of a graph is Python work per node, not arithmetic, so the hot
-composite ops are single nodes with a closed-form backward: `layer_norm`
-(parents x, gain, bias) and `log_softmax` (`softmax` is its `exp`). The
-elementwise and reduction primitives remain for everything else.
+The cost of a graph is Python work per node, not arithmetic, so a training
+step is a few dozen coarse nodes over a padded batch. The modules build
+fused nodes with closed-form backwards (attention, the feed-forward block,
+the joint grid, the lattice loss) and wire them with the few primitives
+here: `add`, `matmul` (a 3-D left operand is a batch of matrices), the
+embedding gather `rows`, `layer_norm` and `dropout`. `BatchRng` gives each
+example of a padded batch the random draws it would get alone. The
+elementwise and reduction primitives that the composed test references are
+built from live with those tests.
 
 Graph recording can be suspended with `no_grad()` for inference paths that
 must not retain history (e.g. streaming state caches).
@@ -104,26 +109,8 @@ class Tensor:
     def __radd__(self, other):
         return add(as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 def as_tensor(x) -> Tensor:
@@ -138,7 +125,7 @@ def ones(shape) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float64))
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
     if extra > 0:
@@ -153,37 +140,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.values + b.values
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
 
     return Tensor(out, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values - b.values
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor(out, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values * b.values
-
-    def bw(g):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
-
-    return Tensor(out, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.values, (a,), lambda g: (-g,))
+def flat_rows(a: np.ndarray) -> np.ndarray:
+    """[..., n] -> [rows, n]: every leading axis folded into one."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1D/2D operands with the usual vector promotion."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1D/2D operands, got {a.shape} @ {b.shape}")
+    """Matrix product of a 1-D, 2-D or 3-D left operand (3-D: a batch of
+    matrices sharing `b`) with a 1-D or 2-D right one, with the usual vector
+    promotion."""
+    if a.ndim not in (1, 2, 3) or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul supports 1D-3D @ 1D/2D operands, got {a.shape} @ {b.shape}")
     ak = a.shape[-1]
     bk = b.shape[0]
     if ak != bk:
@@ -192,7 +164,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         av, bv = a.values, b.values
-        a2 = av if av.ndim == 2 else av[None, :]
+        a2 = flat_rows(av)
         b2 = bv if bv.ndim == 2 else bv[:, None]
         g2 = g.reshape(a2.shape[0], b2.shape[1])
         ga = g2 @ b2.T
@@ -202,106 +174,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), bw)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.values)
-    return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def relu(a: Tensor) -> Tensor:
-    keep = a.values > 0
-    return Tensor(np.where(keep, a.values, 0.0), (a,), lambda g: (g * keep,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-    return Tensor(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.values), (a,), lambda g: (g / a.values,))
-
-
-def powc(a: Tensor, p: float) -> Tensor:
-    """Raise to a constant power."""
-    out = np.power(a.values, p)
-    return Tensor(out, (a,), lambda g: (g * p * np.power(a.values, p - 1.0),))
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.values.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return Tensor(out, (a,), bw)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.values.reshape(shape)
-    return Tensor(out, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    out = np.transpose(a.values, axes)
-    inv = None if axes is None else np.argsort(axes)
-    return Tensor(out, (a,), lambda g: (np.transpose(g, inv),))
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    out = a.values[key]
-    if np.isscalar(out) or out.ndim == 0:
-        out = np.asarray(out, dtype=np.float64)
-
-    def bw(g):
-        ga = np.zeros_like(a.values)
-        ga[key] += g
-        return (ga,)
-
-    return Tensor(out, (a,), bw)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out = np.concatenate([p.values for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(parts)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
-
-    return Tensor(out, tuple(parts), bw)
-
-
-def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-row column gather: out[i, j] = a[i, idx[i, j]] for a 2D tensor."""
-    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"gather_cols needs 2D operands with equal row counts, got {a.shape} and {idx.shape}")
-    out = np.take_along_axis(a.values, idx, axis=1)
-
-    def bw(g):
-        ga = np.zeros_like(a.values)
-        rows = np.arange(a.shape[0])[:, None]
-        np.add.at(ga, (rows, idx), g)
-        return (ga,)
-
-    return Tensor(out, (a,), bw)
-
-
 def rows(a: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup (embedding gather): out[i] = a[ids[i]]."""
+    """Row lookup (embedding gather): out[i] = a[ids[i]], for `ids` of any shape."""
     ids = np.asarray(ids, dtype=np.intp)
     out = a.values[ids]
 
@@ -311,80 +185,6 @@ def rows(a: Tensor, ids: np.ndarray) -> Tensor:
         return (ga,)
 
     return Tensor(out, (a,), bw)
-
-
-def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Keep entries where `mask` is true, set the rest to -inf.
-
-    The only sanctioned source of infinities in a graph: downstream softmax /
-    logsumexp treat -inf as zero probability and propagate zero gradient.
-    """
-    out = np.where(mask, a.values, -np.inf)
-    return Tensor(out, (a,), lambda g: (np.where(mask, g, 0.0),))
-
-
-def logsumexp(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp along one axis.
-
-    Rows of all -inf reduce to -inf with zero gradient. An empty axis is an
-    error (the reduction has no identity in log space).
-    """
-    if a.shape[axis] == 0:
-        raise ShapeError(f"logsumexp over empty axis {axis} of shape {a.shape}")
-    m = np.max(a.values, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(a.values - m_safe)
-    s = e.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out_k = m_safe + np.log(s)
-    out_k = np.where(np.isfinite(m), out_k, m)  # all -inf rows stay -inf
-    out = out_k if keepdims else np.squeeze(out_k, axis=axis)
-
-    def bw(g):
-        gk = g if keepdims else np.expand_dims(g, axis)
-        with np.errstate(invalid="ignore"):
-            w = np.where(s > 0, e / s, 0.0)
-        return (gk * w,)
-
-    return Tensor(out, (a,), bw)
-
-
-def logaddexp(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise log(exp(a) + exp(b)), stable, broadcasting like add."""
-    out = np.logaddexp(a.values, b.values)
-
-    def bw(g):
-        with np.errstate(invalid="ignore"):
-            wa = np.where(np.isneginf(out), 0.0, np.exp(a.values - out))
-            wb = np.where(np.isneginf(out), 0.0, np.exp(b.values - out))
-        return _unbroadcast(g * wa, a.shape), _unbroadcast(g * wb, b.shape)
-
-    return Tensor(out, (a, b), bw)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """One node: a - logsumexp(a). The backward is g - softmax * sum(g).
-
-    Non-finite logits give NaN (a +inf entry, a row of all -inf) without
-    floating-point warnings; the caller's finiteness checks report them.
-    """
-    with np.errstate(all="ignore"):
-        m = np.max(a.values, axis=axis, keepdims=True)
-        m_safe = np.where(np.isfinite(m), m, 0.0)
-        lse = m_safe + np.log(np.exp(a.values - m_safe).sum(axis=axis, keepdims=True))
-        lse = np.where(np.isfinite(m), lse, m)
-        out = a.values - lse
-
-    def bw(g):
-        with np.errstate(all="ignore"):
-            p = np.where(np.isneginf(lse), 0.0, np.exp(out))
-            return (g - p * g.sum(axis=axis, keepdims=True),)
-
-    return Tensor(out, (a,), bw)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return exp(log_softmax(a, axis=axis))
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -398,32 +198,42 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return xhat * gain + bias, xhat, inv
 
 
+def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                        inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`layer_norm`'s gradients on (x, gain, bias) from the upstream `g` and
+    the forward's x̂ and inv: dx = inv * (dx̂ - mean(dx̂) - x̂ * mean(dx̂ * x̂)),
+    dx̂ = g * gain. Gain and bias share a shape."""
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, unbroadcast(g * xhat, gain.shape), unbroadcast(g, gain.shape)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
-
-    One node over (x, gain, bias); with x̂ = (x - mean) * inv the backward is
-    dx = inv * (dx̂ - mean(dx̂) - x̂ * mean(dx̂ * x̂)), dx̂ = g * gain.
-    """
+    One node over (x, gain, bias) with the closed-form `layer_norm_backward`."""
     out, xhat, inv = layer_norm_forward(x.values, gain.values, bias.values, eps)
-
-    def bw(g):
-        dxhat = g * gain.values
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
-
-    return Tensor(out, (x, gain, bias), bw)
+    return Tensor(out, (x, gain, bias), lambda g: layer_norm_backward(g, gain.values, xhat, inv))
 
 
-def dropout(x: Tensor, ratio: float, rng: "Rng | None") -> Tensor:
-    """Zero each element with probability `ratio`, scaling survivors by
-    1/(1-ratio). An `rng` means training; without one this is the identity."""
+def dropout_scale(shape: tuple[int, ...], ratio: float, rng: "Rng | BatchRng | None") -> np.ndarray | None:
+    """A dropout's factor per entry of `shape`: 0 for a dropped entry and
+    1/(1-ratio) for a survivor, each dropped with probability `ratio`. None
+    when dropout is the identity: without an `rng` (not training) or at
+    ratio 0."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if rng is None or ratio == 0.0:
+        return None
+    keep = rng.uniform(shape) >= ratio
+    return keep / (1.0 - ratio)
+
+
+def dropout(x: Tensor, ratio: float, rng: "Rng | BatchRng | None") -> Tensor:
+    """`x` times its `dropout_scale`; without one this is the identity."""
+    scale = dropout_scale(x.shape, ratio, rng)
+    if scale is None:
         return x
-    keep = rng.uniform(x.shape) >= ratio
-    scale = keep / (1.0 - ratio)
     return Tensor(x.values * scale, (x,), lambda g: (g * scale,))
 
 
@@ -527,6 +337,28 @@ class Rng:
         """Uniform integers in [low, high)."""
         out = self.gen.integers(low, high, size=shape)
         return int(out) if shape is None else out
+
+
+class BatchRng:
+    """The `Rng`s of a padded batch's examples, example b owning the first
+    `lengths[b]` rows of its slot. Substreams are derived per example, and a
+    draw of shape [B, T, ...] stacks each example's own [lengths[b], ...]
+    draw, zero past it: every example sees the numbers it would see alone."""
+
+    __slots__ = ("rngs", "lengths")
+
+    def __init__(self, rngs: Sequence[Rng], lengths: Sequence[int]):
+        self.rngs = list(rngs)
+        self.lengths = lengths
+
+    def substream(self, label: str) -> "BatchRng":
+        return BatchRng([r.substream(label) for r in self.rngs], self.lengths)
+
+    def uniform(self, shape) -> np.ndarray:
+        out = np.zeros(shape)
+        for b, (rng, n) in enumerate(zip(self.rngs, self.lengths)):
+            out[b, :n] = rng.uniform((n,) + tuple(shape[2:]))
+        return out
 
 
 class ParamSpec(NamedTuple):

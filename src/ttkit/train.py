@@ -1,8 +1,11 @@
 """Optimization loop: learning-rate schedule, weight noise, adaptive-moment
 updates with global-norm clipping, and versioned checkpoints.
 
-The schedule ramps linearly from zero to the peak rate, holds, then decays
-geometrically to the final rate. Weight noise perturbs only the forward pass:
+A step builds one graph for the whole batch (`TransducerModel.batch_grid`
+and `batch_loss`), padded to its longest example, with every example's
+SpecAugment and dropout drawn from its own substreams. The schedule ramps
+linearly from zero to the peak rate, holds, then decays geometrically to the
+final rate. Weight noise perturbs only the forward pass:
 noisy views are graph nodes over the stored leaves, so gradients land on the
 stored parameters while updates point against the perturbed loss.
 """
@@ -156,11 +159,10 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     fwd = model.with_params(apply_weight_noise(
         model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
 
-    items = []
-    for i, utt in enumerate(batch):
-        grid = fwd.example_grid(utt.features, utt.labels, step_rng.substream(f"ex{i}"))
-        items.append((grid, utt.labels))
-    loss = batch_loss(items)
+    ys = [utt.labels for utt in batch]
+    grid = fwd.batch_grid([utt.features for utt in batch], ys,
+                          [step_rng.substream(f"ex{i}") for i in range(len(batch))])
+    loss = batch_loss(grid, ys)
     value = loss.item()
     if not np.isfinite(value):
         ids = [utt.id for utt in batch]

@@ -3,11 +3,15 @@
 The joint network turns one audio activation and one label-history activation
 into a distribution over the output vocabulary (blank included). Stacking
 those distributions over every (frame, history-length) pair gives the
-log-probability grid; the training loss marginalizes over all monotonic
-alignments through that grid. It is one graph node per example: the forward
-pass runs the log-space alpha recursion over the lattice's anti-diagonals in
-numpy, and the backward pass gets the exact gradient in closed form from the
-matching beta recursion and the arc occupancies (Graves 2012).
+log-probability grid: one graph node over a padded batch [B, T, U+1, V]
+that covers both joint projections, tanh, the output layer and log-softmax
+(`log_prob_grid`). The training loss marginalizes over all monotonic
+alignments through that grid, again one node for the whole batch: the
+forward pass runs the log-space alpha recursion over the lattices'
+anti-diagonals in numpy, each example on its own (T_b, U_b), and the
+backward pass gets the exact gradient in closed form from the matching beta
+recursion and the arc occupancies (Graves 2012). `rnnt_log_prob` is the same
+kernel for one example.
 
 `brute_force_log_prob` enumerates alignments outright and exists purely as
 the small-instance oracle for the recursion.
@@ -21,8 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import tensor as tt
-from .tensor import ParamSpec, ParamTree, Rng, ShapeError, Tensor
+from .tensor import ParamSpec, ParamTree, Rng, ShapeError, Tensor, flat_rows, unbroadcast
 
 BLANK_ID = 0
 
@@ -102,72 +105,96 @@ def init_joint_params(d_audio: int, d_label: int, joint_dim: int, vocab_size: in
 class LogProbGrid:
     """[T, U+1, V] log-probabilities: entry (t, u) is the distribution over
     the next output given frame t and a label history of length u. Every
-    (t, u) row is a proper distribution (logsumexp 0)."""
+    (t, u) row is a proper distribution (logsumexp 0). A batch is padded to
+    [B, T, U+1, V], with each example's frame count in `frames`."""
 
     log_probs: Tensor
+    frames: np.ndarray | None = None
 
     @property
     def T(self) -> int:
-        return self.log_probs.shape[0]
+        return self.log_probs.shape[-3]
 
     @property
     def U(self) -> int:
-        return self.log_probs.shape[1] - 1
+        return self.log_probs.shape[-2] - 1
 
     @property
     def vocab_size(self) -> int:
-        return self.log_probs.shape[2]
+        return self.log_probs.shape[-1]
 
 
-def joint_logits(audio_t: Tensor, label_u: Tensor, params: JointParams) -> Tensor:
-    """Combine one audio activation with one label-history activation:
-    Linear(audio) + Linear(label) -> tanh -> Linear -> logits over V."""
-    if audio_t.shape != (params.audio_w.shape[0],):
-        raise ShapeError(f"audio activation shape {audio_t.shape} != ({params.audio_w.shape[0]},)")
-    if label_u.shape != (params.label_w.shape[0],):
-        raise ShapeError(f"label activation shape {label_u.shape} != ({params.label_w.shape[0]},)")
-    pre = tt.add(
-        tt.add(tt.matmul(audio_t, params.audio_w), params.audio_b),
-        tt.add(tt.matmul(label_u, params.label_w), params.label_b),
-    )
-    return tt.add(tt.matmul(tt.tanh(pre), params.out_w), params.out_b)
+def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax over the last axis and its log-normalizer. Non-finite
+    logits give NaN (a +inf entry, a row of all -inf) without warnings."""
+    with np.errstate(all="ignore"):
+        m = np.max(logits, axis=-1, keepdims=True)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        lse = m_safe + np.log(np.exp(logits - m_safe).sum(axis=-1, keepdims=True))
+        lse = np.where(np.isfinite(m), lse, m)
+        return logits - lse, lse
 
 
-def log_prob_grid(audio_acts: Tensor, label_acts: Tensor, params: JointParams) -> LogProbGrid:
-    """Joint distribution at every (frame, history) pair, batched.
+def log_prob_grid(audio_acts: Tensor, label_acts: Tensor, params: JointParams,
+                  frames: np.ndarray | None = None) -> LogProbGrid:
+    """The joint distribution at every (frame, history) pair as one graph
+    node: audio [T, d_audio] and label activations [U+1, d_label], or a
+    padded batch of each, [B, T, d_audio] and [B, U+1, d_label], with the
+    examples' frame counts in `frames`.
 
-    The value at (t, u) is a pure function of the frame-t audio activation
-    and the length-u history activation; no alignment context enters.
+    logits(t, u) = tanh(Linear(audio_t) + Linear(label_u)) W_out + b_out,
+    then log-softmax over V. The value at (t, u) is a pure function of the
+    frame-t audio activation and the length-u history activation; no
+    alignment context enters. The backward is closed-form over the two
+    activations and the six joint parameters.
     """
-    T = audio_acts.shape[0]
-    u1 = label_acts.shape[0]
-    a = tt.add(tt.matmul(audio_acts, params.audio_w), params.audio_b)   # [T, J]
-    l = tt.add(tt.matmul(label_acts, params.label_w), params.label_b)  # [U+1, J]
-    joint_dim = a.shape[1]
-    pre = tt.add(tt.reshape(a, (T, 1, joint_dim)), tt.reshape(l, (1, u1, joint_dim)))
-    hid = tt.reshape(tt.tanh(pre), (T * u1, joint_dim))
-    logits = tt.add(tt.matmul(hid, params.out_w), params.out_b)
-    grid = tt.log_softmax(tt.reshape(logits, (T, u1, params.out_w.shape[1])), axis=-1)
-    return LogProbGrid(grid)
+    j = params
+    if audio_acts.shape[-1] != j.audio_w.shape[0] or label_acts.shape[-1] != j.label_w.shape[0]:
+        raise ShapeError(f"activations {audio_acts.shape} and {label_acts.shape} do not fit joint "
+                         f"inputs ({j.audio_w.shape[0]}, {j.label_w.shape[0]})")
+    a = audio_acts.values @ j.audio_w.values + j.audio_b.values          # [..., T, J]
+    l = label_acts.values @ j.label_w.values + j.label_b.values          # [..., U+1, J]
+    hid = np.tanh(a[..., :, None, :] + l[..., None, :, :])               # [..., T, U+1, J]
+    out, lse = _log_softmax(hid @ j.out_w.values + j.out_b.values)
+
+    def bw(g):
+        with np.errstate(all="ignore"):
+            p = np.where(np.isneginf(lse), 0.0, np.exp(out))
+        d_logits = g - p * g.sum(axis=-1, keepdims=True)
+        d_pre = (d_logits @ j.out_w.values.T) * (1.0 - hid * hid)
+        d_a = d_pre.sum(axis=-2)                                          # over histories
+        d_l = d_pre.sum(axis=-3)                                          # over frames
+        return (d_a @ j.audio_w.values.T, d_l @ j.label_w.values.T,
+                flat_rows(audio_acts.values).T @ flat_rows(d_a), unbroadcast(d_a, j.audio_b.shape),
+                flat_rows(label_acts.values).T @ flat_rows(d_l), unbroadcast(d_l, j.label_b.shape),
+                flat_rows(hid).T @ flat_rows(d_logits), unbroadcast(d_logits, j.out_b.shape))
+
+    parents = (audio_acts, label_acts, j.audio_w, j.audio_b, j.label_w, j.label_b, j.out_w, j.out_b)
+    return LogProbGrid(Tensor(out, parents, bw), frames)
 
 
-def _check_loss_args(grid: LogProbGrid, y: Sequence[int]):
-    if len(y) > grid.U:
-        raise ShapeError(f"grid holds {grid.U} history rows but targets have length {len(y)}")
-    if grid.T == 0:
-        raise ShapeError("grid must cover at least one frame")
-    for label in y:
-        if not 0 < label < grid.vocab_size:
-            raise ValueError(f"label {label} outside vocab of size {grid.vocab_size} (blank forbidden)")
+def _check_loss_args(lp: np.ndarray, frames: Sequence[int], ys: Sequence[Sequence[int]]):
+    if len(ys) != lp.shape[0] or len(frames) != lp.shape[0]:
+        raise ShapeError(f"grid holds {lp.shape[0]} examples, got {len(frames)} frame counts "
+                         f"and {len(ys)} target sequences")
+    for t, y in zip(frames, ys):
+        if len(y) > lp.shape[2] - 1:
+            raise ShapeError(f"grid holds {lp.shape[2] - 1} history rows but targets have length {len(y)}")
+        if not 0 < t <= lp.shape[1]:
+            raise ShapeError("grid must cover at least one frame")
+        for label in y:
+            if not 0 < label < lp.shape[3]:
+                raise ValueError(f"label {label} outside vocab of size {lp.shape[3]} (blank forbidden)")
 
 
 def _skew(a: np.ndarray) -> np.ndarray:
-    """[T, W] -> [T+W-1, W] with s[t+u, u] = a[t, u] and -inf elsewhere, so
-    each anti-diagonal t+u = d of `a` becomes the contiguous row d."""
-    T, W = a.shape
-    s = np.full((T + W - 1, W), -np.inf)
-    t, u = np.indices(a.shape)
-    s[t + u, u] = a
+    """[..., T, W] -> [..., T+W-1, W] with s[..., t+u, u] = a[..., t, u] and
+    -inf elsewhere, so each anti-diagonal t+u = d of `a` becomes the
+    contiguous row d."""
+    T, W = a.shape[-2:]
+    s = np.full(a.shape[:-2] + (T + W - 1, W), -np.inf)
+    t, u = np.indices((T, W))
+    s[..., t + u, u] = a
     return s
 
 
@@ -177,69 +204,99 @@ def _diagonal(d: int, T: int, U: int) -> tuple[int, int]:
 
 
 def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
-    """Skewed forward variables: A[t+u, u] = log-mass of all path prefixes
-    from (0, 0) to (t, u). Off-lattice entries stay -inf."""
-    A = np.full((T + U, U + 1), -np.inf)
-    A[0, 0] = 0.0
+    """Skewed forward variables of a batch of lattices padded to (T, U):
+    A[b, t+u, u] = log-mass of all path prefixes from (0, 0) to (t, u)."""
+    A = np.full(blank.shape[:1] + (T + U, U + 1), -np.inf)
+    A[:, 0, 0] = 0.0
     for d in range(1, T + U):
         lo, hi = _diagonal(d, T, U)
-        row = A[d - 1, lo:hi] + blank[d - 1, lo:hi]  # blank from (t-1, u); -inf at t = 0
+        row = A[:, d - 1, lo:hi] + blank[:, d - 1, lo:hi]  # blank from (t-1, u); -inf at t = 0
         e = max(lo, 1)
-        row[e - lo:] = np.logaddexp(row[e - lo:], A[d - 1, e - 1:hi - 1] + emit[d - 1, e - 1:hi - 1])
-        A[d, lo:hi] = row
+        row[:, e - lo:] = np.logaddexp(row[:, e - lo:],
+                                       A[:, d - 1, e - 1:hi - 1] + emit[:, d - 1, e - 1:hi - 1])
+        A[:, d, lo:hi] = row
     return A
 
 
-def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
-    """Skewed backward variables: B[t+u, u] = log-mass of all path suffixes
-    from (t, u) to the end, the final blank included; B[T+U, U] = 0 is the
-    point past that blank. Off-lattice entries stay -inf."""
-    B = np.full((T + U + 1, U + 2), -np.inf)
-    B[T + U, U] = 0.0
+def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
+          lengths: np.ndarray) -> np.ndarray:
+    """Skewed backward variables: B[b, t+u, u] = log-mass of all path
+    suffixes from (t, u) to the end, the final blank included. The point
+    past example b's final blank, (T_b, U_b) on diagonal ends[b], holds 0;
+    every other point off its lattice stays -inf."""
+    n = np.arange(blank.shape[0])
+    B = np.full(blank.shape[:1] + (T + U + 1, U + 2), -np.inf)
+    B[n, ends, lengths] = 0.0
     for d in range(T + U - 1, -1, -1):
         lo, hi = _diagonal(d, T, U)
-        B[d, lo:hi] = np.logaddexp(blank[d, lo:hi] + B[d + 1, lo:hi],                 # to (t+1, u)
-                                   emit[d, lo:hi] + B[d + 1, lo + 1:hi + 1])          # to (t, u+1)
+        B[:, d, lo:hi] = np.logaddexp(blank[:, d, lo:hi] + B[:, d + 1, lo:hi],         # to (t+1, u)
+                                      emit[:, d, lo:hi] + B[:, d + 1, lo + 1:hi + 1])  # to (t, u+1)
+        done = ends == d  # restore the end points the recursion just overwrote
+        B[n[done], d, lengths[done]] = 0.0
     return B
 
 
-def rnnt_log_prob(grid: LogProbGrid, y: Sequence[int]) -> Tensor:
-    """log P(y | x): the alignment-lattice marginal as one graph node.
+def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int]],
+             sign: float) -> Tensor:
+    """sign * sum over a batch of log P(y_b | x_b), the alignment-lattice
+    marginals of a padded grid [B, T, W, V] (or one example's [T, W, V]),
+    as one graph node.
 
     alpha(t, u) accumulates all paths reaching frame t with u labels emitted;
     blanks advance the frame, target labels advance the history, and the path
-    closes with the blank consuming the final frame. The forward pass runs
-    the alpha recursion in numpy, one anti-diagonal t+u at a time; the
-    backward pass runs the matching beta recursion and writes the arc
-    occupancies exp(alpha + arc + beta_next - log P) into the blank and
-    target-label entries of the grid. Every other grid entry gets gradient 0,
-    and so does the whole grid when log P is -inf (no path has mass).
+    closes with the blank consuming the example's final frame. The forward
+    runs the alpha recursion over the whole batch, one anti-diagonal t+u at a
+    time; arcs off an example's own (T_b, U_b) lattice are -inf, so its
+    points see exactly its own arithmetic. The backward runs the matching
+    beta recursion and writes the arc occupancies exp(alpha + arc + beta_next
+    - log P) into the blank and target-label entries of the grid. Every other
+    entry gets gradient 0, and so does every entry of an example whose
+    log P is -inf (no path has mass).
     """
-    y = list(y)
-    _check_loss_args(grid, y)
-    T, U = grid.T, len(y)
-    lp = grid.log_probs.values
-    labels = np.asarray(y, dtype=np.intp)
+    lp = log_probs.values if log_probs.ndim == 4 else log_probs.values[None]
+    _check_loss_args(lp, frames, ys)
+    frames = np.asarray(frames)
+    lengths = np.array([len(y) for y in ys])
+    B, T, U = lp.shape[0], int(frames.max()), int(lengths.max())
+    labels = np.ones((B, U), dtype=np.intp)  # padding takes label 1, off every lattice
+    for b, y in enumerate(ys):
+        labels[b, :len(y)] = y
+    t, u = np.arange(T)[:, None], np.arange(U + 1)[None, :]
+    past_end = t >= frames[:, None, None]                                           # [B, T, 1]
     with np.errstate(all="ignore"):
-        blank = _skew(lp[:, :U + 1, BLANK_ID] + dp_perturbation)
-        emit = _skew(np.concatenate([lp[:, np.arange(U), labels], np.full((T, 1), -np.inf)], axis=1))
+        blank = np.where(past_end | (u > lengths[:, None, None]), -np.inf,
+                         lp[:, :T, :U + 1, BLANK_ID] + dp_perturbation)
+        emit = np.take_along_axis(lp[:, :T, :U], labels[:, None, :, None], axis=-1)[..., 0]
+        emit = np.where(past_end | (u >= lengths[:, None, None]), -np.inf,
+                        np.concatenate([emit, np.zeros((B, T, 1))], axis=-1))
+        blank, emit = _skew(blank), _skew(emit)
         A = _alpha(blank, emit, T, U)
-        log_p = A[T + U - 1, U] + blank[T + U - 1, U]
+        ends = frames + lengths
+        n = np.arange(B)
+        log_p = A[n, ends - 1, lengths] + blank[n, ends - 1, lengths]
 
     def bw(g):
         grad = np.zeros_like(lp)
-        if log_p == -np.inf:
-            return (grad,)
         with np.errstate(all="ignore"):
-            B = _beta(blank, emit, T, U)
-            blank_occ = np.exp(A + blank + B[1:, :U + 1] - log_p)
-            emit_occ = np.exp(A + emit + B[1:, 1:] - log_p)
-        t, u = np.indices((T, U + 1))
-        grad[:, :U + 1, BLANK_ID] = g * blank_occ[t + u, u]
-        grad[:, np.arange(U), labels] = g * emit_occ[t + u, u][:, :U]
-        return (grad,)
+            beta = _beta(blank, emit, T, U, ends, lengths)
+            norm = np.where(np.isneginf(log_p), np.inf, log_p)[:, None, None]  # no mass: occupancy 0
+            blank_occ = np.exp(A + blank + beta[:, 1:, :U + 1] - norm)
+            emit_occ = np.exp(A + emit + beta[:, 1:, 1:] - norm)
+        g = g * sign
+        grad[:, :T, :U + 1, BLANK_ID] = g * blank_occ[:, t + u, u]
+        np.put_along_axis(grad[:, :T, :U], labels[:, None, :, None],
+                          (g * emit_occ[:, t + u, u][:, :, :U])[..., None], axis=-1)
+        return (grad.reshape(log_probs.shape),)
 
-    return Tensor(log_p, (grid.log_probs,), bw)
+    return Tensor(sign * log_p.sum(), (log_probs,), bw)
+
+
+def rnnt_log_prob(grid: LogProbGrid, y: Sequence[int]) -> Tensor:
+    """log P(y | x) of one example's grid [T, U+1, V]: `batch_loss`'s kernel
+    for a batch of one."""
+    if grid.log_probs.ndim != 3:
+        raise ShapeError(f"rnnt_log_prob takes one example's [T, U+1, V] grid, got {grid.log_probs.shape}")
+    return _lattice(grid.log_probs, [grid.T], [list(y)], 1.0)
 
 
 def enumerate_alignments(T: int, U: int) -> Iterator[tuple[int, ...]]:
@@ -290,23 +347,19 @@ def brute_force_log_prob(grid: LogProbGrid | np.ndarray, y: Sequence[int], max_s
     return m + np.log(sum(np.exp(s - m) for s in path_scores))
 
 
-def batch_loss(items: Sequence[tuple[LogProbGrid, Sequence[int]]]) -> Tensor:
-    """Sum of negative alignment-marginal log-probabilities over a batch,
-    reduced in example order."""
-    total = None
-    for grid, y in items:
-        term = rnnt_log_prob(grid, y)
-        total = term if total is None else tt.add(total, term)
-    if total is None:
-        raise ValueError("batch_loss needs at least one example")
-    return tt.neg(total)
+def batch_loss(grid: LogProbGrid, ys: Sequence[Sequence[int]]) -> Tensor:
+    """The batch's summed negative alignment-marginal log-probabilities,
+    -sum_b log P(y_b | x_b), over a padded grid as one graph node."""
+    frames = grid.frames
+    if frames is None:
+        frames = [grid.T] * (grid.log_probs.shape[0] if grid.log_probs.ndim == 4 else 1)
+    return _lattice(grid.log_probs, frames, [list(y) for y in ys], -1.0)
 
 
 def random_grid(T: int, U: int, V: int, rng: Rng) -> LogProbGrid:
     """Well-formed random grid (each row a proper distribution); test helper."""
-    logits = Tensor(rng.normal((T, U + 1, V), sigma=2.0))
-    return LogProbGrid(tt.log_softmax(logits, axis=-1))
+    return LogProbGrid(Tensor(_log_softmax(rng.normal((T, U + 1, V), sigma=2.0))[0]))
 
 
 def uniform_grid(T: int, U: int, V: int) -> LogProbGrid:
-    return LogProbGrid(tt.log_softmax(tt.zeros((T, U + 1, V)), axis=-1))
+    return LogProbGrid(Tensor(_log_softmax(np.zeros((T, U + 1, V)))[0]))

@@ -1,0 +1,118 @@
+"""The per-example training step, the reference for ttkit's batched one.
+
+Every example gets its own graph here: its encoders run on unpadded rows,
+the feed-forward block is composed node by node, the joint grid is a chain
+of projections, tanh, output layer and log-softmax nodes, and the batch
+loss adds one lattice node per example. That is the arithmetic ttkit
+trained with before the batch axis, so this step reproduces its pinned
+training bytes exactly, while the batched step agrees with it within
+rounding. Randomness is drawn from the same per-example substreams.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+import reference_ops as ops
+from ttkit import attention as att
+from ttkit import tensor as tt
+from ttkit import transducer as tr
+from ttkit.attention import build_mask
+from ttkit.tensor import NumericsError, ShapeError, Tensor, backward
+from ttkit.train import apply_weight_noise, clip_gradients, lr_at
+
+
+def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):
+    """One layer over unpadded rows [T, d], the feed-forward block composed
+    of matmul, bias, relu, dropout and residual nodes."""
+    eps, ratio = config.ln_eps, config.dropout_ratio
+    h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
+    attn = att._multi_head_attention(h, layer, params, config, mask_bool, counters)
+    x = tt.add(x, tt.dropout(attn, ratio, rng))
+    h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
+    f = tt.dropout(ops.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), ratio, rng)
+    f = tt.dropout(tt.add(tt.matmul(f, layer.w2), layer.b2), ratio, rng)
+    return tt.add(x, f)
+
+
+def encode(x, config, params, rng=None, counters=None):
+    h = tt.add(tt.matmul(x, params.input_w), params.input_b)
+    mask_bool = build_mask(x.shape[0], config.mask)
+    for i, layer in enumerate(params.layers):
+        h = encoder_layer(h, mask_bool, layer, params, config,
+                          rng.substream(f"layer{i}") if rng else None, counters)
+    return att.final_norm(h, config, params)
+
+
+def joint_logits(audio_t, label_u, params):
+    """Combine one audio activation with one label-history activation:
+    Linear(audio) + Linear(label) -> tanh -> Linear -> logits over V."""
+    if audio_t.shape != (params.audio_w.shape[0],):
+        raise ShapeError(f"audio activation shape {audio_t.shape} != ({params.audio_w.shape[0]},)")
+    if label_u.shape != (params.label_w.shape[0],):
+        raise ShapeError(f"label activation shape {label_u.shape} != ({params.label_w.shape[0]},)")
+    pre = tt.add(
+        tt.add(tt.matmul(audio_t, params.audio_w), params.audio_b),
+        tt.add(tt.matmul(label_u, params.label_w), params.label_b),
+    )
+    return tt.add(tt.matmul(ops.tanh(pre), params.out_w), params.out_b)
+
+
+def log_prob_grid(audio_acts, label_acts, params) -> tr.LogProbGrid:
+    """`joint_logits` at every (frame, history) pair, as a chain of nodes."""
+    T = audio_acts.shape[0]
+    u1 = label_acts.shape[0]
+    a = tt.add(tt.matmul(audio_acts, params.audio_w), params.audio_b)   # [T, J]
+    l = tt.add(tt.matmul(label_acts, params.label_w), params.label_b)  # [U+1, J]
+    joint_dim = a.shape[1]
+    pre = tt.add(ops.reshape(a, (T, 1, joint_dim)), ops.reshape(l, (1, u1, joint_dim)))
+    hid = ops.reshape(ops.tanh(pre), (T * u1, joint_dim))
+    logits = tt.add(tt.matmul(hid, params.out_w), params.out_b)
+    return tr.LogProbGrid(ops.log_softmax(ops.reshape(logits, (T, u1, params.out_w.shape[1])), axis=-1))
+
+
+def example_grid(model, features: np.ndarray, y: Sequence[int], rng=None) -> tr.LogProbGrid:
+    """One example's grid through its own graph."""
+    stacked = model.prepare_features(features, rng)
+    audio = encode(Tensor(stacked), model.config.audio, model.params.audio,
+                   rng.substream("audio") if rng else None, model.counters)
+    model.vocab.check_targets(y)
+    ids = np.array([tr.BLANK_ID] + list(y), dtype=np.intp)
+    labels = encode(tt.rows(model.params.label_embedding, ids), model.config.label, model.params.label,
+                    rng.substream("label") if rng else None, model.counters)
+    model.counters.joint_evals += audio.shape[0] * labels.shape[0]
+    return log_prob_grid(audio, labels, model.params.joint)
+
+
+def batch_loss(items) -> Tensor:
+    """Sum of negative log-probabilities over (grid, targets) pairs, one
+    lattice node per example, reduced in example order."""
+    total = None
+    for grid, y in items:
+        term = tr.rnnt_log_prob(grid, y)
+        total = term if total is None else tt.add(total, term)
+    return ops.neg(total)
+
+
+def train_step(model, optimizer, batch, step, schedule, cfg, rng) -> float:
+    """`ttkit.train.train_step` with one graph per example."""
+    lr = lr_at(step, schedule)
+    step_rng = rng.substream(f"step{step}")
+    named = model.named_params()
+    for _, p in named:
+        p.zero_grad()
+    fwd = model.with_params(apply_weight_noise(
+        model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
+    items = [(example_grid(fwd, utt.features, utt.labels, step_rng.substream(f"ex{i}")), utt.labels)
+             for i, utt in enumerate(batch)]
+    loss = batch_loss(items)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericsError(f"non-finite loss {value} at step {step}")
+    backward(loss)
+    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.values)) for name, p in named}
+    clip_gradients(grads, cfg.grad_clip_norm)
+    optimizer.step(model, grads, lr)
+    return value

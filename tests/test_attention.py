@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ops
 from ttkit import attention as att
 from ttkit import tensor as tt
 from ttkit.attention import AttentionMask, EncoderConfig, build_mask, receptive_field
@@ -89,33 +90,32 @@ def attention_scores(q, k, rel_emb, content_bias, pos_bias, q_positions, k_posit
     head_dim = q.shape[-1]
     offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
     idx = np.clip(offsets, -max_offset, max_offset) + max_offset
-    content = tt.matmul(tt.add(q, content_bias), tt.transpose(k))
-    pos_all = tt.matmul(tt.add(q, pos_bias), tt.transpose(rel_emb))
-    pos = tt.gather_cols(pos_all, idx)
-    return tt.mul(tt.add(content, pos), Tensor(1.0 / math.sqrt(head_dim)))
+    content = tt.matmul(tt.add(q, content_bias), ops.transpose(k))
+    pos_all = tt.matmul(tt.add(q, pos_bias), ops.transpose(rel_emb))
+    pos = ops.gather_cols(pos_all, idx)
+    return ops.mul(tt.add(content, pos), Tensor(1.0 / math.sqrt(head_dim)))
 
 
-def composed_multi_head_attention(h, h_keys, layer, params, config, q_positions, k_positions,
-                                  mask_bool, counters):
+def composed_multi_head_attention(h, layer, params, config, positions, mask_bool, counters):
     dh = config.head_dim
     q_all = tt.matmul(h, layer.wq)
-    k_all = tt.matmul(h_keys, layer.wk)
-    v_all = tt.matmul(h_keys, layer.wv)
+    k_all = tt.matmul(h, layer.wk)
+    v_all = tt.matmul(h, layer.wv)
     heads = []
     for i in range(config.num_heads):
-        cols = slice(i * dh, (i + 1) * dh)
+        cols = (slice(None), slice(i * dh, (i + 1) * dh))
         scores = attention_scores(
-            q_all[:, cols], k_all[:, cols],
-            params.rel_emb[i], params.content_bias[i], params.pos_bias[i],
-            q_positions, k_positions, config.rel_offset,
+            ops.getitem(q_all, cols), ops.getitem(k_all, cols),
+            ops.getitem(params.rel_emb, i), ops.getitem(params.content_bias, i),
+            ops.getitem(params.pos_bias, i), positions, positions, config.rel_offset,
         )
         if counters is not None:
             counters.attention_scores += scores.size
         if mask_bool is not None:
-            scores = tt.apply_mask(scores, mask_bool)
-        weights = tt.softmax(scores, axis=-1)
-        heads.append(tt.matmul(weights, v_all[:, cols]))
-    return tt.matmul(tt.concat(heads, axis=1), layer.wo)
+            scores = ops.apply_mask(scores, mask_bool)
+        weights = ops.softmax(scores, axis=-1)
+        heads.append(tt.matmul(weights, ops.getitem(v_all, cols)))
+    return tt.matmul(ops.concat(heads, axis=1), layer.wo)
 
 
 # ------------------------------------------------------- attention scores
@@ -163,7 +163,6 @@ def test_scores_clip_beyond_max_offset():
 @settings(max_examples=60, deadline=None)
 @given(
     tk=st.integers(1, 9),
-    streaming=st.booleans(),
     heads=st.integers(1, 3),
     head_dim=st.integers(1, 4),
     model_dim=st.integers(1, 5),
@@ -171,10 +170,9 @@ def test_scores_clip_beyond_max_offset():
     window=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))),
     shift=st.integers(-5, 5),
     seed=st.integers(0, 2**16),
-    data=st.data(),
 )
-def test_fused_attention_matches_composed(tk, streaming, heads, head_dim, model_dim, max_offset,
-                                          window, shift, seed, data):
+def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_offset,
+                                          window, shift, seed):
     cfg = EncoderConfig(num_layers=1, model_dim=model_dim, ff_dim1=2, ff_dim2=model_dim,
                         num_heads=heads, head_dim=head_dim, dropout_ratio=0.0,
                         mask=AttentionMask(None, None), input_dim=model_dim,
@@ -184,27 +182,23 @@ def test_fused_attention_matches_composed(tk, streaming, heads, head_dim, model_
     for name, p in params.named("p"):
         p.values[...] = rng.substream(name).normal(p.shape)
     layer = params.layers[0]
-    keys = Tensor(rng.substream("h").normal((tk, model_dim)))
-    k_pos = np.arange(tk) + shift
+    # self-attention: one tensor provides queries, keys and values; the
+    # composed reference sees shifted positions, which only offsets may enter
+    queries = Tensor(rng.substream("h").normal((tk, model_dim)))
+    positions = np.arange(tk) + shift
     mask = None if window is None else build_mask(tk, AttentionMask(*window))
-    if streaming:  # one query row against its window, as `encoder_layer_step` calls it
-        q_local = data.draw(st.integers(0, tk - 1), label="q_local")
-        queries = Tensor(keys.values[q_local:q_local + 1].copy())
-        q_pos = k_pos[q_local:q_local + 1]
-        mask = None if mask is None else mask[q_local:q_local + 1]
-    else:  # self-attention: the same tensor provides queries and keys
-        queries, q_pos = keys, k_pos
     upstream = Tensor(rng.substream("g").normal((queries.shape[0], model_dim)))
-    parents = [queries, keys, layer.wq, layer.wk, layer.wv, layer.wo,
+    parents = [queries, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias]
 
     results = []
-    for fn in (att._multi_head_attention, composed_multi_head_attention):
+    for fn in (lambda c: att._multi_head_attention(queries, layer, params, cfg, mask, c),
+               lambda c: composed_multi_head_attention(queries, layer, params, cfg, positions, mask, c)):
         for p in parents:
             p.zero_grad()
         counters = att.Counters()
-        out = fn(queries, keys, layer, params, cfg, q_pos, k_pos, mask, counters)
-        backward(tt.tsum(tt.mul(out, upstream)))
+        out = fn(counters)
+        backward(ops.tsum(ops.mul(out, upstream)))
         results.append((out.values, [p.grad.copy() for p in parents], counters.attention_scores))
 
     (fused, fused_grads, fused_count), (ref, ref_grads, ref_count) = results
@@ -212,6 +206,56 @@ def test_fused_attention_matches_composed(tk, streaming, heads, head_dim, model_
     assert np.max(np.abs(fused - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))  # relative to scale
     for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
         assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+    window=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 2))),
+    layers=st.integers(1, 2),
+    dropout=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_encode_matches_each_example(lengths, window, layers, dropout, seed):
+    """A padded batch through the stack gives each example's own rows, loss
+    gradients and attention-score count, within rounding; padding gets no
+    gradient."""
+    mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
+    cfg = small_config(num_layers=layers, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
+    rng = Rng(seed)
+    params = att.init_encoder_params(cfg, rng.substream("params"))
+    xs = [rng.substream(f"x{b}").normal((n, cfg.input_dim)) for b, n in enumerate(lengths)]
+    gs = [rng.substream(f"g{b}").normal((n, cfg.model_dim)) for b, n in enumerate(lengths)]
+    rngs = [rng.substream(f"drop{b}") for b in range(len(lengths))]
+    padded = np.zeros((len(lengths), max(lengths), cfg.input_dim))
+    upstream = np.zeros((len(lengths), max(lengths), cfg.model_dim))
+    for b, n in enumerate(lengths):
+        padded[b, :n], upstream[b, :n] = xs[b], gs[b]
+
+    def grads():
+        out = [p.grad.copy() if p.grad is not None else np.zeros(p.shape) for _, p in params.named()]
+        for _, p in params.named():
+            p.zero_grad()
+        return out
+
+    counters = att.Counters()
+    x = Tensor(padded)
+    batch = att.encode(x, cfg, params, tt.BatchRng(rngs, lengths), counters, lengths)
+    backward(ops.tsum(ops.mul(batch, Tensor(upstream))))
+    batch_grads, x_grad = grads(), x.grad
+    ref_count, ref_grads = 0, None
+    for b, n in enumerate(lengths):
+        ref_counters, xb = att.Counters(), Tensor(xs[b])
+        out = att.encode(xb, cfg, params, rngs[b], ref_counters)
+        backward(ops.tsum(ops.mul(out, Tensor(gs[b]))))
+        ref_count += ref_counters.attention_scores
+        assert np.max(np.abs(batch.values[b, :n] - out.values)) <= 1e-12
+        assert np.max(np.abs(x_grad[b, :n] - xb.grad)) <= 1e-10
+        assert (x_grad[b, n:] == 0).all()
+    ref_grads = grads()  # accumulated over the examples
+    assert counters.attention_scores == ref_count
+    for a, r in zip(batch_grads, ref_grads):
+        assert np.max(np.abs(a - r)) <= 1e-10
 
 
 # ----------------------------------------------------------- encoder layer
@@ -253,9 +297,9 @@ def test_layer_gradient_check():
     mask = build_mask(4, cfg.mask)
 
     def loss():
-        return tt.tsum(att.encoder_layer(x, mask, params.layers[0], params, cfg)).item()
+        return ops.tsum(att.encoder_layer(x, mask, params.layers[0], params, cfg)).item()
 
-    out = tt.tsum(att.encoder_layer(x, mask, params.layers[0], params, cfg))
+    out = ops.tsum(att.encoder_layer(x, mask, params.layers[0], params, cfg))
     backward(out)
     for name, p in params.named("enc"):
         if p.grad is None:
@@ -279,9 +323,10 @@ def _graph_ops(root):
 
 @pytest.mark.parametrize("training", [False, True])
 def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
-    # two layer norms, one attention node, three dropouts when training, and
-    # the feed-forward block: 2 matmuls, 2 bias adds, a relu and 2 residual adds
-    expected = 2 + 1 + 7 + (3 if training else 0)
+    # a layer norm, the attention node and its residual add, a dropout when
+    # training, and the feed-forward block (its layer norm, both dense
+    # layers, relu, two dropouts and residual) as one node
+    expected = 4 + (1 if training else 0)
     for num_heads in (1, 2, 3):
         for seq_len in (1, 4, 9):
             cfg = small_config(num_layers=1, num_heads=num_heads, dropout_ratio=0.1)
@@ -373,9 +418,9 @@ def test_stack_gradient_check():
     x = Tensor(Rng(20).normal((5, cfg.input_dim)))
 
     def loss():
-        return tt.tsum(att.encode(x, cfg, params)).item()
+        return ops.tsum(att.encode(x, cfg, params)).item()
 
-    backward(tt.tsum(att.encode(x, cfg, params)))
+    backward(ops.tsum(att.encode(x, cfg, params)))
     for name, p in params.named("enc"):
         num = finite_difference_gradient(loss, p)
         if p.grad is None:

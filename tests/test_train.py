@@ -2,17 +2,23 @@ import hashlib
 import json
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_step
+import ttkit.train as trn
 from ttkit.attention import AttentionMask
 from ttkit.config import load_run_config
 from ttkit.frontend import FrontendConfig
-from ttkit.model import (desk_config, init_model, model_config_from_dict, model_config_to_dict,
+from ttkit.model import (desk_config, init_model, model_config_from_dict, model_config_to_dict, pad,
                          parameter_count)
-from ttkit.tasks import SyntheticTaskConfig, gen_synthetic
-from ttkit.tensor import NumericsError, Rng, Tensor
+from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
+from ttkit.tensor import NumericsError, Rng, Tensor, backward
+from ttkit.transducer import LogProbGrid, rnnt_log_prob
 from ttkit.train import (
     Adam,
     CheckpointFormatError,
@@ -462,8 +468,8 @@ def test_init_checkpoint_bytes_pinned(cfg, digest):
     assert hashlib.sha256(checkpoint_bytes(init_model(cfg, Rng(0)))).hexdigest() == digest
 
 
-def _regularized_run():
-    """Six steps with dropout, SpecAugment and weight noise all live."""
+def _regularized_run(step_fn=train_step):
+    """Six steps of `step_fn` with dropout, SpecAugment and weight noise all live."""
     task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
                                feature_dim=6, noise_sigma=0.1, size=8, seed=2)
     frontend = FrontendConfig(stack=2, subsample=2, freq_mask_width=2, freq_mask_count=1,
@@ -474,14 +480,23 @@ def _regularized_run():
     sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=2e-4)
     train = TrainConfig(batch_size=4, total_steps=6, seed=5, weight_noise_sigma=0.01,
                         weight_noise_start_step=2)
-    losses = train_loop(model, gen_synthetic(task), sched, train)
+    with mock.patch.object(trn, "train_step", step_fn):
+        losses = train_loop(model, gen_synthetic(task), sched, train)
     return np.array(losses).tobytes() + checkpoint_bytes(model)
 
 
 def test_regularized_training_bytes_pinned():
-    # pins every draw of dropout, SpecAugment and weight noise through a short run
-    assert hashlib.sha256(_regularized_run()).hexdigest() == (
+    # pins every draw of dropout, SpecAugment and weight noise through a short
+    # run of the per-example reference step
+    assert hashlib.sha256(_regularized_run(reference_step.train_step)).hexdigest() == (
         "562bd39cb26376c2cd12b0f4bcea289f4b71fa9e2adb20d14436d8b92be04887")
+
+
+def test_batched_training_bytes_pinned():
+    # the same run through the batched step: its rounding differs from the
+    # reference's (see test_batched_step_matches_per_example_reference)
+    assert hashlib.sha256(_regularized_run()).hexdigest() == (
+        "5f8fec473397c4243c4134b76742b1c7ad2b1d281826d6fdf05dc56c1594a22a")
 
 
 def test_grid_without_rng_ignores_regularizers():
@@ -494,3 +509,131 @@ def test_grid_without_rng_ignores_regularizers():
         cfg = desk_config(vocab_size=5, feature_dim=6, dropout=dropout, model_dim=8, frontend=frontend)
         grids.append(init_model(cfg, Rng(4)).example_grid(utt.features, utt.labels))
     assert grids[0].log_probs.values.tobytes() == grids[1].log_probs.values.tobytes()
+
+
+# ------------------------------------------- batched step vs per-example step
+
+def _random_batch(shapes, feature_dim, vocab_size, rng):
+    """One utterance per (raw frames, labels) pair."""
+    return [Utterance(f"u{i}", rng.substream(f"x{i}").normal((frames, feature_dim)),
+                      [int(v) for v in rng.substream(f"y{i}").integers(1, vocab_size, (labels,))])
+            for i, (frames, labels) in enumerate(shapes)]
+
+
+def _regularized_config(stack, subsample, layers, audio_mask, label_left):
+    frontend = FrontendConfig(stack=stack, subsample=subsample, freq_mask_width=2, freq_mask_count=1,
+                              time_mask_width=1, time_mask_count=1, augment_enabled=True)
+    return desk_config(vocab_size=5, feature_dim=3, audio_mask=audio_mask, label_left=label_left,
+                       num_audio_layers=layers, num_label_layers=layers, model_dim=8, dropout=0.2,
+                       frontend=frontend, max_relative_offset=3)
+
+
+def _per_example_losses(model, batch, cfg, rng):
+    """Each example's loss at step 0, from the reference's own grid and from
+    its slice of the batched grid, under the step's weight noise and
+    substreams."""
+    step_rng = rng.substream("step0")
+    fwd = model.with_params(apply_weight_noise(model.params, cfg.weight_noise_sigma, 0,
+                                               cfg.weight_noise_start_step, step_rng))
+    rngs = [step_rng.substream(f"ex{i}") for i in range(len(batch))]
+    ref = [-rnnt_log_prob(reference_step.example_grid(fwd, u.features, u.labels, r), u.labels).item()
+           for u, r in zip(batch, rngs)]
+    grid = fwd.batch_grid([u.features for u in batch], [u.labels for u in batch], rngs)
+    got = [-rnnt_log_prob(LogProbGrid(Tensor(grid.log_probs.values[b, :t, :len(u.labels) + 1])),
+                          u.labels).item()
+           for b, (u, t) in enumerate(zip(batch, grid.frames))]
+    return ref, got
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 7), st.integers(0, 3)), min_size=1, max_size=5),
+    stack=st.integers(1, 3),
+    subsample=st.integers(1, 3),
+    layers=st.integers(0, 2),
+    audio_mask=st.sampled_from([AttentionMask(None, None), AttentionMask(2, 0), AttentionMask(1, 1)]),
+    label_left=st.sampled_from([None, 1]),
+    seed=st.integers(0, 2**16),
+)
+@example(shapes=[(1, 0), (7, 3), (2, 1)], stack=2, subsample=3, layers=2,
+         audio_mask=AttentionMask(2, 0), label_left=1, seed=0)
+def test_batched_step_matches_per_example_reference(shapes, stack, subsample, layers, audio_mask,
+                                                    label_left, seed):
+    """One step with dropout, SpecAugment and weight noise live: the batched
+    step computes the reference's function, example by example, up to the
+    rounding of batched against per-example products."""
+    cfg = _regularized_config(stack, subsample, layers, audio_mask, label_left)
+    batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(seed))
+    train = TrainConfig(batch_size=len(batch), weight_noise_sigma=0.05, weight_noise_start_step=0,
+                        grad_clip_norm=1e30)
+    results = []
+    for step_fn in (reference_step.train_step, train_step):
+        model = init_model(cfg, Rng(seed + 1))
+        loss = step_fn(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(seed + 2))
+        grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)
+                 for name, p in model.named_params()}
+        counts = (model.counters.attention_scores, model.counters.joint_evals)
+        results.append((loss, grads, counts))
+    (ref_loss, ref_grads, ref_counts), (loss, grads, counts) = results
+    assert counts == ref_counts
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, g in grads.items():
+        assert np.max(np.abs(g - ref_grads[name])) <= 1e-10, name
+
+    ref, got = _per_example_losses(init_model(cfg, Rng(seed + 1)), batch, train, Rng(seed + 2))
+    for b, (r, v) in enumerate(zip(ref, got)):
+        assert abs(v - r) <= 1e-12 * abs(r), (b, shapes[b])
+
+
+def test_padding_does_not_leak_into_other_examples():
+    """Appending a longer example moves the others' losses and encoder rows
+    only by rounding."""
+    cfg = _regularized_config(stack=2, subsample=1, layers=2, audio_mask=AttentionMask(2, 0),
+                              label_left=1)
+    model = init_model(cfg, Rng(7))
+    batch = _random_batch([(3, 1), (1, 0), (9, 4)], cfg.feature_dim, cfg.vocab_size, Rng(8))
+    rngs = [Rng(9).substream(f"ex{i}") for i in range(len(batch))]
+    results = []
+    for k in (2, 3):
+        feats, ys = [u.features for u in batch[:k]], [u.labels for u in batch[:k]]
+        grid = model.batch_grid(feats, ys, rngs[:k])
+        losses = [rnnt_log_prob(LogProbGrid(Tensor(grid.log_probs.values[b, :t, :len(y) + 1])), y).item()
+                  for b, (t, y) in enumerate(zip(grid.frames, ys))]
+        stacked, frames = pad([model.prepare_features(f, r) for f, r in zip(feats, rngs)])
+        audio = model.encode_audio(stacked, rngs[:k], frames).values
+        results.append((losses, [audio[b, :t] for b, t in enumerate(frames)]))
+    (short_losses, short_rows), (long_losses, long_rows) = results
+    assert len(long_rows[2]) > max(len(rows) for rows in short_rows)
+    for b in range(2):
+        assert abs(long_losses[b] - short_losses[b]) <= 1e-12 * abs(short_losses[b])
+        assert np.max(np.abs(long_rows[b] - short_rows[b])) <= 1e-12
+
+
+def _count_graph_nodes(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_train_step_graph_size_is_independent_of_batch(monkeypatch):
+    roots = []
+    monkeypatch.setattr(trn, "backward", lambda root: (roots.append(root), backward(root))[1])
+    cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=AttentionMask(3, 1), label_left=2,
+                      dropout=0.1, model_dim=8)
+    train = TrainConfig(batch_size=8)
+    sizes = []
+    for shapes in ([(1, 0)], [(4, 2), (9, 3)], [(2, 1)] * 8, [(1, 0), (12, 5)] * 4):
+        model = init_model(cfg, Rng(0))
+        batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(len(shapes)))
+        train_step(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(1))
+        sizes.append(_count_graph_nodes(roots.pop()))
+    # 57 parameter leaves and the features leaf; the audio stack's input
+    # projection and bias, five nodes per layer (two layer norms' first,
+    # attention, its dropout and residual, the feed-forward block) and the
+    # final norm; the label stack's embedding lookup, projection, bias, one
+    # layer and final norm; the joint grid and the lattice loss
+    assert sizes == [57 + 1 + (2 + 2 * 5 + 1) + (3 + 5 + 1) + 2] * 4

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ops
+from reference_step import joint_logits
 from ttkit import tensor as tt
 from ttkit import transducer as tr
 from ttkit.tensor import Rng, ShapeError, Tensor, backward, finite_difference_gradient, max_gradient_error
@@ -16,7 +18,6 @@ from ttkit.transducer import (
     batch_loss,
     brute_force_log_prob,
     enumerate_alignments,
-    joint_logits,
     log_prob_grid,
     random_grid,
     rnnt_log_prob,
@@ -54,7 +55,7 @@ def test_joint_zero_params_uniform():
         p.values[...] = 0.0
     logits = joint_logits(tt.zeros(4), tt.zeros(3), params)
     np.testing.assert_array_equal(logits.values, np.zeros(3))
-    probs = tt.softmax(logits, axis=0)
+    probs = ops.softmax(logits, axis=0)
     np.testing.assert_allclose(probs.values, 1 / 3, atol=1e-15)
 
 
@@ -77,9 +78,9 @@ def test_joint_gradient_check():
     label = Tensor(rng.normal((3,)))
 
     def loss():
-        return tt.tsum(tt.mul(joint_logits(audio, label, params), Tensor([0.3, -1.0, 0.7]))).item()
+        return ops.tsum(ops.mul(joint_logits(audio, label, params), Tensor([0.3, -1.0, 0.7]))).item()
 
-    backward(tt.tsum(tt.mul(joint_logits(audio, label, params), Tensor([0.3, -1.0, 0.7]))))
+    backward(ops.tsum(ops.mul(joint_logits(audio, label, params), Tensor([0.3, -1.0, 0.7]))))
     for name, p in params.named("j"):
         num = finite_difference_gradient(loss, p)
         assert max_gradient_error(p.grad, num) < 1e-4, name
@@ -116,9 +117,9 @@ def test_grid_is_pure_function_of_t_u():
     g1 = log_prob_grid(audio, label, params).log_probs.values
     g2 = log_prob_grid(audio, label, params).log_probs.values
     assert g1.tobytes() == g2.tobytes()
-    pair = joint_logits(audio[1], label[0], params)
+    pair = joint_logits(ops.getitem(audio, 1), ops.getitem(label, 0), params)
     np.testing.assert_allclose(
-        tt.log_softmax(pair, axis=0).values, g1[1, 0], atol=1e-12)
+        ops.log_softmax(pair, axis=0).values, g1[1, 0], atol=1e-12)
 
 
 # ------------------------------------------------------------------ loss
@@ -217,9 +218,9 @@ def test_batch_loss_single_and_duplicate():
     rng = Rng(12)
     grid = random_grid(T=3, U=2, V=3, rng=rng)
     y = [1, 2]
-    single = batch_loss([(grid, y)])
+    single = batch_loss(grid, [y])
     assert single.item() == pytest.approx(-rnnt_log_prob(grid, y).item(), abs=1e-12)
-    double = batch_loss([(grid, y), (grid, y)])
+    double = batch_loss(LogProbGrid(Tensor(np.stack([grid.log_probs.values] * 2))), [y, y])
     assert double.item() == pytest.approx(2 * single.item(), abs=1e-12)
 
 
@@ -232,9 +233,9 @@ def test_loss_gradient_matches_finite_differences():
 
     def loss():
         grid = log_prob_grid(audio, label, params)
-        return batch_loss([(grid, y)]).item()
+        return batch_loss(grid, [y]).item()
 
-    out = batch_loss([(log_prob_grid(audio, label, params), y)])
+    out = batch_loss(log_prob_grid(audio, label, params), [y])
     backward(out)
     for name, p in list(params.named("j")) + [("audio", audio), ("label", label)]:
         num = finite_difference_gradient(loss, p)
@@ -247,21 +248,22 @@ def scalar_graph_log_prob(grid, y):
     y = list(y)
     T, U, V = grid.T, len(y), grid.vocab_size
     lp = grid.log_probs
-    blanks = lp[:, :U + 1, BLANK_ID]  # [T, U+1]
+    blanks = ops.getitem(lp, (slice(None), slice(U + 1), BLANK_ID))  # [T, U+1]
     if U > 0:
         idx = np.broadcast_to(np.asarray(y, dtype=np.intp), (T, U)).reshape(T * U, 1)
-        labels = tt.reshape(tt.gather_cols(tt.reshape(lp[:, :U, :], (T * U, V)), idx), (T, U))
+        emit_rows = ops.reshape(ops.getitem(lp, (slice(None), slice(U))), (T * U, V))
+        labels = ops.reshape(ops.gather_cols(emit_rows, idx), (T, U))
     prev_row = [Tensor(0.0)]
     for u in range(1, U + 1):
-        prev_row.append(tt.add(prev_row[u - 1], labels[0, u - 1]))
+        prev_row.append(tt.add(prev_row[u - 1], ops.getitem(labels, (0, u - 1))))
     for t in range(1, T):
-        row = [tt.add(prev_row[0], blanks[t - 1, 0])]
+        row = [tt.add(prev_row[0], ops.getitem(blanks, (t - 1, 0)))]
         for u in range(1, U + 1):
-            stay = tt.add(prev_row[u], blanks[t - 1, u])
-            emit = tt.add(row[u - 1], labels[t, u - 1])
-            row.append(tt.logaddexp(stay, emit))
+            stay = tt.add(prev_row[u], ops.getitem(blanks, (t - 1, u)))
+            emit = tt.add(row[u - 1], ops.getitem(labels, (t, u - 1)))
+            row.append(ops.logaddexp(stay, emit))
         prev_row = row
-    return tt.add(prev_row[U], blanks[T - 1, U])
+    return tt.add(prev_row[U], ops.getitem(blanks, (T - 1, U)))
 
 
 @pytest.mark.parametrize("T,U,V", [(9, 4, 7), (71, 16, 7), (200, 40, 7)])
@@ -272,7 +274,7 @@ def test_fused_loss_matches_scalar_graph(T, U, V):
     results = []
     for loss_fn in (scalar_graph_log_prob, rnnt_log_prob):
         leaf = Tensor(logits.copy())
-        value = loss_fn(LogProbGrid(tt.log_softmax(leaf, axis=-1)), y)
+        value = loss_fn(LogProbGrid(ops.log_softmax(leaf, axis=-1)), y)
         backward(value)
         results.append((value.item(), leaf.grad))
     (ref, ref_grad), (got, got_grad) = results
@@ -289,7 +291,7 @@ def lattice_instances(draw):
     y = draw(st.lists(st.integers(1, V - 1), min_size=U, max_size=U))
     shape = (T, U + 1 + extra_rows, V)
     rng = Rng(draw(st.integers(0, 2**31)))
-    lp = tt.log_softmax(Tensor(rng.normal(shape, sigma=2.0)), axis=-1).values
+    lp = ops.log_softmax(Tensor(rng.normal(shape, sigma=2.0)), axis=-1).values
     lp[rng.substream("dead").uniform(shape) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))] = -np.inf
     return lp, y
 
@@ -318,6 +320,48 @@ def test_fused_loss_properties(instance):
         assert grad.sum() == pytest.approx(T + U, abs=1e-9)
 
 
+@st.composite
+def padded_batches(draw):
+    """Up to four lattices over one vocabulary, padded into one grid whose
+    padding holds unnormalized noise."""
+    V = draw(st.integers(2, 5))
+    rng = Rng(draw(st.integers(0, 2**31)))
+    examples = []
+    for b in range(draw(st.integers(1, 4))):
+        T, U = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+        y = draw(st.lists(st.integers(1, V - 1), min_size=U, max_size=U))
+        lp = ops.log_softmax(Tensor(rng.substream(f"lp{b}").normal((T, U + 1, V), sigma=2.0)), axis=-1).values
+        lp[rng.substream(f"dead{b}").uniform(lp.shape) < draw(st.sampled_from([0.0, 0.3]))] = -np.inf
+        examples.append((lp, y))
+    T, W = (max(lp.shape[i] for lp, _ in examples) for i in (0, 1))
+    padded = rng.substream("pad").normal((len(examples), T, W, V))
+    for b, (lp, _) in enumerate(examples):
+        padded[b, :lp.shape[0], :lp.shape[1]] = lp
+    return padded, examples
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_batches())
+def test_batch_loss_matches_each_example(batch):
+    """The one lattice node over a padded batch gives each example's own
+    log-probability and gradient; the padding gets gradient 0."""
+    padded, examples = batch
+    leaf = Tensor(padded)
+    loss = batch_loss(LogProbGrid(leaf, np.array([lp.shape[0] for lp, _ in examples])),
+                      [y for _, y in examples])
+    backward(loss)
+    expected = 0.0
+    for b, (lp, y) in enumerate(examples):
+        own = Tensor(lp)
+        value = rnnt_log_prob(LogProbGrid(own), y)
+        backward(value)
+        expected -= value.item()
+        T, W = lp.shape[:2]
+        assert np.array_equal(leaf.grad[b, :T, :W], -own.grad)
+        assert (leaf.grad[b, T:] == 0).all() and (leaf.grad[b, :, W:] == 0).all()
+    assert loss.item() == expected or abs(loss.item() - expected) <= 1e-12 * abs(expected)
+
+
 def test_loss_on_non_finite_grid_raises_no_warning():
     lp = np.log(np.full((3, 3, 3), 1 / 3))
     lp[1, 1, 0], lp[0, 1, 2], lp[2, 0, 1] = np.nan, np.inf, -np.inf
@@ -336,7 +380,7 @@ def test_grid_from_non_finite_logits_raises_no_warning():
     leaf = Tensor(logits)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = LogProbGrid(tt.log_softmax(leaf, axis=-1))
+        grid = LogProbGrid(ops.log_softmax(leaf, axis=-1))
         value = rnnt_log_prob(grid, [2, 1])
         backward(value, check_finite=False)
     assert np.isnan(value.item())
@@ -349,8 +393,8 @@ def test_grid_from_non_finite_logits_raises_no_warning():
 @pytest.mark.parametrize("T,U", [(1, 0), (4, 2), (30, 9)])
 @pytest.mark.parametrize("B", [1, 3])
 def test_batch_loss_graph_size_is_independent_of_lattice(T, U, B):
-    grids = [LogProbGrid(Tensor(random_grid(T, U, 5, Rng(b)).log_probs.values)) for b in range(B)]
-    root = batch_loss([(g, [1 + (u % 4) for u in range(U)]) for g in grids])
+    grid = LogProbGrid(Tensor(np.stack([random_grid(T, U, 5, Rng(b)).log_probs.values for b in range(B)])))
+    root = batch_loss(grid, [[1 + (u % 4) for u in range(U)]] * B)
     seen = {id(root)}
     stack = [root]
     while stack:
@@ -358,8 +402,8 @@ def test_batch_loss_graph_size_is_independent_of_lattice(T, U, B):
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    # B loss nodes, B - 1 adds and one neg on top of the B grid leaves
-    assert len(seen) - B == B + (B - 1) + 1
+    # one loss node over the one padded grid leaf, whatever the batch
+    assert len(seen) - 1 == 1
 
 
 def test_dp_perturbation_hook_breaks_equivalence():

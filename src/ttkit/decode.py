@@ -15,7 +15,11 @@ reproducing batch behavior exactly on the true final frames.
 Beam search shares label-encoder states: a finite label window makes the
 label activation a function of the last few ids, so one search computes one
 state per distinct context and every hypothesis ending in it holds that same,
-never-mutated state.
+never-mutated state. It scores each (frame, state) pair with the joint once,
+however many hypotheses hold the state, and each round builds children only
+for the scores at or above its `beam_width`-th best. A label id's input row
+(embedding times input projection) and its first-layer keys and values
+depend on the id alone, so every decode call computes them once per id.
 """
 
 from __future__ import annotations
@@ -123,6 +127,17 @@ class IncrementalEncoder:
         self._append(0, row @ self.params.input_w.values + self.params.input_b.values)
         return self._advance(self.first[0] + len(self.rows[0]))
 
+    def push_projected(self, row: np.ndarray, kv: tuple[np.ndarray, ...] | None) -> list[np.ndarray]:
+        """`push` for a row already through the input projection, given with
+        its first layer's `key_value_row` (None for a stack of no layers),
+        so a caller that feeds the same rows again computes both once."""
+        if self.finished:
+            raise StreamError("push after finish")
+        self.rows[0].append(row)
+        if kv is not None:
+            self.kv[0].append(kv)
+        return self._advance(self.first[0] + len(self.rows[0]))
+
     def finish(self) -> list[np.ndarray]:
         """Signal end of input and drain the per-layer look-ahead."""
         if self.finished:
@@ -173,7 +188,9 @@ class LabelState:
     histories ending in the same such `context` see identical windows at
     identical relative offsets. States derived through `advanced` from one
     root therefore share one `memo`, holding one state per context, and
-    are never mutated once reached that way; `advance` mutates in place."""
+    are never mutated once reached that way; `advance` mutates in place.
+    They share `inputs` too: each label id's projected input row and its
+    first-layer `key_value_row`, computed on the id's first push."""
 
     def __init__(self, model: TransducerModel):
         cfg = model.config.label
@@ -181,6 +198,7 @@ class LabelState:
         self.model = model
         self.keep = slice(None) if math.isinf(past) else slice(-int(past) - 1, None)
         self.memo: dict[tuple[int, ...], LabelState] = {}
+        self.inputs: dict[int, tuple[np.ndarray, tuple[np.ndarray, ...] | None]] = {}
         self.context = (BLANK_ID,)
         self.encoder = IncrementalEncoder(cfg, model.params.label, model.counters)
         self._push(BLANK_ID)
@@ -192,7 +210,7 @@ class LabelState:
         other = self.memo.get(context)
         if other is None:
             other = LabelState.__new__(LabelState)
-            other.model, other.keep, other.memo = self.model, self.keep, self.memo
+            other.model, other.keep, other.memo, other.inputs = self.model, self.keep, self.memo, self.inputs
             other.context = context
             other.encoder = self.encoder.clone()
             other._push(label)
@@ -206,7 +224,14 @@ class LabelState:
         self._push(label)
 
     def _push(self, label: int):
-        self.vec = self.encoder.push(self.model.params.label_embedding.values[label])[0]
+        entry = self.inputs.get(label)
+        if entry is None:
+            params, cfg = self.model.params.label, self.model.config.label
+            embedding = self.model.params.label_embedding.values[label]
+            row = embedding @ params.input_w.values + params.input_b.values
+            kv = att.key_value_row(row, params.layers[0], cfg) if cfg.num_layers else None
+            entry = self.inputs[label] = (row, kv)
+        self.vec = self.encoder.push_projected(*entry)[0]
         self.proj = self.model.project_label(self.vec)
 
 
@@ -223,12 +248,18 @@ def greedy_decode(model: TransducerModel, features: np.ndarray,
     """Frame-synchronous argmax decoding. At each frame, emit the argmax
     symbol (ties to the lowest id) until blank wins or the per-frame cap is
     reached, then advance to the next frame."""
+    _check_cap(max_symbols_per_frame)
     enc = _batch_encode_audio(model, features)
     state = LabelState(model)
     out: list[int] = []
     for t in range(enc.shape[0]):
         _greedy_frame(model, enc[t], state, out, max_symbols_per_frame)
     return out
+
+
+def _check_cap(max_symbols_per_frame: int):
+    if max_symbols_per_frame < 1:
+        raise ValueError(f"max_symbols_per_frame must be >= 1, got {max_symbols_per_frame}")
 
 
 def _greedy_frame(model, enc_row, state: LabelState, out: list[int], cap: int):
@@ -261,42 +292,60 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
     """Frame-synchronous beam search.
 
     Per frame, hypotheses expand until each ends in blank; identical label
-    sequences merge by log-sum-exp of their scores. With beam_width 1 and
-    fusion off the selection at every round is the plain argmax, so the
-    result reduces to `greedy_decode`.
+    sequences merge by log-sum-exp of their scores. A round ranks every
+    child, blank or label, of every active hypothesis by (-score, labels)
+    and keeps `beam_width`; only children scoring at or above the
+    `beam_width`-th best are built, so no kept child differs from a full
+    sort. With beam_width 1 and fusion off the selection at every round is
+    the plain argmax, so the result reduces to `greedy_decode`.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    _check_cap(max_symbols_per_frame)
     fusion = fusion if fusion is not None else FusionConfig()
     enc = _batch_encode_audio(model, features)
     beam = [Hypothesis(labels=(), score=0.0, state=LabelState(model))]
+    vocab = model.config.vocab_size
 
     for t in range(enc.shape[0]):
         audio_proj = model.project_audio(enc[t])
+        joint_rows: dict[LabelState, list[float]] = {}  # states are never mutated
         active = beam
         done: dict[tuple[int, ...], Hypothesis] = {}
         for round_i in range(max_symbols_per_frame + 1):
-            # children: (labels, score, parent_state, emitted label or None);
-            # label-encoder states are looked up only for surviving children
-            children: list[tuple[tuple[int, ...], float, LabelState, int | None]] = []
-            allow_emit = round_i < max_symbols_per_frame
+            # every child's score, per hypothesis its blank and then, when
+            # emission is allowed, each label; plain floats, since a round
+            # holds too few for numpy to pay
+            width = vocab if round_i < max_symbols_per_frame else 1
+            scores: list[float] = []
             for hyp in active:
-                lp = model.joint_from_projections(audio_proj, hyp.state.proj)
-                children.append((hyp.labels, hyp.score + lp[BLANK_ID], hyp.state, None))
-                if not allow_emit:
+                lp = joint_rows.get(hyp.state)
+                if lp is None:
+                    lp = model.joint_from_projections(audio_proj, hyp.state.proj).tolist()
+                    joint_rows[hyp.state] = lp
+                scores.append(hyp.score + lp[BLANK_ID])
+                if width == 1:
                     continue
-                for v in range(1, lp.shape[0]):
-                    bonus = fusion.length_bonus
-                    if fusion.lm_weight != 0.0:
-                        bonus += fusion.lm_weight * fusion.lm.log_prob(hyp.labels, v)
-                    children.append((hyp.labels + (v,), hyp.score + lp[v] + bonus, hyp.state, v))
+                if fusion.lm_weight != 0.0:
+                    bonus = [fusion.length_bonus + fusion.lm_weight * fusion.lm.log_prob(hyp.labels, v)
+                             for v in range(1, width)]
+                    scores += [hyp.score + x + b for x, b in zip(lp[1:], bonus)]
+                else:
+                    scores += [hyp.score + x + fusion.length_bonus for x in lp[1:]]
+            cut = sorted(scores)[-min(beam_width, len(scores))]
+            children = []
+            for i, score in enumerate(scores):
+                if score >= cut:
+                    hyp = active[i // width]
+                    v = i % width
+                    children.append((hyp.labels + (v,) if v else hyp.labels, score, hyp.state, v))
             children.sort(key=lambda c: (-c[1], c[0]))
             active = []
-            for labels, score, state, emitted in children[:beam_width]:
-                if emitted is None:
+            for labels, score, state, v in children[:beam_width]:
+                if v == BLANK_ID:
                     _merge(done, Hypothesis(labels, score, state))
                 else:
-                    active.append(Hypothesis(labels, score, state.advanced(emitted)))
+                    active.append(Hypothesis(labels, score, state.advanced(v)))
             if not active:
                 break
         beam = sorted(done.values(), key=lambda h: (-h.score, h.labels))[:beam_width]
@@ -308,7 +357,7 @@ def _merge(done: dict, hyp: Hypothesis):
     if prior is None:
         done[hyp.labels] = hyp
     else:
-        done[hyp.labels] = Hypothesis(hyp.labels, np.logaddexp(prior.score, hyp.score), prior.state)
+        done[hyp.labels] = Hypothesis(hyp.labels, float(np.logaddexp(prior.score, hyp.score)), prior.state)
 
 
 class StreamState:
@@ -324,6 +373,7 @@ class StreamState:
                  record_activations: bool = False):
         if not model.config.audio.mask.is_finite:
             raise ValueError("streaming requires a finite audio attention window on both sides")
+        _check_cap(max_symbols_per_frame)
         self.model = model
         self.max_symbols_per_frame = max_symbols_per_frame
         self.stack = model.config.frontend.stack

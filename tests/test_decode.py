@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_beam
 import ttkit.attention as att
 import ttkit.tensor as tt
 from ttkit import decode as dec
@@ -162,6 +163,17 @@ def test_beam_rejects_zero_width():
         beam_decode(small_model(), Rng(0).normal((3, 6)), beam_width=0)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_decoders_reject_symbol_cap_below_one(cap):
+    model, feats = small_model(), Rng(0).normal((3, 6))
+    with pytest.raises(ValueError, match="max_symbols_per_frame"):
+        greedy_decode(model, feats, max_symbols_per_frame=cap)
+    with pytest.raises(ValueError, match="max_symbols_per_frame"):
+        beam_decode(model, feats, beam_width=2, max_symbols_per_frame=cap)
+    with pytest.raises(ValueError, match="max_symbols_per_frame"):
+        StreamState(model, max_symbols_per_frame=cap)
+
+
 def test_beam_score_matches_exhaustive_marginal_oracle():
     # V=2: candidate outputs are a^k, so a modest width is exhaustive.
     for seed in (0, 1, 2, 4):
@@ -315,20 +327,31 @@ def test_beam_equals_unshared_beam(monkeypatch):
             assert_same_state(a.state, b.state)
 
 
+def count_pushes(monkeypatch, record):
+    """Call `record(encoder)` for every row pushed into an
+    `IncrementalEncoder`, raw or already projected."""
+    push, push_projected = dec.IncrementalEncoder.push, dec.IncrementalEncoder.push_projected
+
+    def counting_push(self, row):
+        record(self)
+        return push(self, row)
+
+    def counting_push_projected(self, row, kv):
+        record(self)
+        return push_projected(self, row, kv)
+
+    monkeypatch.setattr(dec.IncrementalEncoder, "push", counting_push)
+    monkeypatch.setattr(dec.IncrementalEncoder, "push_projected", counting_push_projected)
+
+
 def test_beam_label_pushes_bounded_by_contexts(monkeypatch):
     # V=3, one label layer, label_left 1: the activation depends on the last
     # two ids, so the start state, (start, v) and (u, v) are all there are
     V = 3
     model = small_model(vocab_size=V, label_left=1, blank_bias=1.0)
     feats = Rng(12).normal((60, 6))
-    push = dec.IncrementalEncoder.push
     pushes = []
-
-    def counting_push(self, row):
-        pushes.append(self.config is model.config.label)
-        return push(self, row)
-
-    monkeypatch.setattr(dec.IncrementalEncoder, "push", counting_push)
+    count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config is model.config.label))
     shared = beam_decode(model, feats, beam_width=4)
     shared_pushes, pushes[:] = sum(pushes), []
     monkeypatch.setattr(dec.LabelState, "advanced", unshared_advanced)
@@ -343,14 +366,8 @@ def test_beam_label_pushes_without_label_layers(monkeypatch):
     # projection whatever the label window, so V states cover every history
     V = 3
     feats = Rng(12).normal((60, 6))
-    push = dec.IncrementalEncoder.push
     pushes = []
-
-    def counting_push(self, row):
-        pushes.append(self.config.num_layers == 0)
-        return push(self, row)
-
-    monkeypatch.setattr(dec.IncrementalEncoder, "push", counting_push)
+    count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config.num_layers == 0))
     counts = []
     for label_left in (None, 0):
         model = small_model(vocab_size=V, label_left=label_left, num_label_layers=0, blank_bias=1.0)
@@ -358,6 +375,115 @@ def test_beam_label_pushes_without_label_layers(monkeypatch):
         counts.append(sum(pushes))
         pushes[:] = []
     assert counts[0] == counts[1] <= V
+
+
+def nbest_bits(beam):
+    return [(h.labels, float(h.score).hex()) for h in beam]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 8), label_left=st.one_of(st.none(), st.integers(0, 3)),
+       label_layers=st.integers(0, 3), cap=st.integers(1, 10), vocab=st.integers(2, 5),
+       fusion=st.sampled_from(["off", "lm", "bonus"]), seed=st.integers(0, 2**16),
+       frames=st.integers(0, 10), data=st.data())
+def test_beam_equals_reference_beam(width, label_left, label_layers, cap, vocab, fusion, seed,
+                                    frames, data):
+    """The n-best labels and score bits equal those of the reference, which
+    builds and sorts every child and calls the joint per hypothesis."""
+    model = small_model(seed=seed, vocab_size=vocab, label_left=label_left,
+                        num_label_layers=label_layers, blank_bias=data.draw(st.floats(-1.0, 2.0)))
+    feats = Rng(seed + 1).normal((frames, 6))
+    labels = st.integers(1, vocab - 1)
+    config = None
+    if fusion == "lm":
+        lm = BigramLm.fit(data.draw(st.lists(st.lists(labels, max_size=6), max_size=4)), vocab - 1)
+        config = FusionConfig(lm_weight=data.draw(st.floats(0.05, 1.0)), lm=lm)
+    elif fusion == "bonus":
+        config = FusionConfig(length_bonus=data.draw(st.floats(0.01, 2.0)))
+    got = beam_decode(model, feats, width, fusion=config, max_symbols_per_frame=cap)
+    want = reference_beam.beam_decode(model, feats, width, fusion=config, max_symbols_per_frame=cap)
+    assert nbest_bits(got) == nbest_bits(want)
+
+
+def test_beam_ties_break_on_labels_like_the_reference():
+    """With a zero output layer every child of a hypothesis scores the same,
+    so the labels alone order them."""
+    lm = BigramLm.fit([[1, 2, 3], [3, 3], [2]], num_labels=3)
+    for fusion in (None, FusionConfig(lm_weight=0.5, lm=lm)):
+        model = small_model(seed=4, label_left=1)
+        model.params.joint.out_w.values[...] = 0.0
+        model.params.joint.out_b.values[...] = 0.0
+        feats = Rng(8).normal((5, 6))
+        for width in (1, 2, 3, 5, 8):
+            for cap in (1, 2, 3):
+                got = beam_decode(model, feats, width, fusion=fusion, max_symbols_per_frame=cap)
+                want = reference_beam.beam_decode(model, feats, width, fusion=fusion,
+                                                  max_symbols_per_frame=cap)
+                assert nbest_bits(got) == nbest_bits(want), (fusion, width, cap)
+
+
+def test_beam_scores_each_frame_and_state_once(monkeypatch):
+    """One joint evaluation per distinct (frame, label state) pair, fewer
+    than the reference's one per hypothesis per round."""
+    model = small_model(vocab_size=3, label_left=1, blank_bias=1.0)
+    feats = Rng(12).normal((60, 6))
+    project_audio, joint = model.project_audio, model.joint_from_projections
+    frame, pairs, held = [-1], [], []
+
+    def counting_project_audio(row):
+        frame[0] += 1
+        return project_audio(row)
+
+    def recording_joint(audio_proj, label_proj):
+        pairs.append((frame[0], id(label_proj)))
+        held.append(label_proj)  # keeps every id distinct
+        return joint(audio_proj, label_proj)
+
+    monkeypatch.setattr(model, "project_audio", counting_project_audio)
+    monkeypatch.setattr(model, "joint_from_projections", recording_joint)
+    before = model.counters.joint_evals
+    beam_decode(model, feats, beam_width=4)
+    evals = model.counters.joint_evals - before
+    assert frame[0] == 59
+    assert evals == len(pairs) == len(set(pairs))
+    before = model.counters.joint_evals
+    reference_beam.beam_decode(model, feats, beam_width=4)
+    assert evals < model.counters.joint_evals - before
+
+
+@pytest.mark.parametrize("decoder", ["greedy", "beam", "stream"])
+def test_label_input_rows_computed_once_per_call(monkeypatch, decoder):
+    """A label id's input projection and first-layer keys and values are
+    computed at most once per decode call, however often it is pushed."""
+    model = small_model(vocab_size=4, label_left=2, num_label_layers=2, blank_bias=-1.0)
+    feats = Rng(13).normal((30, 6))
+    first_layer = model.params.label.layers[0]
+    projected, key_values, pushes = [], [], []
+    key_value_row = att.key_value_row
+
+    def counting_key_value_row(row, layer, config):
+        if layer is first_layer:
+            key_values.append(row.tobytes())
+        return key_value_row(row, layer, config)
+
+    class CountingWeights(np.ndarray):
+        def __rmatmul__(self, other):
+            projected.append(np.asarray(other).tobytes())
+            return np.asarray(other) @ self.view(np.ndarray)
+
+    input_w = model.params.label.input_w
+    monkeypatch.setattr(input_w, "values", input_w.values.view(CountingWeights))
+    monkeypatch.setattr(att, "key_value_row", counting_key_value_row)
+    count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config is model.config.label))
+    if decoder == "greedy":
+        greedy_decode(model, feats, max_symbols_per_frame=3)
+    elif decoder == "beam":
+        beam_decode(model, feats, beam_width=4, max_symbols_per_frame=3)
+    else:
+        stream_decode(model, feats, max_symbols_per_frame=3)
+    assert len(projected) == len(set(projected)) <= model.config.vocab_size
+    assert len(key_values) == len(set(key_values)) == len(projected)
+    assert sum(pushes) > 3 * len(projected)  # ids are pushed again and again
 
 
 def test_fusion_requires_lm():

@@ -79,7 +79,7 @@ class StreamRun(NamedTuple):
 
 def stream_runs():
     """Audio masks 10/0, 10/2 and 2/0, each with label_left 2 and 20: 40 frames
-    through a 2+1-layer, model_dim 16 model, at most 10 labels per frame."""
+    through a 2+1-layer, model_dim 16 model, at the default symbol cap."""
     for audio_mask in (AttentionMask(10, 0), AttentionMask(10, 2), AttentionMask(2, 0)):
         for label_left in (2, 20):
             cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=audio_mask,
@@ -101,7 +101,7 @@ def stream_runs():
             warmup = cfg.audio.num_layers * audio_mask.right
             # one evaluation closes a frame on blank, plus one per label;
             # at the cap the frame closes without the blank check
-            cost_ok = all(evals == (emitted + 1 if emitted < 10 else 10)
+            cost_ok = all(evals == min(emitted + 1, state.max_symbols_per_frame)
                           for evals, emitted in per_frame[warmup:])
             yield StreamRun((audio_mask, label_left), streamed, batch, gap, per_frame, warmup,
                             streamed == batch and gap < 1e-9 and cost_ok)

@@ -1,8 +1,11 @@
 """Command-line surface: train, decode, eval, selftest, gen-data.
 
 Exit codes: 0 success, 1 test/assertion failure, 2 usage or config error,
-3 numerical failure. Every run prints its resolved configuration and seed to
-stderr, so identical printed configs imply identical outputs.
+3 numerical failure. Each run but selftest first prints its record to
+stderr, so equal records imply equal outputs. `train` prints its seed and
+resolved run config; decode, eval and gen-data print one `resolved config:`
+JSON line of the command and every flag's effective value (decode and eval
+have no seed; gen-data's is its `--seed` flag).
 """
 
 from __future__ import annotations
@@ -11,14 +14,15 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import checks
 from . import decode as dec
 from . import transducer as tr
-from .config import ConfigError, DecodeOptions, load_run_config, resolved_config_dict
-from .decode import BigramLm, FusionConfig, StreamState
+from .config import ConfigError, load_run_config, resolved_config_dict
+from .decode import BigramLm, DecodeOptions, FusionConfig, StreamState
 from .model import init_model
 from .tasks import DatasetFormatError, SyntheticTaskConfig, corpus_wer, edit_distance, gen_synthetic, read_dataset, write_dataset
 from .tensor import NumericsError, Rng
@@ -38,9 +42,13 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
-def _print_resolved(config_dict: dict, seed: int):
-    _log(f"seed: {seed}")
+def _print_resolved(config_dict: dict):
     _log("resolved config: " + json.dumps(config_dict, sort_keys=True))
+
+
+def _print_args(args):
+    """The record of a command configured by its flags alone."""
+    _print_resolved({name: value for name, value in vars(args).items() if name != "fn"})
 
 
 def _load_dataset_or_exit(path):
@@ -78,7 +86,8 @@ def _load_checkpoint_or_exit(path):
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config)  # main reports a ConfigError or NumericsError
-    _print_resolved(resolved_config_dict(run), run.seed)
+    _log(f"seed: {run.seed}")
+    _print_resolved(resolved_config_dict(run))
     if "dataset" not in run.paths:
         raise UsageError("config.paths.dataset: missing required key")
     data = _load_dataset_or_exit(run.paths["dataset"])
@@ -95,17 +104,26 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _build_fusion(args, model) -> FusionConfig | None:
-    if args.lm_weight == 0.0 and args.length_bonus == 0.0:
+def _decode_options(args) -> DecodeOptions:
+    """The decode settings the command has flags for; the rest at default."""
+    try:
+        return DecodeOptions(**{f.name: getattr(args, f.name) for f in fields(DecodeOptions)
+                                if hasattr(args, f.name)})
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _build_fusion(opts: DecodeOptions, lm_dataset: str | None, model) -> FusionConfig | None:
+    if opts.lm_weight == 0.0 and opts.length_bonus == 0.0:
         return None
     lm = None
-    if args.lm_weight != 0.0:
-        if not args.lm_dataset:
+    if opts.lm_weight != 0.0:
+        if not lm_dataset:
             raise UsageError("--lm-weight needs --lm-dataset to fit the bundled bigram scorer")
-        lm_data = _load_dataset_or_exit(args.lm_dataset)
-        _check_fits(lm_data, args.lm_dataset, model.config, features=False)
+        lm_data = _load_dataset_or_exit(lm_dataset)
+        _check_fits(lm_data, lm_dataset, model.config, features=False)
         lm = BigramLm.fit([u.labels for u in lm_data.utterances], model.vocab.size - 1)
-    return FusionConfig(lm_weight=args.lm_weight, length_bonus=args.length_bonus, lm=lm)
+    return FusionConfig(lm_weight=opts.lm_weight, length_bonus=opts.length_bonus, lm=lm)
 
 
 def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfig | None):
@@ -119,35 +137,22 @@ def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfi
             best = dec.beam_decode(model, utt.features, opts.beam_width, fusion,
                                    opts.max_symbols_per_frame)
             labels = list(best[0].labels)
-        elif mode == "stream":
+        else:  # stream
             state = StreamState(model, opts.max_symbols_per_frame)
             labels = []
             for t in range(utt.features.shape[0]):
                 labels.extend(state.step(utt.features[t]))
             labels.extend(state.flush())
-        else:
-            raise ValueError(f"unknown decode mode {mode!r}")
         yield utt, labels
 
 
-def _decode_options_or_exit(**kw) -> DecodeOptions:
-    try:
-        return DecodeOptions(**kw)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def cmd_decode(args) -> int:
-    opts = _decode_options_or_exit(beam_width=args.beam_width, lm_weight=args.lm_weight,
-                                   length_bonus=args.length_bonus,
-                                   max_symbols_per_frame=args.max_symbols_per_frame)
+    _print_args(args)
+    opts = _decode_options(args)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config, labels=False)
-    _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
-                     "mode": args.mode, "beam_width": args.beam_width,
-                     "lm_weight": args.lm_weight, "length_bonus": args.length_bonus}, 0)
-    fusion = _build_fusion(args, model)
+    fusion = _build_fusion(opts, args.lm_dataset, model)
     vocab = model.vocab
     lines = [f"{utt.id}\t{' '.join(vocab.name(l) for l in labels)}"
              for utt, labels in _transcribe(model, data, args.mode, opts, fusion)]
@@ -161,13 +166,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _decode_options_or_exit(beam_width=args.beam_width,
-                                   max_symbols_per_frame=args.max_symbols_per_frame)
+    _print_args(args)
+    opts = _decode_options(args)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config)
-    _print_resolved({"checkpoint": args.checkpoint, "dataset": args.dataset,
-                     "mode": args.mode}, 0)
     if not any(utt.labels for utt in data.utterances):
         raise UsageError(f"dataset {args.dataset} has no reference labels to score against")
     per_utt = [{"id": utt.id, "ref_len": len(utt.labels), "errors": edit_distance(utt.labels, hyp),
@@ -183,6 +186,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    _print_args(args)
     try:
         cfg = SyntheticTaskConfig(
             vocab=args.vocab, label_len=(args.min_labels, args.max_labels),
@@ -192,11 +196,6 @@ def cmd_gen_data(args) -> int:
             first_index=args.first_index)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    _print_resolved({"command": "gen-data", "out": args.out, "vocab": args.vocab,
-                     "label_len": [args.min_labels, args.max_labels],
-                     "frames_per_label": [args.min_frames, args.max_frames],
-                     "feature_dim": args.feature_dim, "noise": args.noise,
-                     "size": args.size, "bigram_scale": args.bigram_scale}, args.seed)
     write_dataset(gen_synthetic(cfg), args.out)
     _log(f"wrote {args.size} utterances to {args.out}")
     return EXIT_OK
@@ -234,24 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for checkpoints and metrics")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("decode", help="transcribe a dataset with a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--mode", choices=["greedy", "beam", "stream"], default="greedy")
-    p.add_argument("--beam-width", type=int, default=4)
-    p.add_argument("--lm-weight", type=float, default=0.0)
-    p.add_argument("--length-bonus", type=float, default=0.0)
+    decoding = argparse.ArgumentParser(add_help=False)  # the flags decode and eval share
+    decoding.add_argument("--checkpoint", required=True)
+    decoding.add_argument("--dataset", required=True)
+    decoding.add_argument("--mode", choices=["greedy", "beam", "stream"], default="greedy")
+    decoding.add_argument("--beam-width", type=int, default=DecodeOptions.beam_width)
+    decoding.add_argument("--max-symbols-per-frame", type=int,
+                          default=DecodeOptions.max_symbols_per_frame)
+
+    p = sub.add_parser("decode", parents=[decoding], help="transcribe a dataset with a checkpoint")
+    p.add_argument("--lm-weight", type=float, default=DecodeOptions.lm_weight)
+    p.add_argument("--length-bonus", type=float, default=DecodeOptions.length_bonus)
     p.add_argument("--lm-dataset", help="dataset whose labels fit the bundled bigram scorer")
-    p.add_argument("--max-symbols-per-frame", type=int, default=10)
     p.add_argument("--output", help="write transcripts here instead of stdout")
     p.set_defaults(fn=cmd_decode)
 
-    p = sub.add_parser("eval", help="decode a dataset and report corpus WER")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--mode", choices=["greedy", "beam", "stream"], default="greedy")
-    p.add_argument("--beam-width", type=int, default=4)
-    p.add_argument("--max-symbols-per-frame", type=int, default=10)
+    p = sub.add_parser("eval", parents=[decoding], help="decode a dataset and report corpus WER")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")

@@ -14,6 +14,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .attention import AttentionMask, EncoderConfig
+from .decode import DecodeOptions
 from .frontend import FrontendConfig
 from .model import ModelConfig
 from .train import ScheduleConfig, TrainConfig
@@ -88,18 +89,6 @@ def _mask_side(x):
     if isinstance(x, bool) or not isinstance(x, int) or x < 0:
         raise ValueError(f'expected a non-negative integer or "unlimited", got {x!r}')
     return x
-
-
-@dataclass
-class DecodeOptions:
-    beam_width: int = 4
-    lm_weight: float = 0.0
-    length_bonus: float = 0.0
-    max_symbols_per_frame: int = 10
-
-    def __post_init__(self):
-        if self.beam_width < 1 or self.max_symbols_per_frame < 1:
-            raise ValueError("beam_width and max_symbols_per_frame must be >= 1")
 
 
 @dataclass

@@ -49,6 +49,21 @@ class LmScorer(Protocol):
 
 
 @dataclass
+class DecodeOptions:
+    """The decode settings of a run, with their defaults and range check;
+    the decoders' defaults and the CLI flags' defaults are these."""
+
+    beam_width: int = 4
+    lm_weight: float = 0.0
+    length_bonus: float = 0.0
+    max_symbols_per_frame: int = 10
+
+    def __post_init__(self):
+        if self.beam_width < 1 or self.max_symbols_per_frame < 1:
+            raise ValueError("beam_width and max_symbols_per_frame must be >= 1")
+
+
+@dataclass
 class FusionConfig:
     """Shallow fusion: score += lm_weight * log P_LM(symbol | history)
     + length_bonus, per emitted non-blank symbol."""
@@ -122,21 +137,24 @@ class IncrementalEncoder:
 
     def push(self, row: np.ndarray) -> list[np.ndarray]:
         """Feed one input row; returns top-layer rows that became final."""
-        if self.finished:
-            raise StreamError("push after finish")
-        self._append(0, row @ self.params.input_w.values + self.params.input_b.values)
-        return self._advance(self.first[0] + len(self.rows[0]))
+        return self.push_projected(*self._project(row))
 
     def push_projected(self, row: np.ndarray, kv: tuple[np.ndarray, ...] | None) -> list[np.ndarray]:
-        """`push` for a row already through the input projection, given with
-        its first layer's `key_value_row` (None for a stack of no layers),
-        so a caller that feeds the same rows again computes both once."""
+        """`push` for a row already through `_project`: the input projection
+        and its first layer's `key_value_row` (None for a stack of no
+        layers), so a caller that feeds the same rows again computes both
+        once."""
         if self.finished:
             raise StreamError("push after finish")
         self.rows[0].append(row)
         if kv is not None:
             self.kv[0].append(kv)
         return self._advance(self.first[0] + len(self.rows[0]))
+
+    def _project(self, row: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+        row = row @ self.params.input_w.values + self.params.input_b.values
+        kv = att.key_value_row(row, self.params.layers[0], self.config) if self.config.num_layers else None
+        return row, kv
 
     def finish(self) -> list[np.ndarray]:
         """Signal end of input and drain the per-layer look-ahead."""
@@ -226,11 +244,8 @@ class LabelState:
     def _push(self, label: int):
         entry = self.inputs.get(label)
         if entry is None:
-            params, cfg = self.model.params.label, self.model.config.label
             embedding = self.model.params.label_embedding.values[label]
-            row = embedding @ params.input_w.values + params.input_b.values
-            kv = att.key_value_row(row, params.layers[0], cfg) if cfg.num_layers else None
-            entry = self.inputs[label] = (row, kv)
+            entry = self.inputs[label] = self.encoder._project(embedding)
         self.vec = self.encoder.push_projected(*entry)[0]
         self.proj = self.model.project_label(self.vec)
 
@@ -244,22 +259,17 @@ def _batch_encode_audio(model: TransducerModel, features: np.ndarray) -> np.ndar
 
 
 def greedy_decode(model: TransducerModel, features: np.ndarray,
-                  max_symbols_per_frame: int = 10) -> list[int]:
+                  max_symbols_per_frame: int = DecodeOptions.max_symbols_per_frame) -> list[int]:
     """Frame-synchronous argmax decoding. At each frame, emit the argmax
     symbol (ties to the lowest id) until blank wins or the per-frame cap is
     reached, then advance to the next frame."""
-    _check_cap(max_symbols_per_frame)
+    DecodeOptions(max_symbols_per_frame=max_symbols_per_frame)  # the range check
     enc = _batch_encode_audio(model, features)
     state = LabelState(model)
     out: list[int] = []
     for t in range(enc.shape[0]):
         _greedy_frame(model, enc[t], state, out, max_symbols_per_frame)
     return out
-
-
-def _check_cap(max_symbols_per_frame: int):
-    if max_symbols_per_frame < 1:
-        raise ValueError(f"max_symbols_per_frame must be >= 1, got {max_symbols_per_frame}")
 
 
 def _greedy_frame(model, enc_row, state: LabelState, out: list[int], cap: int):
@@ -288,7 +298,7 @@ class Hypothesis:
 
 def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
                 fusion: FusionConfig | None = None,
-                max_symbols_per_frame: int = 10) -> list[Hypothesis]:
+                max_symbols_per_frame: int = DecodeOptions.max_symbols_per_frame) -> list[Hypothesis]:
     """Frame-synchronous beam search.
 
     Per frame, hypotheses expand until each ends in blank; identical label
@@ -299,9 +309,7 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
     sort. With beam_width 1 and fusion off the selection at every round is
     the plain argmax, so the result reduces to `greedy_decode`.
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    _check_cap(max_symbols_per_frame)
+    DecodeOptions(beam_width=beam_width, max_symbols_per_frame=max_symbols_per_frame)  # the range check
     fusion = fusion if fusion is not None else FusionConfig()
     enc = _batch_encode_audio(model, features)
     beam = [Hypothesis(labels=(), score=0.0, state=LabelState(model))]
@@ -369,11 +377,12 @@ class StreamState:
     total output matches batch greedy decoding exactly.
     """
 
-    def __init__(self, model: TransducerModel, max_symbols_per_frame: int = 10,
+    def __init__(self, model: TransducerModel,
+                 max_symbols_per_frame: int = DecodeOptions.max_symbols_per_frame,
                  record_activations: bool = False):
         if not model.config.audio.mask.is_finite:
             raise ValueError("streaming requires a finite audio attention window on both sides")
-        _check_cap(max_symbols_per_frame)
+        DecodeOptions(max_symbols_per_frame=max_symbols_per_frame)  # the range check
         self.model = model
         self.max_symbols_per_frame = max_symbols_per_frame
         self.stack = model.config.frontend.stack
@@ -382,12 +391,11 @@ class StreamState:
         self.skip = 0  # frames before the next row's first, when subsample > stack
         self.encoder = IncrementalEncoder(model.config.audio, model.params.audio, model.counters)
         self.label_state = LabelState(model)
-        self.flushed = False
         self.activations: list[np.ndarray] | None = [] if record_activations else None
 
     def step(self, frame: np.ndarray) -> list[int]:
         """Consume one raw feature frame; return labels emitted by it."""
-        if self.flushed:
+        if self.encoder.finished:
             raise StreamError("step after flush")
         if self.skip:
             self.skip -= 1
@@ -404,9 +412,8 @@ class StreamState:
     def flush(self) -> list[int]:
         """End of stream: process pending look-ahead as if the right context
         were truncated at the final frame, exactly like a batch encode."""
-        if self.flushed:
+        if self.encoder.finished:
             raise StreamError("double flush")
-        self.flushed = True
         new = []
         if self.frames:  # the tail rows, padded by repeating the final frame
             for row in fe.stack_subsample(np.stack(self.frames), self.stack, self.subsample):

@@ -190,6 +190,7 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
+        open(metrics_path, "w").close()  # this run's records only
     start = time.monotonic()
     for step in range(cfg.total_steps):
         at = (step * cfg.batch_size) % len(utts)

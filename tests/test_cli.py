@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from ttkit.attention import AttentionMask
-from ttkit.cli import main
+from ttkit.cli import build_parser, main
 from ttkit.config import ConfigError, load_run_config, parse_run_config, resolved_config_dict
 from ttkit.model import desk_config, init_model
 from ttkit.tasks import (Dataset, SyntheticTaskConfig, Utterance, gen_synthetic, read_dataset,
@@ -636,3 +637,109 @@ def test_cli_gen_data_roundtrip(tmp_path):
     data = read_dataset(out)
     assert data.num_labels == 4 and len(data.utterances) == 10
 
+
+
+# ------------------------------------------------------- records and flags
+
+CLI_FLAGS = {  # every option of every subcommand, with its default
+    "train": {"--config": None, "--out": None},
+    "decode": {"--checkpoint": None, "--dataset": None, "--mode": "greedy", "--beam-width": 4,
+               "--lm-weight": 0.0, "--length-bonus": 0.0, "--lm-dataset": None,
+               "--max-symbols-per-frame": 10, "--output": None},
+    "eval": {"--checkpoint": None, "--dataset": None, "--mode": "greedy", "--beam-width": 4,
+             "--max-symbols-per-frame": 10},
+    "selftest": {"--perturb-dp": False},
+    "gen-data": {"--out": None, "--vocab": 6, "--min-labels": 3, "--max-labels": 5,
+                 "--min-frames": 1, "--max-frames": 3, "--feature-dim": 16, "--noise": 0.1,
+                 "--size": 200, "--seed": 0, "--bigram-scale": 0.0, "--first-index": 0},
+}
+
+
+def test_cli_flags_and_defaults_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {option: action.default for action in p._actions if action.dest != "help"
+                  for option in action.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == CLI_FLAGS
+
+
+RECORD_BASE = {  # path values are file names in the test's directory
+    "decode": {"--checkpoint": "a.ttck", "--dataset": "a.ttds", "--lm-dataset": "a.ttds"},
+    "eval": {"--checkpoint": "a.ttck", "--dataset": "a.ttds"},
+    "gen-data": {"--out": "gen.ttds", "--size": "4"},
+}
+PATH_FLAGS = {"--checkpoint", "--dataset", "--lm-dataset", "--output", "--out"}
+RECORD_CASES = [  # (command, flag, one value, another value)
+    ("decode", "--checkpoint", "a.ttck", "b.ttck"),
+    ("decode", "--dataset", "a.ttds", "b.ttds"),
+    ("decode", "--mode", "greedy", "stream"),
+    ("decode", "--beam-width", "4", "2"),
+    ("decode", "--max-symbols-per-frame", "10", "1"),
+    ("decode", "--lm-weight", "0.0", "0.5"),
+    ("decode", "--length-bonus", "0.0", "0.5"),
+    ("decode", "--lm-dataset", "a.ttds", "b.ttds"),
+    ("decode", "--output", "a.txt", "b.txt"),
+    ("eval", "--checkpoint", "a.ttck", "b.ttck"),
+    ("eval", "--dataset", "a.ttds", "b.ttds"),
+    ("eval", "--mode", "greedy", "stream"),
+    ("eval", "--beam-width", "4", "2"),
+    ("eval", "--max-symbols-per-frame", "10", "1"),
+    ("gen-data", "--out", "gen.ttds", "other.ttds"),
+    ("gen-data", "--vocab", "6", "5"),
+    ("gen-data", "--min-labels", "3", "2"),
+    ("gen-data", "--max-labels", "5", "6"),
+    ("gen-data", "--min-frames", "1", "2"),
+    ("gen-data", "--max-frames", "3", "4"),
+    ("gen-data", "--feature-dim", "16", "8"),
+    ("gen-data", "--noise", "0.1", "0.2"),
+    ("gen-data", "--size", "4", "5"),
+    ("gen-data", "--seed", "0", "1"),
+    ("gen-data", "--bigram-scale", "0.0", "0.5"),
+    ("gen-data", "--first-index", "0", "100"),
+]
+
+
+def _argv(command, flags, tmp_path):
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag, str(tmp_path / value) if flag in PATH_FLAGS else value]
+    return argv
+
+
+def _record(argv, capsys):
+    """Run `argv` and return its record: every stderr line but gen-data's
+    closing count."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().err.splitlines() if not line.startswith("wrote ")]
+
+
+@pytest.fixture
+def record_files(trained, tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.ttck").write_bytes(Path(trained["ckpt"]).read_bytes())
+        (tmp_path / f"{name}.ttds").write_bytes(Path(trained["data"]).read_bytes())
+    return tmp_path
+
+
+@pytest.mark.parametrize("command, flag, value, other", RECORD_CASES,
+                         ids=[f"{c}{f}" for c, f, _, _ in RECORD_CASES])
+def test_cli_record_changes_with_each_flag(record_files, capsys, command, flag, value, other):
+    """Two runs that differ in one flag print different records, so equal
+    records mean equal settings."""
+    records = [_record(_argv(command, dict(RECORD_BASE[command], **{flag: v}), record_files), capsys)
+               for v in (value, other)]
+    assert records[0] != records[1]
+
+
+@pytest.mark.parametrize("command", RECORD_BASE)
+def test_cli_record_holds_every_flag(record_files, capsys, command):
+    """The record of decode, eval and gen-data is one JSON line holding the
+    command and each parsed flag's effective value, defaults included."""
+    argv = _argv(command, RECORD_BASE[command], record_files)
+    record = _record(argv, capsys)
+    assert len(record) == 1 and record[0].startswith("resolved config: ")
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["fn"]
+    assert json.loads(record[0][len("resolved config: "):]) == parsed

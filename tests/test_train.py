@@ -222,6 +222,18 @@ def test_train_loop_writes_metrics_and_checkpoints(tmp_path):
     assert (tmp_path / "ckpt_final.ttck").exists()
 
 
+def test_train_loop_rerun_into_same_dir_keeps_only_its_metrics(tmp_path):
+    """A second run into the same directory starts `metrics.jsonl` afresh
+    instead of appending to the first run's records."""
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=4, total_steps=3, seed=0)
+    for _ in range(2):
+        model, data = tiny_setup()
+        train_loop(model, data, sched, cfg, out_dir=tmp_path)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == list(range(cfg.total_steps))
+
+
 # ----------------------------------------------------------- checkpoints
 
 def test_checkpoint_roundtrip_byte_identical(tmp_path):

@@ -12,6 +12,6 @@ from .model import ModelConfig, TransducerModel, desk_config, init_model
 from .tasks import SyntheticTaskConfig, Utterance, gen_synthetic, read_dataset, wer, write_dataset
 from .tensor import Rng, Tensor, backward, no_grad
 from .train import ScheduleConfig, TrainConfig, load_checkpoint, lr_at, save_checkpoint, train_loop
-from .transducer import LogProbGrid, Vocab, batch_loss, brute_force_log_prob, rnnt_log_prob
+from .transducer import LogProbGrid, batch_loss, brute_force_log_prob, rnnt_log_prob
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line surface: train, decode, eval, selftest, gen-data.
 
-Exit codes: 0 success, 1 test/assertion failure, 2 usage or config error,
-3 numerical failure. Each run but selftest first prints its record to
+Exit codes: 0 success, 1 test/assertion failure, 2 usage, config or path
+error, 3 numerical failure. Each run but selftest first prints its record to
 stderr, so equal records imply equal outputs. `train` prints its seed and
 resolved run config; decode, eval and gen-data print one `resolved config:`
 JSON line of the command and every flag's effective value (decode and eval
@@ -122,7 +122,7 @@ def _build_fusion(opts: DecodeOptions, lm_dataset: str | None, model) -> FusionC
             raise UsageError("--lm-weight needs --lm-dataset to fit the bundled bigram scorer")
         lm_data = _load_dataset_or_exit(lm_dataset)
         _check_fits(lm_data, lm_dataset, model.config, features=False)
-        lm = BigramLm.fit([u.labels for u in lm_data.utterances], model.vocab.size - 1)
+        lm = BigramLm.fit([u.labels for u in lm_data.utterances], model.config.vocab_size - 1)
     return FusionConfig(lm_weight=opts.lm_weight, length_bonus=opts.length_bonus, lm=lm)
 
 
@@ -153,8 +153,7 @@ def cmd_decode(args) -> int:
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config, labels=False)
     fusion = _build_fusion(opts, args.lm_dataset, model)
-    vocab = model.vocab
-    lines = [f"{utt.id}\t{' '.join(vocab.name(l) for l in labels)}"
+    lines = [f"{utt.id}\t{' '.join(f's{l}' for l in labels)}"
              for utt, labels in _transcribe(model, data, args.mode, opts, fusion)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ConfigError) as e:
+    except (UsageError, ConfigError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_USAGE
     except NumericsError as e:

@@ -11,7 +11,7 @@ batch runs as one padded graph (`batch_grid`) with one `Rng` per example.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -24,7 +24,7 @@ from . import transducer as tr
 from .attention import AttentionMask, Counters, EncoderConfig, EncoderParams
 from .frontend import FrontendConfig
 from .tensor import BatchRng, ParamSpec, ParamTree, Rng, Tensor
-from .transducer import JointParams, LogProbGrid, Vocab
+from .transducer import JointParams, LogProbGrid
 
 
 @dataclass
@@ -48,10 +48,6 @@ class ModelConfig:
         if self.label.mask.right != 0:
             raise ValueError(
                 f"label encoder must be causal (right=0), got right={self.label.mask.right}")
-
-    @property
-    def vocab(self) -> Vocab:
-        return Vocab.from_size(self.vocab_size - 1)
 
 
 @dataclass
@@ -80,10 +76,6 @@ class TransducerModel:
         self.config = config
         self.params = params
         self.counters = counters if counters is not None else Counters()
-
-    @property
-    def vocab(self) -> Vocab:
-        return self.config.vocab
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return list(self.params.named())
@@ -118,7 +110,7 @@ class TransducerModel:
         `Rng` each)."""
         y = np.asarray(y, dtype=np.intp)
         for targets, n in zip(np.atleast_2d(y), [y.shape[-1]] if lengths is None else lengths):
-            self.vocab.check_targets(targets[:n])
+            tr.check_targets(targets[:n], self.config.vocab_size)
         ids = np.concatenate([np.full(y.shape[:-1] + (1,), tr.BLANK_ID), y], axis=-1)
         rows = None if lengths is None else np.asarray(lengths) + 1
         emb = tt.rows(self.params.label_embedding, ids)
@@ -193,10 +185,6 @@ def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
 def parameter_count(config: ModelConfig) -> int:
     """Number of values `init_model(config)` allocates, without allocating."""
     return sum(spec.size for _, spec in param_spec(config).named())
-
-
-def model_config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:

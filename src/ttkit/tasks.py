@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import Rng
-from .transducer import Vocab
 
 
 class DatasetFormatError(ValueError):
@@ -42,8 +41,12 @@ class SyntheticTaskConfig:
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ValueError(f"{name} range ({lo}, {hi}) is empty or non-positive")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.bigram_scale < 0:
+            raise ValueError("bigram_scale must be >= 0")
         if self.size < 0 or self.first_index < 0:
             raise ValueError("size and first_index must be >= 0")
 
@@ -64,10 +67,6 @@ class Utterance:
 class Dataset:
     num_labels: int                # non-blank symbols
     utterances: list[Utterance] = field(default_factory=list)
-
-    @property
-    def vocab(self) -> Vocab:
-        return Vocab.from_size(self.num_labels)
 
     def split(self, *sizes: int) -> list["Dataset"]:
         """Slice into consecutive subsets; the remainder forms a final part."""

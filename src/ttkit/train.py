@@ -16,14 +16,13 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .model import (ModelParams, TransducerModel, model_config_from_dict, model_config_to_dict,
-                    param_spec)
+from .model import ModelParams, TransducerModel, model_config_from_dict, param_spec
 from .tasks import BinaryReader, Utterance
 from .tensor import NumericsError, Rng, Tensor, backward
 from .transducer import batch_loss
@@ -216,7 +215,7 @@ _VERSION = 1
 
 
 def checkpoint_bytes(model: TransducerModel) -> bytes:
-    config_doc = json.dumps(model_config_to_dict(model.config),
+    config_doc = json.dumps(asdict(model.config),
                             sort_keys=True, separators=(",", ":")).encode("utf-8")
     named = model.named_params()
     out = bytearray()

@@ -34,39 +34,12 @@ BLANK_ID = 0
 dp_perturbation = 0.0
 
 
-@dataclass(frozen=True)
-class Vocab:
-    """Output vocabulary. Index 0 is always blank; blank never occurs in
-    target sequences."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.symbols) < 2:
-            raise ValueError(f"vocab needs blank plus at least one symbol, got {len(self.symbols)}")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("vocab symbols must be unique")
-
-    @classmethod
-    def from_size(cls, num_labels: int) -> "Vocab":
-        """Blank plus `num_labels` symbolic labels s1..sN."""
-        return cls(("<b>",) + tuple(f"s{i}" for i in range(1, num_labels + 1)))
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def blank_id(self) -> int:
-        return BLANK_ID
-
-    def name(self, label_id: int) -> str:
-        return self.symbols[label_id]
-
-    def check_targets(self, y: Sequence[int]):
-        for label in y:
-            if not 0 < label < self.size:
-                raise ValueError(f"target label {label} outside vocab of size {self.size} (blank forbidden)")
+def check_targets(y: Sequence[int], vocab_size: int):
+    """Raise a ValueError unless every target id lies in 1..vocab_size-1:
+    blank (id 0) never occurs in a target sequence."""
+    for label in y:
+        if not 0 < label < vocab_size:
+            raise ValueError(f"target label {label} outside vocab of size {vocab_size} (blank forbidden)")
 
 
 @dataclass
@@ -182,9 +155,7 @@ def _check_loss_args(lp: np.ndarray, frames: Sequence[int], ys: Sequence[Sequenc
             raise ShapeError(f"grid holds {lp.shape[2] - 1} history rows but targets have length {len(y)}")
         if not 0 < t <= lp.shape[1]:
             raise ShapeError("grid must cover at least one frame")
-        for label in y:
-            if not 0 < label < lp.shape[3]:
-                raise ValueError(f"label {label} outside vocab of size {lp.shape[3]} (blank forbidden)")
+        check_targets(y, lp.shape[3])
 
 
 def _skew(a: np.ndarray) -> np.ndarray:

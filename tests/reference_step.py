@@ -78,7 +78,7 @@ def example_grid(model, features: np.ndarray, y: Sequence[int], rng=None) -> tr.
     stacked = model.prepare_features(features, rng)
     audio = encode(Tensor(stacked), model.config.audio, model.params.audio,
                    rng.substream("audio") if rng else None, model.counters)
-    model.vocab.check_targets(y)
+    tr.check_targets(y, model.config.vocab_size)
     ids = np.array([tr.BLANK_ID] + list(y), dtype=np.intp)
     labels = encode(tt.rows(model.params.label_embedding, ids), model.config.label, model.params.label,
                     rng.substream("label") if rng else None, model.counters)

@@ -9,11 +9,12 @@ import pytest
 from ttkit.attention import AttentionMask
 from ttkit.cli import build_parser, main
 from ttkit.config import ConfigError, load_run_config, parse_run_config, resolved_config_dict
+from ttkit.decode import greedy_decode
 from ttkit.model import desk_config, init_model
 from ttkit.tasks import (Dataset, SyntheticTaskConfig, Utterance, gen_synthetic, read_dataset,
                          write_dataset)
 from ttkit.tensor import Rng
-from ttkit.train import checkpoint_bytes, save_checkpoint
+from ttkit.train import checkpoint_bytes, load_checkpoint, save_checkpoint
 
 
 def base_config(**overrides):
@@ -385,6 +386,37 @@ def test_cli_decode_output_file_and_ordering(trained, tmp_path):
     assert ids == sorted(ids)
 
 
+def test_cli_decode_prints_each_label_as_s_id(trained, capsys):
+    model, data = load_checkpoint(trained["ckpt"]), read_dataset(trained["data"])
+    expected = "".join(f"{utt.id}\t" + " ".join(f"s{l}" for l in greedy_decode(model, utt.features)) + "\n"
+                       for utt in sorted(data.utterances, key=lambda u: u.id))
+    assert main(["decode", "--checkpoint", trained["ckpt"], "--dataset", trained["data"]]) == 0
+    assert capsys.readouterr().out == expected
+
+
+PATH_ERRORS = {  # case: the flags that name a path the run cannot use
+    "gen-data-out-missing-dir": ["gen-data", "--out", "{tmp}/missing/d.ttds", "--size", "2"],
+    "decode-output-missing-dir": ["decode", "--checkpoint", "{ckpt}", "--dataset", "{data}",
+                                  "--output", "{tmp}/missing/hyp.txt"],
+    "train-out-is-file": ["train", "--config", "{config}", "--out", "{file}"],
+    "train-config-is-dir": ["train", "--config", "{tmp}", "--out", "{tmp}/run"],
+    "decode-checkpoint-is-dir": ["decode", "--checkpoint", "{tmp}", "--dataset", "{data}"],
+    "decode-dataset-is-dir": ["decode", "--checkpoint", "{ckpt}", "--dataset", "{tmp}"],
+}
+
+
+@pytest.mark.parametrize("case", PATH_ERRORS)
+def test_cli_path_errors_exit_2(trained, tmp_path, capsys, case):
+    (tmp_path / "file").write_text("")
+    paths = {"tmp": tmp_path, "file": tmp_path / "file", "ckpt": trained["ckpt"],
+             "data": trained["data"], "config": trained["tmp"] / "run.json"}
+    assert main([arg.format(**paths) for arg in PATH_ERRORS[case]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: [Errno")
+    assert str(tmp_path) in captured.err.splitlines()[-1]
+
+
 def test_cli_decode_unreadable_checkpoint_exits_2(trained, tmp_path, capsys):
     bad = tmp_path / "bad.ttck"
     bad.write_bytes(b"garbage")
@@ -636,6 +668,18 @@ def test_cli_gen_data_roundtrip(tmp_path):
                  "--seed", "5"]) == 0
     data = read_dataset(out)
     assert data.num_labels == 4 and len(data.utterances) == 10
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--feature-dim", "-1"], "feature_dim must be >= 1, got -1"),
+    (["--feature-dim", "0"], "feature_dim must be >= 1, got 0"),
+    (["--bigram-scale", "-1"], "bigram_scale must be >= 0"),
+], ids=["feature-dim-neg", "feature-dim-0", "bigram-scale-neg"])
+def test_cli_gen_data_out_of_range_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "gen.ttds"
+    assert main(["gen-data", "--out", str(out), "--size", "2"] + flags) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
 
 
 

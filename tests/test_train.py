@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,7 @@ import ttkit.train as trn
 from ttkit.attention import AttentionMask
 from ttkit.config import load_run_config
 from ttkit.frontend import FrontendConfig
-from ttkit.model import (desk_config, init_model, model_config_from_dict, model_config_to_dict, pad,
-                         parameter_count)
+from ttkit.model import desk_config, init_model, model_config_from_dict, pad, parameter_count
 from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
 from ttkit.tensor import NumericsError, Rng, Tensor, backward
 from ttkit.transducer import LogProbGrid, rnnt_log_prob
@@ -391,8 +391,8 @@ def test_checkpoint_tensor_record_errors(tmp_path, edit, message):
 
 def test_model_config_dict_roundtrip():
     cfg = desk_config(audio_mask=AttentionMask(10, 2), label_left=2)
-    back = model_config_from_dict(model_config_to_dict(cfg))
-    assert model_config_to_dict(back) == model_config_to_dict(cfg)
+    back = model_config_from_dict(asdict(cfg))
+    assert asdict(back) == asdict(cfg)
     assert back.audio.mask == cfg.audio.mask
 
 

@@ -14,7 +14,6 @@ from ttkit.tensor import Rng, ShapeError, Tensor, backward, finite_difference_gr
 from ttkit.transducer import (
     BLANK_ID,
     LogProbGrid,
-    Vocab,
     batch_loss,
     brute_force_log_prob,
     enumerate_alignments,
@@ -31,20 +30,9 @@ def make_joint(d_audio=4, d_label=3, joint_dim=5, vocab=3, seed=0):
 
 # ----------------------------------------------------------------- vocab
 
-def test_vocab_blank_is_zero():
-    v = Vocab.from_size(4)
-    assert v.size == 5 and v.blank_id == 0
-
-
 def test_vocab_rejects_blank_in_targets():
-    v = Vocab.from_size(3)
     with pytest.raises(ValueError):
-        v.check_targets([1, 0, 2])
-
-
-def test_vocab_too_small():
-    with pytest.raises(ValueError):
-        Vocab(("<b>",))
+        tr.check_targets([1, 0, 2], 4)
 
 
 # ----------------------------------------------------------------- joint

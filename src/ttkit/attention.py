@@ -10,11 +10,19 @@ a window's encoding is the same at any absolute position.
 `encode` runs one sequence [T, d] or a padded batch [B, T, d] with
 per-example lengths through the same code: a layer is five graph nodes
 whatever B, T and the head count. All heads of one attention block form a
-single node with a closed-form backward (`_multi_head_attention`):
-projections, scores, mask, softmax, weighted sum and output projection run
-as [..., heads, T, head_dim] numpy matmuls, under the window mask joined
-with each example's key-length mask (`batch_mask`). The feed-forward block
-with its layer-norm, dropouts and residual is one node too (`_feed_forward`).
+single node with a closed-form backward, in one of two forms with the same
+function. The dense node (`_multi_head_attention`) runs projections,
+scores, mask, softmax, weighted sum and output projection as [..., heads,
+T, head_dim] numpy matmuls over all T x T pairs, under the window mask
+joined with each example's key-length mask (`batch_mask`). The banded node
+(`_banded_attention`) cuts the queries into blocks and scores each block
+only against the keys its windows reach, so a layer costs O(T * window)
+instead of O(T^2). `layer_mask` picks once per stack call, from T and the
+mask alone: a finite window past the measured crossover
+(`BANDED_MIN_EXTRA_ROWS`) gets a `Band` and the banded node; shorter
+sequences and unbounded windows get the dense boolean mask. The
+feed-forward block with its layer-norm, dropouts and residual is one node
+too (`_feed_forward`).
 The streaming `encoder_layer_step` builds no graph: it takes each input
 row's layer-norm and keys/values from `key_value_row`, computed once per
 row, and projects only its query row. Both run one attention forward
@@ -256,45 +264,208 @@ def _multi_head_attention(
     example's own T_b^2 scores per head; padding adds none.
     """
     t = h.shape[-2]
-    if counters is not None:
-        rows = np.full(h.shape[:-2], t) if lengths is None else np.asarray(lengths)
-        counters.attention_scores += config.num_heads * int((rows * rows).sum())
-    q = _split(h.values @ layer.wq.values, config)
-    k = _split(h.values @ layer.wk.values, config)
-    v = _split(h.values @ layer.wv.values, config)
+    _count_scores(h, config, counters, lengths)
+    q, k, v = _project(h, layer, config)
     positions = np.arange(t)
     idx, qc, qp, weights, heads = _attend(q, k, v, params, config, positions, positions, mask_bool)
-    rel = params.rel_emb.values
     scale = 1.0 / math.sqrt(config.head_dim)
 
     def bw(g):
         d_heads = _split(g @ layer.wo.values.T, config)
-        d_weights = d_heads @ v.swapaxes(-1, -2)
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
-        # sum the position-score gradient into each row's clipped offsets
-        n_rows, n_off = d_scores.size // t, rel.shape[1]
-        slots = (np.arange(n_rows).reshape(*d_scores.shape[:-1], 1) * n_off + idx).ravel()
-        d_pos = np.bincount(slots, d_scores.ravel(), n_rows * n_off).reshape(*d_scores.shape[:-1], n_off)
-        d_qc = d_scores @ k
-        d_qp = d_pos @ rel
-        d_q = _merge(d_qc + d_qp)
-        d_k = _merge(d_scores.swapaxes(-1, -2) @ qc)
-        d_v = _merge(weights.swapaxes(-1, -2) @ d_heads)
-        hr = flat_rows(h.values)
-        return (
-            d_q @ layer.wq.values.T + (d_k @ layer.wk.values.T + d_v @ layer.wv.values.T),
-            hr.T @ flat_rows(d_q),
-            hr.T @ flat_rows(d_k),
-            hr.T @ flat_rows(d_v),
-            flat_rows(heads).T @ flat_rows(g),
-            unbroadcast(d_pos.swapaxes(-1, -2) @ qp, rel.shape),
-            unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
-            unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
-        )
+        d_scores = _score_grads(d_heads @ v.swapaxes(-1, -2), weights, scale)
+        d_pos = _offset_grads(d_scores, idx, params.rel_emb.shape[1])
+        return _input_grads(h, g, heads, layer, params, d_scores @ k, d_pos @ params.rel_emb.values,
+                            d_pos, qp, d_scores.swapaxes(-1, -2) @ qc,
+                            weights.swapaxes(-1, -2) @ d_heads)
 
+    return _attention_node(h, heads, layer, params, bw)
+
+
+def _count_scores(h: Tensor, config: EncoderConfig, counters: Counters | None,
+                  lengths: Sequence[int] | None):
+    """Count each example's own T_b^2 scores per head; padding adds none."""
+    if counters is not None:
+        rows = np.full(h.shape[:-2], h.shape[-2]) if lengths is None else np.asarray(lengths)
+        counters.attention_scores += config.num_heads * int((rows * rows).sum())
+
+
+def _project(h: Tensor, layer: LayerParams, config: EncoderConfig):
+    """Queries, keys and values of rows h, [..., H, T, head_dim] each."""
+    return tuple(_split(h.values @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
+
+
+def _score_grads(d_weights: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """Softmax backward from weight to (unscaled) score gradients."""
+    return weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
+
+
+def _offset_grads(d_scores: np.ndarray, idx: np.ndarray, n_off: int) -> np.ndarray:
+    """Sum each score row's gradient into the clipped offsets `idx` its
+    columns take: [..., rows, cols] -> [..., rows, n_off]."""
+    n_rows = d_scores.size // d_scores.shape[-1]
+    slots = (np.arange(n_rows).reshape(*d_scores.shape[:-1], 1) * n_off + idx).ravel()
+    return np.bincount(slots, d_scores.ravel(), n_rows * n_off).reshape(*d_scores.shape[:-1], n_off)
+
+
+def _input_grads(h, g, heads, layer, params, d_qc, d_qp, d_pos, qp, d_k, d_v):
+    """The attention node's eight parent gradients, from the upstream g and
+    the per-head gradients [..., H, T, .] of the content and position
+    queries, offset scores, keys and values."""
+    d_q = _merge(d_qc + d_qp)
+    d_k, d_v = _merge(d_k), _merge(d_v)
+    hr = flat_rows(h.values)
+    return (
+        d_q @ layer.wq.values.T + (d_k @ layer.wk.values.T + d_v @ layer.wv.values.T),
+        hr.T @ flat_rows(d_q),
+        hr.T @ flat_rows(d_k),
+        hr.T @ flat_rows(d_v),
+        flat_rows(heads).T @ flat_rows(g),
+        unbroadcast(d_pos.swapaxes(-1, -2) @ qp, params.rel_emb.shape),
+        unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
+        unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
+    )
+
+
+def _attention_node(h, heads, layer, params, bw) -> Tensor:
     parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias)
     return Tensor(heads @ layer.wo.values, parents, bw)
+
+
+# A finite window runs through the banded node once T reaches the 2 * (left
+# + right) columns a banded row scores plus this many; shorter sequences and
+# unbounded windows keep the dense node. It is the measured break-even of
+# the two nodes' forward plus backward (B = 4, H = 2, head_dim = 16, numpy
+# 2.4 with one OpenBLAS thread, 2-vCPU x86_64): mask 10/0 at T = 40-50,
+# 2/0 at 30-40, 10/2 at 50-56 and 16/4 at 64-72.
+BANDED_MIN_EXTRA_ROWS = 32
+
+
+@dataclass(frozen=True)
+class Band:
+    """A finite window over T rows cut into the banded node's blocks: block
+    b holds query rows b*rows .. b*rows + rows - 1, and its window is the
+    `span` chunks of `rows` keys from key row b*rows - left on, zero keys
+    standing in past either end. `allowed` [..., 1, n_blocks, rows, span *
+    rows] marks the window columns each query may attend."""
+
+    rows: int
+    n_blocks: int
+    span: int
+    allowed: np.ndarray
+
+
+def band(t: int, mask: AttentionMask, lengths: Sequence[int] | None = None) -> Band:
+    """The `Band` of a finite window over T rows, or over a batch padded to
+    T whose example b fills its first lengths[b] rows. Query i = b*rows + r
+    meets key j = b*rows + w - left at window column w, so the mask is
+    `batch_mask` in window coordinates: the window, and for a valid query
+    only its example's keys. A padded query keeps its window, and a query
+    past T (block padding) keeps it over the zero keys, so no softmax row is
+    empty."""
+    rows = max(mask.left + mask.right, 1)
+    n_blocks, span = -(-t // rows), -(-(rows + mask.left + mask.right) // rows)
+    r, w = np.arange(rows)[:, None], np.arange(span * rows)
+    window = (w >= r) & (w <= r + mask.left + mask.right)                  # [rows, width]
+    i = np.arange(n_blocks)[:, None] * rows + np.arange(rows)              # [n_blocks, rows]
+    j = (np.arange(n_blocks)[:, None] * rows + w - mask.left)[:, None, :]  # [n_blocks, 1, width]
+    n = np.asarray(t if lengths is None else lengths)[..., None, None]
+    key_end = np.where(i < n, n, np.where(i < t, t, j.max() + 1))[..., None]
+    allowed = window & (j >= 0) & (j < key_end)                            # [..., n_blocks, rows, width]
+    return Band(rows, n_blocks, span, np.expand_dims(allowed, -4))
+
+
+def layer_mask(t: int, mask: AttentionMask, lengths: Sequence[int] | None = None) -> np.ndarray | Band:
+    """What each layer of a stack attends under over T rows: the `band` of a
+    finite window when T is past the crossover `BANDED_MIN_EXTRA_ROWS`, else
+    the dense [T, T] `build_mask`, joined with `batch_mask` for a padded
+    batch."""
+    if mask.is_finite and t >= 2 * (mask.left + mask.right) + BANDED_MIN_EXTRA_ROWS:
+        return band(t, mask, lengths)
+    dense = build_mask(t, mask)
+    return dense if lengths is None else batch_mask(dense, lengths)
+
+
+def _chunks(a: np.ndarray, front: int, n_chunks: int, rows: int) -> np.ndarray:
+    """[..., T, n] -> [..., n_chunks, rows, n]: `a` zero-padded with `front`
+    rows before it and enough after it, cut into chunks of `rows` rows."""
+    out = np.zeros(a.shape[:-2] + (n_chunks * rows, a.shape[-1]))
+    out[..., front:front + a.shape[-2], :] = a
+    return out.reshape(a.shape[:-2] + (n_chunks, rows, a.shape[-1]))
+
+
+def _windows(chunks: np.ndarray, n_blocks: int, span: int) -> np.ndarray:
+    """[..., n_blocks + span - 1, C, n] -> [..., n_blocks, span * C, n]: block
+    b's window is the `span` chunks from chunk b on."""
+    return np.concatenate([chunks[..., a:a + n_blocks, :, :] for a in range(span)], axis=-2)
+
+
+def _unwindow(d: np.ndarray, span: int) -> np.ndarray:
+    """The adjoint of `_windows`, flattened: each window row's gradient
+    summed back into the chunk row it was read from, [..., chunk rows, n]."""
+    n_blocks, rows = d.shape[-3], d.shape[-2] // span
+    out = np.zeros(d.shape[:-3] + (n_blocks + span - 1, rows, d.shape[-1]))
+    for a in range(span):
+        out[..., a:a + n_blocks, :, :] += d[..., a * rows:(a + 1) * rows, :]
+    return out.reshape(d.shape[:-3] + (-1, d.shape[-1]))
+
+
+def _banded_attention(
+    h: Tensor,
+    layer: LayerParams,
+    params: EncoderParams,
+    config: EncoderConfig,
+    band: Band,
+    counters: Counters | None,
+    lengths: Sequence[int] | None = None,
+) -> Tensor:
+    """`_multi_head_attention` under a finite window, scoring only the keys
+    each block of queries reaches.
+
+    Queries go in blocks of C rows, and block b's window holds the C + left
+    + right keys from row b*C - left on (`Band`), so a row scores those
+    instead of all T. The offset from a block's query row r to its window
+    column w is r + left - w, whatever the block, so all blocks share one
+    [C, C + left + right] relative-position index table. Masking and counts
+    are the dense node's, and the backward is closed-form over the same
+    eight parents.
+    """
+    t, left = h.shape[-2], config.mask.left
+    rows, n_blocks, span = band.rows, band.n_blocks, band.span
+    _count_scores(h, config, counters, lengths)
+    q, k, v = _project(h, layer, config)
+    kb, vb = (_windows(_chunks(a, left, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
+    q = _chunks(q, 0, n_blocks, rows)                                   # [..., H, n_blocks, C, dh]
+    qc = q + params.content_bias.values[:, None, None, :]
+    qp = q + params.pos_bias.values[:, None, None, :]
+    m = config.rel_offset
+    idx = np.clip(np.arange(rows)[:, None] + left - np.arange(span * rows), -m, m) + m
+    rel = params.rel_emb.values                                          # [H, R, dh]
+    scale = 1.0 / math.sqrt(config.head_dim)
+
+    def flat(a):  # [..., H, n_blocks, C, n] -> [..., H, n_blocks * C, n]
+        return a.reshape(a.shape[:-3] + (n_blocks * rows, a.shape[-1]))
+
+    pos = (flat(qp) @ rel.swapaxes(-1, -2)).reshape(q.shape[:-1] + (-1,))[..., np.arange(rows)[:, None], idx]
+    scores = qc @ kb.swapaxes(-1, -2)
+    scores += pos
+    scores *= scale
+    scores = np.where(band.allowed, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)                         # [..., H, n_blocks, C, width]
+    heads = _merge(flat(weights @ vb)[..., :t, :])
+
+    def bw(g):
+        d_heads = _chunks(_split(g @ layer.wo.values.T, config), 0, n_blocks, rows)
+        d_scores = _score_grads(d_heads @ vb.swapaxes(-1, -2), weights, scale)
+        d_pos = flat(_offset_grads(d_scores, idx, rel.shape[1]))
+        d_k, d_v = (_unwindow(d, span)[..., left:left + t, :]
+                    for d in (d_scores.swapaxes(-1, -2) @ qc, weights.swapaxes(-1, -2) @ d_heads))
+        # rows past T carry no gradient, so only d_q is cut to T rows
+        return _input_grads(h, g, heads, layer, params, flat(d_scores @ kb)[..., :t, :],
+                            (d_pos @ rel)[..., :t, :], d_pos, flat(qp), d_k, d_v)
+
+    return _attention_node(h, heads, layer, params, bw)
 
 
 def _feed_forward_values(x: np.ndarray, layer: LayerParams, config: EncoderConfig,
@@ -340,7 +511,7 @@ def _feed_forward(x: Tensor, layer: LayerParams, config: EncoderConfig, rng) -> 
 
 def encoder_layer(
     x: Tensor,
-    mask_bool: np.ndarray | None,
+    mask: np.ndarray | Band,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
@@ -350,12 +521,15 @@ def encoder_layer(
 ) -> Tensor:
     """One encoder layer over rows [T, d] or a padded batch [B, T, d]:
     pre-norm windowed multi-head attention with a residual, then the
-    pre-norm feed-forward block with a residual. Dropout draws from `rng`
-    when one is given (training)."""
+    pre-norm feed-forward block with a residual. Attention runs through the
+    banded node under a `Band` and through the dense node under a boolean
+    mask (see `layer_mask`). Dropout draws from `rng` when one is given
+    (training)."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
-    attn = _multi_head_attention(h, layer, params, config, mask_bool, counters, lengths)
+    attend = _banded_attention if isinstance(mask, Band) else _multi_head_attention
+    attn = attend(h, layer, params, config, mask, counters, lengths)
     x = tt.add(x, tt.dropout(attn, config.dropout_ratio, rng))
     return _feed_forward(x, layer, config, rng)
 
@@ -387,11 +561,9 @@ def encode(
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
-    mask_bool = build_mask(x.shape[-2], config.mask)
-    if lengths is not None:
-        mask_bool = batch_mask(mask_bool, lengths)
+    mask = layer_mask(x.shape[-2], config.mask, lengths)
     for i, layer in enumerate(params.layers):
-        h = encoder_layer(h, mask_bool, layer, params, config,
+        h = encoder_layer(h, mask, layer, params, config,
                           rng.substream(f"layer{i}") if rng else None, counters, lengths)
     return final_norm(h, config, params)
 

@@ -11,6 +11,7 @@ have no seed; gen-data's is its `--seed` flag).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -127,23 +128,26 @@ def _build_fusion(opts: DecodeOptions, lm_dataset: str | None, model) -> FusionC
 
 
 def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfig | None):
-    """Yield one (utterance, labels) pair per utterance, ordered by id."""
+    """One (utterance, labels) pair per utterance, ordered by id, decoded as
+    they are read; the mode is checked against the model at once."""
     if mode == "stream" and not model.config.audio.mask.is_finite:
         raise UsageError("stream mode requires a finite audio attention window in the checkpoint")
-    for utt in sorted(data.utterances, key=lambda u: u.id):
-        if mode == "greedy":
-            labels = dec.greedy_decode(model, utt.features, opts.max_symbols_per_frame)
-        elif mode == "beam":
-            best = dec.beam_decode(model, utt.features, opts.beam_width, fusion,
-                                   opts.max_symbols_per_frame)
-            labels = list(best[0].labels)
-        else:  # stream
-            state = StreamState(model, opts.max_symbols_per_frame)
-            labels = []
-            for t in range(utt.features.shape[0]):
-                labels.extend(state.step(utt.features[t]))
-            labels.extend(state.flush())
-        yield utt, labels
+    return ((utt, _decode(model, utt.features, mode, opts, fusion))
+            for utt in sorted(data.utterances, key=lambda u: u.id))
+
+
+def _decode(model, features, mode: str, opts: DecodeOptions, fusion: FusionConfig | None) -> list[int]:
+    if mode == "greedy":
+        return dec.greedy_decode(model, features, opts.max_symbols_per_frame)
+    if mode == "beam":
+        best = dec.beam_decode(model, features, opts.beam_width, fusion, opts.max_symbols_per_frame)
+        return list(best[0].labels)
+    state = StreamState(model, opts.max_symbols_per_frame)
+    labels = []
+    for frame in features:
+        labels.extend(state.step(frame))
+    labels.extend(state.flush())
+    return labels
 
 
 def cmd_decode(args) -> int:
@@ -153,14 +157,11 @@ def cmd_decode(args) -> int:
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config, labels=False)
     fusion = _build_fusion(opts, args.lm_dataset, model)
-    lines = [f"{utt.id}\t{' '.join(f's{l}' for l in labels)}"
-             for utt, labels in _transcribe(model, data, args.mode, opts, fusion)]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    transcripts = _transcribe(model, data, args.mode, opts, fusion)
+    # opened before decoding, so a path that cannot be written fails at once
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        lines = [f"{utt.id}\t{' '.join(f's{l}' for l in labels)}" for utt, labels in transcripts]
+        out.write("\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
 
 

@@ -102,20 +102,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, leaf={self.backward_fn is None})"
 
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))

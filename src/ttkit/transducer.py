@@ -98,14 +98,18 @@ class LogProbGrid:
 
 
 def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-softmax over the last axis and its log-normalizer. Non-finite
-    logits give NaN (a +inf entry, a row of all -inf) without warnings."""
+    """Log-softmax over the last axis and its log-normalizer. The result is
+    written over `logits`, which is returned; it allocates one scratch
+    array of the same shape. Non-finite logits give NaN (a +inf entry, a
+    row of all -inf) without warnings."""
     with np.errstate(all="ignore"):
         m = np.max(logits, axis=-1, keepdims=True)
         m_safe = np.where(np.isfinite(m), m, 0.0)
-        lse = m_safe + np.log(np.exp(logits - m_safe).sum(axis=-1, keepdims=True))
+        e = np.subtract(logits, m_safe)
+        lse = m_safe + np.log(np.exp(e, out=e).sum(axis=-1, keepdims=True))
         lse = np.where(np.isfinite(m), lse, m)
-        return logits - lse, lse
+        logits -= lse
+        return logits, lse
 
 
 def log_prob_grid(audio_acts: Tensor, label_acts: Tensor, params: JointParams,
@@ -127,14 +131,23 @@ def log_prob_grid(audio_acts: Tensor, label_acts: Tensor, params: JointParams,
                          f"inputs ({j.audio_w.shape[0]}, {j.label_w.shape[0]})")
     a = audio_acts.values @ j.audio_w.values + j.audio_b.values          # [..., T, J]
     l = label_acts.values @ j.label_w.values + j.label_b.values          # [..., U+1, J]
-    hid = np.tanh(a[..., :, None, :] + l[..., None, :, :])               # [..., T, U+1, J]
-    out, lse = _log_softmax(hid @ j.out_w.values + j.out_b.values)
+    hid = a[..., :, None, :] + l[..., None, :, :]                         # [..., T, U+1, J]
+    np.tanh(hid, out=hid)
+    logits = hid @ j.out_w.values
+    logits += j.out_b.values
+    out, lse = _log_softmax(logits)
 
     def bw(g):
+        # the [..., T, U+1, .] temporaries are reused in place: p becomes
+        # d_logits, and one scratch array holds 1 - hid^2
         with np.errstate(all="ignore"):
-            p = np.where(np.isneginf(lse), 0.0, np.exp(out))
-        d_logits = g - p * g.sum(axis=-1, keepdims=True)
-        d_pre = (d_logits @ j.out_w.values.T) * (1.0 - hid * hid)
+            p = np.exp(out)
+        np.copyto(p, 0.0, where=np.isneginf(lse))
+        p *= g.sum(axis=-1, keepdims=True)
+        d_logits = np.subtract(g, p, out=p)
+        d_pre = d_logits @ j.out_w.values.T
+        tanh_slope = np.multiply(hid, hid)
+        d_pre *= np.subtract(1.0, tanh_slope, out=tanh_slope)
         d_a = d_pre.sum(axis=-2)                                          # over histories
         d_l = d_pre.sum(axis=-3)                                          # over frames
         return (d_a @ j.audio_w.values.T, d_l @ j.label_w.values.T,

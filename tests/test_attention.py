@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ops
@@ -208,6 +209,86 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
         assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
 
 
+# ------------------------------------------------ banded attention node
+
+def _attention_case(cfg, lengths, seed):
+    """Random parameters at unit scale, a padded batch of rows and an
+    upstream gradient that is zero on padded rows."""
+    rng = Rng(seed)
+    params = att.init_encoder_params(cfg, rng.substream("params"))
+    for name, p in params.named("p"):
+        p.values[...] = rng.substream(name).normal(p.shape)
+    shape = (len(lengths), max(lengths), cfg.model_dim)
+    valid = np.arange(shape[1]) < np.asarray(lengths)[:, None]
+    h = Tensor(rng.substream("h").normal(shape))
+    upstream = Tensor(rng.substream("g").normal(shape) * valid[..., None])
+    layer = params.layers[0]
+    parents = [h, layer.wq, layer.wk, layer.wv, layer.wo,
+               params.rel_emb, params.content_bias, params.pos_bias]
+    return params, h, upstream, valid, parents
+
+
+def _banded(h, params, cfg, lengths, counters=None):
+    band = att.band(h.shape[-2], cfg.mask, lengths)
+    return att._banded_attention(h, params.layers[0], params, cfg, band, counters, lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+    left=st.integers(0, 12),
+    right=st.integers(0, 4),
+    offset_change=st.integers(-4, 4),
+    heads=st.integers(1, 3),
+    head_dim=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[1], left=0, right=0, offset_change=0, heads=1, head_dim=1, seed=0)
+@example(lengths=[70, 1, 33, 69], left=12, right=4, offset_change=-4, heads=3, head_dim=4, seed=1)
+def test_banded_attention_matches_dense(lengths, left, right, offset_change, heads, head_dim, seed):
+    """On a ragged padded batch under a finite window, the banded node gives
+    the dense node's outputs, parent gradients and score count, within
+    rounding; padded rows stay finite and get no input gradient."""
+    cfg = EncoderConfig(num_layers=1, model_dim=5, ff_dim1=2, ff_dim2=5, num_heads=heads,
+                        head_dim=head_dim, dropout_ratio=0.0, mask=AttentionMask(left, right),
+                        input_dim=5, max_relative_offset=max(0, left + right + offset_change))
+    params, h, upstream, valid, parents = _attention_case(cfg, lengths, seed)
+    dense_mask = att.batch_mask(build_mask(h.shape[-2], cfg.mask), lengths)
+    results = []
+    for fn in (lambda c: _banded(h, params, cfg, lengths, c),
+               lambda c: att._multi_head_attention(h, params.layers[0], params, cfg, dense_mask, c,
+                                                   lengths)):
+        for p in parents:
+            p.zero_grad()
+        counters = att.Counters()
+        out = fn(counters)
+        backward(ops.tsum(ops.mul(out, upstream)))
+        results.append((out.values, [p.grad.copy() for p in parents], counters.attention_scores))
+
+    (banded, banded_grads, banded_count), (dense, dense_grads, dense_count) = results
+    assert banded_count == dense_count == heads * sum(n * n for n in lengths)
+    assert np.isfinite(banded).all()
+    assert np.max(np.abs(banded - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))  # relative to scale
+    for i, (a, b) in enumerate(zip(banded_grads, dense_grads)):
+        assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
+    assert (banded_grads[0][~valid] == 0).all()
+
+
+def test_banded_attention_gradient_check():
+    # three blocks of four rows, the last one part padding, and a padded example
+    cfg = small_config(num_layers=1, left=3, right=1, model_dim=4, num_heads=2)
+    lengths = [9, 4]
+    params, h, upstream, _, parents = _attention_case(cfg, lengths, 5)
+
+    def loss():
+        return ops.tsum(ops.mul(_banded(h, params, cfg, lengths), upstream)).item()
+
+    backward(ops.tsum(ops.mul(_banded(h, params, cfg, lengths), upstream)))
+    for i, p in enumerate(parents):
+        num = finite_difference_gradient(loss, p)
+        assert max_gradient_error(p.grad, num) < 1e-4, f"parent {i}"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     lengths=st.lists(st.integers(1, 7), min_size=1, max_size=4),
@@ -216,10 +297,13 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
     dropout=st.sampled_from([0.0, 0.3]),
     seed=st.integers(0, 2**16),
 )
+@example(lengths=[40, 1, 23], window=(2, 1), layers=2, dropout=0.3, seed=0)
+@example(lengths=[36, 36], window=(2, 0), layers=1, dropout=0.0, seed=1)
 def test_batched_encode_matches_each_example(lengths, window, layers, dropout, seed):
     """A padded batch through the stack gives each example's own rows, loss
     gradients and attention-score count, within rounding; padding gets no
-    gradient."""
+    gradient. Past the crossover the batch runs the banded node, and each
+    example is still encoded by the dense one."""
     mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
     cfg = small_config(num_layers=layers, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
     rng = Rng(seed)
@@ -240,13 +324,16 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
 
     counters = att.Counters()
     x = Tensor(padded)
-    batch = att.encode(x, cfg, params, tt.BatchRng(rngs, lengths), counters, lengths)
+    with mock.patch.object(att, "_banded_attention", wraps=att._banded_attention) as spy:
+        batch = att.encode(x, cfg, params, tt.BatchRng(rngs, lengths), counters, lengths)
+    assert spy.called == (mask.is_finite and max(lengths) >= 2 * sum(window) + att.BANDED_MIN_EXTRA_ROWS)
     backward(ops.tsum(ops.mul(batch, Tensor(upstream))))
     batch_grads, x_grad = grads(), x.grad
     ref_count, ref_grads = 0, None
     for b, n in enumerate(lengths):
         ref_counters, xb = att.Counters(), Tensor(xs[b])
-        out = att.encode(xb, cfg, params, rngs[b], ref_counters)
+        with mock.patch.object(att, "BANDED_MIN_EXTRA_ROWS", math.inf):
+            out = att.encode(xb, cfg, params, rngs[b], ref_counters)
         backward(ops.tsum(ops.mul(out, Tensor(gs[b]))))
         ref_count += ref_counters.attention_scores
         assert np.max(np.abs(batch.values[b, :n] - out.values)) <= 1e-12

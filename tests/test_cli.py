@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttkit import decode as dec
 from ttkit.attention import AttentionMask
 from ttkit.cli import build_parser, main
 from ttkit.config import ConfigError, load_run_config, parse_run_config, resolved_config_dict
@@ -415,6 +416,16 @@ def test_cli_path_errors_exit_2(trained, tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("error: [Errno")
     assert str(tmp_path) in captured.err.splitlines()[-1]
+
+
+def test_cli_decode_output_path_checked_before_decoding(trained, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dec, "greedy_decode", lambda *a, **kw: calls.append(a) or [])
+    code = main(["decode", "--checkpoint", trained["ckpt"], "--dataset", trained["data"],
+                 "--output", str(tmp_path / "missing" / "hyp.txt")])
+    assert code == 2
+    assert calls == []
+    assert "missing" in capsys.readouterr().err
 
 
 def test_cli_decode_unreadable_checkpoint_exits_2(trained, tmp_path, capsys):

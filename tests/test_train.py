@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_step
+import ttkit.attention as att
 import ttkit.train as trn
 from ttkit.attention import AttentionMask
 from ttkit.config import load_run_config
@@ -569,19 +570,30 @@ def _per_example_losses(model, batch, cfg, rng):
 )
 @example(shapes=[(1, 0), (7, 3), (2, 1)], stack=2, subsample=3, layers=2,
          audio_mask=AttentionMask(2, 0), label_left=1, seed=0)
+@example(shapes=[(40, 3), (1, 0), (23, 2)], stack=1, subsample=1, layers=2,
+         audio_mask=AttentionMask(1, 1), label_left=1, seed=0)
+@example(shapes=[(75, 3), (52, 2)], stack=2, subsample=2, layers=1,
+         audio_mask=AttentionMask(2, 0), label_left=None, seed=3)
 def test_batched_step_matches_per_example_reference(shapes, stack, subsample, layers, audio_mask,
                                                     label_left, seed):
     """One step with dropout, SpecAugment and weight noise live: the batched
     step computes the reference's function, example by example, up to the
-    rounding of batched against per-example products."""
+    rounding of batched against per-example products. Past the crossover
+    the batched audio layers run the banded attention node, while the
+    reference runs the dense one."""
     cfg = _regularized_config(stack, subsample, layers, audio_mask, label_left)
     batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(seed))
     train = TrainConfig(batch_size=len(batch), weight_noise_sigma=0.05, weight_noise_start_step=0,
                         grad_clip_norm=1e30)
+    audio_t = -(-max(frames for frames, _ in shapes) // subsample)
+    banded = (layers > 0 and audio_mask.is_finite
+              and audio_t >= 2 * (audio_mask.left + audio_mask.right) + att.BANDED_MIN_EXTRA_ROWS)
     results = []
     for step_fn in (reference_step.train_step, train_step):
         model = init_model(cfg, Rng(seed + 1))
-        loss = step_fn(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(seed + 2))
+        with mock.patch.object(att, "_banded_attention", wraps=att._banded_attention) as spy:
+            loss = step_fn(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(seed + 2))
+        assert spy.called == (banded and step_fn is train_step)
         grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)
                  for name, p in model.named_params()}
         counts = (model.counters.attention_scores, model.counters.joint_evals)

@@ -23,15 +23,19 @@ mask alone: a finite window past the measured crossover
 sequences and unbounded windows get the dense boolean mask. The
 feed-forward block with its layer-norm, dropouts and residual is one node
 too (`_feed_forward`).
-The streaming `encoder_layer_step` builds no graph: it takes each input
-row's layer-norm and keys/values from `key_value_row`, computed once per
-row, and projects only its query row. Both run one attention forward
-(`_attend`), one feed-forward forward (`_feed_forward_values`) and one
-closing rule (`final_norm`).
+The streaming `encoder_layer_step` builds no graph and projects nothing:
+each input row's query, key and value come from `qkv_row`, computed once
+when the row arrives (one call over the stacked `qkv_weights`, three
+one-row products), and the step reads its window's keys and values as a
+slice of a contiguous [3, T, H*dh] array and its relative-offset table from
+a bounded cache. Both run one attention forward (`_attend`), one
+feed-forward forward (`_feed_forward_values`) and one closing rule
+(`final_norm`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -176,10 +180,6 @@ def encoder_param_spec(config: EncoderConfig, stream: tuple[str, ...] = ()) -> E
     )
 
 
-def init_encoder_params(config: EncoderConfig, rng: Rng) -> EncoderParams:
-    return encoder_param_spec(config).transform(lambda spec: spec.materialize(rng))
-
-
 class Counters:
     """Evaluation counters for constant-work assertions. Not synchronized;
     meaningful when a single stream or call sequence owns the model."""
@@ -206,14 +206,23 @@ def _merge(a: np.ndarray) -> np.ndarray:  # [..., H, T, dh] -> [..., T, H*dh]
     return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
 
 
+def _offset_gather(q_positions: np.ndarray, k_positions: np.ndarray,
+                   max_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each (query, key) pair reads its relative-position score in the
+    per-head [Tq, 2 * max_offset + 1] table: the query's row index [Tq, 1]
+    and the clipped offset index [Tq, Tk]."""
+    offsets = q_positions[:, None] - k_positions[None, :]
+    idx = np.minimum(np.maximum(offsets, -max_offset), max_offset) + max_offset
+    return np.arange(len(q_positions))[:, None], idx
+
+
 def _attend(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
     params: EncoderParams,
     config: EncoderConfig,
-    q_positions: np.ndarray,
-    k_positions: np.ndarray,
+    gather: tuple[np.ndarray, np.ndarray],
     mask_bool: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Windowed relative-position attention over projected heads: queries
@@ -221,27 +230,25 @@ def _attend(
 
     Per head, score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias)
     . r_{o(i,j)}] / sqrt(head_dim), with o(i, j) the offset i - j clipped to
-    [-max_offset, max_offset]; only the offset enters, so shifting both
-    position vectors leaves the scores unchanged. Masked scores get zero
-    weight. Returns the clipped offset indices into `rel_emb`, the content
-    and position queries, the softmax weights [..., H, Tq, Tk] and the
-    weighted values of all heads concatenated, [..., Tq, H*dh]. The graph
-    node and the cached streaming step both run this forward.
+    [-max_offset, max_offset] and read through `gather` (`_offset_gather`);
+    only the offset enters, so shifting both positions leaves the scores
+    unchanged. Masked scores get zero weight. Returns the clipped offset
+    indices into `rel_emb`, the content and position queries, the softmax
+    weights [..., H, Tq, Tk] and the weighted values of all heads
+    concatenated, [..., Tq, H*dh]. The graph node and the cached streaming
+    step both run this forward.
     """
-    m = config.rel_offset
-    tq = q.shape[-2]
-    offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
-    idx = np.minimum(np.maximum(offsets, -m), m) + m
+    rows, idx = gather
     rel = params.rel_emb.values                            # [H, R, dh]
     qc = q + params.content_bias.values[:, None, :]
     qp = q + params.pos_bias.values[:, None, :]
     scale = 1.0 / math.sqrt(config.head_dim)
-    pos = (qp @ rel.transpose(0, 2, 1))[..., np.arange(tq)[:, None], idx]  # [..., H, Tq, Tk]
+    pos = (qp @ rel.transpose(0, 2, 1))[..., rows, idx]   # [..., H, Tq, Tk]
     scores = (qc @ k.swapaxes(-1, -2) + pos) * scale
     if mask_bool is not None:
         scores = np.where(mask_bool, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)           # [..., H, Tq, Tk]
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    weights = e / np.add.reduce(e, axis=-1, keepdims=True)  # [..., H, Tq, Tk]
     return idx, qc, qp, weights, _merge(weights @ v)
 
 
@@ -267,7 +274,8 @@ def _multi_head_attention(
     _count_scores(h, config, counters, lengths)
     q, k, v = _project(h, layer, config)
     positions = np.arange(t)
-    idx, qc, qp, weights, heads = _attend(q, k, v, params, config, positions, positions, mask_bool)
+    gather = _offset_gather(positions, positions, config.rel_offset)
+    idx, qc, qp, weights, heads = _attend(q, k, v, params, config, gather, mask_bool)
     scale = 1.0 / math.sqrt(config.head_dim)
 
     def bw(g):
@@ -568,21 +576,37 @@ def encode(
     return final_norm(h, config, params)
 
 
-def key_value_row(
-    row: np.ndarray,
-    layer: LayerParams,
-    config: EncoderConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def qkv_weights(layer: LayerParams) -> np.ndarray:
+    """`layer`'s query, key and value weights stacked, [3, model_dim,
+    num_heads * head_dim]. A copy: build it again after the weights change."""
+    return np.stack([layer.wq.values, layer.wk.values, layer.wv.values])
+
+
+def qkv_row(row: np.ndarray, layer: LayerParams, weights: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """What the streaming step needs of one input row of `layer`, computed
-    once when the row arrives: its ln1 output [model_dim] and its keys and
-    values, [num_heads * head_dim] each."""
+    once when the row arrives: the query, key and value of its ln1 output,
+    [3, num_heads * head_dim], from the layer's `qkv_weights`. One call runs
+    the three one-row products, each with the shapes of its own weight, so
+    each row is bit-identical to the product by that weight alone."""
     h = tt.layer_norm_forward(row, layer.ln1_g.values, layer.ln1_b.values, config.ln_eps)[0]
-    return h, h @ layer.wk.values, h @ layer.wv.values
+    return h @ weights
+
+
+@functools.lru_cache(maxsize=512)
+def _step_gather(q_local: int, tk: int, max_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The streaming step's `_offset_gather`, shared read-only by every step
+    with the same query index, window length and max offset. The cache is
+    bounded: under an unbounded left window the window grows with the
+    stream."""
+    gather = _offset_gather(np.array([q_local]), np.arange(tk), max_offset)
+    for a in gather:
+        a.setflags(write=False)
+    return gather
 
 
 def encoder_layer_step(
     x_row: np.ndarray,
-    window: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    window: np.ndarray,
     q_local: int,
     layer: LayerParams,
     params: EncoderParams,
@@ -590,16 +614,17 @@ def encoder_layer_step(
     counters: Counters | None = None,
 ) -> np.ndarray:
     """`encoder_layer`'s output row for the input row `x_row`, without a
-    graph. `window` holds the `key_value_row`s of the inputs that position
-    may attend, `x_row`'s own at index `q_local`; only the query row is
-    projected, and scores depend only on offsets, so the work is bounded by
-    the window size however much stream history precedes it."""
+    graph. `window` [3, Tk, num_heads * head_dim] holds the `qkv_row`s of
+    the inputs that position may attend, `x_row`'s own at index `q_local`;
+    scores depend only on offsets, so the work is bounded by the window size
+    however much stream history precedes it."""
+    tk = window.shape[1]
     if counters is not None:
-        counters.attention_scores += config.num_heads * len(window)
-    q = _split((window[q_local][0] @ layer.wq.values)[None], config)
-    k = _split(np.array([kv[1] for kv in window]), config)
-    v = _split(np.array([kv[2] for kv in window]), config)
-    heads = _attend(q, k, v, params, config, [q_local], np.arange(len(window)), None)[-1]
+        counters.attention_scores += config.num_heads * tk
+    q = _split(window[0, q_local:q_local + 1], config)
+    k, v = _split(window[1], config), _split(window[2], config)
+    gather = _step_gather(q_local, tk, config.rel_offset)
+    heads = _attend(q, k, v, params, config, gather, None)[-1]
     return _feed_forward_values(x_row + heads[0] @ layer.wo.values, layer, config)[0]
 
 

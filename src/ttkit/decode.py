@@ -2,13 +2,15 @@
 and streaming one-step inference over cached encoder state.
 
 Streaming keeps, per encoder layer, the post-layer activations that a later
-position of the layer above may still attend, each with the layer-normed
-keys and values the layer above computed from it once, when it arrived.
-Because attention scores depend only on content and relative offset, a new
-position's activation can be computed from that cached window alone, by
-`attention.encoder_layer_step`, so the work per consumed frame is bounded by
-a constant (window size times layers) no matter how long the stream has
-run. Right context makes each layer's frontier lag the layer below by
+position of the layer above may still attend. When a row arrives, the layer
+above layer-norms it and computes its query, key and value once, in one
+call over that layer's stacked q/k/v weights (`attention.qkv_row`), into
+one contiguous buffer per layer, so a position's window is a slice of that
+buffer and nothing is copied per step. Because attention scores depend only
+on content and relative offset, a new position's activation can be
+computed from that cached window alone, by `attention.encoder_layer_step`,
+so the work per consumed frame is bounded by a constant (window size times
+layers) no matter how long the stream has run. Right context makes each layer's frontier lag the layer below by
 `right` positions; `flush` drains that look-ahead at end of stream,
 reproducing batch behavior exactly on the true final frames.
 
@@ -18,7 +20,7 @@ state per distinct context and every hypothesis ending in it holds that same,
 never-mutated state. It scores each (frame, state) pair with the joint once,
 however many hypotheses hold the state, and each round builds children only
 for the scores at or above its `beam_width`-th best. A label id's input row
-(embedding times input projection) and its first-layer keys and values
+(embedding times input projection) and its first-layer query, key and value
 depend on the id alone, so every decode call computes them once per id.
 """
 
@@ -102,6 +104,11 @@ class BigramLm:
         return math.log((row[next_id] + self.add_k) / (row[1:].sum() + self.add_k * self.num_labels))
 
 
+# Columns a fresh `IncrementalEncoder` buffer holds; a full one moves its live
+# rows to a buffer twice their count, and at least this long.
+_MIN_CAPACITY = 16
+
+
 class IncrementalEncoder:
     """One encoder stack fed a row at a time.
 
@@ -110,9 +117,13 @@ class IncrementalEncoder:
     `finish` closes the gap with end-of-sequence windows. `rows[l]` keeps
     the layer-l outputs (l=0: projected inputs) that layer l+1 may still
     attend, at most left + right + 1 of them with a finite left window;
-    `first[l]` is the position of its first row. `kv[l]` holds, row for row
-    beside `rows[l]` (l < num_layers), layer l+1's `key_value_row` of it,
-    computed once when the row arrives.
+    `first[l]` is the position of its first row. For l < num_layers, layer
+    l+1's `qkv_row` of each row is computed once, when the row arrives, and
+    kept row for row beside `rows[l]` from column `start[l]` of the
+    contiguous buffer `qkv[l]` [3, capacity, H*dh], so an attention window
+    is a column slice of it. The stacked q/k/v weights `weights[l]` are
+    copied when the encoder is built and shared by its clones, so an encoder
+    built before the parameters change must not be fed after.
     """
 
     def __init__(self, config: EncoderConfig, params: EncoderParams, counters: Counters | None = None):
@@ -121,16 +132,22 @@ class IncrementalEncoder:
         self.config = config
         self.params = params
         self.counters = counters
+        self.weights = [att.qkv_weights(layer) for layer in params.layers]
         self.rows: list[list[np.ndarray]] = [[] for _ in range(config.num_layers + 1)]
-        self.kv: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(config.num_layers)]
+        width = config.num_heads * config.head_dim
+        self.qkv = [np.empty((3, _MIN_CAPACITY, width)) for _ in range(config.num_layers)]
+        self.start = [0] * config.num_layers
         self.first = [0] * (config.num_layers + 1)
         self.finished = False
 
     def clone(self) -> "IncrementalEncoder":
+        """An independent copy, with room in each buffer for one more row."""
         other = IncrementalEncoder.__new__(IncrementalEncoder)
         other.config, other.params, other.counters = self.config, self.params, self.counters
+        other.weights = self.weights
         other.rows = [list(rows) for rows in self.rows]
-        other.kv = [list(kv) for kv in self.kv]
+        other.qkv = [self._moved(l, len(self.rows[l]) + 1) for l in range(self.config.num_layers)]
+        other.start = [0] * self.config.num_layers
         other.first = list(self.first)
         other.finished = self.finished
         return other
@@ -139,22 +156,20 @@ class IncrementalEncoder:
         """Feed one input row; returns top-layer rows that became final."""
         return self.push_projected(*self._project(row))
 
-    def push_projected(self, row: np.ndarray, kv: tuple[np.ndarray, ...] | None) -> list[np.ndarray]:
+    def push_projected(self, row: np.ndarray, qkv: np.ndarray | None) -> list[np.ndarray]:
         """`push` for a row already through `_project`: the input projection
-        and its first layer's `key_value_row` (None for a stack of no
-        layers), so a caller that feeds the same rows again computes both
-        once."""
+        and its first layer's `qkv_row` (None for a stack of no layers), so
+        a caller that feeds the same rows again computes both once."""
         if self.finished:
             raise StreamError("push after finish")
-        self.rows[0].append(row)
-        if kv is not None:
-            self.kv[0].append(kv)
+        self._append(0, row, qkv)
         return self._advance(self.first[0] + len(self.rows[0]))
 
-    def _project(self, row: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    def _project(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         row = row @ self.params.input_w.values + self.params.input_b.values
-        kv = att.key_value_row(row, self.params.layers[0], self.config) if self.config.num_layers else None
-        return row, kv
+        if not self.config.num_layers:
+            return row, None
+        return row, att.qkv_row(row, self.params.layers[0], self.weights[0], self.config)
 
     def finish(self) -> list[np.ndarray]:
         """Signal end of input and drain the per-layer look-ahead."""
@@ -166,10 +181,22 @@ class IncrementalEncoder:
         n_pass = self.config.num_layers * self.config.mask.right
         return [row for k in range(1, n_pass + 1) for row in self._advance(end + k)]
 
-    def _append(self, l: int, row: np.ndarray):
-        self.rows[l].append(row)
+    def _moved(self, l: int, capacity: int) -> np.ndarray:
+        """Level l's live `qkv_row`s copied to the front of a new buffer."""
+        n, at, buf = len(self.rows[l]), self.start[l], self.qkv[l]
+        out = np.empty((3, capacity, buf.shape[2]))
+        out[:, :n] = buf[:, at:at + n]
+        return out
+
+    def _append(self, l: int, row: np.ndarray, qkv: np.ndarray | None = None):
+        rows = self.rows[l]
         if l < self.config.num_layers:
-            self.kv[l].append(att.key_value_row(row, self.params.layers[l], self.config))
+            if qkv is None:
+                qkv = att.qkv_row(row, self.params.layers[l], self.weights[l], self.config)
+            if self.start[l] + len(rows) == self.qkv[l].shape[1]:  # full
+                self.qkv[l], self.start[l] = self._moved(l, max(2 * len(rows), _MIN_CAPACITY)), 0
+            self.qkv[l][:, self.start[l] + len(rows)] = qkv
+        rows.append(row)
 
     def _advance(self, frontier: int) -> list[np.ndarray]:
         """One pass over layers 1..L in order. Layer l computes the positions
@@ -177,18 +204,20 @@ class IncrementalEncoder:
         rows of layer l-1 that no later position attends are dropped."""
         left, right = self.config.mask.left, self.config.mask.right
         for l, layer in enumerate(self.params.layers, start=1):
-            src, kv, base = self.rows[l - 1], self.kv[l - 1], self.first[l - 1]
+            src, base = self.rows[l - 1], self.first[l - 1]
+            qkv, at = self.qkv[l - 1], self.start[l - 1] - base  # position p is column p + at
             below = base + len(src)
             done = self.first[l] + len(self.rows[l])
             for q in range(done, min(below, frontier - l * right)):
                 lo = 0 if left is None else max(0, q - left)
-                window = kv[lo - base:min(q + right + 1, below) - base]
+                window = qkv[:, lo + at:min(q + right + 1, below) + at]
                 self._append(l, att.encoder_layer_step(
                     src[q - base], window, q - lo, layer, self.params, self.config, self.counters))
             if left is not None:
                 stale = max(0, self.first[l] + len(self.rows[l]) - left - base)
-                del src[:stale], kv[:stale]
+                del src[:stale]
                 self.first[l - 1] += stale
+                self.start[l - 1] += stale
         top = self.rows[-1]
         self.rows[-1] = []
         self.first[-1] += len(top)
@@ -208,7 +237,8 @@ class LabelState:
     root therefore share one `memo`, holding one state per context, and
     are never mutated once reached that way; `advance` mutates in place.
     They share `inputs` too: each label id's projected input row and its
-    first-layer `key_value_row`, computed on the id's first push."""
+    first-layer `qkv_row` (query, key and value), computed on the id's
+    first push."""
 
     def __init__(self, model: TransducerModel):
         cfg = model.config.label
@@ -216,7 +246,7 @@ class LabelState:
         self.model = model
         self.keep = slice(None) if math.isinf(past) else slice(-int(past) - 1, None)
         self.memo: dict[tuple[int, ...], LabelState] = {}
-        self.inputs: dict[int, tuple[np.ndarray, tuple[np.ndarray, ...] | None]] = {}
+        self.inputs: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         self.context = (BLANK_ID,)
         self.encoder = IncrementalEncoder(cfg, model.params.label, model.counters)
         self._push(BLANK_ID)

@@ -182,11 +182,6 @@ def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
     return TransducerModel(config, param_spec(config).transform(lambda spec: spec.materialize(rng)))
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Number of values `init_model(config)` allocates, without allocating."""
-    return sum(spec.size for _, spec in param_spec(config).named())
-
-
 def model_config_from_dict(d: dict) -> ModelConfig:
     def encoder(e: dict) -> EncoderConfig:
         return EncoderConfig(**{**e, "mask": AttentionMask(**e["mask"])})

@@ -178,8 +178,8 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     """`layer_norm`'s values: (output, x̂, inv) for x̂ = (x - mean) * inv,
     inv = 1 / sqrt(var + eps), output = x̂ * gain + bias over the last axis."""
     scale = 1.0 / x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) * scale
-    inv = np.power((xc * xc).sum(axis=-1, keepdims=True) * scale + eps, -0.5)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) * scale
+    inv = np.power(np.add.reduce(xc * xc, axis=-1, keepdims=True) * scale + eps, -0.5)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 

@@ -178,7 +178,10 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
 def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: TrainConfig,
                out_dir=None, log_fn=None) -> list[float]:
     """Run `total_steps` over the dataset in fixed batch order, optionally
-    writing periodic checkpoints and per-step metric records."""
+    writing periodic checkpoints and per-step metric records. A non-finite
+    loss raises `NumericsError` before the step touches the parameters; with
+    an `out_dir`, the model as the last good step left it is first saved to
+    `ckpt_last_good.ttck`, and the error names that file."""
     optimizer = Adam(model, cfg)
     rng = Rng(cfg.seed)
     utts = dataset.utterances
@@ -194,7 +197,14 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
     for step in range(cfg.total_steps):
         at = (step * cfg.batch_size) % len(utts)
         batch = [utts[(at + k) % len(utts)] for k in range(cfg.batch_size)]
-        loss = train_step(model, optimizer, batch, step, schedule, cfg, rng)
+        try:
+            loss = train_step(model, optimizer, batch, step, schedule, cfg, rng)
+        except NumericsError as e:
+            if out_dir is None:
+                raise
+            path = os.path.join(out_dir, "ckpt_last_good.ttck")
+            save_checkpoint(model, path)
+            raise NumericsError(f"{e}; the last good parameters are in {path}") from e
         losses.append(loss)
         record = {"step": step, "loss": loss, "lr": lr_at(step, schedule),
                   "wall_clock": time.monotonic() - start}

@@ -69,11 +69,6 @@ def joint_param_spec(d_audio: int, d_label: int, joint_dim: int, vocab_size: int
     )
 
 
-def init_joint_params(d_audio: int, d_label: int, joint_dim: int, vocab_size: int, rng: Rng) -> JointParams:
-    return joint_param_spec(d_audio, d_label, joint_dim, vocab_size).transform(
-        lambda spec: spec.materialize(rng))
-
-
 @dataclass
 class LogProbGrid:
     """[T, U+1, V] log-probabilities: entry (t, u) is the distribution over
@@ -343,7 +338,3 @@ def batch_loss(grid: LogProbGrid, ys: Sequence[Sequence[int]]) -> Tensor:
 def random_grid(T: int, U: int, V: int, rng: Rng) -> LogProbGrid:
     """Well-formed random grid (each row a proper distribution); test helper."""
     return LogProbGrid(Tensor(_log_softmax(rng.normal((T, U + 1, V), sigma=2.0))[0]))
-
-
-def uniform_grid(T: int, U: int, V: int) -> LogProbGrid:
-    return LogProbGrid(Tensor(_log_softmax(np.zeros((T, U + 1, V)))[0]))

@@ -3,7 +3,7 @@ composed references (per-head attention, composed layer norm and
 log-softmax, the scalar-node lattice, the per-example training step) are
 built from. ttkit's own graphs use the fused nodes of `ttkit.tensor` and
 its modules; these stay as the independent pieces those nodes are checked
-against.
+against. `uniform_grid` is the input of the closed-form lattice oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
+from ttkit import transducer as tr
 from ttkit.tensor import ShapeError, Tensor, unbroadcast
+
+
+def uniform_grid(T: int, U: int, V: int) -> tr.LogProbGrid:
+    """The grid whose every distribution is uniform over the V symbols: the
+    input of the closed-form lattice oracle."""
+    return tr.LogProbGrid(Tensor(tr._log_softmax(np.zeros((T, U + 1, V)))[0]))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

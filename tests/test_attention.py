@@ -28,6 +28,10 @@ def small_config(num_layers=2, left=2, right=1, model_dim=8, **kw):
     )
 
 
+def init_encoder_params(config, rng):
+    return att.encoder_param_spec(config).transform(lambda spec: spec.materialize(rng))
+
+
 def zero_params(params):
     """Zero every projection weight and bias, keeping layer-norm gains."""
     def z(name, t):
@@ -179,7 +183,7 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
                         mask=AttentionMask(None, None), input_dim=model_dim,
                         max_relative_offset=max_offset)
     rng = Rng(seed)
-    params = att.init_encoder_params(cfg, rng.substream("params"))
+    params = init_encoder_params(cfg, rng.substream("params"))
     for name, p in params.named("p"):
         p.values[...] = rng.substream(name).normal(p.shape)
     layer = params.layers[0]
@@ -215,7 +219,7 @@ def _attention_case(cfg, lengths, seed):
     """Random parameters at unit scale, a padded batch of rows and an
     upstream gradient that is zero on padded rows."""
     rng = Rng(seed)
-    params = att.init_encoder_params(cfg, rng.substream("params"))
+    params = init_encoder_params(cfg, rng.substream("params"))
     for name, p in params.named("p"):
         p.values[...] = rng.substream(name).normal(p.shape)
     shape = (len(lengths), max(lengths), cfg.model_dim)
@@ -307,7 +311,7 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
     mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
     cfg = small_config(num_layers=layers, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
     rng = Rng(seed)
-    params = att.init_encoder_params(cfg, rng.substream("params"))
+    params = init_encoder_params(cfg, rng.substream("params"))
     xs = [rng.substream(f"x{b}").normal((n, cfg.input_dim)) for b, n in enumerate(lengths)]
     gs = [rng.substream(f"g{b}").normal((n, cfg.model_dim)) for b, n in enumerate(lengths)]
     rngs = [rng.substream(f"drop{b}") for b in range(len(lengths))]
@@ -349,7 +353,7 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
 
 def test_zero_parameter_layer_is_identity():
     cfg = small_config(num_layers=1)
-    params = zero_params(att.init_encoder_params(cfg, Rng(3)))
+    params = zero_params(init_encoder_params(cfg, Rng(3)))
     x = Tensor(Rng(4).normal((7, cfg.model_dim)))
     mask = build_mask(7, cfg.mask)
     out = att.encoder_layer(x, mask, params.layers[0], params, cfg)
@@ -358,7 +362,7 @@ def test_zero_parameter_layer_is_identity():
 
 def test_single_position_layer():
     cfg = small_config(num_layers=1)
-    params = att.init_encoder_params(cfg, Rng(5))
+    params = init_encoder_params(cfg, Rng(5))
     x = Tensor(Rng(6).normal((1, cfg.model_dim)))
     out = att.encoder_layer(x, build_mask(1, cfg.mask), params.layers[0], params, cfg)
     assert out.shape == (1, cfg.model_dim)
@@ -367,7 +371,7 @@ def test_single_position_layer():
 
 def test_layer_rejects_wrong_dims():
     cfg = small_config(num_layers=1)
-    params = att.init_encoder_params(cfg, Rng(5))
+    params = init_encoder_params(cfg, Rng(5))
     bad = Tensor(Rng(6).normal((4, cfg.model_dim + 1)))
     with pytest.raises(tt.ShapeError):
         att.encoder_layer(bad, build_mask(4, cfg.mask), params.layers[0], params, cfg)
@@ -379,7 +383,7 @@ def test_layer_gradient_check():
     cfg.ff_dim2 = 4
     cfg.num_heads = 2
     cfg.head_dim = 2
-    params = att.init_encoder_params(cfg, Rng(7))
+    params = init_encoder_params(cfg, Rng(7))
     x = Tensor(Rng(8).normal((4, cfg.model_dim)))
     mask = build_mask(4, cfg.mask)
 
@@ -417,7 +421,7 @@ def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
     for num_heads in (1, 2, 3):
         for seq_len in (1, 4, 9):
             cfg = small_config(num_layers=1, num_heads=num_heads, dropout_ratio=0.1)
-            params = att.init_encoder_params(cfg, Rng(num_heads))
+            params = init_encoder_params(cfg, Rng(num_heads))
             x = Tensor(Rng(seq_len).normal((seq_len, cfg.model_dim)))
             out = att.encoder_layer(x, build_mask(seq_len, cfg.mask), params.layers[0], params, cfg,
                                     Rng(0) if training else None)
@@ -428,7 +432,7 @@ def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
 
 def test_zero_layers_is_input_projection():
     cfg = small_config(num_layers=0)
-    params = att.init_encoder_params(cfg, Rng(9))
+    params = init_encoder_params(cfg, Rng(9))
     x = Tensor(Rng(10).normal((5, cfg.input_dim)))
     out = att.encode(x, cfg, params)
     expected = x.values @ params.input_w.values + params.input_b.values
@@ -437,7 +441,7 @@ def test_zero_layers_is_input_projection():
 
 def test_zero_parameter_stack_is_identity_on_projection():
     cfg = small_config(num_layers=3, final_layer_norm=False)
-    params = zero_params(att.init_encoder_params(cfg, Rng(11)))
+    params = zero_params(init_encoder_params(cfg, Rng(11)))
     x = Tensor(Rng(12).normal((6, cfg.input_dim)))
     out = att.encode(x, cfg, params)
     expected = x.values @ params.input_w.values + params.input_b.values
@@ -446,7 +450,7 @@ def test_zero_parameter_stack_is_identity_on_projection():
 
 def test_causal_mask_ignores_future_bitwise():
     cfg = small_config(num_layers=2, left=3, right=0)
-    params = att.init_encoder_params(cfg, Rng(13))
+    params = init_encoder_params(cfg, Rng(13))
     rng = Rng(14)
     x = rng.normal((9, cfg.input_dim))
     base = att.encode(Tensor(x), cfg, params).values
@@ -461,7 +465,7 @@ def test_causal_mask_ignores_future_bitwise():
 def test_receptive_field_perturbation():
     # 3 layers, left=2, right=1: position 7 (1-based) reaches exactly 1..10
     cfg = small_config(num_layers=3, left=2, right=1)
-    params = att.init_encoder_params(cfg, Rng(15))
+    params = init_encoder_params(cfg, Rng(15))
     rng = Rng(16)
     x = rng.normal((12, cfg.input_dim))
     base = att.encode(Tensor(x), cfg, params).values
@@ -481,7 +485,7 @@ def test_receptive_field_perturbation():
 
 def test_translation_invariance():
     cfg = small_config(num_layers=2, left=2, right=1, final_layer_norm=True)
-    params = att.init_encoder_params(cfg, Rng(17))
+    params = init_encoder_params(cfg, Rng(17))
     rng = Rng(18)
     content = rng.normal((11, cfg.input_dim))
     pad_a = rng.normal((3, cfg.input_dim))
@@ -501,7 +505,7 @@ def test_stack_gradient_check():
     cfg.ff_dim2 = 4
     cfg.num_heads = 2
     cfg.head_dim = 2
-    params = att.init_encoder_params(cfg, Rng(19))
+    params = init_encoder_params(cfg, Rng(19))
     x = Tensor(Rng(20).normal((5, cfg.input_dim)))
 
     def loss():
@@ -518,13 +522,14 @@ def test_stack_gradient_check():
 
 def test_encoder_layer_step_matches_batch():
     cfg = small_config(num_layers=1, left=2, right=1)
-    params = att.init_encoder_params(cfg, Rng(21))
+    params = init_encoder_params(cfg, Rng(21))
     x = Rng(22).normal((8, cfg.model_dim))
     mask = build_mask(8, cfg.mask)
     batch = att.encoder_layer(Tensor(x), mask, params.layers[0], params, cfg).values
     for q in range(8):
         lo, hi = max(0, q - 2), min(7, q + 1)
-        window = [att.key_value_row(row, params.layers[0], cfg) for row in x[lo:hi + 1]]
+        weights = att.qkv_weights(params.layers[0])
+        window = np.stack([att.qkv_row(row, params.layers[0], weights, cfg) for row in x[lo:hi + 1]], axis=1)
         out = att.encoder_layer_step(x[q], window, q - lo, params.layers[0], params, cfg)
         np.testing.assert_allclose(out, batch[q], atol=1e-9)
 
@@ -542,22 +547,23 @@ def test_encoder_layer_step_matches_batch():
 def test_cached_step_matches_batch_layer_property(left, right, layers, seq_len, heads, max_offset,
                                                   seed):
     """At every layer and position, the graph-free step over cached
-    `key_value_row`s gives the batch layer's row, up to the rounding of
+    `qkv_row`s gives the batch layer's row, up to the rounding of
     one-row against window products."""
     cfg = small_config(num_layers=layers, left=left, right=right, num_heads=heads,
                        max_relative_offset=max_offset)
     rng = Rng(seed)
-    params = att.init_encoder_params(cfg, rng.substream("params"))
+    params = init_encoder_params(cfg, rng.substream("params"))
     for name, p in params.named("p"):
         p.values[...] = rng.substream(name).normal(p.shape)
     x = rng.substream("x").normal((seq_len, cfg.model_dim))
     mask = build_mask(seq_len, cfg.mask)
     for layer in params.layers:
         batch = att.encoder_layer(Tensor(x), mask, layer, params, cfg).values
-        cached = [att.key_value_row(row, layer, cfg) for row in x]
+        weights = att.qkv_weights(layer)
+        cached = np.stack([att.qkv_row(row, layer, weights, cfg) for row in x], axis=1)
         for q in range(seq_len):
             lo = 0 if left is None else max(0, q - left)
-            window = cached[lo:min(seq_len, q + right + 1)]
+            window = cached[:, lo:min(seq_len, q + right + 1)]
             out = att.encoder_layer_step(x[q], window, q - lo, layer, params, cfg)
             assert np.max(np.abs(out - batch[q])) <= 1e-12 * max(1.0, np.max(np.abs(batch[q])))
         x = batch

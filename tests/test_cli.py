@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ttkit import decode as dec
+from ttkit import train as trn
 from ttkit.attention import AttentionMask
 from ttkit.cli import build_parser, main
 from ttkit.config import ConfigError, load_run_config, parse_run_config, resolved_config_dict
@@ -14,7 +15,7 @@ from ttkit.decode import greedy_decode
 from ttkit.model import desk_config, init_model
 from ttkit.tasks import (Dataset, SyntheticTaskConfig, Utterance, gen_synthetic, read_dataset,
                          write_dataset)
-from ttkit.tensor import Rng
+from ttkit.tensor import NumericsError, Rng
 from ttkit.train import checkpoint_bytes, load_checkpoint, save_checkpoint
 
 
@@ -323,6 +324,30 @@ def test_cli_train_same_seed_identical_checkpoints(tmp_path):
     a = (tmp_path / "a" / "ckpt_final.ttck").read_bytes()
     b = (tmp_path / "b" / "ckpt_final.ttck").read_bytes()
     assert a == b
+
+
+def test_cli_train_non_finite_loss_exits_3_naming_last_good_checkpoint(tmp_path, capsys, monkeypatch):
+    """A loss that turns non-finite at step 5 exits 3, and the message names
+    the checkpoint holding the parameters steps 0-4 left."""
+    data_path = tmp_path / "train.ttds"
+    small_dataset(data_path)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(base_config(paths={"dataset": str(data_path)})))
+    train_step = trn.train_step
+    snapshots = []
+
+    def diverging_step(model, optimizer, batch, step, *rest):
+        if step == 5:
+            snapshots.append(checkpoint_bytes(model))
+            raise NumericsError(f"non-finite loss nan at step {step}")
+        return train_step(model, optimizer, batch, step, *rest)
+
+    monkeypatch.setattr(trn, "train_step", diverging_step)
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 3
+    path = tmp_path / "run" / "ckpt_last_good.ttck"
+    assert f"error: non-finite loss nan at step 5; the last good parameters are in {path}" in capsys.readouterr().err
+    assert path.read_bytes() == snapshots[0]
+    assert not (tmp_path / "run" / "ckpt_final.ttck").exists()
 
 
 def test_cli_train_missing_dataset_key_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_beam
+import reference_stream
 import ttkit.attention as att
 import ttkit.tensor as tt
 from ttkit import decode as dec
@@ -449,18 +451,18 @@ def test_beam_scores_each_frame_and_state_once(monkeypatch):
 
 @pytest.mark.parametrize("decoder", ["greedy", "beam", "stream"])
 def test_label_input_rows_computed_once_per_call(monkeypatch, decoder):
-    """A label id's input projection and first-layer keys and values are
-    computed at most once per decode call, however often it is pushed."""
+    """A label id's input projection and first-layer query, key and value
+    are computed at most once per decode call, however often it is pushed."""
     model = small_model(vocab_size=4, label_left=2, num_label_layers=2, blank_bias=-1.0)
     feats = Rng(13).normal((30, 6))
     first_layer = model.params.label.layers[0]
     projected, key_values, pushes = [], [], []
-    key_value_row = att.key_value_row
+    qkv_row = att.qkv_row
 
-    def counting_key_value_row(row, layer, config):
+    def counting_qkv_row(row, layer, weights, config):
         if layer is first_layer:
             key_values.append(row.tobytes())
-        return key_value_row(row, layer, config)
+        return qkv_row(row, layer, weights, config)
 
     class CountingWeights(np.ndarray):
         def __rmatmul__(self, other):
@@ -469,7 +471,7 @@ def test_label_input_rows_computed_once_per_call(monkeypatch, decoder):
 
     input_w = model.params.label.input_w
     monkeypatch.setattr(input_w, "values", input_w.values.view(CountingWeights))
-    monkeypatch.setattr(att, "key_value_row", counting_key_value_row)
+    monkeypatch.setattr(att, "qkv_row", counting_qkv_row)
     count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config is model.config.label))
     if decoder == "greedy":
         greedy_decode(model, feats, max_symbols_per_frame=3)
@@ -598,13 +600,13 @@ def test_incremental_encoder_computes_each_key_value_row_once(monkeypatch):
     layers = model.params.audio.layers
     enc = dec.IncrementalEncoder(model.config.audio, model.params.audio)
     calls = [0] * len(layers)
-    key_value_row = att.key_value_row
+    qkv_row = att.qkv_row
 
-    def counting(row, layer, config):
+    def counting(row, layer, weights, config):
         calls[next(i for i, p in enumerate(layers) if p is layer)] += 1
-        return key_value_row(row, layer, config)
+        return qkv_row(row, layer, weights, config)
 
-    monkeypatch.setattr(att, "key_value_row", counting)
+    monkeypatch.setattr(att, "qkv_row", counting)
     out = []
     for row in Rng(15).normal((20, model.config.audio.input_dim)):
         out += enc.push(row)
@@ -615,8 +617,9 @@ def test_incremental_encoder_computes_each_key_value_row_once(monkeypatch):
 
 @pytest.mark.parametrize("left, right, layers", [(2, 1, 3), (1, 2, 3), (0, 3, 2), (4, 1, 1), (None, 1, 2)])
 def test_incremental_encoder_key_value_cache_follows_rows(monkeypatch, left, right, layers):
-    """After every push and every drain step, `kv[l]` holds one entry per
-    row of `rows[l]`, and each entry is that row's `key_value_row`."""
+    """After every push and every drain step, the live columns of `qkv[l]`
+    hold one entry per row of `rows[l]`, and each entry is that row's
+    `qkv_row`."""
     model = small_model(audio_mask=AttentionMask(left, right), num_audio_layers=layers)
     cfg, params = model.config.audio, model.params.audio
     enc = dec.IncrementalEncoder(cfg, params)
@@ -625,12 +628,12 @@ def test_incremental_encoder_key_value_cache_follows_rows(monkeypatch, left, rig
 
     def checking_advance(frontier):
         top = advance(frontier)
-        assert len(enc.kv) == layers
-        for rows, kv, layer in zip(enc.rows, enc.kv, params.layers):
-            assert len(kv) == len(rows)
-            for row, entry in zip(rows, kv):
-                for a, b in zip(entry, att.key_value_row(row, layer, cfg)):
-                    np.testing.assert_array_equal(a, b)
+        assert len(enc.qkv) == layers
+        for rows, buf, at, layer, weights in zip(enc.rows, enc.qkv, enc.start, params.layers, enc.weights):
+            kv = buf[:, at:at + len(rows)]
+            assert kv.shape[1] == len(rows)
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(kv[:, i], att.qkv_row(row, layer, weights, cfg))
         checked.append(frontier)
         return top
 
@@ -639,6 +642,88 @@ def test_incremental_encoder_key_value_cache_follows_rows(monkeypatch, left, rig
         enc.push(row)
     enc.finish()
     assert len(checked) == 20 + layers * right
+
+
+def randomized(params, seed: int):
+    """`params` with every value drawn from a normal, biases, gains and
+    relative-position terms included."""
+    rng = Rng(seed)
+    for name, p in params.named():
+        p.values[...] = rng.substream(name).normal(p.shape)
+    return params
+
+
+@settings(max_examples=150, deadline=None)
+@given(left=st.one_of(st.none(), st.integers(0, 12)), right=st.integers(0, 3), layers=st.integers(0, 3),
+       heads=st.integers(1, 3), head_dim=st.integers(1, 4), length=st.integers(1, 60),
+       max_offset=st.integers(0, 14), seed=st.integers(0, 2**16))
+@example(left=10, right=0, layers=2, heads=2, head_dim=4, length=60, max_offset=12, seed=0)
+@example(left=None, right=2, layers=3, heads=3, head_dim=3, length=40, max_offset=5, seed=1)
+def test_incremental_encoder_equals_list_window_reference(left, right, layers, heads, head_dim, length,
+                                                          max_offset, seed):
+    """The buffered encoder emits the list-window reference's rows bit for
+    bit, with the same score count; so do label states built on it, through
+    `advanced` from any earlier state and through `advance` in place."""
+    cfg = EncoderConfig(num_layers=layers, model_dim=6, ff_dim1=7, ff_dim2=6, num_heads=heads,
+                        head_dim=head_dim, mask=AttentionMask(left, right), input_dim=6,
+                        dropout_ratio=0.0, max_relative_offset=max_offset)
+    params = randomized(att.encoder_param_spec(cfg).transform(lambda spec: spec.materialize(Rng(0))), seed)
+    rng = Rng(seed + 1)
+    rows = rng.substream("rows").normal((length, cfg.input_dim))
+    outputs = []
+    for cls in (dec.IncrementalEncoder, reference_stream.IncrementalEncoder):
+        counters = att.Counters()
+        enc = cls(cfg, params, counters)
+        out = [r for row in rows for r in enc.push(row)] + enc.finish()
+        outputs.append((out, counters.attention_scores))
+    (got, got_scores), (want, want_scores) = outputs
+    assert len(got) == len(want) == length and got_scores == want_scores
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+    label_model = init_model(ModelConfig(
+        vocab_size=5, feature_dim=2, joint_dim=5, audio=trivial_encoder_config(AttentionMask(2, 0)),
+        label=dataclasses.replace(cfg, mask=AttentionMask(left, 0)), frontend=FrontendConfig()), Rng(0))
+    randomized(label_model.params, seed)
+    labels = rng.substream("labels").integers(1, label_model.config.vocab_size, length).tolist()
+    picks = rng.substream("picks").integers(0, length + 1, length).tolist()
+    walks = []
+    for cls in (dec.IncrementalEncoder, reference_stream.IncrementalEncoder):
+        before = label_model.counters.attention_scores
+        with mock.patch.object(dec, "IncrementalEncoder", cls):
+            states, walker = [dec.LabelState(label_model)], dec.LabelState(label_model)
+            for i, label in enumerate(labels):
+                states.append(states[picks[i] % len(states)].advanced(label))
+                walker.advance(label)
+                states.append(walker)
+                walker = dec.LabelState(label_model) if i == length // 2 else walker
+            walks.append(([(s.vec, s.proj) for s in states], label_model.counters.attention_scores - before))
+    (got, got_scores), (want, want_scores) = walks
+    assert got_scores == want_scores
+    for (vec, proj), (ref_vec, ref_proj) in zip(got, want):
+        assert np.array_equal(vec, ref_vec) and np.array_equal(proj, ref_proj)
+
+
+def test_step_offset_cache_stays_bounded_under_full_history_labels():
+    """With `label_left` None every push attends a longer window, so each
+    step needs a new offset table; the cache stays at its bound, evicting
+    old tables, and the states stay equal to the reference's."""
+    model = small_model(label_left=None, num_label_layers=2)
+    limit = att._step_gather.cache_info().maxsize
+    att._step_gather.cache_clear()
+    state = dec.LabelState(model)
+    with mock.patch.object(dec, "IncrementalEncoder", reference_stream.IncrementalEncoder):
+        reference = dec.LabelState(model)
+    sizes = []
+    for i in range(limit + 40):
+        label = 1 + i % (model.config.vocab_size - 1)
+        state.advance(label)
+        reference.advance(label)
+        sizes.append(att._step_gather.cache_info().currsize)
+    assert limit is not None and max(sizes) == sizes[-1] == limit  # full, and evicting since
+    assert np.array_equal(state.vec, reference.vec) and np.array_equal(state.proj, reference.proj)
+    rows, idx = att._step_gather(limit + 5, limit + 6, model.config.label.rel_offset)
+    assert not rows.flags.writeable and not idx.flags.writeable
 
 
 def test_stream_lookahead_delays_first_emission():

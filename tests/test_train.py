@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ import ttkit.train as trn
 from ttkit.attention import AttentionMask
 from ttkit.config import load_run_config
 from ttkit.frontend import FrontendConfig
-from ttkit.model import desk_config, init_model, model_config_from_dict, pad, parameter_count
+from ttkit.model import desk_config, init_model, model_config_from_dict, pad, param_spec
 from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
 from ttkit.tensor import NumericsError, Rng, Tensor, backward
 from ttkit.transducer import LogProbGrid, rnnt_log_prob
@@ -207,6 +208,29 @@ def test_non_finite_loss_aborts_with_diagnostics():
     with pytest.raises(NumericsError, match="step 0"):
         train_step(model, opt, data.utterances[:2], 0, PAPER_SCHEDULE,
                    TrainConfig(batch_size=2), Rng(0))
+
+
+def test_non_finite_loss_saves_the_last_good_checkpoint(tmp_path):
+    """Steps 0 and 1 train; step 2's batch has a NaN feature, so its loss is
+    not finite. The loop saves the model as step 1 left it, names the file
+    in the error, and the file loads back to the same bytes."""
+    model, data = tiny_setup()
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=2, total_steps=6, seed=0)
+    bad = data.utterances[5]
+    features = bad.features.copy()
+    features[0, 0] = np.nan
+    data.utterances[5] = Utterance(bad.id, features, bad.labels)
+    good, _ = tiny_setup()
+    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2))
+    want = checkpoint_bytes(good)
+    path = tmp_path / "ckpt_last_good.ttck"
+    with pytest.raises(NumericsError, match="step 2") as raised:
+        train_loop(model, data, sched, cfg, out_dir=tmp_path)
+    assert str(path) in str(raised.value)
+    assert path.read_bytes() == want == checkpoint_bytes(model)
+    assert checkpoint_bytes(load_checkpoint(path)) == want
+    assert not (tmp_path / "ckpt_final.ttck").exists()
 
 
 def test_train_loop_writes_metrics_and_checkpoints(tmp_path):
@@ -460,6 +484,11 @@ COUNT_CONFIGS = [
     desk_config(vocab_size=4, feature_dim=3, model_dim=6, num_label_layers=3,
                 frontend=FrontendConfig(stack=3, subsample=2), max_relative_offset=0),
 ]
+
+
+def parameter_count(config) -> int:
+    """Number of values `init_model(config)` allocates, without allocating."""
+    return sum(spec.size for _, spec in param_spec(config).named())
 
 
 @pytest.mark.parametrize("cfg", COUNT_CONFIGS)

@@ -20,12 +20,12 @@ from ttkit.transducer import (
     log_prob_grid,
     random_grid,
     rnnt_log_prob,
-    uniform_grid,
 )
 
 
 def make_joint(d_audio=4, d_label=3, joint_dim=5, vocab=3, seed=0):
-    return tr.init_joint_params(d_audio, d_label, joint_dim, vocab, Rng(seed))
+    return tr.joint_param_spec(d_audio, d_label, joint_dim, vocab).transform(
+        lambda spec: spec.materialize(Rng(seed)))
 
 
 # ----------------------------------------------------------------- vocab
@@ -130,7 +130,7 @@ def test_loss_single_path():
 
 def test_loss_uniform_grid_closed_form():
     # V=2, T=2, U=1: exactly 2 alignments, each of probability (1/2)^3
-    grid = uniform_grid(T=2, U=1, V=2)
+    grid = ops.uniform_grid(T=2, U=1, V=2)
     got = rnnt_log_prob(grid, [1])
     assert got.item() == pytest.approx(math.log(0.25), abs=1e-12)
 
@@ -164,7 +164,7 @@ def test_oracle_equivalence_small_instances():
 
 
 def test_oracle_rejects_large_instance():
-    grid = uniform_grid(T=10, U=6, V=2)
+    grid = ops.uniform_grid(T=10, U=6, V=2)
     with pytest.raises(ValueError):
         brute_force_log_prob(grid, [1] * 6)
 
@@ -195,7 +195,7 @@ def test_permutation_sensitivity():
 
 
 def test_loss_label_out_of_vocab():
-    grid = uniform_grid(T=2, U=1, V=3)
+    grid = ops.uniform_grid(T=2, U=1, V=3)
     with pytest.raises(ValueError):
         rnnt_log_prob(grid, [3])
     with pytest.raises(ValueError):

@@ -10,27 +10,24 @@ a window's encoding is the same at any absolute position.
 `encode` runs one sequence [T, d] or a padded batch [B, T, d] with
 per-example lengths through the same code: a layer is five graph nodes
 whatever B, T and the head count. All heads of one attention block form a
-single node with a closed-form backward, in one of two forms with the same
-function. The dense node (`_multi_head_attention`) runs projections,
-scores, mask, softmax, weighted sum and output projection as [..., heads,
-T, head_dim] numpy matmuls over all T x T pairs, under the window mask
-joined with each example's key-length mask (`batch_mask`). The banded node
-(`_banded_attention`) cuts the queries into blocks and scores each block
-only against the keys its windows reach, so a layer costs O(T * window)
-instead of O(T^2). `layer_mask` picks once per stack call, from T and the
-mask alone: a finite window past the measured crossover
-(`BANDED_MIN_EXTRA_ROWS`) gets a `Band` and the banded node; shorter
-sequences and unbounded windows get the dense boolean mask. The
+single node with a closed-form backward (`_banded_attention`). It cuts the
+queries into the blocks of a `Band` and scores each block only against the
+keys its window reaches, under the window mask joined with each example's
+key-length mask. `band` picks the block size once per stack call, from T
+and the mask alone: a finite window past the measured crossover
+(`BANDED_MIN_EXTRA_ROWS`) gets blocks of left + right rows, so a layer
+costs O(T * window) instead of O(T^2); shorter sequences and unbounded
+windows get one block of all T rows, which scores all T x T pairs. The
 feed-forward block with its layer-norm, dropouts and residual is one node
 too (`_feed_forward`).
 The streaming `encoder_layer_step` builds no graph and projects nothing:
 each input row's query, key and value come from `qkv_row`, computed once
 when the row arrives (one call over the stacked `qkv_weights`, three
 one-row products), and the step reads its window's keys and values as a
-slice of a contiguous [3, T, H*dh] array and its relative-offset table from
-a bounded cache. Both run one attention forward (`_attend`), one
-feed-forward forward (`_feed_forward_values`) and one closing rule
-(`final_norm`).
+slice of a contiguous [3, T, H*dh] array. It attends as one block holding
+one query. The node and the step run one attention forward (`_attend`)
+over one cached relative-offset table (`_offset_index`), one feed-forward
+forward (`_feed_forward_values`) and one closing rule (`final_norm`).
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ class AttentionMask:
 
     def __post_init__(self):
         for side, value in (("left", self.left), ("right", self.right)):
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
                 raise ValueError(f"mask {side} must be a non-negative int or None, got {value!r}")
 
     @property
@@ -64,19 +61,22 @@ class AttentionMask:
         return self.left is not None and self.right is not None
 
 
+def _in_window(offset: np.ndarray, mask: AttentionMask) -> np.ndarray:
+    """True where a query may attend a key `offset` = i - j rows before it."""
+    allowed = np.ones(offset.shape, dtype=bool)
+    if mask.left is not None:
+        allowed &= offset <= mask.left
+    if mask.right is not None:
+        allowed &= offset >= -mask.right
+    return allowed
+
+
 def build_mask(seq_len: int, mask: AttentionMask) -> np.ndarray:
     """Boolean [seq_len, seq_len] matrix; entry (i, j) true iff j is inside
     i's window. The diagonal is always true."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    i = np.arange(seq_len)[:, None]
-    j = np.arange(seq_len)[None, :]
-    allowed = np.ones((seq_len, seq_len), dtype=bool)
-    if mask.left is not None:
-        allowed &= j >= i - mask.left
-    if mask.right is not None:
-        allowed &= j <= i + mask.right
-    return allowed
+    return _in_window(np.arange(seq_len)[:, None] - np.arange(seq_len), mask)
 
 
 @dataclass
@@ -189,15 +189,6 @@ class Counters:
         self.joint_evals = 0
 
 
-def batch_mask(window: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """[B, 1, T, T]: the [T, T] `window` joined with each example's key-length
-    mask, for a batch padded to T whose example b fills its first lengths[b]
-    rows. A padded query keeps its whole window, so its softmax row is never
-    empty; nothing downstream reads its output."""
-    valid = np.arange(window.shape[0]) < np.asarray(lengths)[:, None]  # [B, T]
-    return (window & (valid[:, None, :] | ~valid[:, :, None]))[:, None]
-
-
 def _split(a: np.ndarray, config: EncoderConfig) -> np.ndarray:  # [..., T, H*dh] -> [..., H, T, dh]
     return a.reshape(a.shape[:-1] + (config.num_heads, config.head_dim)).swapaxes(-2, -3)
 
@@ -206,14 +197,24 @@ def _merge(a: np.ndarray) -> np.ndarray:  # [..., H, T, dh] -> [..., T, H*dh]
     return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
 
 
-def _offset_gather(q_positions: np.ndarray, k_positions: np.ndarray,
-                   max_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each (query, key) pair reads its relative-position score in the
-    per-head [Tq, 2 * max_offset + 1] table: the query's row index [Tq, 1]
-    and the clipped offset index [Tq, Tk]."""
-    offsets = q_positions[:, None] - k_positions[None, :]
-    idx = np.minimum(np.maximum(offsets, -max_offset), max_offset) + max_offset
-    return np.arange(len(q_positions))[:, None], idx
+def _flat(a: np.ndarray) -> np.ndarray:  # [..., n_blocks, rows, n] -> [..., n_blocks * rows, n]
+    return a.reshape(a.shape[:-3] + (a.shape[-3] * a.shape[-2], a.shape[-1]))
+
+
+@functools.lru_cache(maxsize=128)
+def _offset_index(rows: int, front: int, width: int, max_offset: int) -> np.ndarray:
+    """[rows, width]: where query row r of a block reads its position score
+    for window column w among the block's per-head scores [rows, R], R = 2 *
+    max_offset + 1, flattened: r * R + o(r, w) + max_offset, with o(r, w)
+    the offset r + front - w clipped to [-max_offset, max_offset].
+    Read-only, and shared by every call with the same arguments. The cache
+    is bounded: under an unbounded left window the streaming window grows
+    with the stream, and a one-block table is T x T."""
+    n_off = 2 * max_offset + 1
+    r = np.arange(rows)[:, None]
+    idx = r * n_off + np.clip(r + front - np.arange(width), -max_offset, max_offset) + max_offset
+    idx.setflags(write=False)
+    return idx
 
 
 def _attend(
@@ -222,71 +223,35 @@ def _attend(
     v: np.ndarray,
     params: EncoderParams,
     config: EncoderConfig,
-    gather: tuple[np.ndarray, np.ndarray],
-    mask_bool: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Windowed relative-position attention over projected heads: queries
-    q [..., H, Tq, dh] against keys and values k, v [..., H, Tk, dh].
+    idx: np.ndarray,
+    allowed: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Windowed relative-position attention of blocked queries q [..., H,
+    n_blocks, rows, dh] against their blocks' windows of keys and values
+    k, v [..., H, n_blocks, width, dh].
 
-    Per head, score(i, j) = [(q_i + content_bias) . k_j + (q_i + pos_bias)
-    . r_{o(i,j)}] / sqrt(head_dim), with o(i, j) the offset i - j clipped to
-    [-max_offset, max_offset] and read through `gather` (`_offset_gather`);
-    only the offset enters, so shifting both positions leaves the scores
-    unchanged. Masked scores get zero weight. Returns the clipped offset
-    indices into `rel_emb`, the content and position queries, the softmax
-    weights [..., H, Tq, Tk] and the weighted values of all heads
-    concatenated, [..., Tq, H*dh]. The graph node and the cached streaming
-    step both run this forward.
+    Per head, score(r, w) = [(q_r + content_bias) . k_w + (q_r + pos_bias)
+    . r_{o(r, w)}] / sqrt(head_dim), with o(r, w) the clipped offset read
+    through `idx` (`_offset_index`), the same for every block; only the
+    offset enters, so shifting both positions leaves the scores unchanged.
+    Scores outside `allowed` get zero weight. Returns the content and
+    position queries, the softmax weights [..., H, n_blocks, rows, width]
+    and the weighted values with the blocks' rows in sequence, [..., H,
+    n_blocks * rows, dh]. The graph node and the streaming step both run
+    this forward.
     """
-    rows, idx = gather
     rel = params.rel_emb.values                            # [H, R, dh]
-    qc = q + params.content_bias.values[:, None, :]
-    qp = q + params.pos_bias.values[:, None, :]
-    scale = 1.0 / math.sqrt(config.head_dim)
-    pos = (qp @ rel.transpose(0, 2, 1))[..., rows, idx]   # [..., H, Tq, Tk]
-    scores = (qc @ k.swapaxes(-1, -2) + pos) * scale
-    if mask_bool is not None:
-        scores = np.where(mask_bool, scores, -np.inf)
+    qc = q + params.content_bias.values[:, None, None, :]
+    qp = q + params.pos_bias.values[:, None, None, :]
+    pos = (_flat(qp) @ rel.swapaxes(-1, -2)).reshape(q.shape[:-2] + (-1,))  # [..., H, n_blocks, rows * R]
+    scores = qc @ k.swapaxes(-1, -2)
+    scores += np.take(pos, idx, axis=-1)
+    scores *= 1.0 / math.sqrt(config.head_dim)
+    if allowed is not None:
+        scores = np.where(allowed, scores, -np.inf)
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    weights = e / np.add.reduce(e, axis=-1, keepdims=True)  # [..., H, Tq, Tk]
-    return idx, qc, qp, weights, _merge(weights @ v)
-
-
-def _multi_head_attention(
-    h: Tensor,
-    layer: LayerParams,
-    params: EncoderParams,
-    config: EncoderConfig,
-    mask_bool: np.ndarray | None,
-    counters: Counters | None,
-    lengths: Sequence[int] | None = None,
-) -> Tensor:
-    """All heads of windowed relative-position self-attention as one graph
-    node over h [T, d], or over a padded batch [B, T, d] with per-example
-    `lengths` (and a `batch_mask`).
-
-    The q/k/v projections feed `_attend`, and the concatenated heads are
-    projected by wo. Heads run as [..., H, T, head_dim] matmuls, and the
-    backward is closed-form over the eight parents. A batch counts each
-    example's own T_b^2 scores per head; padding adds none.
-    """
-    t = h.shape[-2]
-    _count_scores(h, config, counters, lengths)
-    q, k, v = _project(h, layer, config)
-    positions = np.arange(t)
-    gather = _offset_gather(positions, positions, config.rel_offset)
-    idx, qc, qp, weights, heads = _attend(q, k, v, params, config, gather, mask_bool)
-    scale = 1.0 / math.sqrt(config.head_dim)
-
-    def bw(g):
-        d_heads = _split(g @ layer.wo.values.T, config)
-        d_scores = _score_grads(d_heads @ v.swapaxes(-1, -2), weights, scale)
-        d_pos = _offset_grads(d_scores, idx, params.rel_emb.shape[1])
-        return _input_grads(h, g, heads, layer, params, d_scores @ k, d_pos @ params.rel_emb.values,
-                            d_pos, qp, d_scores.swapaxes(-1, -2) @ qc,
-                            weights.swapaxes(-1, -2) @ d_heads)
-
-    return _attention_node(h, heads, layer, params, bw)
+    weights = e / np.add.reduce(e, axis=-1, keepdims=True)  # [..., H, n_blocks, rows, width]
+    return qc, qp, weights, _flat(weights @ v)
 
 
 def _count_scores(h: Tensor, config: EncoderConfig, counters: Counters | None,
@@ -308,11 +273,13 @@ def _score_grads(d_weights: np.ndarray, weights: np.ndarray, scale: float) -> np
 
 
 def _offset_grads(d_scores: np.ndarray, idx: np.ndarray, n_off: int) -> np.ndarray:
-    """Sum each score row's gradient into the clipped offsets `idx` its
-    columns take: [..., rows, cols] -> [..., rows, n_off]."""
-    n_rows = d_scores.size // d_scores.shape[-1]
-    slots = (np.arange(n_rows).reshape(*d_scores.shape[:-1], 1) * n_off + idx).ravel()
-    return np.bincount(slots, d_scores.ravel(), n_rows * n_off).reshape(*d_scores.shape[:-1], n_off)
+    """Sum each score row's gradient into the clipped offsets its columns
+    take, through the `_offset_index` table `idx`: [..., n_blocks, rows,
+    width] -> [..., n_blocks * rows, n_off]."""
+    n_tables = d_scores.size // idx.size  # one per head and block
+    table = idx.shape[0] * n_off
+    slots = (np.arange(n_tables).reshape(*d_scores.shape[:-2], 1, 1) * table + idx).ravel()
+    return np.bincount(slots, d_scores.ravel(), n_tables * table).reshape(*d_scores.shape[:-3], -1, n_off)
 
 
 def _input_grads(h, g, heads, layer, params, d_qc, d_qp, d_pos, qp, d_k, d_v):
@@ -334,88 +301,88 @@ def _input_grads(h, g, heads, layer, params, d_qc, d_qp, d_pos, qp, d_k, d_v):
     )
 
 
-def _attention_node(h, heads, layer, params, bw) -> Tensor:
-    parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
-               params.rel_emb, params.content_bias, params.pos_bias)
-    return Tensor(heads @ layer.wo.values, parents, bw)
-
-
-# A finite window runs through the banded node once T reaches the 2 * (left
-# + right) columns a banded row scores plus this many; shorter sequences and
-# unbounded windows keep the dense node. It is the measured break-even of
-# the two nodes' forward plus backward (B = 4, H = 2, head_dim = 16, numpy
-# 2.4 with one OpenBLAS thread, 2-vCPU x86_64): mask 10/0 at T = 40-50,
-# 2/0 at 30-40, 10/2 at 50-56 and 16/4 at 64-72.
+# A finite window is cut into blocks once T reaches the 2 * (left + right)
+# columns a blocked row scores plus this many; shorter sequences and
+# unbounded windows run as one block. It is the measured break-even of the
+# two forms' forward plus backward (B = 4, H = 2, head_dim = 16, numpy 2.4
+# with one OpenBLAS thread, 2-vCPU x86_64): mask 10/0 at T = 40-50, 2/0 at
+# 30-40, 10/2 at 50-56 and 16/4 at 64-72.
 BANDED_MIN_EXTRA_ROWS = 32
 
 
 @dataclass(frozen=True)
 class Band:
-    """A finite window over T rows cut into the banded node's blocks: block
-    b holds query rows b*rows .. b*rows + rows - 1, and its window is the
-    `span` chunks of `rows` keys from key row b*rows - left on, zero keys
-    standing in past either end. `allowed` [..., 1, n_blocks, rows, span *
-    rows] marks the window columns each query may attend."""
+    """How the attention node cuts T rows into blocks: block b holds query
+    rows b*rows .. b*rows + rows - 1, and its window is the `span` chunks of
+    `rows` keys from key row b*rows - front on, zero keys standing in past
+    either end. `allowed` [..., 1, n_blocks, rows, span * rows] marks the
+    window columns each query may attend."""
 
     rows: int
     n_blocks: int
     span: int
+    front: int
     allowed: np.ndarray
 
 
 def band(t: int, mask: AttentionMask, lengths: Sequence[int] | None = None) -> Band:
-    """The `Band` of a finite window over T rows, or over a batch padded to
-    T whose example b fills its first lengths[b] rows. Query i = b*rows + r
-    meets key j = b*rows + w - left at window column w, so the mask is
-    `batch_mask` in window coordinates: the window, and for a valid query
-    only its example's keys. A padded query keeps its window, and a query
-    past T (block padding) keeps it over the zero keys, so no softmax row is
-    empty."""
-    rows = max(mask.left + mask.right, 1)
-    n_blocks, span = -(-t // rows), -(-(rows + mask.left + mask.right) // rows)
+    """The `Band` each layer of a stack attends under over T rows, or over a
+    batch padded to T whose example b fills its first lengths[b] rows.
+
+    A finite window past the crossover `BANDED_MIN_EXTRA_ROWS` gets blocks
+    of C = left + right rows whose windows start `front` = left rows early,
+    so a row scores C + left + right keys instead of T. Shorter sequences
+    and unbounded windows get one block of all T rows with `front` = 0.
+    Query i = b*rows + r meets key j = b*rows + w - front at window column
+    w. A valid query may attend its example's keys inside its window. A
+    padded query keeps its window, and a query past T (block padding) keeps
+    it over the zero keys, so no softmax row is empty."""
+    if t < 1:
+        raise ValueError(f"seq_len must be >= 1, got {t}")
+    if mask.is_finite and t >= 2 * (mask.left + mask.right) + BANDED_MIN_EXTRA_ROWS:
+        rows, front = max(mask.left + mask.right, 1), mask.left
+        n_blocks, span = -(-t // rows), -(-(rows + mask.left + mask.right) // rows)
+    else:
+        rows, front, n_blocks, span = t, 0, 1, 1
     r, w = np.arange(rows)[:, None], np.arange(span * rows)
-    window = (w >= r) & (w <= r + mask.left + mask.right)                  # [rows, width]
     i = np.arange(n_blocks)[:, None] * rows + np.arange(rows)              # [n_blocks, rows]
-    j = (np.arange(n_blocks)[:, None] * rows + w - mask.left)[:, None, :]  # [n_blocks, 1, width]
+    j = (np.arange(n_blocks)[:, None] * rows + w - front)[:, None, :]      # [n_blocks, 1, width]
     n = np.asarray(t if lengths is None else lengths)[..., None, None]
     key_end = np.where(i < n, n, np.where(i < t, t, j.max() + 1))[..., None]
-    allowed = window & (j >= 0) & (j < key_end)                            # [..., n_blocks, rows, width]
-    return Band(rows, n_blocks, span, np.expand_dims(allowed, -4))
-
-
-def layer_mask(t: int, mask: AttentionMask, lengths: Sequence[int] | None = None) -> np.ndarray | Band:
-    """What each layer of a stack attends under over T rows: the `band` of a
-    finite window when T is past the crossover `BANDED_MIN_EXTRA_ROWS`, else
-    the dense [T, T] `build_mask`, joined with `batch_mask` for a padded
-    batch."""
-    if mask.is_finite and t >= 2 * (mask.left + mask.right) + BANDED_MIN_EXTRA_ROWS:
-        return band(t, mask, lengths)
-    dense = build_mask(t, mask)
-    return dense if lengths is None else batch_mask(dense, lengths)
+    allowed = (_in_window(r + front - w, mask) & (j >= 0)) & (j < key_end)  # [..., n_blocks, rows, width]
+    return Band(rows, n_blocks, span, front, np.expand_dims(allowed, -4))
 
 
 def _chunks(a: np.ndarray, front: int, n_chunks: int, rows: int) -> np.ndarray:
     """[..., T, n] -> [..., n_chunks, rows, n]: `a` zero-padded with `front`
-    rows before it and enough after it, cut into chunks of `rows` rows."""
+    rows before it and enough after it, cut into chunks of `rows` rows. A
+    view when no padding is needed."""
+    shape = a.shape[:-2] + (n_chunks, rows, a.shape[-1])
+    if front == 0 and n_chunks * rows == a.shape[-2]:
+        return a.reshape(shape)
     out = np.zeros(a.shape[:-2] + (n_chunks * rows, a.shape[-1]))
     out[..., front:front + a.shape[-2], :] = a
-    return out.reshape(a.shape[:-2] + (n_chunks, rows, a.shape[-1]))
+    return out.reshape(shape)
 
 
 def _windows(chunks: np.ndarray, n_blocks: int, span: int) -> np.ndarray:
     """[..., n_blocks + span - 1, C, n] -> [..., n_blocks, span * C, n]: block
     b's window is the `span` chunks from chunk b on."""
+    if span == 1:
+        return chunks
     return np.concatenate([chunks[..., a:a + n_blocks, :, :] for a in range(span)], axis=-2)
 
 
 def _unwindow(d: np.ndarray, span: int) -> np.ndarray:
     """The adjoint of `_windows`, flattened: each window row's gradient
     summed back into the chunk row it was read from, [..., chunk rows, n]."""
+    if span == 1:
+        return _flat(d)
     n_blocks, rows = d.shape[-3], d.shape[-2] // span
     out = np.zeros(d.shape[:-3] + (n_blocks + span - 1, rows, d.shape[-1]))
     for a in range(span):
         out[..., a:a + n_blocks, :, :] += d[..., a * rows:(a + 1) * rows, :]
-    return out.reshape(d.shape[:-3] + (-1, d.shape[-1]))
+    return _flat(out)
 
 
 def _banded_attention(
@@ -427,53 +394,42 @@ def _banded_attention(
     counters: Counters | None,
     lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """`_multi_head_attention` under a finite window, scoring only the keys
-    each block of queries reaches.
+    """All heads of windowed relative-position self-attention as one graph
+    node over h [T, d], or over a padded batch [B, T, d] with per-example
+    `lengths`, cut into the blocks of `band`.
 
-    Queries go in blocks of C rows, and block b's window holds the C + left
-    + right keys from row b*C - left on (`Band`), so a row scores those
-    instead of all T. The offset from a block's query row r to its window
-    column w is r + left - w, whatever the block, so all blocks share one
-    [C, C + left + right] relative-position index table. Masking and counts
-    are the dense node's, and the backward is closed-form over the same
-    eight parents.
+    The q/k/v projections feed `_attend`: each block of queries against
+    the keys and values of its window, and the concatenated heads are
+    projected by wo. The offset from a block's query row r to its window
+    column w is r + front - w, whatever the block, so all blocks share one
+    offset table. Heads run as [..., H, n_blocks, rows, head_dim] matmuls,
+    and the backward is closed-form over the eight parents. A batch counts
+    each example's own T_b^2 scores per head; padding adds none.
     """
-    t, left = h.shape[-2], config.mask.left
-    rows, n_blocks, span = band.rows, band.n_blocks, band.span
+    t, rows, n_blocks, span, front = h.shape[-2], band.rows, band.n_blocks, band.span, band.front
     _count_scores(h, config, counters, lengths)
     q, k, v = _project(h, layer, config)
-    kb, vb = (_windows(_chunks(a, left, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
-    q = _chunks(q, 0, n_blocks, rows)                                   # [..., H, n_blocks, C, dh]
-    qc = q + params.content_bias.values[:, None, None, :]
-    qp = q + params.pos_bias.values[:, None, None, :]
-    m = config.rel_offset
-    idx = np.clip(np.arange(rows)[:, None] + left - np.arange(span * rows), -m, m) + m
-    rel = params.rel_emb.values                                          # [H, R, dh]
+    kb, vb = (_windows(_chunks(a, front, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
+    idx = _offset_index(rows, front, span * rows, config.rel_offset)
+    qc, qp, weights, heads = _attend(_chunks(q, 0, n_blocks, rows), kb, vb, params, config, idx,
+                                     band.allowed)
+    heads = _merge(heads[..., :t, :])
+    rel = params.rel_emb.values
     scale = 1.0 / math.sqrt(config.head_dim)
-
-    def flat(a):  # [..., H, n_blocks, C, n] -> [..., H, n_blocks * C, n]
-        return a.reshape(a.shape[:-3] + (n_blocks * rows, a.shape[-1]))
-
-    pos = (flat(qp) @ rel.swapaxes(-1, -2)).reshape(q.shape[:-1] + (-1,))[..., np.arange(rows)[:, None], idx]
-    scores = qc @ kb.swapaxes(-1, -2)
-    scores += pos
-    scores *= scale
-    scores = np.where(band.allowed, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)                         # [..., H, n_blocks, C, width]
-    heads = _merge(flat(weights @ vb)[..., :t, :])
 
     def bw(g):
         d_heads = _chunks(_split(g @ layer.wo.values.T, config), 0, n_blocks, rows)
         d_scores = _score_grads(d_heads @ vb.swapaxes(-1, -2), weights, scale)
-        d_pos = flat(_offset_grads(d_scores, idx, rel.shape[1]))
-        d_k, d_v = (_unwindow(d, span)[..., left:left + t, :]
+        d_pos = _offset_grads(d_scores, idx, rel.shape[1])
+        d_k, d_v = (_unwindow(d, span)[..., front:front + t, :]
                     for d in (d_scores.swapaxes(-1, -2) @ qc, weights.swapaxes(-1, -2) @ d_heads))
         # rows past T carry no gradient, so only d_q is cut to T rows
-        return _input_grads(h, g, heads, layer, params, flat(d_scores @ kb)[..., :t, :],
-                            (d_pos @ rel)[..., :t, :], d_pos, flat(qp), d_k, d_v)
+        return _input_grads(h, g, heads, layer, params, _flat(d_scores @ kb)[..., :t, :],
+                            (d_pos @ rel)[..., :t, :], d_pos, _flat(qp), d_k, d_v)
 
-    return _attention_node(h, heads, layer, params, bw)
+    parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
+               params.rel_emb, params.content_bias, params.pos_bias)
+    return Tensor(heads @ layer.wo.values, parents, bw)
 
 
 def _feed_forward_values(x: np.ndarray, layer: LayerParams, config: EncoderConfig,
@@ -519,7 +475,7 @@ def _feed_forward(x: Tensor, layer: LayerParams, config: EncoderConfig, rng) -> 
 
 def encoder_layer(
     x: Tensor,
-    mask: np.ndarray | Band,
+    band: Band,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
@@ -529,15 +485,13 @@ def encoder_layer(
 ) -> Tensor:
     """One encoder layer over rows [T, d] or a padded batch [B, T, d]:
     pre-norm windowed multi-head attention with a residual, then the
-    pre-norm feed-forward block with a residual. Attention runs through the
-    banded node under a `Band` and through the dense node under a boolean
-    mask (see `layer_mask`). Dropout draws from `rng` when one is given
-    (training)."""
+    pre-norm feed-forward block with a residual. Attention runs in the
+    blocks of `band` (see `band`). Dropout draws from `rng` when one is
+    given (training)."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
-    attend = _banded_attention if isinstance(mask, Band) else _multi_head_attention
-    attn = attend(h, layer, params, config, mask, counters, lengths)
+    attn = _banded_attention(h, layer, params, config, band, counters, lengths)
     x = tt.add(x, tt.dropout(attn, config.dropout_ratio, rng))
     return _feed_forward(x, layer, config, rng)
 
@@ -569,9 +523,9 @@ def encode(
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
-    mask = layer_mask(x.shape[-2], config.mask, lengths)
+    blocks = band(x.shape[-2], config.mask, lengths)
     for i, layer in enumerate(params.layers):
-        h = encoder_layer(h, mask, layer, params, config,
+        h = encoder_layer(h, blocks, layer, params, config,
                           rng.substream(f"layer{i}") if rng else None, counters, lengths)
     return final_norm(h, config, params)
 
@@ -592,18 +546,6 @@ def qkv_row(row: np.ndarray, layer: LayerParams, weights: np.ndarray, config: En
     return h @ weights
 
 
-@functools.lru_cache(maxsize=512)
-def _step_gather(q_local: int, tk: int, max_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """The streaming step's `_offset_gather`, shared read-only by every step
-    with the same query index, window length and max offset. The cache is
-    bounded: under an unbounded left window the window grows with the
-    stream."""
-    gather = _offset_gather(np.array([q_local]), np.arange(tk), max_offset)
-    for a in gather:
-        a.setflags(write=False)
-    return gather
-
-
 def encoder_layer_step(
     x_row: np.ndarray,
     window: np.ndarray,
@@ -621,11 +563,12 @@ def encoder_layer_step(
     tk = window.shape[1]
     if counters is not None:
         counters.attention_scores += config.num_heads * tk
-    q = _split(window[0, q_local:q_local + 1], config)
-    k, v = _split(window[1], config), _split(window[2], config)
-    gather = _step_gather(q_local, tk, config.rel_offset)
-    heads = _attend(q, k, v, params, config, gather, None)[-1]
-    return _feed_forward_values(x_row + heads[0] @ layer.wo.values, layer, config)[0]
+    # one block holding one query, whose heads [H, 1, dh] flatten in order
+    q = window[0, q_local].reshape(config.num_heads, 1, 1, config.head_dim)
+    k, v = _split(window[1:], config)[:, :, None]
+    idx = _offset_index(1, q_local, tk, config.rel_offset)
+    heads = _attend(q, k, v, params, config, idx, None)[-1].reshape(-1)
+    return _feed_forward_values(x_row + heads @ layer.wo.values, layer, config)[0]
 
 
 @dataclass(frozen=True)

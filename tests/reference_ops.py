@@ -4,16 +4,19 @@ log-softmax, the scalar-node lattice, the per-example training step) are
 built from. ttkit's own graphs use the fused nodes of `ttkit.tensor` and
 its modules; these stay as the independent pieces those nodes are checked
 against. `uniform_grid` is the input of the closed-form lattice oracle.
+`multi_head_attention` is the dense attention node that scores all T x T
+pairs, the reference for ttkit's blocked one.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from ttkit import transducer as tr
-from ttkit.tensor import ShapeError, Tensor, unbroadcast
+from ttkit.tensor import ShapeError, Tensor, flat_rows, unbroadcast
 
 
 def uniform_grid(T: int, U: int, V: int) -> tr.LogProbGrid:
@@ -214,3 +217,75 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return exp(log_softmax(a, axis=axis))
+
+
+# ------------------------------------------------- the dense attention node
+
+def batch_mask(window: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """[B, 1, T, T]: the [T, T] `window` joined with each example's key-length
+    mask, for a batch padded to T whose example b fills its first lengths[b]
+    rows. A padded query keeps its whole window, so its softmax row is never
+    empty."""
+    valid = np.arange(window.shape[0]) < np.asarray(lengths)[:, None]  # [B, T]
+    return (window & (valid[:, None, :] | ~valid[:, :, None]))[:, None]
+
+
+def multi_head_attention(h, layer, params, config, mask_bool, counters, lengths=None) -> Tensor:
+    """All heads of windowed relative-position self-attention as one graph
+    node over h [T, d], or over a padded batch [B, T, d] with per-example
+    `lengths` and a `batch_mask`, scoring all T x T pairs. Heads run as
+    [..., H, T, head_dim] matmuls, and the backward is closed-form over the
+    eight parents. A batch counts each example's own T_b^2 scores per head."""
+    H, dh, t = config.num_heads, config.head_dim, h.shape[-2]
+
+    def split(a):  # [..., T, H*dh] -> [..., H, T, dh]
+        return a.reshape(a.shape[:-1] + (H, dh)).swapaxes(-2, -3)
+
+    def merge(a):  # [..., H, T, dh] -> [..., T, H*dh]
+        return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (t, H * dh))
+
+    if counters is not None:
+        rows = np.full(h.shape[:-2], t) if lengths is None else np.asarray(lengths)
+        counters.attention_scores += H * int((rows * rows).sum())
+    wq, wk, wv, wo, rel = (w.values for w in (layer.wq, layer.wk, layer.wv, layer.wo, params.rel_emb))
+    q, k, v = (split(h.values @ w) for w in (wq, wk, wv))
+    m = config.rel_offset
+    idx = np.minimum(np.maximum(np.arange(t)[:, None] - np.arange(t)[None, :], -m), m) + m
+    qc = q + params.content_bias.values[:, None, :]
+    qp = q + params.pos_bias.values[:, None, :]
+    scale = 1.0 / math.sqrt(dh)
+    pos = (qp @ rel.transpose(0, 2, 1))[..., np.arange(t)[:, None], idx]
+    scores = (qc @ k.swapaxes(-1, -2) + pos) * scale
+    if mask_bool is not None:
+        scores = np.where(mask_bool, scores, -np.inf)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    weights = e / np.sum(e, axis=-1, keepdims=True)  # [..., H, T, T]
+    heads = merge(weights @ v)
+
+    def bw(g):
+        d_heads = split(g @ wo.T)
+        d_weights = d_heads @ v.swapaxes(-1, -2)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
+        # each score row's gradient summed into the clipped offsets its columns take
+        n_rows, n_off = d_scores.size // t, rel.shape[1]
+        slots = (np.arange(n_rows).reshape(*d_scores.shape[:-1], 1) * n_off + idx).ravel()
+        d_pos = np.bincount(slots, d_scores.ravel(), n_rows * n_off).reshape(*d_scores.shape[:-1], n_off)
+        d_qc, d_qp = d_scores @ k, d_pos @ rel
+        d_q = merge(d_qc + d_qp)
+        d_k = merge(d_scores.swapaxes(-1, -2) @ qc)
+        d_v = merge(weights.swapaxes(-1, -2) @ d_heads)
+        hr = flat_rows(h.values)
+        return (
+            d_q @ wq.T + (d_k @ wk.T + d_v @ wv.T),
+            hr.T @ flat_rows(d_q),
+            hr.T @ flat_rows(d_k),
+            hr.T @ flat_rows(d_v),
+            flat_rows(heads).T @ flat_rows(g),
+            unbroadcast(d_pos.swapaxes(-1, -2) @ qp, params.rel_emb.shape),
+            unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
+            unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
+        )
+
+    parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
+               params.rel_emb, params.content_bias, params.pos_bias)
+    return Tensor(heads @ wo, parents, bw)

@@ -1,6 +1,7 @@
 """The per-example training step, the reference for ttkit's batched one.
 
-Every example gets its own graph here: its encoders run on unpadded rows,
+Every example gets its own graph here: its encoders run on unpadded rows
+through the dense attention node (`reference_ops.multi_head_attention`),
 the feed-forward block is composed node by node, the joint grid is a chain
 of projections, tanh, output layer and log-softmax nodes, and the batch
 loss adds one lattice node per example. That is the arithmetic ttkit
@@ -29,7 +30,7 @@ def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):
     of matmul, bias, relu, dropout and residual nodes."""
     eps, ratio = config.ln_eps, config.dropout_ratio
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
-    attn = att._multi_head_attention(h, layer, params, config, mask_bool, counters)
+    attn = ops.multi_head_attention(h, layer, params, config, mask_bool, counters)
     x = tt.add(x, tt.dropout(attn, ratio, rng))
     h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
     f = tt.dropout(ops.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), ratio, rng)

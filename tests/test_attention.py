@@ -79,11 +79,21 @@ def test_mask_rejects_negative():
         AttentionMask(-1, 0)
 
 
+@pytest.mark.parametrize("side", [True, False])
+def test_mask_rejects_bool(side):
+    # a bool is an int to isinstance, and True would act as a window of 1
+    with pytest.raises(ValueError, match="mask left"):
+        AttentionMask(side, 0)
+    with pytest.raises(ValueError, match="mask right"):
+        AttentionMask(0, side)
+
+
 # ------------------------------------------- composed reference attention
 #
-# The per-head graph of scalar-sized ops that `_multi_head_attention` fuses
-# into one node. It is slow but built only from primitives with their own
-# tests, so it serves as the reference for the fused values and gradients.
+# The per-head graph of scalar-sized ops that the attention node fuses into
+# one node. It is slow but built only from primitives with their own tests,
+# so it serves as the reference for the fused values and gradients, both of
+# ttkit's node and of the dense reference node `ops.multi_head_attention`.
 
 def attention_scores(q, k, rel_emb, content_bias, pos_bias, q_positions, k_positions, max_offset):
     """Single-head attention scores over explicit absolute positions.
@@ -191,13 +201,15 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
     # composed reference sees shifted positions, which only offsets may enter
     queries = Tensor(rng.substream("h").normal((tk, model_dim)))
     positions = np.arange(tk) + shift
-    mask = None if window is None else build_mask(tk, AttentionMask(*window))
+    window_mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
+    mask = None if window is None else build_mask(tk, window_mask)
     upstream = Tensor(rng.substream("g").normal((queries.shape[0], model_dim)))
     parents = [queries, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias]
 
     results = []
-    for fn in (lambda c: att._multi_head_attention(queries, layer, params, cfg, mask, c),
+    for fn in (lambda c: att._banded_attention(queries, layer, params, cfg, att.band(tk, window_mask), c),
+               lambda c: ops.multi_head_attention(queries, layer, params, cfg, mask, c),
                lambda c: composed_multi_head_attention(queries, layer, params, cfg, positions, mask, c)):
         for p in parents:
             p.zero_grad()
@@ -206,24 +218,27 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
         backward(ops.tsum(ops.mul(out, upstream)))
         results.append((out.values, [p.grad.copy() for p in parents], counters.attention_scores))
 
-    (fused, fused_grads, fused_count), (ref, ref_grads, ref_count) = results
-    assert fused_count == ref_count == heads * queries.shape[0] * tk
-    assert np.max(np.abs(fused - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))  # relative to scale
-    for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
-        assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
+    ref, ref_grads, ref_count = results.pop()
+    for fused, fused_grads, fused_count in results:
+        assert fused_count == ref_count == heads * queries.shape[0] * tk
+        assert np.max(np.abs(fused - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))  # relative to scale
+        for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
+            assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
 
 
 # ------------------------------------------------ banded attention node
 
-def _attention_case(cfg, lengths, seed):
-    """Random parameters at unit scale, a padded batch of rows and an
-    upstream gradient that is zero on padded rows."""
+def _attention_case(cfg, lengths, seed, batched=True):
+    """Random parameters at unit scale, a padded batch of rows (or, not
+    `batched`, the lengths[0] rows of one sequence) and an upstream gradient
+    that is zero on padded rows."""
     rng = Rng(seed)
     params = init_encoder_params(cfg, rng.substream("params"))
     for name, p in params.named("p"):
         p.values[...] = rng.substream(name).normal(p.shape)
-    shape = (len(lengths), max(lengths), cfg.model_dim)
-    valid = np.arange(shape[1]) < np.asarray(lengths)[:, None]
+    shape = (len(lengths), max(lengths), cfg.model_dim) if batched else (lengths[0], cfg.model_dim)
+    valid = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+    valid = valid if batched else valid[0]
     h = Tensor(rng.substream("h").normal(shape))
     upstream = Tensor(rng.substream("g").normal(shape) * valid[..., None])
     layer = params.layers[0]
@@ -240,28 +255,42 @@ def _banded(h, params, cfg, lengths, counters=None):
 @settings(max_examples=60, deadline=None)
 @given(
     lengths=st.lists(st.integers(1, 70), min_size=1, max_size=4),
-    left=st.integers(0, 12),
-    right=st.integers(0, 4),
+    batched=st.booleans(),
+    left=st.one_of(st.none(), st.integers(0, 12)),
+    right=st.one_of(st.none(), st.integers(0, 4)),
     offset_change=st.integers(-4, 4),
     heads=st.integers(1, 3),
     head_dim=st.integers(1, 4),
     seed=st.integers(0, 2**16),
 )
-@example(lengths=[1], left=0, right=0, offset_change=0, heads=1, head_dim=1, seed=0)
-@example(lengths=[70, 1, 33, 69], left=12, right=4, offset_change=-4, heads=3, head_dim=4, seed=1)
-def test_banded_attention_matches_dense(lengths, left, right, offset_change, heads, head_dim, seed):
-    """On a ragged padded batch under a finite window, the banded node gives
-    the dense node's outputs, parent gradients and score count, within
-    rounding; padded rows stay finite and get no input gradient."""
+@example(lengths=[1], batched=True, left=0, right=0, offset_change=0, heads=1, head_dim=1, seed=0)
+@example(lengths=[70, 1, 33, 69], batched=True, left=12, right=4, offset_change=-4, heads=3, head_dim=4,
+         seed=1)
+@example(lengths=[64], batched=False, left=10, right=2, offset_change=0, heads=2, head_dim=3, seed=2)
+@example(lengths=[47, 9], batched=True, left=None, right=0, offset_change=3, heads=2, head_dim=2, seed=3)
+@example(lengths=[55], batched=False, left=10, right=2, offset_change=1, heads=1, head_dim=4, seed=4)
+def test_banded_attention_matches_dense(lengths, batched, left, right, offset_change, heads, head_dim,
+                                        seed):
+    """On a ragged padded batch or one unpadded sequence, the attention node
+    gives the dense reference node's outputs, parent gradients and score
+    count: bit for bit in one block, within rounding in blocks past the
+    crossover. Padded rows stay finite and get no input gradient."""
+    mask = AttentionMask(left, right)
     cfg = EncoderConfig(num_layers=1, model_dim=5, ff_dim1=2, ff_dim2=5, num_heads=heads,
-                        head_dim=head_dim, dropout_ratio=0.0, mask=AttentionMask(left, right),
-                        input_dim=5, max_relative_offset=max(0, left + right + offset_change))
-    params, h, upstream, valid, parents = _attention_case(cfg, lengths, seed)
-    dense_mask = att.batch_mask(build_mask(h.shape[-2], cfg.mask), lengths)
+                        head_dim=head_dim, dropout_ratio=0.0, mask=mask, input_dim=5,
+                        max_relative_offset=max(0, (left or 0) + (right or 0) + offset_change))
+    lengths = lengths if batched else lengths[:1]
+    node_lengths = lengths if batched else None
+    params, h, upstream, valid, parents = _attention_case(cfg, lengths, seed, batched)
+    t = h.shape[-2]
+    blocks = att.band(t, mask, node_lengths)
+    assert (blocks.n_blocks > 1) == (mask.is_finite and t >= 2 * (left + right) + att.BANDED_MIN_EXTRA_ROWS)
+    dense_mask = build_mask(t, mask)
+    dense_mask = ops.batch_mask(dense_mask, lengths) if batched else dense_mask
     results = []
-    for fn in (lambda c: _banded(h, params, cfg, lengths, c),
-               lambda c: att._multi_head_attention(h, params.layers[0], params, cfg, dense_mask, c,
-                                                   lengths)):
+    for fn in (lambda c: att._banded_attention(h, params.layers[0], params, cfg, blocks, c, node_lengths),
+               lambda c: ops.multi_head_attention(h, params.layers[0], params, cfg, dense_mask, c,
+                                                  node_lengths)):
         for p in parents:
             p.zero_grad()
         counters = att.Counters()
@@ -272,9 +301,14 @@ def test_banded_attention_matches_dense(lengths, left, right, offset_change, hea
     (banded, banded_grads, banded_count), (dense, dense_grads, dense_count) = results
     assert banded_count == dense_count == heads * sum(n * n for n in lengths)
     assert np.isfinite(banded).all()
-    assert np.max(np.abs(banded - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))  # relative to scale
-    for i, (a, b) in enumerate(zip(banded_grads, dense_grads)):
-        assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
+    if blocks.n_blocks == 1:
+        assert np.array_equal(banded, dense)
+        for i, (a, b) in enumerate(zip(banded_grads, dense_grads)):
+            assert np.array_equal(a, b), f"parent {i}"
+    else:
+        assert np.max(np.abs(banded - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))  # relative to scale
+        for i, (a, b) in enumerate(zip(banded_grads, dense_grads)):
+            assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
     assert (banded_grads[0][~valid] == 0).all()
 
 
@@ -306,8 +340,8 @@ def test_banded_attention_gradient_check():
 def test_batched_encode_matches_each_example(lengths, window, layers, dropout, seed):
     """A padded batch through the stack gives each example's own rows, loss
     gradients and attention-score count, within rounding; padding gets no
-    gradient. Past the crossover the batch runs the banded node, and each
-    example is still encoded by the dense one."""
+    gradient. Past the crossover the batch runs in blocks, and each example
+    is still encoded in one."""
     mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
     cfg = small_config(num_layers=layers, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
     rng = Rng(seed)
@@ -328,9 +362,11 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
 
     counters = att.Counters()
     x = Tensor(padded)
-    with mock.patch.object(att, "_banded_attention", wraps=att._banded_attention) as spy:
+    with mock.patch.object(att, "band", wraps=att.band) as spy:
         batch = att.encode(x, cfg, params, tt.BatchRng(rngs, lengths), counters, lengths)
-    assert spy.called == (mask.is_finite and max(lengths) >= 2 * sum(window) + att.BANDED_MIN_EXTRA_ROWS)
+    (blocks,) = [att.band(*c.args, **c.kwargs) for c in spy.call_args_list]
+    assert (blocks.n_blocks > 1) == (mask.is_finite and max(lengths) >= 2 * sum(window)
+                                     + att.BANDED_MIN_EXTRA_ROWS)
     backward(ops.tsum(ops.mul(batch, Tensor(upstream))))
     batch_grads, x_grad = grads(), x.grad
     ref_count, ref_grads = 0, None
@@ -355,7 +391,7 @@ def test_zero_parameter_layer_is_identity():
     cfg = small_config(num_layers=1)
     params = zero_params(init_encoder_params(cfg, Rng(3)))
     x = Tensor(Rng(4).normal((7, cfg.model_dim)))
-    mask = build_mask(7, cfg.mask)
+    mask = att.band(7, cfg.mask)
     out = att.encoder_layer(x, mask, params.layers[0], params, cfg)
     np.testing.assert_array_equal(out.values, x.values)
 
@@ -364,7 +400,7 @@ def test_single_position_layer():
     cfg = small_config(num_layers=1)
     params = init_encoder_params(cfg, Rng(5))
     x = Tensor(Rng(6).normal((1, cfg.model_dim)))
-    out = att.encoder_layer(x, build_mask(1, cfg.mask), params.layers[0], params, cfg)
+    out = att.encoder_layer(x, att.band(1, cfg.mask), params.layers[0], params, cfg)
     assert out.shape == (1, cfg.model_dim)
     assert np.all(np.isfinite(out.values))
 
@@ -374,7 +410,7 @@ def test_layer_rejects_wrong_dims():
     params = init_encoder_params(cfg, Rng(5))
     bad = Tensor(Rng(6).normal((4, cfg.model_dim + 1)))
     with pytest.raises(tt.ShapeError):
-        att.encoder_layer(bad, build_mask(4, cfg.mask), params.layers[0], params, cfg)
+        att.encoder_layer(bad, att.band(4, cfg.mask), params.layers[0], params, cfg)
 
 
 def test_layer_gradient_check():
@@ -385,7 +421,7 @@ def test_layer_gradient_check():
     cfg.head_dim = 2
     params = init_encoder_params(cfg, Rng(7))
     x = Tensor(Rng(8).normal((4, cfg.model_dim)))
-    mask = build_mask(4, cfg.mask)
+    mask = att.band(4, cfg.mask)
 
     def loss():
         return ops.tsum(att.encoder_layer(x, mask, params.layers[0], params, cfg)).item()
@@ -423,7 +459,7 @@ def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
             cfg = small_config(num_layers=1, num_heads=num_heads, dropout_ratio=0.1)
             params = init_encoder_params(cfg, Rng(num_heads))
             x = Tensor(Rng(seq_len).normal((seq_len, cfg.model_dim)))
-            out = att.encoder_layer(x, build_mask(seq_len, cfg.mask), params.layers[0], params, cfg,
+            out = att.encoder_layer(x, att.band(seq_len, cfg.mask), params.layers[0], params, cfg,
                                     Rng(0) if training else None)
             assert _graph_ops(out) == expected, (num_heads, seq_len)
 
@@ -524,7 +560,7 @@ def test_encoder_layer_step_matches_batch():
     cfg = small_config(num_layers=1, left=2, right=1)
     params = init_encoder_params(cfg, Rng(21))
     x = Rng(22).normal((8, cfg.model_dim))
-    mask = build_mask(8, cfg.mask)
+    mask = att.band(8, cfg.mask)
     batch = att.encoder_layer(Tensor(x), mask, params.layers[0], params, cfg).values
     for q in range(8):
         lo, hi = max(0, q - 2), min(7, q + 1)
@@ -556,7 +592,7 @@ def test_cached_step_matches_batch_layer_property(left, right, layers, seq_len, 
     for name, p in params.named("p"):
         p.values[...] = rng.substream(name).normal(p.shape)
     x = rng.substream("x").normal((seq_len, cfg.model_dim))
-    mask = build_mask(seq_len, cfg.mask)
+    mask = att.band(seq_len, cfg.mask)
     for layer in params.layers:
         batch = att.encoder_layer(Tensor(x), mask, layer, params, cfg).values
         weights = att.qkv_weights(layer)

@@ -709,8 +709,8 @@ def test_step_offset_cache_stays_bounded_under_full_history_labels():
     step needs a new offset table; the cache stays at its bound, evicting
     old tables, and the states stay equal to the reference's."""
     model = small_model(label_left=None, num_label_layers=2)
-    limit = att._step_gather.cache_info().maxsize
-    att._step_gather.cache_clear()
+    limit = att._offset_index.cache_info().maxsize
+    att._offset_index.cache_clear()
     state = dec.LabelState(model)
     with mock.patch.object(dec, "IncrementalEncoder", reference_stream.IncrementalEncoder):
         reference = dec.LabelState(model)
@@ -719,11 +719,11 @@ def test_step_offset_cache_stays_bounded_under_full_history_labels():
         label = 1 + i % (model.config.vocab_size - 1)
         state.advance(label)
         reference.advance(label)
-        sizes.append(att._step_gather.cache_info().currsize)
+        sizes.append(att._offset_index.cache_info().currsize)
     assert limit is not None and max(sizes) == sizes[-1] == limit  # full, and evicting since
     assert np.array_equal(state.vec, reference.vec) and np.array_equal(state.proj, reference.proj)
-    rows, idx = att._step_gather(limit + 5, limit + 6, model.config.label.rel_offset)
-    assert not rows.flags.writeable and not idx.flags.writeable
+    idx = att._offset_index(1, limit + 5, limit + 6, model.config.label.rel_offset)
+    assert not idx.flags.writeable
 
 
 def test_stream_lookahead_delays_first_emission():

@@ -478,6 +478,20 @@ def test_checkpoint_negative_relative_offset_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("side", [True, False])
+def test_checkpoint_bool_mask_side_is_format_error(tmp_path, side):
+    # a bool is an int to isinstance, so `true` would act as a window of 1
+    model, _ = tiny_setup()
+
+    def boolean(doc):
+        doc["audio"]["mask"]["left"] = side
+
+    path = tmp_path / "m.ttck"
+    path.write_bytes(_with_embedded_config(checkpoint_bytes(model), boolean))
+    with pytest.raises(CheckpointFormatError, match="mask left must be a non-negative int or None"):
+        load_checkpoint(path)
+
+
 COUNT_CONFIGS = [
     desk_config(),
     desk_config(audio_mask=AttentionMask(10, 2), label_left=2, num_audio_layers=0),
@@ -608,21 +622,22 @@ def test_batched_step_matches_per_example_reference(shapes, stack, subsample, la
     """One step with dropout, SpecAugment and weight noise live: the batched
     step computes the reference's function, example by example, up to the
     rounding of batched against per-example products. Past the crossover
-    the batched audio layers run the banded attention node, while the
-    reference runs the dense one."""
+    the batched audio layers attend in blocks, while the reference runs the
+    dense attention node."""
     cfg = _regularized_config(stack, subsample, layers, audio_mask, label_left)
     batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(seed))
     train = TrainConfig(batch_size=len(batch), weight_noise_sigma=0.05, weight_noise_start_step=0,
                         grad_clip_norm=1e30)
     audio_t = -(-max(frames for frames, _ in shapes) // subsample)
-    banded = (layers > 0 and audio_mask.is_finite
+    banded = (audio_mask.is_finite
               and audio_t >= 2 * (audio_mask.left + audio_mask.right) + att.BANDED_MIN_EXTRA_ROWS)
     results = []
     for step_fn in (reference_step.train_step, train_step):
         model = init_model(cfg, Rng(seed + 1))
-        with mock.patch.object(att, "_banded_attention", wraps=att._banded_attention) as spy:
+        with mock.patch.object(att, "band", wraps=att.band) as spy:
             loss = step_fn(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(seed + 2))
-        assert spy.called == (banded and step_fn is train_step)
+        bands = [att.band(*c.args, **c.kwargs) for c in spy.call_args_list]
+        assert any(b.n_blocks > 1 for b in bands) == (banded and step_fn is train_step)
         grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)
                  for name, p in model.named_params()}
         counts = (model.counters.attention_scores, model.counters.joint_evals)

@@ -25,9 +25,11 @@ each input row's query, key and value come from `qkv_row`, computed once
 when the row arrives (one call over the stacked `qkv_weights`, three
 one-row products), and the step reads its window's keys and values as a
 slice of a contiguous [3, T, H*dh] array. It attends as one block holding
-one query. The node and the step run one attention forward (`_attend`)
-over one cached relative-offset table (`_offset_index`), one feed-forward
-forward (`_feed_forward_values`) and one closing rule (`final_norm`).
+one query; a stack of such rows, each with its own window, runs the same
+one-row products in one call. The node and the step run one attention
+forward (`_attend`) over one cached relative-offset table
+(`_offset_index`), one feed-forward forward (`_feed_forward_values`) and one
+closing rule (`final_norm`).
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def _attend(
     qp = q + params.pos_bias.values[:, None, None, :]
     pos = (_flat(qp) @ rel.swapaxes(-1, -2)).reshape(q.shape[:-2] + (-1,))  # [..., H, n_blocks, rows * R]
     scores = qc @ k.swapaxes(-1, -2)
-    scores += np.take(pos, idx, axis=-1)
+    scores += pos.take(idx, axis=-1)
     scores *= 1.0 / math.sqrt(config.head_dim)
     if allowed is not None:
         scores = np.where(allowed, scores, -np.inf)
@@ -523,7 +525,7 @@ def encode(
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
-    blocks = band(x.shape[-2], config.mask, lengths)
+    blocks = band(x.shape[-2], config.mask, lengths) if params.layers else None
     for i, layer in enumerate(params.layers):
         h = encoder_layer(h, blocks, layer, params, config,
                           rng.substream(f"layer{i}") if rng else None, counters, lengths)
@@ -541,9 +543,11 @@ def qkv_row(row: np.ndarray, layer: LayerParams, weights: np.ndarray, config: En
     once when the row arrives: the query, key and value of its ln1 output,
     [3, num_heads * head_dim], from the layer's `qkv_weights`. One call runs
     the three one-row products, each with the shapes of its own weight, so
-    each row is bit-identical to the product by that weight alone."""
+    each row is bit-identical to the product by that weight alone. A stack
+    of rows [K, 1, model_dim] gives [K, 3, num_heads * head_dim] from the
+    same one-row products."""
     h = tt.layer_norm_forward(row, layer.ln1_g.values, layer.ln1_b.values, config.ln_eps)[0]
-    return h @ weights
+    return h @ weights if h.ndim == 1 else (h[:, None] @ weights)[:, :, 0]
 
 
 def encoder_layer_step(
@@ -559,15 +563,22 @@ def encoder_layer_step(
     graph. `window` [3, Tk, num_heads * head_dim] holds the `qkv_row`s of
     the inputs that position may attend, `x_row`'s own at index `q_local`;
     scores depend only on offsets, so the work is bounded by the window size
-    however much stream history precedes it."""
-    tk = window.shape[1]
+    however much stream history precedes it.
+
+    A stack of K rows [K, 1, model_dim] with windows [K, 3, Tk, num_heads *
+    head_dim], each row's own at `q_local`, gives the K output rows [K, 1,
+    model_dim]. Every product then runs as [K, ..., 1, n] @ [n, m], whose
+    rows equal the one-row products bit for bit on this numpy/OpenBLAS
+    build; the rows of a [K, n] @ [n, m] product do not."""
+    lead, tk = window.shape[:-3], window.shape[-2]  # lead: () for one row, (K,) for a stack
     if counters is not None:
-        counters.attention_scores += config.num_heads * tk
+        counters.attention_scores += config.num_heads * tk * math.prod(lead)
     # one block holding one query, whose heads [H, 1, dh] flatten in order
-    q = window[0, q_local].reshape(config.num_heads, 1, 1, config.head_dim)
-    k, v = _split(window[1:], config)[:, :, None]
+    q = window[..., 0, q_local, :].reshape(lead + (config.num_heads, 1, 1, config.head_dim))
+    kv = _split(window[..., 1:, :, :], config)[..., None, :, :]  # [..., 2, H, 1, Tk, dh]
     idx = _offset_index(1, q_local, tk, config.rel_offset)
-    heads = _attend(q, k, v, params, config, idx, None)[-1].reshape(-1)
+    heads = _attend(q, kv[..., 0, :, :, :, :], kv[..., 1, :, :, :, :], params, config, idx, None)[-1]
+    heads = heads.reshape(x_row.shape[:-1] + (-1,))
     return _feed_forward_values(x_row + heads @ layer.wo.values, layer, config)[0]
 
 

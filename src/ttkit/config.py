@@ -83,12 +83,14 @@ def _str(x):
 
 
 def _mask_side(x):
-    """Window bound: a non-negative integer, or "unlimited"/null."""
-    if x is None or x == "unlimited":
-        return None
-    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise ValueError(f'expected a non-negative integer or "unlimited", got {x!r}')
-    return x
+    """Window bound: "unlimited" and null lift it; any other value must be
+    a side `AttentionMask` accepts, reported in the config's own terms."""
+    side = None if x is None or x == "unlimited" else x
+    try:
+        AttentionMask(side, None)
+    except ValueError:
+        raise ValueError(f'expected a non-negative integer or "unlimited", got {x!r}') from None
+    return side
 
 
 @dataclass

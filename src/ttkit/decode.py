@@ -10,18 +10,24 @@ buffer and nothing is copied per step. Because attention scores depend only
 on content and relative offset, a new position's activation can be
 computed from that cached window alone, by `attention.encoder_layer_step`,
 so the work per consumed frame is bounded by a constant (window size times
-layers) no matter how long the stream has run. Right context makes each layer's frontier lag the layer below by
-`right` positions; `flush` drains that look-ahead at end of stream,
-reproducing batch behavior exactly on the true final frames.
+layers) no matter how long the stream has run. Right context makes each
+layer's frontier lag the layer below by `right` positions; `flush` drains
+that look-ahead at end of stream, reproducing batch behavior exactly on the
+true final frames.
 
-Beam search shares label-encoder states: a finite label window makes the
+The label encoder is causal, so a label state needs no encoder of its own:
+it carries, per label layer, the window of query, key and value rows its
+newest position attended, and a child extends its parent's windows by its
+own row. Beam search shares these states: a finite label window makes the
 label activation a function of the last few ids, so one search computes one
 state per distinct context and every hypothesis ending in it holds that same,
 never-mutated state. It scores each (frame, state) pair with the joint once,
 however many hypotheses hold the state, and each round builds children only
-for the scores at or above its `beam_width`-th best. A label id's input row
-(embedding times input projection) and its first-layer query, key and value
-depend on the id alone, so every decode call computes them once per id.
+for the scores at or above its `beam_width`-th best. The round's new states
+are computed together, one stacked encoder step per label layer, bit for
+bit as one at a time. A label id's input row (embedding times input
+projection) and its first-layer query, key and value depend on the id
+alone, so every decode call computes them once per id.
 """
 
 from __future__ import annotations
@@ -122,8 +128,8 @@ class IncrementalEncoder:
     kept row for row beside `rows[l]` from column `start[l]` of the
     contiguous buffer `qkv[l]` [3, capacity, H*dh], so an attention window
     is a column slice of it. The stacked q/k/v weights `weights[l]` are
-    copied when the encoder is built and shared by its clones, so an encoder
-    built before the parameters change must not be fed after.
+    copied when the encoder is built, so an encoder built before the
+    parameters change must not be fed after.
     """
 
     def __init__(self, config: EncoderConfig, params: EncoderParams, counters: Counters | None = None):
@@ -140,36 +146,12 @@ class IncrementalEncoder:
         self.first = [0] * (config.num_layers + 1)
         self.finished = False
 
-    def clone(self) -> "IncrementalEncoder":
-        """An independent copy, with room in each buffer for one more row."""
-        other = IncrementalEncoder.__new__(IncrementalEncoder)
-        other.config, other.params, other.counters = self.config, self.params, self.counters
-        other.weights = self.weights
-        other.rows = [list(rows) for rows in self.rows]
-        other.qkv = [self._moved(l, len(self.rows[l]) + 1) for l in range(self.config.num_layers)]
-        other.start = [0] * self.config.num_layers
-        other.first = list(self.first)
-        other.finished = self.finished
-        return other
-
     def push(self, row: np.ndarray) -> list[np.ndarray]:
         """Feed one input row; returns top-layer rows that became final."""
-        return self.push_projected(*self._project(row))
-
-    def push_projected(self, row: np.ndarray, qkv: np.ndarray | None) -> list[np.ndarray]:
-        """`push` for a row already through `_project`: the input projection
-        and its first layer's `qkv_row` (None for a stack of no layers), so
-        a caller that feeds the same rows again computes both once."""
         if self.finished:
             raise StreamError("push after finish")
-        self._append(0, row, qkv)
+        self._append(0, row @ self.params.input_w.values + self.params.input_b.values)
         return self._advance(self.first[0] + len(self.rows[0]))
-
-    def _project(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        row = row @ self.params.input_w.values + self.params.input_b.values
-        if not self.config.num_layers:
-            return row, None
-        return row, att.qkv_row(row, self.params.layers[0], self.weights[0], self.config)
 
     def finish(self) -> list[np.ndarray]:
         """Signal end of input and drain the per-layer look-ahead."""
@@ -188,11 +170,10 @@ class IncrementalEncoder:
         out[:, :n] = buf[:, at:at + n]
         return out
 
-    def _append(self, l: int, row: np.ndarray, qkv: np.ndarray | None = None):
+    def _append(self, l: int, row: np.ndarray):
         rows = self.rows[l]
         if l < self.config.num_layers:
-            if qkv is None:
-                qkv = att.qkv_row(row, self.params.layers[l], self.weights[l], self.config)
+            qkv = att.qkv_row(row, self.params.layers[l], self.weights[l], self.config)
             if self.start[l] + len(rows) == self.qkv[l].shape[1]:  # full
                 self.qkv[l], self.start[l] = self._moved(l, max(2 * len(rows), _MIN_CAPACITY)), 0
             self.qkv[l][:, self.start[l] + len(rows)] = qkv
@@ -225,20 +206,28 @@ class IncrementalEncoder:
 
 
 class LabelState:
-    """Incrementally encoded label history: one push per emitted label,
-    always holding the activation encoding the full history so far, plus its
-    joint-network projection (the half of the joint that decoding reuses
-    across frames).
+    """The label encoder's state after a history: the top activation of its
+    newest position (`vec`), encoding the full history, its joint-network
+    projection (`proj`, the half of the joint that decoding reuses across
+    frames), and per label layer l the window `windows[l]` [3, n, H*dh]: the
+    `qkv_row`s of layer l's inputs at the newest n positions, the newest
+    one's own last, which is the window that position attended. The encoder
+    is causal, so a new position's rows are final at once: a child's window
+    is its parent's plus the child's own new row, less the oldest once the
+    parent's spans left + 1 rows. With `label_left` null it is the whole
+    history.
 
-    With a finite label window the top activation depends only on the last
+    With a finite label window the state depends only on the last
     `num_layers * left + 1` ids of the history (start id included): two
     histories ending in the same such `context` see identical windows at
-    identical relative offsets. States derived through `advanced` from one
-    root therefore share one `memo`, holding one state per context, and
-    are never mutated once reached that way; `advance` mutates in place.
-    They share `inputs` too: each label id's projected input row and its
-    first-layer `qkv_row` (query, key and value), computed on the id's
-    first push."""
+    identical relative offsets. States derived through `advanced` or
+    `advanced_all` from one root therefore share one `memo`, holding one
+    state per context, and are never mutated once reached that way;
+    `advance` moves a state in place. They share `inputs` too: each label
+    id's projected input row and its first-layer `qkv_row` (query, key and
+    value), computed on the id's first push; and `weights`, each label
+    layer's `qkv_weights`, copied when the root is built, so a root built
+    before the parameters change must not be advanced after."""
 
     def __init__(self, model: TransducerModel):
         cfg = model.config.label
@@ -247,9 +236,10 @@ class LabelState:
         self.keep = slice(None) if math.isinf(past) else slice(-int(past) - 1, None)
         self.memo: dict[tuple[int, ...], LabelState] = {}
         self.inputs: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self.weights = [att.qkv_weights(layer) for layer in model.params.label.layers]
         self.context = (BLANK_ID,)
-        self.encoder = IncrementalEncoder(cfg, model.params.label, model.counters)
-        self._push(BLANK_ID)
+        self.windows = [np.empty((3, 0, cfg.num_heads * cfg.head_dim))] * cfg.num_layers  # no positions yet
+        self.windows, self.vec, self.proj = _label_steps([(self, BLANK_ID)])[0]
 
     def advanced(self, label: int) -> "LabelState":
         """The state one label on, shared by every state of this search
@@ -257,27 +247,94 @@ class LabelState:
         context = (self.context + (label,))[self.keep]
         other = self.memo.get(context)
         if other is None:
-            other = LabelState.__new__(LabelState)
-            other.model, other.keep, other.memo, other.inputs = self.model, self.keep, self.memo, self.inputs
-            other.context = context
-            other.encoder = self.encoder.clone()
-            other._push(label)
-            self.memo[context] = other
+            other = self.memo[context] = self._child(context, *_label_steps([(self, label)])[0])
         return other
 
+    @staticmethod
+    def advanced_all(pairs: Sequence[tuple["LabelState", int]]) -> list["LabelState"]:
+        """`[state.advanced(label) for state, label in pairs]` for states of
+        one search, with the states not yet in its memo computed together
+        (`_label_steps`)."""
+        if len(pairs) > 1:  # `advanced` computes a lone state as cheaply
+            new: dict[tuple[int, ...], tuple[LabelState, int]] = {}
+            for state, label in pairs:
+                context = (state.context + (label,))[state.keep]
+                if context not in state.memo:
+                    new.setdefault(context, (state, label))
+            if new:
+                for (context, (state, _)), step in zip(new.items(), _label_steps(list(new.values()))):
+                    state.memo[context] = state._child(context, *step)
+        return [state.advanced(label) for state, label in pairs]
+
     def advance(self, label: int):
+        """Move this state one label on, in place."""
         if self.memo.get(self.context) is self:
             del self.memo[self.context]  # its context no longer describes it
         self.context = (self.context + (label,))[self.keep]
-        self._push(label)
+        self.windows, self.vec, self.proj = _label_steps([(self, label)])[0]
 
-    def _push(self, label: int):
+    def _child(self, context, windows, vec, proj) -> "LabelState":
+        other = LabelState.__new__(LabelState)  # a shallow copy, faster than copy.copy
+        other.__dict__.update(self.__dict__)
+        other.context, other.windows, other.vec, other.proj = context, windows, vec, proj
+        return other
+
+    def _input(self, label: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The id's projected input row and first-layer `qkv_row` (None for
+        a stack of no layers)."""
         entry = self.inputs.get(label)
         if entry is None:
-            embedding = self.model.params.label_embedding.values[label]
-            entry = self.inputs[label] = self.encoder._project(embedding)
-        self.vec = self.encoder.push_projected(*entry)[0]
-        self.proj = self.model.project_label(self.vec)
+            params, cfg = self.model.params.label, self.model.config.label
+            row = self.model.params.label_embedding.values[label] @ params.input_w.values + params.input_b.values
+            qkv = att.qkv_row(row, params.layers[0], self.weights[0], cfg) if cfg.num_layers else None
+            entry = self.inputs[label] = (row, qkv)
+        return entry
+
+
+def _label_steps(pairs: Sequence[tuple[LabelState, int]]) -> list[tuple[list[np.ndarray], np.ndarray, np.ndarray]]:
+    """The `windows`, `vec` and `proj` of the state one label on from each
+    (state, label) of one search. The new positions are computed together
+    per window length among them: one `encoder_layer_step` per label layer
+    over the stack of their rows [K, 1, d] and windows [K, 3, tk, H*dh],
+    then one `final_norm` and one `project_label`. A stack runs the one-row
+    products of a lone state (see `attention.encoder_layer_step`), so every
+    state is bit-identical to one computed alone; a lone state keeps the
+    one-row shapes. Window lengths differ only within the first left + 1
+    ids, or with no left bound."""
+    first = pairs[0][0]
+    model = first.model
+    cfg, params = model.config.label, model.params.label
+    full = None if cfg.mask.left is None else cfg.mask.left + 1
+    groups: dict[int, list[int]] = {}
+    for i, (state, _) in enumerate(pairs):
+        n = state.windows[0].shape[1] if cfg.num_layers else 0
+        groups.setdefault(n if n == full else n + 1, []).append(i)
+    out: list = [None] * len(pairs)
+    for tk, members in groups.items():
+        k = len(members)
+        lone = k == 1  # one-row shapes: cheaper, and the same bits
+        entries = [first._input(pairs[i][1]) for i in members]
+        x = entries[0][0] if lone else np.array([row for row, _ in entries])[:, None]
+        windows = []
+        for l, layer in enumerate(params.layers):
+            if l:
+                qkv = att.qkv_row(x, layer, first.weights[l], cfg)
+            else:
+                qkv = entries[0][1] if lone else np.array([qkv for _, qkv in entries])
+            window = np.empty((k, 3, tk, qkv.shape[-1]))
+            for j, i in enumerate(members):
+                parent = pairs[i][0].windows[l]
+                window[j, :, :-1] = parent[:, parent.shape[1] - tk + 1:]
+            window[:, :, -1] = qkv
+            x = att.encoder_layer_step(x, window[0] if lone else window, tk - 1, layer, params, cfg,
+                                       model.counters)
+            windows.append(window)
+        vec = att.final_norm(x, cfg, params)
+        proj = model.project_label(vec)
+        vec, proj = vec.reshape(k, -1), proj.reshape(k, -1)
+        for j, i in enumerate(members):
+            out[i] = ([window[j] for window in windows], vec[j], proj[j])
+    return out
 
 
 def _batch_encode_audio(model: TransducerModel, features: np.ndarray) -> np.ndarray:
@@ -378,12 +435,15 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
                     v = i % width
                     children.append((hyp.labels + (v,) if v else hyp.labels, score, hyp.state, v))
             children.sort(key=lambda c: (-c[1], c[0]))
-            active = []
+            emitting, pairs = [], []
             for labels, score, state, v in children[:beam_width]:
                 if v == BLANK_ID:
                     _merge(done, Hypothesis(labels, score, state))
                 else:
-                    active.append(Hypothesis(labels, score, state.advanced(v)))
+                    emitting.append((labels, score))
+                    pairs.append((state, v))
+            active = [Hypothesis(labels, score, state)
+                      for (labels, score), state in zip(emitting, LabelState.advanced_all(pairs))]
             if not active:
                 break
         beam = sorted(done.values(), key=lambda h: (-h.score, h.labels))[:beam_width]

@@ -1,4 +1,5 @@
-"""The list-window streaming encoder, the reference for ttkit's.
+"""The list-window streaming encoder and the clone-per-state label states
+built on it, the references for ttkit's.
 
 Each layer keeps, per cached row, a tuple of that row's ln1 output and its
 keys and values (`key_value_row`). Every step copies its window's keys and
@@ -8,8 +9,12 @@ query, key and value once into contiguous per-layer buffers and reads its
 offset table from a cache; the floating-point operations are the same, so
 its rows equal this one's bit for bit.
 
-The class plugs into `decode.LabelState` in place of ttkit's: it has the
-same `_project`, `push_projected` and `clone`.
+`LabelState` here gives each new label state its own clone of its parent's
+encoder and pushes one row into it. ttkit's `decode.LabelState` carries
+only the attention windows of its next step and computes a beam round's
+new states together, one stacked step per label layer; its states equal
+these bit for bit, and it computes a state for the same contexts, so the
+score counts match too.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from ttkit import attention as att
 from ttkit import tensor as tt
 from ttkit.decode import StreamError
+from ttkit.transducer import BLANK_ID
 
 
 def key_value_row(row, layer, config):
@@ -76,20 +82,10 @@ class IncrementalEncoder:
         return other
 
     def push(self, row):
-        return self.push_projected(*self._project(row))
-
-    def push_projected(self, row, kv):
         if self.finished:
             raise StreamError("push after finish")
-        self.rows[0].append(row)
-        if kv is not None:
-            self.kv[0].append(kv)
+        self._append(0, row @ self.params.input_w.values + self.params.input_b.values)
         return self._advance(self.first[0] + len(self.rows[0]))
-
-    def _project(self, row):
-        row = row @ self.params.input_w.values + self.params.input_b.values
-        kv = key_value_row(row, self.params.layers[0], self.config) if self.config.num_layers else None
-        return row, kv
 
     def finish(self):
         if self.finished:
@@ -123,3 +119,48 @@ class IncrementalEncoder:
         self.rows[-1] = []
         self.first[-1] += len(top)
         return [att.final_norm(row, self.config, self.params) for row in top]
+
+
+class LabelState:
+    """A label history's state on a private `IncrementalEncoder`: `vec`, the
+    top activation of the newest position, and `proj`, its joint
+    projection. States derived through `advanced` from one root share a
+    `memo` of one state per context, the last `num_layers * left + 1` ids;
+    a new one clones its parent's encoder and pushes one row. `advance`
+    pushes in place and takes the state out of the memo."""
+
+    def __init__(self, model):
+        cfg = model.config.label
+        past = att.receptive_field(cfg.num_layers, cfg.mask, 0.0).past_frames
+        self.model = model
+        self.keep = slice(None) if math.isinf(past) else slice(-int(past) - 1, None)
+        self.memo = {}
+        self.context = (BLANK_ID,)
+        self.encoder = IncrementalEncoder(cfg, model.params.label, model.counters)
+        self._push(BLANK_ID)
+
+    def advanced(self, label):
+        context = (self.context + (label,))[self.keep]
+        other = self.memo.get(context)
+        if other is None:
+            other = LabelState.__new__(LabelState)
+            other.model, other.keep, other.memo = self.model, self.keep, self.memo
+            other.context = context
+            other.encoder = self.encoder.clone()
+            other._push(label)
+            self.memo[context] = other
+        return other
+
+    @staticmethod
+    def advanced_all(pairs):
+        return [state.advanced(label) for state, label in pairs]
+
+    def advance(self, label):
+        if self.memo.get(self.context) is self:
+            del self.memo[self.context]
+        self.context = (self.context + (label,))[self.keep]
+        self._push(label)
+
+    def _push(self, label):
+        self.vec = self.encoder.push(self.model.params.label_embedding.values[label])[0]
+        self.proj = self.model.project_label(self.vec)

@@ -243,14 +243,29 @@ def test_beam_nbest_ordering_deterministic():
 
 
 def unshared_advanced(self, label):
-    """Reference for `LabelState.advanced`: a private clone and one push for
-    every call, sharing nothing between hypotheses."""
-    other = dec.LabelState.__new__(dec.LabelState)
+    """Reference for `LabelState.advanced`, on `reference_stream.LabelState`:
+    a private clone of the parent's encoder and one push for every call,
+    sharing nothing between hypotheses."""
+    other = reference_stream.LabelState.__new__(reference_stream.LabelState)
     other.model = self.model
     other.encoder = self.encoder.clone()
     other.vec = other.encoder.push(self.model.params.label_embedding.values[label])[0]
     other.proj = self.model.project_label(other.vec)
     return other
+
+
+def use_unshared_states(monkeypatch):
+    """Decode with clone-per-state label states: `reference_stream.LabelState`
+    with `unshared_advanced` in place of `decode.LabelState`."""
+    monkeypatch.setattr(dec, "LabelState", reference_stream.LabelState)
+    monkeypatch.setattr(reference_stream.LabelState, "advanced", unshared_advanced)
+
+
+def unshared_state_after(model, history):
+    state = reference_stream.LabelState(model)
+    for label in history:
+        state = unshared_advanced(state, label)
+    return state
 
 
 def label_state_after(model, history):
@@ -322,24 +337,73 @@ def test_beam_equals_unshared_beam(monkeypatch):
         width, fusion = 1 + (3 * i) % 8, fusions[i % 4]
         shared = beam_decode(model, feats, beam_width=width, fusion=fusion)
         with monkeypatch.context() as m:
-            m.setattr(dec.LabelState, "advanced", unshared_advanced)
+            use_unshared_states(m)
             unshared = beam_decode(model, feats, beam_width=width, fusion=fusion)
         assert [(h.labels, h.score) for h in shared] == [(h.labels, h.score) for h in unshared], i
         for a, b in zip(shared, unshared):
             assert_same_state(a.state, b.state)
 
 
-def count_pushes(monkeypatch, record):
-    """Call `record(encoder)` for every row pushed into an
-    `IncrementalEncoder`, raw or already projected: a raw `push` projects
-    its row and goes through `push_projected`."""
-    push_projected = dec.IncrementalEncoder.push_projected
+@settings(max_examples=60, deadline=None)
+@given(label_layers=st.integers(0, 3), label_left=st.one_of(st.none(), st.integers(0, 4)),
+       heads=st.integers(1, 3), head_dim=st.integers(1, 4), max_offset=st.integers(0, 5),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_label_states_computed_together_equal_lone_states(label_layers, label_left, heads, head_dim,
+                                                          max_offset, seed, data):
+    """States computed together by `advanced_all` from 1-6 parents of mixed
+    window lengths equal the same states advanced one at a time and the
+    clone-per-state reference, bit for bit; each label layer runs one
+    stacked step per window length among them."""
+    cfg = desk_config(vocab_size=5, feature_dim=6, label_left=label_left, dropout=0.0, model_dim=8,
+                      num_label_layers=label_layers, max_relative_offset=max_offset)
+    cfg = dataclasses.replace(cfg, label=dataclasses.replace(cfg.label, num_heads=heads, head_dim=head_dim))
+    model = init_model(cfg, Rng(0))
+    randomized(model.params, seed)
+    labels = st.integers(1, cfg.vocab_size - 1)
+    histories = data.draw(st.lists(st.lists(labels, max_size=7), min_size=1, max_size=6))
+    nexts = data.draw(st.lists(labels, min_size=len(histories), max_size=len(histories)))
 
-    def counting_push_projected(self, row, kv):
-        record(self)
-        return push_projected(self, row, kv)
+    root = dec.LabelState(model)
+    parents = [walk(root, h) for h in histories]
+    root.memo.clear()  # so the call below computes every child
+    before = model.counters.attention_scores
+    with mock.patch.object(att, "encoder_layer_step", wraps=att.encoder_layer_step) as spy:
+        together = dec.LabelState.advanced_all(list(zip(parents, nexts)))
+    distinct = list({id(s): s for s in together}.values())
+    if label_layers:
+        assert spy.call_count == label_layers * len({s.windows[0].shape[1] for s in distinct})
+        rows = sum(c.args[0].size // c.args[0].shape[-1] for c in spy.call_args_list)
+        assert rows == label_layers * len(distinct)
+        scores = label_layers * heads * sum(s.windows[0].shape[1] for s in distinct)
+        assert model.counters.attention_scores - before == scores
+    for state, h, v in zip(together, histories, nexts):
+        assert_same_state(state, walk(dec.LabelState(model), h).advanced(v))
+        assert_same_state(state, unshared_state_after(model, h + [v]))
 
-    monkeypatch.setattr(dec.IncrementalEncoder, "push_projected", counting_push_projected)
+
+def test_one_row_products_of_a_stack_equal_lone_products():
+    """The build property stacked label steps rely on: each row of [K, 1, n]
+    @ [n, m] equals the lone product [n] @ [n, m] bit for bit."""
+    rng = Rng(21)
+    for n, m in [(8, 16), (16, 8), (32, 32), (32, 64), (64, 32), (1, 5), (5, 1), (3, 7)]:
+        for k in (1, 2, 3, 6):
+            rows, w = rng.normal((k, 1, n)), rng.normal((n, m))
+            stacked = rows @ w
+            for i in range(k):
+                assert stacked[i, 0].tobytes() == (rows[i, 0] @ w).tobytes(), (n, m, k, i)
+
+
+def count_pushes(monkeypatch, model, pushes):
+    """Append to `pushes` the number of label states each call of
+    `model.project_label` finishes: one row per state, computed alone or in
+    a stack, shared or unshared."""
+    project_label = model.project_label
+
+    def counting_project_label(vec):
+        pushes.append(vec.size // vec.shape[-1])
+        return project_label(vec)
+
+    monkeypatch.setattr(model, "project_label", counting_project_label)
 
 
 def test_beam_label_pushes_bounded_by_contexts(monkeypatch):
@@ -349,10 +413,10 @@ def test_beam_label_pushes_bounded_by_contexts(monkeypatch):
     model = small_model(vocab_size=V, label_left=1, blank_bias=1.0)
     feats = Rng(12).normal((60, 6))
     pushes = []
-    count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config is model.config.label))
+    count_pushes(monkeypatch, model, pushes)
     shared = beam_decode(model, feats, beam_width=4)
     shared_pushes, pushes[:] = sum(pushes), []
-    monkeypatch.setattr(dec.LabelState, "advanced", unshared_advanced)
+    use_unshared_states(monkeypatch)
     unshared = beam_decode(model, feats, beam_width=4)
     assert [h.labels for h in shared] == [h.labels for h in unshared]
     assert shared_pushes <= 1 + (V - 1) + (V - 1) ** 2
@@ -364,14 +428,13 @@ def test_beam_label_pushes_without_label_layers(monkeypatch):
     # projection whatever the label window, so V states cover every history
     V = 3
     feats = Rng(12).normal((60, 6))
-    pushes = []
-    count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config.num_layers == 0))
     counts = []
     for label_left in (None, 0):
         model = small_model(vocab_size=V, label_left=label_left, num_label_layers=0, blank_bias=1.0)
+        pushes = []
+        count_pushes(monkeypatch, model, pushes)
         beam_decode(model, feats, beam_width=4)
         counts.append(sum(pushes))
-        pushes[:] = []
     assert counts[0] == counts[1] <= V
 
 
@@ -472,7 +535,7 @@ def test_label_input_rows_computed_once_per_call(monkeypatch, decoder):
     input_w = model.params.label.input_w
     monkeypatch.setattr(input_w, "values", input_w.values.view(CountingWeights))
     monkeypatch.setattr(att, "qkv_row", counting_qkv_row)
-    count_pushes(monkeypatch, lambda encoder: pushes.append(encoder.config is model.config.label))
+    count_pushes(monkeypatch, model, pushes)
     if decoder == "greedy":
         greedy_decode(model, feats, max_symbols_per_frame=3)
     elif decoder == "beam":
@@ -662,7 +725,8 @@ def randomized(params, seed: int):
 def test_incremental_encoder_equals_list_window_reference(left, right, layers, heads, head_dim, length,
                                                           max_offset, seed):
     """The buffered encoder emits the list-window reference's rows bit for
-    bit, with the same score count; so do label states built on it, through
+    bit, with the same score count; so do label states, which carry their
+    windows, against the reference's clone-per-state ones, through
     `advanced` from any earlier state and through `advance` in place."""
     cfg = EncoderConfig(num_layers=layers, model_dim=6, ff_dim1=7, ff_dim2=6, num_heads=heads,
                         head_dim=head_dim, mask=AttentionMask(left, right), input_dim=6,
@@ -688,16 +752,15 @@ def test_incremental_encoder_equals_list_window_reference(left, right, layers, h
     labels = rng.substream("labels").integers(1, label_model.config.vocab_size, length).tolist()
     picks = rng.substream("picks").integers(0, length + 1, length).tolist()
     walks = []
-    for cls in (dec.IncrementalEncoder, reference_stream.IncrementalEncoder):
+    for cls in (dec.LabelState, reference_stream.LabelState):
         before = label_model.counters.attention_scores
-        with mock.patch.object(dec, "IncrementalEncoder", cls):
-            states, walker = [dec.LabelState(label_model)], dec.LabelState(label_model)
-            for i, label in enumerate(labels):
-                states.append(states[picks[i] % len(states)].advanced(label))
-                walker.advance(label)
-                states.append(walker)
-                walker = dec.LabelState(label_model) if i == length // 2 else walker
-            walks.append(([(s.vec, s.proj) for s in states], label_model.counters.attention_scores - before))
+        states, walker = [cls(label_model)], cls(label_model)
+        for i, label in enumerate(labels):
+            states.append(states[picks[i] % len(states)].advanced(label))
+            walker.advance(label)
+            states.append(walker)
+            walker = cls(label_model) if i == length // 2 else walker
+        walks.append(([(s.vec, s.proj) for s in states], label_model.counters.attention_scores - before))
     (got, got_scores), (want, want_scores) = walks
     assert got_scores == want_scores
     for (vec, proj), (ref_vec, ref_proj) in zip(got, want):
@@ -712,8 +775,7 @@ def test_step_offset_cache_stays_bounded_under_full_history_labels():
     limit = att._offset_index.cache_info().maxsize
     att._offset_index.cache_clear()
     state = dec.LabelState(model)
-    with mock.patch.object(dec, "IncrementalEncoder", reference_stream.IncrementalEncoder):
-        reference = dec.LabelState(model)
+    reference = reference_stream.LabelState(model)
     sizes = []
     for i in range(limit + 40):
         label = 1 + i % (model.config.vocab_size - 1)

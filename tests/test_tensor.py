@@ -166,6 +166,23 @@ def test_fused_layer_norm_matches_composed(shape, eps, constant, seed):
         assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), name
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.one_of(st.integers(1, 64), st.sampled_from([128, 512])),
+       eps=st.sampled_from([1e-12, 1e-5, 0.1]),
+       scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_row_equals_the_row_as_a_batch(d, eps, scale, seed):
+    """One row [d] normalizes with plain-float statistics; its output, x̂
+    and inv equal those of the same row passed as x[None], bit for bit."""
+    rng = Rng(seed)
+    x = scale * (rng.normal((d,)) + 3.0 * rng.normal((1,)))
+    gain, bias = rng.normal((d,)), rng.normal((d,))
+    row = tt.layer_norm_forward(x, gain, bias, eps)
+    batch = tt.layer_norm_forward(x[None], gain, bias, eps)
+    for a, b in zip(row, batch):
+        assert np.asarray(a).tobytes() == b[0].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from([(1,), (4,), (3, 5), (2, 3, 4)]),
        axis=st.integers(-1, 0),

@@ -629,7 +629,7 @@ def test_batched_step_matches_per_example_reference(shapes, stack, subsample, la
     train = TrainConfig(batch_size=len(batch), weight_noise_sigma=0.05, weight_noise_start_step=0,
                         grad_clip_norm=1e30)
     audio_t = -(-max(frames for frames, _ in shapes) // subsample)
-    banded = (audio_mask.is_finite
+    banded = (layers > 0 and audio_mask.is_finite
               and audio_t >= 2 * (audio_mask.left + audio_mask.right) + att.BANDED_MIN_EXTRA_ROWS)
     results = []
     for step_fn in (reference_step.train_step, train_step):

@@ -73,14 +73,6 @@ def _in_window(offset: np.ndarray, mask: AttentionMask) -> np.ndarray:
     return allowed
 
 
-def build_mask(seq_len: int, mask: AttentionMask) -> np.ndarray:
-    """Boolean [seq_len, seq_len] matrix; entry (i, j) true iff j is inside
-    i's window. The diagonal is always true."""
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    return _in_window(np.arange(seq_len)[:, None] - np.arange(seq_len), mask)
-
-
 @dataclass
 class EncoderConfig:
     num_layers: int
@@ -256,24 +248,6 @@ def _attend(
     return qc, qp, weights, _flat(weights @ v)
 
 
-def _count_scores(h: Tensor, config: EncoderConfig, counters: Counters | None,
-                  lengths: Sequence[int] | None):
-    """Count each example's own T_b^2 scores per head; padding adds none."""
-    if counters is not None:
-        rows = np.full(h.shape[:-2], h.shape[-2]) if lengths is None else np.asarray(lengths)
-        counters.attention_scores += config.num_heads * int((rows * rows).sum())
-
-
-def _project(h: Tensor, layer: LayerParams, config: EncoderConfig):
-    """Queries, keys and values of rows h, [..., H, T, head_dim] each."""
-    return tuple(_split(h.values @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
-
-
-def _score_grads(d_weights: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """Softmax backward from weight to (unscaled) score gradients."""
-    return weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
-
-
 def _offset_grads(d_scores: np.ndarray, idx: np.ndarray, n_off: int) -> np.ndarray:
     """Sum each score row's gradient into the clipped offsets its columns
     take, through the `_offset_index` table `idx`: [..., n_blocks, rows,
@@ -282,25 +256,6 @@ def _offset_grads(d_scores: np.ndarray, idx: np.ndarray, n_off: int) -> np.ndarr
     table = idx.shape[0] * n_off
     slots = (np.arange(n_tables).reshape(*d_scores.shape[:-2], 1, 1) * table + idx).ravel()
     return np.bincount(slots, d_scores.ravel(), n_tables * table).reshape(*d_scores.shape[:-3], -1, n_off)
-
-
-def _input_grads(h, g, heads, layer, params, d_qc, d_qp, d_pos, qp, d_k, d_v):
-    """The attention node's eight parent gradients, from the upstream g and
-    the per-head gradients [..., H, T, .] of the content and position
-    queries, offset scores, keys and values."""
-    d_q = _merge(d_qc + d_qp)
-    d_k, d_v = _merge(d_k), _merge(d_v)
-    hr = flat_rows(h.values)
-    return (
-        d_q @ layer.wq.values.T + (d_k @ layer.wk.values.T + d_v @ layer.wv.values.T),
-        hr.T @ flat_rows(d_q),
-        hr.T @ flat_rows(d_k),
-        hr.T @ flat_rows(d_v),
-        flat_rows(heads).T @ flat_rows(g),
-        unbroadcast(d_pos.swapaxes(-1, -2) @ qp, params.rel_emb.shape),
-        unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
-        unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
-    )
 
 
 # A finite window is cut into blocks once T reaches the 2 * (left + right)
@@ -409,8 +364,10 @@ def _banded_attention(
     each example's own T_b^2 scores per head; padding adds none.
     """
     t, rows, n_blocks, span, front = h.shape[-2], band.rows, band.n_blocks, band.span, band.front
-    _count_scores(h, config, counters, lengths)
-    q, k, v = _project(h, layer, config)
+    if counters is not None:
+        n = np.full(h.shape[:-2], t) if lengths is None else np.asarray(lengths)
+        counters.attention_scores += config.num_heads * int((n * n).sum())
+    q, k, v = (_split(h.values @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
     kb, vb = (_windows(_chunks(a, front, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
     idx = _offset_index(rows, front, span * rows, config.rel_offset)
     qc, qp, weights, heads = _attend(_chunks(q, 0, n_blocks, rows), kb, vb, params, config, idx,
@@ -421,13 +378,25 @@ def _banded_attention(
 
     def bw(g):
         d_heads = _chunks(_split(g @ layer.wo.values.T, config), 0, n_blocks, rows)
-        d_scores = _score_grads(d_heads @ vb.swapaxes(-1, -2), weights, scale)
+        d_weights = d_heads @ vb.swapaxes(-1, -2)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
         d_pos = _offset_grads(d_scores, idx, rel.shape[1])
         d_k, d_v = (_unwindow(d, span)[..., front:front + t, :]
                     for d in (d_scores.swapaxes(-1, -2) @ qc, weights.swapaxes(-1, -2) @ d_heads))
-        # rows past T carry no gradient, so only d_q is cut to T rows
-        return _input_grads(h, g, heads, layer, params, _flat(d_scores @ kb)[..., :t, :],
-                            (d_pos @ rel)[..., :t, :], d_pos, _flat(qp), d_k, d_v)
+        # rows past T carry no gradient, so only the queries' gradients are cut to T rows
+        d_qc, d_qp = _flat(d_scores @ kb)[..., :t, :], (d_pos @ rel)[..., :t, :]
+        d_q, d_k, d_v = _merge(d_qc + d_qp), _merge(d_k), _merge(d_v)
+        hr = flat_rows(h.values)
+        return (
+            d_q @ layer.wq.values.T + (d_k @ layer.wk.values.T + d_v @ layer.wv.values.T),
+            hr.T @ flat_rows(d_q),
+            hr.T @ flat_rows(d_k),
+            hr.T @ flat_rows(d_v),
+            flat_rows(heads).T @ flat_rows(g),
+            unbroadcast(d_pos.swapaxes(-1, -2) @ _flat(qp), params.rel_emb.shape),
+            unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
+            unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
+        )
 
     parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias)

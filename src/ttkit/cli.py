@@ -106,25 +106,25 @@ def cmd_train(args) -> int:
 
 
 def _decode_options(args) -> DecodeOptions:
-    """The decode settings the command has flags for; the rest at default."""
+    """The decode settings, from the flags decode and eval share."""
     try:
-        return DecodeOptions(**{f.name: getattr(args, f.name) for f in fields(DecodeOptions)
-                                if hasattr(args, f.name)})
+        return DecodeOptions(**{f.name: getattr(args, f.name) for f in fields(DecodeOptions)})
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
-def _build_fusion(opts: DecodeOptions, lm_dataset: str | None, model) -> FusionConfig | None:
-    if opts.lm_weight == 0.0 and opts.length_bonus == 0.0:
+def _build_fusion(args, model) -> FusionConfig | None:
+    """The shallow fusion the decode flags ask for, or None for none."""
+    if args.lm_weight == 0.0 and args.length_bonus == 0.0:
         return None
     lm = None
-    if opts.lm_weight != 0.0:
-        if not lm_dataset:
+    if args.lm_weight != 0.0:
+        if not args.lm_dataset:
             raise UsageError("--lm-weight needs --lm-dataset to fit the bundled bigram scorer")
-        lm_data = _load_dataset_or_exit(lm_dataset)
-        _check_fits(lm_data, lm_dataset, model.config, features=False)
+        lm_data = _load_dataset_or_exit(args.lm_dataset)
+        _check_fits(lm_data, args.lm_dataset, model.config, features=False)
         lm = BigramLm.fit([u.labels for u in lm_data.utterances], model.config.vocab_size - 1)
-    return FusionConfig(lm_weight=opts.lm_weight, length_bonus=opts.length_bonus, lm=lm)
+    return FusionConfig(lm_weight=args.lm_weight, length_bonus=args.length_bonus, lm=lm)
 
 
 def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfig | None):
@@ -156,7 +156,7 @@ def cmd_decode(args) -> int:
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config, labels=False)
-    fusion = _build_fusion(opts, args.lm_dataset, model)
+    fusion = _build_fusion(args, model)
     transcripts = _transcribe(model, data, args.mode, opts, fusion)
     # opened before decoding, so a path that cannot be written fails at once
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DecodeOptions.max_symbols_per_frame)
 
     p = sub.add_parser("decode", parents=[decoding], help="transcribe a dataset with a checkpoint")
-    p.add_argument("--lm-weight", type=float, default=DecodeOptions.lm_weight)
-    p.add_argument("--length-bonus", type=float, default=DecodeOptions.length_bonus)
+    p.add_argument("--lm-weight", type=float, default=FusionConfig.lm_weight)
+    p.add_argument("--length-bonus", type=float, default=FusionConfig.length_bonus)
     p.add_argument("--lm-dataset", help="dataset whose labels fit the bundled bigram scorer")
     p.add_argument("--output", help="write transcripts here instead of stdout")
     p.set_defaults(fn=cmd_decode)
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bigram-scale", type=float, default=0.0)
-    p.add_argument("--first-index", type=int, default=0,
+    p.add_argument("--bigram-scale", type=float, default=SyntheticTaskConfig.bigram_scale)
+    p.add_argument("--first-index", type=int, default=SyntheticTaskConfig.first_index,
                    help="start utterance index; same seed + disjoint ranges share "
                         "symbol templates, giving proper held-out splits")
     p.set_defaults(fn=cmd_gen_data)

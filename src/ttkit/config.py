@@ -4,8 +4,8 @@ every value failure points at its path, so mask typos cannot pass silently.
 
 The config dataclasses are the schema: each section accepts one key per
 field, typed by the field's annotation and defaulting to the field's
-default. Only the mask windows, the derived fields and `paths` are read by
-hand.
+default. Only the mask windows, the derived fields and `paths`, whose one
+key is the training `dataset`, are read by hand.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def parse_run_config(document: dict) -> RunConfig:
     decode = _build(DecodeOptions, root.section("decode", required=False))
 
     paths_sec = root.section("paths", required=False)
-    paths = {key: paths_sec.get(key, _str) for key in paths_sec.data}
+    paths = {"dataset": paths_sec.get("dataset", _str)} if "dataset" in paths_sec.data else {}
     paths_sec.finish()
 
     root.finish()

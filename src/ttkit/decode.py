@@ -62,8 +62,6 @@ class DecodeOptions:
     the decoders' defaults and the CLI flags' defaults are these."""
 
     beam_width: int = 4
-    lm_weight: float = 0.0
-    length_bonus: float = 0.0
     max_symbols_per_frame: int = 10
 
     def __post_init__(self):
@@ -74,7 +72,8 @@ class DecodeOptions:
 @dataclass
 class FusionConfig:
     """Shallow fusion: score += lm_weight * log P_LM(symbol | history)
-    + length_bonus, per emitted non-blank symbol."""
+    + length_bonus, per emitted non-blank symbol. The defaults are the
+    decode command's flag defaults."""
 
     lm_weight: float = 0.0
     length_bonus: float = 0.0

@@ -125,18 +125,6 @@ def gen_synthetic(config: SyntheticTaskConfig) -> Dataset:
     return Dataset(config.vocab, utts)
 
 
-def nearest_template_decode(features: np.ndarray, templates: np.ndarray) -> list[int]:
-    """Non-neural reference decoder: classify each frame by nearest template,
-    then collapse runs. Exact on noiseless data."""
-    d2 = ((features[:, None, :] - templates[None, :, :]) ** 2).sum(axis=2)
-    per_frame = d2.argmin(axis=1) + 1
-    out = []
-    for label in per_frame:
-        if not out or out[-1] != label:
-            out.append(int(label))
-    return out
-
-
 def edit_distance(ref, hyp) -> int:
     """Levenshtein distance over sequence items."""
     ref, hyp = list(ref), list(hyp)

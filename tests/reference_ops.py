@@ -5,7 +5,8 @@ built from. ttkit's own graphs use the fused nodes of `ttkit.tensor` and
 its modules; these stay as the independent pieces those nodes are checked
 against. `uniform_grid` is the input of the closed-form lattice oracle.
 `multi_head_attention` is the dense attention node that scores all T x T
-pairs, the reference for ttkit's blocked one.
+pairs, the reference for ttkit's blocked one, under the [T, T] window of
+`build_mask`.
 """
 
 from __future__ import annotations
@@ -220,6 +221,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 # ------------------------------------------------- the dense attention node
+
+def build_mask(seq_len: int, mask) -> np.ndarray:
+    """Boolean [seq_len, seq_len] matrix of an `AttentionMask`; entry (i, j)
+    true iff i - left <= j <= i + right, a None side unbounded. The diagonal
+    is always true."""
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    offset = np.arange(seq_len)[:, None] - np.arange(seq_len)  # i - j
+    left = seq_len if mask.left is None else mask.left
+    right = seq_len if mask.right is None else mask.right
+    return (offset <= left) & (offset >= -right)
+
 
 def batch_mask(window: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     """[B, 1, T, T]: the [T, T] `window` joined with each example's key-length

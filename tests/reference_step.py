@@ -20,7 +20,6 @@ import reference_ops as ops
 from ttkit import attention as att
 from ttkit import tensor as tt
 from ttkit import transducer as tr
-from ttkit.attention import build_mask
 from ttkit.tensor import NumericsError, ShapeError, Tensor, backward
 from ttkit.train import apply_weight_noise, clip_gradients, lr_at
 
@@ -40,7 +39,7 @@ def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):
 
 def encode(x, config, params, rng=None, counters=None):
     h = tt.add(tt.matmul(x, params.input_w), params.input_b)
-    mask_bool = build_mask(x.shape[0], config.mask)
+    mask_bool = ops.build_mask(x.shape[0], config.mask)
     for i, layer in enumerate(params.layers):
         h = encoder_layer(h, mask_bool, layer, params, config,
                           rng.substream(f"layer{i}") if rng else None, counters)

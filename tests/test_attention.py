@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference_ops as ops
 from ttkit import attention as att
 from ttkit import tensor as tt
-from ttkit.attention import AttentionMask, EncoderConfig, build_mask, receptive_field
+from ttkit.attention import AttentionMask, EncoderConfig, receptive_field
 from ttkit.tensor import Rng, Tensor, backward, finite_difference_gradient, max_gradient_error
 
 
@@ -53,24 +53,24 @@ def _map_named(params, fn):
 
 def test_mask_fig_window():
     # 1-based row 7 with left=2, right=1 allows columns {5, 6, 7, 8}
-    m = build_mask(10, AttentionMask(2, 1))
+    m = ops.build_mask(10, AttentionMask(2, 1))
     row = np.flatnonzero(m[6]) + 1
     assert row.tolist() == [5, 6, 7, 8]
 
 
 def test_mask_unlimited_all_true():
-    m = build_mask(5, AttentionMask(None, None))
+    m = ops.build_mask(5, AttentionMask(None, None))
     assert m.all()
 
 
 def test_mask_zero_window_is_identity():
-    m = build_mask(6, AttentionMask(0, 0))
+    m = ops.build_mask(6, AttentionMask(0, 0))
     np.testing.assert_array_equal(m, np.eye(6, dtype=bool))
 
 
 def test_mask_diagonal_always_true():
     for left, right in [(0, 0), (3, 0), (0, 2), (None, 1), (4, None)]:
-        m = build_mask(9, AttentionMask(left, right))
+        m = ops.build_mask(9, AttentionMask(left, right))
         assert m.diagonal().all()
 
 
@@ -202,7 +202,7 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
     queries = Tensor(rng.substream("h").normal((tk, model_dim)))
     positions = np.arange(tk) + shift
     window_mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
-    mask = None if window is None else build_mask(tk, window_mask)
+    mask = None if window is None else ops.build_mask(tk, window_mask)
     upstream = Tensor(rng.substream("g").normal((queries.shape[0], model_dim)))
     parents = [queries, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias]
@@ -285,7 +285,7 @@ def test_banded_attention_matches_dense(lengths, batched, left, right, offset_ch
     t = h.shape[-2]
     blocks = att.band(t, mask, node_lengths)
     assert (blocks.n_blocks > 1) == (mask.is_finite and t >= 2 * (left + right) + att.BANDED_MIN_EXTRA_ROWS)
-    dense_mask = build_mask(t, mask)
+    dense_mask = ops.build_mask(t, mask)
     dense_mask = ops.batch_mask(dense_mask, lengths) if batched else dense_mask
     results = []
     for fn in (lambda c: att._banded_attention(h, params.layers[0], params, cfg, blocks, c, node_lengths),

@@ -130,8 +130,7 @@ def test_required_keys_only_yields_dataclass_defaults():
         "train": {"batch_size": 8, "total_steps": 1000, "weight_noise_sigma": 0.0,
                   "weight_noise_start_step": 10000, "adam_beta1": 0.9, "adam_beta2": 0.999,
                   "adam_eps": 1e-08, "grad_clip_norm": 5.0, "checkpoint_interval": 200},
-        "decode": {"beam_width": 4, "lm_weight": 0.0, "length_bonus": 0.0,
-                   "max_symbols_per_frame": 10},
+        "decode": {"beam_width": 4, "max_symbols_per_frame": 10},
         "paths": {},
     }
 
@@ -211,8 +210,10 @@ CONFIG_ERRORS = [
     (("decode",), {"max_symbols_per_frame": 0},
      "config.decode: beam_width and max_symbols_per_frame must be >= 1"),
     (("decode",), {"beam": 2}, "config.decode.beam: unknown key"),
-    (("decode",), {"lm_weight": "high"}, "config.decode.lm_weight: expected a number, got 'high'"),
+    (("decode",), {"lm_weight": 0.3}, "config.decode.lm_weight: unknown key"),
+    (("decode",), {"length_bonus": 0.0}, "config.decode.length_bonus: unknown key"),
     (("paths",), {"dataset": 5}, "config.paths.dataset: expected a string, got 5"),
+    (("paths",), {"dataset": "a.ttds", "test": "b.ttds"}, "config.paths.test: unknown key"),
     (("paths",), "data", "config.paths: expected an object, got str"),
 ]
 
@@ -238,7 +239,7 @@ def test_config_error_text(path, value, message):
 
 
 RESOLVED_DESK = (
-    '{"decode": {"beam_width": 4, "length_bonus": 0.0, "lm_weight": 0.0, "max_symbols_per_frame": 10}, '
+    '{"decode": {"beam_width": 4, "max_symbols_per_frame": 10}, '
     '"model": {"audio": {"dropout_ratio": 0.1, "ff_dim1": 64, "ff_dim2": 32, "final_layer_norm": true, '
     '"head_dim": 16, "input_dim": 16, "ln_eps": 1e-05, "mask": {"left": 10, "right": 0}, '
     '"max_relative_offset": 16, "model_dim": 32, "num_heads": 2, "num_layers": 2}, "feature_dim": 16, '
@@ -256,7 +257,7 @@ RESOLVED_DESK = (
 )
 
 RESOLVED_PAPER = (
-    '{"decode": {"beam_width": 8, "length_bonus": 0.0, "lm_weight": 0.0, "max_symbols_per_frame": 10}, '
+    '{"decode": {"beam_width": 8, "max_symbols_per_frame": 10}, '
     '"model": {"audio": {"dropout_ratio": 0.1, "ff_dim1": 2048, "ff_dim2": 512, "final_layer_norm": true, '
     '"head_dim": 64, "input_dim": 512, "ln_eps": 1e-05, "mask": {"left": 10, "right": 0}, '
     '"max_relative_offset": 32, "model_dim": 512, "num_heads": 8, "num_layers": 18}, "feature_dim": 128, '
@@ -356,6 +357,19 @@ def test_cli_train_missing_dataset_key_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "paths.dataset" in capsys.readouterr().err
+
+
+def test_cli_train_removed_decode_key_exits_2_before_reading_data(tmp_path, capsys):
+    """Fusion settings are decode flags; a run config that still sets one
+    is rejected by name before the dataset, here missing, is opened."""
+    doc = base_config(paths={"dataset": str(tmp_path / "missing.ttds")})
+    doc["decode"] = {"beam_width": 4, "lm_weight": 0.3}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: config.decode.lm_weight: unknown key\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_train_invalid_config_exits_2(tmp_path, capsys):

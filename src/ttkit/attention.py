@@ -23,13 +23,13 @@ too (`_feed_forward`).
 The streaming `encoder_layer_step` builds no graph and projects nothing:
 each input row's query, key and value come from `qkv_row`, computed once
 when the row arrives (one call over the stacked `qkv_weights`, three
-one-row products), and the step reads its window's keys and values as a
-slice of a contiguous [3, T, H*dh] array. It attends as one block holding
-one query; a stack of such rows, each with its own window, runs the same
-one-row products in one call. The node and the step run one attention
-forward (`_attend`) over one cached relative-offset table
-(`_offset_index`), one feed-forward forward (`_feed_forward_values`) and one
-closing rule (`final_norm`).
+one-row products), and the step reads its window's keys and values as one
+[3, Tk, H*dh] array, in the audio stream a slice of a per-layer buffer. It
+attends as one block holding one query; a stack of such rows, each with its
+own window, runs the same one-row products in one call. The node and the
+step run one attention forward (`_attend`) over one cached relative-offset
+table (`_offset_index`), one feed-forward forward (`_feed_forward_values`)
+and one closing rule (`final_norm`).
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def _offset_index(rows: int, front: int, width: int, max_offset: int) -> np.ndar
     max_offset + 1, flattened: r * R + o(r, w) + max_offset, with o(r, w)
     the offset r + front - w clipped to [-max_offset, max_offset].
     Read-only, and shared by every call with the same arguments. The cache
-    is bounded: under an unbounded left window the streaming window grows
-    with the stream, and a one-block table is T x T."""
+    is bounded: a label state's window grows with its history under
+    `label_left` null, and a one-block table is T x T."""
     n_off = 2 * max_offset + 1
     r = np.arange(rows)[:, None]
     idx = r * n_off + np.clip(r + front - np.arange(width), -max_offset, max_offset) + max_offset
@@ -556,10 +556,6 @@ class ReceptiveField:
     past_frames: float
     future_frames: float
     future_latency_ms: float
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.past_frames) and math.isfinite(self.future_frames)
 
 
 def receptive_field(num_layers: int, mask: AttentionMask, frame_ms: float) -> ReceptiveField:

@@ -152,6 +152,8 @@ def _decode(model, features, mode: str, opts: DecodeOptions, fusion: FusionConfi
 
 def cmd_decode(args) -> int:
     _print_args(args)
+    if args.mode != "beam" and (args.lm_weight != 0.0 or args.length_bonus != 0.0):
+        raise UsageError("--lm-weight and --length-bonus apply only to --mode beam")
     opts = _decode_options(args)
     model = _load_checkpoint_or_exit(args.checkpoint)
     data = _load_dataset_or_exit(args.dataset)

@@ -1,19 +1,21 @@
 """Frame-synchronous decoding: greedy, beam with optional shallow fusion,
 and streaming one-step inference over cached encoder state.
 
-Streaming keeps, per encoder layer, the post-layer activations that a later
-position of the layer above may still attend. When a row arrives, the layer
-above layer-norms it and computes its query, key and value once, in one
-call over that layer's stacked q/k/v weights (`attention.qkv_row`), into
-one contiguous buffer per layer, so a position's window is a slice of that
-buffer and nothing is copied per step. Because attention scores depend only
-on content and relative offset, a new position's activation can be
-computed from that cached window alone, by `attention.encoder_layer_step`,
-so the work per consumed frame is bounded by a constant (window size times
-layers) no matter how long the stream has run. Right context makes each
-layer's frontier lag the layer below by `right` positions; `flush` drains
-that look-ahead at end of stream, reproducing batch behavior exactly on the
-true final frames.
+Streaming keeps, per encoder layer, the one window of post-layer
+activations that a later position of the layer above may still attend:
+left + right + 1 rows, in buffers allocated once per stream. When a row
+arrives, the layer above layer-norms it and computes its query, key and
+value once, in one call over that layer's stacked q/k/v weights
+(`attention.qkv_row`), and writes them twice into a buffer two windows
+wide, so every position's window is one slice of it and nothing is copied
+per step. Because attention scores depend only on content and relative
+offset, a new position's activation can be computed from that cached
+window alone, by `attention.encoder_layer_step`, so the work and the state
+per consumed frame are bounded by constants (window size times layers) no
+matter how long the stream has run. Right context makes each layer's
+frontier lag the layer below by `right` positions; `flush` drains that
+look-ahead at end of stream, reproducing batch behavior exactly on the true
+final frames.
 
 The label encoder is causal, so a label state needs no encoder of its own:
 it carries, per label layer, the window of query, key and value rows its
@@ -109,40 +111,38 @@ class BigramLm:
         return math.log((row[next_id] + self.add_k) / (row[1:].sum() + self.add_k * self.num_labels))
 
 
-# Columns a fresh `IncrementalEncoder` buffer holds; a full one moves its live
-# rows to a buffer twice their count, and at least this long.
-_MIN_CAPACITY = 16
-
-
 class IncrementalEncoder:
-    """One encoder stack fed a row at a time.
+    """One encoder stack fed a row at a time, in state allocated once.
 
     Layer l may compute position q once layer l-1 holds positions up to
     q + right, so the top frontier lags the input by num_layers * right;
-    `finish` closes the gap with end-of-sequence windows. `rows[l]` keeps
-    the layer-l outputs (l=0: projected inputs) that layer l+1 may still
-    attend, at most left + right + 1 of them with a finite left window;
-    `first[l]` is the position of its first row. For l < num_layers, layer
-    l+1's `qkv_row` of each row is computed once, when the row arrives, and
-    kept row for row beside `rows[l]` from column `start[l]` of the
-    contiguous buffer `qkv[l]` [3, capacity, H*dh], so an attention window
-    is a column slice of it. The stacked q/k/v weights `weights[l]` are
+    `finish` closes the gap with end-of-sequence windows. Level l holds
+    layer l's outputs (l=0: the projected inputs), `count[l]` of them so
+    far, in a window of W = left + right + 1 slots: position p's row is
+    `rows[l][p % W]`. For l < num_layers, layer l+1's `qkv_row` of that row
+    is computed once, when the row arrives, and written to both columns
+    p % W and p % W + W of `qkv[l]` [3, 2W, H*dh], so the up to W positions
+    from lo on are the column slice from lo % W. A pass adds at most one
+    row to each level, so layer l's next query trails level l-1's count by
+    at most right + 1 and attends only the W newest rows there, the ones the
+    window holds. The stacked q/k/v weights `weights[l]` are
     copied when the encoder is built, so an encoder built before the
     parameters change must not be fed after.
     """
 
     def __init__(self, config: EncoderConfig, params: EncoderParams, counters: Counters | None = None):
-        if config.mask.right is None:
-            raise ValueError("incremental encoding requires a finite right context")
+        if not config.mask.is_finite:
+            raise ValueError("incremental encoding requires a finite attention window on both sides")
         self.config = config
         self.params = params
         self.counters = counters
         self.weights = [att.qkv_weights(layer) for layer in params.layers]
-        self.rows: list[list[np.ndarray]] = [[] for _ in range(config.num_layers + 1)]
-        width = config.num_heads * config.head_dim
-        self.qkv = [np.empty((3, _MIN_CAPACITY, width)) for _ in range(config.num_layers)]
-        self.start = [0] * config.num_layers
-        self.first = [0] * (config.num_layers + 1)
+        self.width = config.mask.left + config.mask.right + 1
+        self.rows: list[list[np.ndarray | None]] = [[None] * self.width for _ in range(config.num_layers + 1)]
+        self.qkv = [np.empty((3, 2 * self.width, config.num_heads * config.head_dim))
+                    for _ in range(config.num_layers)]
+        self.count = [0] * (config.num_layers + 1)
+        self.emitted = 0  # top-level rows returned so far
         self.finished = False
 
     def push(self, row: np.ndarray) -> list[np.ndarray]:
@@ -150,7 +150,7 @@ class IncrementalEncoder:
         if self.finished:
             raise StreamError("push after finish")
         self._append(0, row @ self.params.input_w.values + self.params.input_b.values)
-        return self._advance(self.first[0] + len(self.rows[0]))
+        return self._advance(self.count[0])
 
     def finish(self) -> list[np.ndarray]:
         """Signal end of input and drain the per-layer look-ahead."""
@@ -158,50 +158,34 @@ class IncrementalEncoder:
             raise StreamError("finish called twice")
         self.finished = True
         # one frontier step per pass keeps each layer within left + right + 1 rows
-        end = self.first[0] + len(self.rows[0])
+        end = self.count[0]
         n_pass = self.config.num_layers * self.config.mask.right
         return [row for k in range(1, n_pass + 1) for row in self._advance(end + k)]
 
-    def _moved(self, l: int, capacity: int) -> np.ndarray:
-        """Level l's live `qkv_row`s copied to the front of a new buffer."""
-        n, at, buf = len(self.rows[l]), self.start[l], self.qkv[l]
-        out = np.empty((3, capacity, buf.shape[2]))
-        out[:, :n] = buf[:, at:at + n]
-        return out
-
     def _append(self, l: int, row: np.ndarray):
-        rows = self.rows[l]
+        at = self.count[l] % self.width
+        self.rows[l][at] = row
         if l < self.config.num_layers:
             qkv = att.qkv_row(row, self.params.layers[l], self.weights[l], self.config)
-            if self.start[l] + len(rows) == self.qkv[l].shape[1]:  # full
-                self.qkv[l], self.start[l] = self._moved(l, max(2 * len(rows), _MIN_CAPACITY)), 0
-            self.qkv[l][:, self.start[l] + len(rows)] = qkv
-        rows.append(row)
+            self.qkv[l][:, at] = self.qkv[l][:, at + self.width] = qkv
+        self.count[l] += 1
 
     def _advance(self, frontier: int) -> list[np.ndarray]:
-        """One pass over layers 1..L in order. Layer l computes the positions
-        below both its input's count and frontier - l * right, and then the
-        rows of layer l-1 that no later position attends are dropped."""
-        left, right = self.config.mask.left, self.config.mask.right
+        """One pass over layers 1..L in order: layer l computes the positions
+        below both its input's count and frontier - l * right. Returns the
+        top-level rows not returned before."""
+        left, right, w = self.config.mask.left, self.config.mask.right, self.width
         for l, layer in enumerate(self.params.layers, start=1):
-            src, base = self.rows[l - 1], self.first[l - 1]
-            qkv, at = self.qkv[l - 1], self.start[l - 1] - base  # position p is column p + at
-            below = base + len(src)
-            done = self.first[l] + len(self.rows[l])
-            for q in range(done, min(below, frontier - l * right)):
-                lo = 0 if left is None else max(0, q - left)
-                window = qkv[:, lo + at:min(q + right + 1, below) + at]
+            src, qkv, below = self.rows[l - 1], self.qkv[l - 1], self.count[l - 1]
+            for q in range(self.count[l], min(below, frontier - l * right)):
+                lo = max(0, q - left)
+                window = qkv[:, lo % w:lo % w + min(q + right + 1, below) - lo]
                 self._append(l, att.encoder_layer_step(
-                    src[q - base], window, q - lo, layer, self.params, self.config, self.counters))
-            if left is not None:
-                stale = max(0, self.first[l] + len(self.rows[l]) - left - base)
-                del src[:stale]
-                self.first[l - 1] += stale
-                self.start[l - 1] += stale
-        top = self.rows[-1]
-        self.rows[-1] = []
-        self.first[-1] += len(top)
-        return [att.final_norm(row, self.config, self.params) for row in top]
+                    src[q % w], window, q - lo, layer, self.params, self.config, self.counters))
+        top = [att.final_norm(self.rows[-1][p % w], self.config, self.params)
+               for p in range(self.emitted, self.count[-1])]
+        self.emitted = self.count[-1]
+        return top
 
 
 class LabelState:
@@ -469,8 +453,6 @@ class StreamState:
     def __init__(self, model: TransducerModel,
                  max_symbols_per_frame: int = DecodeOptions.max_symbols_per_frame,
                  record_activations: bool = False):
-        if not model.config.audio.mask.is_finite:
-            raise ValueError("streaming requires a finite audio attention window on both sides")
         DecodeOptions(max_symbols_per_frame=max_symbols_per_frame)  # the range check
         self.model = model
         self.max_symbols_per_frame = max_symbols_per_frame

@@ -5,7 +5,7 @@ Each layer keeps, per cached row, a tuple of that row's ln1 output and its
 keys and values (`key_value_row`). Every step copies its window's keys and
 values into fresh arrays, projects its query row, and recomputes the clipped
 relative offsets. ttkit's `decode.IncrementalEncoder` computes each row's
-query, key and value once into contiguous per-layer buffers and reads its
+query, key and value once into fixed per-layer buffers and reads its
 offset table from a cache; the floating-point operations are the same, so
 its rows equal this one's bit for bit.
 

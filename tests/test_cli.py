@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttkit import cli
 from ttkit import decode as dec
 from ttkit import train as trn
 from ttkit.attention import AttentionMask
@@ -499,6 +500,23 @@ def test_cli_decode_options_out_of_range_exit_2(trained, capsys, argv):
     assert "error: beam_width and max_symbols_per_frame must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["greedy", "stream"])
+@pytest.mark.parametrize("flag", ["--lm-weight", "--length-bonus"])
+def test_cli_decode_fusion_flags_outside_beam_exit_2(trained, tmp_path, capsys, monkeypatch, mode, flag):
+    """A fusion flag only beam search reads is refused before the checkpoint
+    loads, with nothing written."""
+    loads = []
+    monkeypatch.setattr(cli, "_load_checkpoint_or_exit", lambda path: loads.append(path))
+    out = tmp_path / "hyp.txt"
+    code = main(["decode", "--checkpoint", trained["ckpt"], "--dataset", trained["data"], "--mode", mode,
+                 flag, "0.5", "--lm-dataset", trained["data"], "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and loads == [] and not out.exists()
+    assert captured.err.splitlines()[0].startswith("resolved config: ")
+    assert captured.err.splitlines()[-1] == "error: --lm-weight and --length-bonus apply only to --mode beam"
+
+
 def test_negative_max_relative_offset_is_config_error():
     doc = base_config()
     doc["model"]["label"]["max_relative_offset"] = -1
@@ -759,7 +777,7 @@ def test_cli_flags_and_defaults_pinned():
 
 
 RECORD_BASE = {  # path values are file names in the test's directory
-    "decode": {"--checkpoint": "a.ttck", "--dataset": "a.ttds", "--lm-dataset": "a.ttds"},
+    "decode": {"--checkpoint": "a.ttck", "--dataset": "a.ttds", "--mode": "beam", "--lm-dataset": "a.ttds"},
     "eval": {"--checkpoint": "a.ttck", "--dataset": "a.ttds"},
     "gen-data": {"--out": "gen.ttds", "--size": "4"},
 }

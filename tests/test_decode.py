@@ -633,27 +633,34 @@ def test_stream_constant_per_frame_work():
 
 @pytest.mark.parametrize("left, right, layers", [(2, 1, 3), (1, 2, 3), (0, 3, 2), (4, 1, 1)])
 def test_incremental_encoder_holds_at_most_one_window_per_layer(monkeypatch, left, right, layers):
-    """Rows no later position can attend are dropped as the stream goes, so
-    no layer ever holds more than one attention window, in the end-of-stream
-    drain too."""
+    """Every window a layer step attends is at most left + right + 1
+    columns of the level's buffer, a view into it, in the end-of-stream
+    drain too; and the buffers allocated up front serve the whole stream."""
     model = small_model(audio_mask=AttentionMask(left, right), num_audio_layers=layers)
-    enc = dec.IncrementalEncoder(model.config.audio, model.params.audio)
-    held = []
+    params = model.params.audio
+    enc = dec.IncrementalEncoder(model.config.audio, params)
+    rows, qkv = enc.rows, enc.qkv
+    buffers = [list(level) for level in (rows, qkv)]
+    windows = []
     step = att.encoder_layer_step
 
-    def recording_step(*args, **kw):
-        held.append(max(len(rows) for rows in enc.rows))
-        return step(*args, **kw)
+    def recording_step(x_row, window, q_local, layer, *args, **kw):
+        below = enc.qkv[next(i for i, p in enumerate(params.layers) if p is layer)]
+        windows.append((window.shape[1], np.shares_memory(window, below)))
+        return step(x_row, window, q_local, layer, *args, **kw)
 
     monkeypatch.setattr(att, "encoder_layer_step", recording_step)
     out = []
-    for row in Rng(14).normal((20, model.config.audio.input_dim)):
+    for row in Rng(14).normal((200, model.config.audio.input_dim)):
         out += enc.push(row)
-    drained = len(held)
+    drained = len(windows)
     out += enc.finish()
-    assert len(out) == 20
-    assert len(held) - drained == layers * (layers + 1) // 2 * right  # the drain steps
-    assert max(held) <= left + right + 1
+    assert len(out) == 200
+    assert len(windows) - drained == layers * (layers + 1) // 2 * right  # the drain steps
+    assert max(width for width, _ in windows) <= left + right + 1
+    assert all(view for _, view in windows)
+    assert enc.rows is rows and enc.qkv is qkv
+    assert all(a is b for level, before in zip((rows, qkv), buffers) for a, b in zip(level, before))
 
 
 def test_incremental_encoder_computes_each_key_value_row_once(monkeypatch):
@@ -678,25 +685,26 @@ def test_incremental_encoder_computes_each_key_value_row_once(monkeypatch):
     assert calls == [20, 20, 20]
 
 
-@pytest.mark.parametrize("left, right, layers", [(2, 1, 3), (1, 2, 3), (0, 3, 2), (4, 1, 1), (None, 1, 2)])
+@pytest.mark.parametrize("left, right, layers", [(2, 1, 3), (1, 2, 3), (0, 3, 2), (4, 1, 1)])
 def test_incremental_encoder_key_value_cache_follows_rows(monkeypatch, left, right, layers):
-    """After every push and every drain step, the live columns of `qkv[l]`
-    hold one entry per row of `rows[l]`, and each entry is that row's
-    `qkv_row`."""
+    """After every push and every drain step, both mirrored columns of each
+    level's newest min(count, W) positions hold the `qkv_row` of the row in
+    that position's slot."""
     model = small_model(audio_mask=AttentionMask(left, right), num_audio_layers=layers)
     cfg, params = model.config.audio, model.params.audio
     enc = dec.IncrementalEncoder(cfg, params)
+    w = left + right + 1
     advance = enc._advance
     checked = []
 
     def checking_advance(frontier):
         top = advance(frontier)
         assert len(enc.qkv) == layers
-        for rows, buf, at, layer, weights in zip(enc.rows, enc.qkv, enc.start, params.layers, enc.weights):
-            kv = buf[:, at:at + len(rows)]
-            assert kv.shape[1] == len(rows)
-            for i, row in enumerate(rows):
-                np.testing.assert_array_equal(kv[:, i], att.qkv_row(row, layer, weights, cfg))
+        for rows, buf, count, layer, weights in zip(enc.rows, enc.qkv, enc.count, params.layers, enc.weights):
+            for p in range(max(0, count - w), count):
+                want = att.qkv_row(rows[p % w], layer, weights, cfg)
+                np.testing.assert_array_equal(buf[:, p % w], want)
+                np.testing.assert_array_equal(buf[:, p % w + w], want)
         checked.append(frontier)
         return top
 
@@ -705,6 +713,13 @@ def test_incremental_encoder_key_value_cache_follows_rows(monkeypatch, left, rig
         enc.push(row)
     enc.finish()
     assert len(checked) == 20 + layers * right
+
+
+@pytest.mark.parametrize("mask", [AttentionMask(None, 1), AttentionMask(2, None)], ids=["left", "right"])
+def test_incremental_encoder_rejects_unbounded_masks(mask):
+    model = small_model()
+    with pytest.raises(ValueError, match="finite attention window on both sides"):
+        dec.IncrementalEncoder(dataclasses.replace(model.config.audio, mask=mask), model.params.audio)
 
 
 def randomized(params, seed: int):
@@ -717,23 +732,27 @@ def randomized(params, seed: int):
 
 
 @settings(max_examples=150, deadline=None)
-@given(left=st.one_of(st.none(), st.integers(0, 12)), right=st.integers(0, 3), layers=st.integers(0, 3),
-       heads=st.integers(1, 3), head_dim=st.integers(1, 4), length=st.integers(1, 60),
-       max_offset=st.integers(0, 14), seed=st.integers(0, 2**16))
-@example(left=10, right=0, layers=2, heads=2, head_dim=4, length=60, max_offset=12, seed=0)
-@example(left=None, right=2, layers=3, heads=3, head_dim=3, length=40, max_offset=5, seed=1)
-def test_incremental_encoder_equals_list_window_reference(left, right, layers, heads, head_dim, length,
-                                                          max_offset, seed):
-    """The buffered encoder emits the list-window reference's rows bit for
-    bit, with the same score count; so do label states, which carry their
-    windows, against the reference's clone-per-state ones, through
-    `advanced` from any earlier state and through `advance` in place."""
+@given(left=st.integers(0, 12), label_left=st.one_of(st.none(), st.integers(0, 12)), right=st.integers(0, 3),
+       layers=st.integers(0, 3), heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+       frames=st.integers(1, 120), length=st.integers(1, 60), max_offset=st.integers(0, 14),
+       seed=st.integers(0, 2**16))
+@example(left=10, label_left=10, right=0, layers=2, heads=2, head_dim=4, frames=60, length=60, max_offset=12,
+         seed=0)
+@example(left=2, label_left=None, right=2, layers=3, heads=3, head_dim=3, frames=120, length=40, max_offset=5,
+         seed=1)
+def test_incremental_encoder_equals_list_window_reference(left, label_left, right, layers, heads, head_dim,
+                                                          frames, length, max_offset, seed):
+    """The windowed encoder emits the list-window reference's rows bit for
+    bit, with the same score count, over streams that wrap its window many
+    times; so do label states, which carry their windows, against the
+    reference's clone-per-state ones, through `advanced` from any earlier
+    state and through `advance` in place."""
     cfg = EncoderConfig(num_layers=layers, model_dim=6, ff_dim1=7, ff_dim2=6, num_heads=heads,
                         head_dim=head_dim, mask=AttentionMask(left, right), input_dim=6,
                         dropout_ratio=0.0, max_relative_offset=max_offset)
     params = randomized(att.encoder_param_spec(cfg).transform(lambda spec: spec.materialize(Rng(0))), seed)
     rng = Rng(seed + 1)
-    rows = rng.substream("rows").normal((length, cfg.input_dim))
+    rows = rng.substream("rows").normal((frames, cfg.input_dim))
     outputs = []
     for cls in (dec.IncrementalEncoder, reference_stream.IncrementalEncoder):
         counters = att.Counters()
@@ -741,13 +760,13 @@ def test_incremental_encoder_equals_list_window_reference(left, right, layers, h
         out = [r for row in rows for r in enc.push(row)] + enc.finish()
         outputs.append((out, counters.attention_scores))
     (got, got_scores), (want, want_scores) = outputs
-    assert len(got) == len(want) == length and got_scores == want_scores
+    assert len(got) == len(want) == frames and got_scores == want_scores
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
     label_model = init_model(ModelConfig(
         vocab_size=5, feature_dim=2, joint_dim=5, audio=trivial_encoder_config(AttentionMask(2, 0)),
-        label=dataclasses.replace(cfg, mask=AttentionMask(left, 0)), frontend=FrontendConfig()), Rng(0))
+        label=dataclasses.replace(cfg, mask=AttentionMask(label_left, 0)), frontend=FrontendConfig()), Rng(0))
     randomized(label_model.params, seed)
     labels = rng.substream("labels").integers(1, label_model.config.vocab_size, length).tolist()
     picks = rng.substream("picks").integers(0, length + 1, length).tolist()

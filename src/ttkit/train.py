@@ -8,10 +8,16 @@ linearly from zero to the peak rate, holds, then decays geometrically to the
 final rate. Weight noise perturbs only the forward pass:
 noisy views are graph nodes over the stored leaves, so gradients land on the
 stored parameters while updates point against the perturbed loss.
+
+A training run keeps freed heap mapped for its whole process (glibc's mmap
+and trim thresholds): otherwise each step's MBs of grid and backward
+temporaries go back to the kernel and the next step faults them in again.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
 import struct
@@ -84,6 +90,11 @@ class TrainConfig:
             raise ValueError("weight_noise_sigma must be >= 0")
         if self.grad_clip_norm <= 0:
             raise ValueError("grad_clip_norm must be positive")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError(f"adam_beta1 and adam_beta2 must be in [0, 1), got "
+                             f"{self.adam_beta1}, {self.adam_beta2}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 class Adam:
@@ -175,13 +186,31 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     return value
 
 
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Serve arrays up to 32 MiB (glibc's 64-bit cap) from the heap, not from
+    mappings that `free` unmaps, and trim the heap only past 64 MiB, where
+    glibc's dynamic rule ends up; either alone still left hundreds of faults
+    per long step. A no-op without `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: TrainConfig,
                out_dir=None, log_fn=None) -> list[float]:
     """Run `total_steps` over the dataset in fixed batch order, optionally
     writing periodic checkpoints and per-step metric records. A non-finite
     loss raises `NumericsError` before the step touches the parameters; with
     an `out_dir`, the model as the last good step left it is first saved to
-    `ckpt_last_good.ttck`, and the error names that file."""
+    `ckpt_last_good.ttck`, and the error names that file. The first call
+    sets the heap thresholds for the whole process (`_keep_heap_mapped`), so
+    a step reuses the memory the step before it freed."""
+    _keep_heap_mapped()
     optimizer = Adam(model, cfg)
     rng = Rng(cfg.seed)
     utts = dataset.utterances

@@ -206,6 +206,14 @@ CONFIG_ERRORS = [
     (("train", "seed"), 3, "config.train.seed: unknown key"),
     (("train", "grad_clip_norm"), 0.0, "config.train: grad_clip_norm must be positive"),
     (("train", "weight_noise_sigma"), -0.1, "config.train: weight_noise_sigma must be >= 0"),
+    (("train", "adam_beta1"), 1.0,
+     "config.train: adam_beta1 and adam_beta2 must be in [0, 1), got 1.0, 0.999"),
+    (("train", "adam_beta1"), -0.1,
+     "config.train: adam_beta1 and adam_beta2 must be in [0, 1), got -0.1, 0.999"),
+    (("train", "adam_beta2"), 1.5,
+     "config.train: adam_beta1 and adam_beta2 must be in [0, 1), got 0.9, 1.5"),
+    (("train", "adam_eps"), 0.0, "config.train: adam_eps must be positive, got 0.0"),
+    (("train", "adam_eps"), -1e-08, "config.train: adam_eps must be positive, got -1e-08"),
     (("decode",), {"beam_width": 0},
      "config.decode: beam_width and max_symbols_per_frame must be >= 1"),
     (("decode",), {"max_symbols_per_frame": 0},

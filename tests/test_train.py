@@ -1,9 +1,14 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
 import os
+import platform
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -257,6 +262,78 @@ def test_train_loop_rerun_into_same_dir_keeps_only_its_metrics(tmp_path):
         train_loop(model, data, sched, cfg, out_dir=tmp_path)
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(line)["step"] for line in lines] == list(range(cfg.total_steps))
+
+
+def _has_glibc_mallopt() -> bool:
+    if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# Runs in a fresh interpreter, so its heap holds nothing but this run.
+_FAULTS_PER_STEP = """
+import dataclasses, json, resource, sys
+from ttkit.config import load_run_config
+from ttkit.model import init_model
+from ttkit.tasks import SyntheticTaskConfig, gen_synthetic
+from ttkit.tensor import Rng
+from ttkit.train import train_loop
+
+run = load_run_config(sys.argv[1])
+steps = 12
+data = gen_synthetic(SyntheticTaskConfig(
+    vocab=run.model.vocab_size - 1, label_len=(12, 20), frames_per_label=(3, 6),
+    feature_dim=run.model.feature_dim, noise_sigma=0.3, size=4 * steps, seed=0))
+cfg = dataclasses.replace(run.train, batch_size=4, total_steps=steps, seed=0)
+marks = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
+train_loop(init_model(run.model, Rng(0)), data, run.schedule, cfg,
+           log_fn=lambda record: marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
+"""
+
+
+@pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs glibc's mallopt")
+def test_long_train_steps_reuse_freed_heap():
+    """After the first steps have grown the heap, a step on long utterances
+    (the desk model at batch 4, 12-20 labels, 3-6 frames per label) reuses
+    the memory the step before it freed. Were it handed back to the kernel,
+    each step would fault in about 1,300 pages again."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, str(root / "configs" / "desk.json")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    faults = json.loads(out)
+    assert len(faults) == 12
+    assert np.mean(faults[2:]) < 300, faults
+
+
+@pytest.mark.parametrize("cdll", [mock.Mock(side_effect=OSError("no C library")),
+                                  mock.Mock(side_effect=TypeError("no handle")),
+                                  mock.Mock(return_value=object())],
+                         ids=["oserror", "typeerror", "no-mallopt"])
+def test_train_loop_runs_without_mallopt(cdll):
+    """Where the C library cannot be loaded or has no `mallopt`, training
+    runs as it does with the heap thresholds set, to the same bits."""
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=4, total_steps=3, seed=0)
+
+    def run():
+        model, data = tiny_setup(seed=5)
+        return train_loop(model, data, sched, cfg), checkpoint_bytes(model)
+
+    want = run()
+    trn._keep_heap_mapped.cache_clear()
+    try:
+        with mock.patch.object(trn.ctypes, "CDLL", cdll):
+            got = run()
+    finally:
+        trn._keep_heap_mapped.cache_clear()
+    cdll.assert_called_once_with(None)
+    assert got == want
 
 
 # ----------------------------------------------------------- checkpoints

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import checks
 from . import decode as dec
+from . import train as trn
 from . import transducer as tr
 from .config import ConfigError, load_run_config, resolved_config_dict
 from .decode import BigramLm, DecodeOptions, FusionConfig, StreamState
@@ -159,6 +160,7 @@ def cmd_decode(args) -> int:
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config, labels=False)
     fusion = _build_fusion(args, model)
+    trn._keep_heap_mapped()  # a decode frees and reuses its temporaries as a training step does
     transcripts = _transcribe(model, data, args.mode, opts, fusion)
     # opened before decoding, so a path that cannot be written fails at once
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
@@ -175,6 +177,7 @@ def cmd_eval(args) -> int:
     _check_fits(data, args.dataset, model.config)
     if not any(utt.labels for utt in data.utterances):
         raise UsageError(f"dataset {args.dataset} has no reference labels to score against")
+    trn._keep_heap_mapped()
     per_utt = [{"id": utt.id, "ref_len": len(utt.labels), "errors": edit_distance(utt.labels, hyp),
                 "ref": utt.labels, "hyp": hyp}
                for utt, hyp in _transcribe(model, data, args.mode, opts, None)]

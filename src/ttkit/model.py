@@ -2,7 +2,9 @@
 
 Ties the encoder stacks and joint parameters to a vocabulary and frontend so
 training, decoding, and checkpointing can treat the whole model as one unit
-with a flat named-parameter view.
+with a flat named-parameter view. A model made by `init_model` or
+`train.load_checkpoint` stores every parameter in one contiguous buffer
+(`tensor.FlatParams`), which training updates as a whole.
 
 An `Rng` passed to the forward methods means training: SpecAugment and
 dropout draw from its labeled substreams. Without one they are skipped. A
@@ -23,7 +25,7 @@ from . import tensor as tt
 from . import transducer as tr
 from .attention import AttentionMask, Counters, EncoderConfig, EncoderParams
 from .frontend import FrontendConfig
-from .tensor import BatchRng, ParamSpec, ParamTree, Rng, Tensor
+from .tensor import BatchRng, FlatParams, ParamSpec, ParamTree, Rng, Tensor, flat_params
 from .transducer import JointParams, LogProbGrid
 
 
@@ -72,10 +74,15 @@ def param_spec(config: ModelConfig) -> ModelParams:
 
 
 class TransducerModel:
-    def __init__(self, config: ModelConfig, params: ModelParams, counters: Counters | None = None):
+    """`flat` is the storage of `params` in a model that trains; a model
+    over substituted parameters (`with_params`) has none."""
+
+    def __init__(self, config: ModelConfig, params: ModelParams, counters: Counters | None = None,
+                 flat: FlatParams | None = None):
         self.config = config
         self.params = params
         self.counters = counters if counters is not None else Counters()
+        self.flat = flat
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return list(self.params.named())
@@ -179,7 +186,11 @@ def _substream(rng: Rng | Sequence[Rng] | None, label: str, lengths) -> Rng | Ba
 
 
 def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
-    return TransducerModel(config, param_spec(config).transform(lambda spec: spec.materialize(rng)))
+    def draw(_, spec: ParamSpec, out: np.ndarray):
+        out[...] = spec.materialize(rng).values
+
+    params, flat = flat_params(param_spec(config), draw)
+    return TransducerModel(config, params, flat=flat)
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:

@@ -96,9 +96,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, leaf={self.backward_fn is None})"
 
@@ -406,3 +403,47 @@ class ParamTree:
 
     def transform(self, fn: Callable[[object], object]):
         return self.map(lambda _, value: fn(value))
+
+
+class FlatParams(NamedTuple):
+    """A parameter tree's storage: every leaf's values are a view of one
+    contiguous float64 buffer, in named order, so a whole-model update is a
+    few ops over the buffer."""
+
+    values: np.ndarray      # every parameter, flat, in named order
+    leaves: list[Tensor]    # the parameters, in named order
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """A buffer of the same layout (gradients, moments) cut into one
+        view per parameter, shaped like it, in named order."""
+        return _cut(flat, [p.shape for p in self.leaves])
+
+
+def _cut(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """`flat` cut into consecutive views of the given shapes: the layout of
+    a `FlatParams` buffer."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def flat_params(spec: ParamTree, fill: Callable[[str, ParamSpec, np.ndarray], None]
+                ) -> tuple[ParamTree, FlatParams]:
+    """The tree of `spec` with each leaf a `Tensor` over its slice of one
+    parameter buffer, first written by `fill(name, leaf_spec, slice)`, and
+    that storage."""
+    named = list(spec.named())
+    values = np.empty(sum(s.size for _, s in named))
+    views = iter(_cut(values, [s.shape for _, s in named]))
+    leaves: list[Tensor] = []
+
+    def leaf(name: str, s: ParamSpec) -> Tensor:
+        view = next(views)
+        fill(name, s, view)
+        leaves.append(Tensor(view))
+        return leaves[-1]
+
+    return spec.map(leaf), FlatParams(values, leaves)

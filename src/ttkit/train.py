@@ -8,10 +8,14 @@ linearly from zero to the peak rate, holds, then decays geometrically to the
 final rate. Weight noise perturbs only the forward pass:
 noisy views are graph nodes over the stored leaves, so gradients land on the
 stored parameters while updates point against the perturbed loss.
+Gradients accumulate into one flat buffer that the optimizer holds, so
+clipping scales it in one op and Adam updates parameters and moments in a
+few ops per fixed block.
 
 A training run keeps freed heap mapped for its whole process (glibc's mmap
 and trim thresholds): otherwise each step's MBs of grid and backward
 temporaries go back to the kernel and the next step faults them in again.
+`ttkit decode` and `eval` set the same thresholds before decoding.
 """
 
 from __future__ import annotations
@@ -30,8 +34,12 @@ import numpy as np
 from . import tensor as tt
 from .model import ModelParams, TransducerModel, model_config_from_dict, param_spec
 from .tasks import BinaryReader, Utterance
-from .tensor import NumericsError, Rng, Tensor, backward
+from .tensor import NumericsError, Rng, Tensor, backward, flat_params
 from .transducer import batch_loss
+
+
+# elements per block of an Adam update: its two scratch blocks stay in cache
+ADAM_BLOCK = 8192
 
 
 class CheckpointFormatError(ValueError):
@@ -98,43 +106,64 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction, stepping every
-    parameter in the fixed named order."""
+    """Adaptive moment estimation with bias correction over a model's flat
+    parameter buffer (`model.flat`). The optimizer holds the gradient buffer
+    and both moments, each of the parameters' layout, in one allocation;
+    each step runs the per-element update over fixed blocks of them, so its
+    scratch is two blocks, not full-size temporaries. Every op is
+    elementwise, so the layout changes no bit."""
 
     def __init__(self, model: TransducerModel, cfg: TrainConfig):
         self.cfg = cfg
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in model.named_params()}
-        self.v = {name: np.zeros_like(p.values) for name, p in model.named_params()}
+        self.values, self.leaves = model.flat
+        self.grads, self.m, self.v = np.zeros((3, self.values.size))
+        self.grad_views = model.flat.views(self.grads)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, self.values.size)))
 
-    def step(self, model: TransducerModel, grads: dict[str, np.ndarray], lr: float):
+    def zero_grad(self):
+        """Zero the gradient buffer and point each parameter's `.grad` at
+        its view of it, so backward accumulates into the buffer in place."""
+        self.grads.fill(0.0)
+        for p, g in zip(self.leaves, self.grad_views):
+            p.grad = g
+
+    def step(self, lr: float):
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.adam_beta1 ** self.t
         bc2 = 1.0 - c.adam_beta2 ** self.t
-        for name, p in model.named_params():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
+        for lo in range(0, self.values.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            p, g, m, v = self.values[lo:hi], self.grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            delta, denom = self._scratch[:, :len(p)]
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), in that operand order
             m *= c.adam_beta1
-            m += (1.0 - c.adam_beta1) * g
+            m += np.multiply(1.0 - c.adam_beta1, g, out=delta)
             v *= c.adam_beta2
-            v += (1.0 - c.adam_beta2) * g * g
-            p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+            np.multiply(1.0 - c.adam_beta2, g, out=delta)
+            v += np.multiply(delta, g, out=delta)
+            np.divide(m, bc1, out=delta)
+            np.multiply(lr, delta, out=delta)
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += c.adam_eps
+            p -= np.divide(delta, denom, out=delta)
 
 
 def global_norm(grads: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients down so their global norm is at most `max_norm`;
-    direction is preserved. Returns the pre-clip norm."""
-    norm = global_norm(list(grads.values()))
+def clip_gradients(grads: np.ndarray, views: Sequence[np.ndarray], max_norm: float) -> float:
+    """Scale the flat gradient buffer `grads` down so its global norm is at
+    most `max_norm`; direction is preserved. The squares are summed over
+    `views`, its per-parameter views in named order, one at a time, so the
+    norm's additions are those of per-array gradients. Returns the pre-clip
+    norm."""
+    norm = global_norm(views)
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm
 
 
@@ -150,21 +179,25 @@ def apply_weight_noise(params: ModelParams, sigma: float, step: int,
 
 
 def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utterance],
-               step: int, schedule: ScheduleConfig, cfg: TrainConfig, rng: Rng) -> float:
-    """One optimization step over a batch; returns the batch loss.
+               step: int, schedule: ScheduleConfig, cfg: TrainConfig, rng: Rng,
+               stats: dict | None = None) -> float:
+    """One optimization step over a batch; returns the batch loss, and puts
+    the pre-clip gradient norm (`grad_norm`) and whether clipping fired
+    (`clipped`) into `stats` when given one.
 
     Deterministic for a given (seed, step): augmentation, dropout, and noise
     all draw from labeled sub-streams keyed by the step and example index.
     Passing each example its `Rng` is what makes the forward pass a training
-    one; each regularizer's own config decides whether it runs.
+    one; each regularizer's own config decides whether it runs. Each
+    parameter's `.grad` is its view of the optimizer's zeroed gradient
+    buffer, so backward accumulates straight into the buffer that clipping
+    and Adam update as a whole.
     """
     if not batch:
         raise ValueError("train_step needs a non-empty batch")
     lr = lr_at(step, schedule)
     step_rng = rng.substream(f"step{step}")
-    named = model.named_params()
-    for _, p in named:
-        p.zero_grad()
+    optimizer.zero_grad()
 
     fwd = model.with_params(apply_weight_noise(
         model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
@@ -179,10 +212,10 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
         raise NumericsError(f"non-finite loss {value} at step {step} (examples {ids})")
     backward(loss)
 
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.values))
-             for name, p in named}
-    clip_gradients(grads, cfg.grad_clip_norm)
-    optimizer.step(model, grads, lr)
+    norm = clip_gradients(optimizer.grads, optimizer.grad_views, cfg.grad_clip_norm)
+    optimizer.step(lr)
+    if stats is not None:
+        stats.update(grad_norm=norm, clipped=norm > cfg.grad_clip_norm)
     return value
 
 
@@ -226,8 +259,9 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
     for step in range(cfg.total_steps):
         at = (step * cfg.batch_size) % len(utts)
         batch = [utts[(at + k) % len(utts)] for k in range(cfg.batch_size)]
+        stats = {}
         try:
-            loss = train_step(model, optimizer, batch, step, schedule, cfg, rng)
+            loss = train_step(model, optimizer, batch, step, schedule, cfg, rng, stats)
         except NumericsError as e:
             if out_dir is None:
                 raise
@@ -235,7 +269,7 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
             save_checkpoint(model, path)
             raise NumericsError(f"{e}; the last good parameters are in {path}") from e
         losses.append(loss)
-        record = {"step": step, "loss": loss, "lr": lr_at(step, schedule),
+        record = {"step": step, "loss": loss, **stats, "lr": lr_at(step, schedule),
                   "wall_clock": time.monotonic() - start}
         if metrics_path is not None:
             with open(metrics_path, "a") as f:
@@ -288,8 +322,9 @@ def save_checkpoint(model: TransducerModel, path):
 
 def load_checkpoint(path) -> TransducerModel:
     """Rebuild the model from the embedded config and stored tensors. Tensor
-    names and shapes must agree exactly with the config's `param_spec`; the
-    parameters are copies of the stored arrays, and nothing is drawn."""
+    names and shapes must agree exactly with the config's `param_spec`; each
+    stored array is copied into its slice of the model's parameter buffer,
+    and nothing is drawn."""
     with open(path, "rb") as f:
         r = BinaryReader(f.read(), CheckpointFormatError, _MAGIC, _VERSION, "checkpoint")
     doc = r.text()
@@ -323,5 +358,8 @@ def load_checkpoint(path) -> TransducerModel:
         if values.shape != expected[name].shape:
             raise CheckpointFormatError(f"shape disagreement for {name!r}: file has {values.shape}, "
                                         f"config implies {expected[name].shape}")
-    # the stored arrays are read-only views of the file's bytes
-    return TransducerModel(config, spec.map(lambda name, _: Tensor(stored[name].copy())))
+    def copy(name: str, _, out: np.ndarray):
+        out[...] = stored[name]  # a read-only view of the file's bytes
+
+    params, flat = flat_params(spec, copy)
+    return TransducerModel(config, params, flat=flat)

@@ -8,6 +8,12 @@ loss adds one lattice node per example. That is the arithmetic ttkit
 trained with before the batch axis, so this step reproduces its pinned
 training bytes exactly, while the batched step agrees with it within
 rounding. Randomness is drawn from the same per-example substreams.
+
+Its optimizer is the per-array one ttkit stepped with before the flat
+parameter buffer: a gradient dict of per-leaf copies, clipped array by array,
+and an `Adam` with one moment array per parameter. It is also the reference
+for the flat `ttkit.train.Adam` and `clip_gradients`, which must match it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +27,48 @@ from ttkit import attention as att
 from ttkit import tensor as tt
 from ttkit import transducer as tr
 from ttkit.tensor import NumericsError, ShapeError, Tensor, backward
-from ttkit.train import apply_weight_noise, clip_gradients, lr_at
+from ttkit.train import apply_weight_noise, lr_at
+
+
+class Adam:
+    """Adaptive moment estimation with bias correction, stepping every
+    parameter in the fixed named order, one array at a time."""
+
+    def __init__(self, model, cfg):
+        self.cfg = cfg
+        self.t = 0
+        self.m = {name: np.zeros_like(p.values) for name, p in model.named_params()}
+        self.v = {name: np.zeros_like(p.values) for name, p in model.named_params()}
+
+    def step(self, model, grads: dict[str, np.ndarray], lr: float):
+        c = self.cfg
+        self.t += 1
+        bc1 = 1.0 - c.adam_beta1 ** self.t
+        bc2 = 1.0 - c.adam_beta2 ** self.t
+        for name, p in model.named_params():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= c.adam_beta1
+            m += (1.0 - c.adam_beta1) * g
+            v *= c.adam_beta2
+            v += (1.0 - c.adam_beta2) * g * g
+            p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+
+
+def global_norm(grads) -> float:
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+
+
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients down so their global norm is at most `max_norm`;
+    direction is preserved. Returns the pre-clip norm."""
+    norm = global_norm(list(grads.values()))
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
 
 
 def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):
@@ -96,13 +143,14 @@ def batch_loss(items) -> Tensor:
     return ops.neg(total)
 
 
-def train_step(model, optimizer, batch, step, schedule, cfg, rng) -> float:
-    """`ttkit.train.train_step` with one graph per example."""
+def train_step(model, optimizer, batch, step, schedule, cfg, rng, stats=None) -> float:
+    """`ttkit.train.train_step` with one graph per example, stepping this
+    module's `Adam` over a dict of per-leaf gradient copies."""
     lr = lr_at(step, schedule)
     step_rng = rng.substream(f"step{step}")
     named = model.named_params()
     for _, p in named:
-        p.zero_grad()
+        p.grad = None
     fwd = model.with_params(apply_weight_noise(
         model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
     items = [(example_grid(fwd, utt.features, utt.labels, step_rng.substream(f"ex{i}")), utt.labels)
@@ -113,6 +161,8 @@ def train_step(model, optimizer, batch, step, schedule, cfg, rng) -> float:
         raise NumericsError(f"non-finite loss {value} at step {step}")
     backward(loss)
     grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.values)) for name, p in named}
-    clip_gradients(grads, cfg.grad_clip_norm)
+    norm = clip_gradients(grads, cfg.grad_clip_norm)
     optimizer.step(model, grads, lr)
+    if stats is not None:
+        stats.update(grad_norm=norm, clipped=norm > cfg.grad_clip_norm)
     return value

@@ -212,7 +212,7 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
                lambda c: ops.multi_head_attention(queries, layer, params, cfg, mask, c),
                lambda c: composed_multi_head_attention(queries, layer, params, cfg, positions, mask, c)):
         for p in parents:
-            p.zero_grad()
+            p.grad = None
         counters = att.Counters()
         out = fn(counters)
         backward(ops.tsum(ops.mul(out, upstream)))
@@ -292,7 +292,7 @@ def test_banded_attention_matches_dense(lengths, batched, left, right, offset_ch
                lambda c: ops.multi_head_attention(h, params.layers[0], params, cfg, dense_mask, c,
                                                   node_lengths)):
         for p in parents:
-            p.zero_grad()
+            p.grad = None
         counters = att.Counters()
         out = fn(counters)
         backward(ops.tsum(ops.mul(out, upstream)))
@@ -357,7 +357,7 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
     def grads():
         out = [p.grad.copy() if p.grad is not None else np.zeros(p.shape) for _, p in params.named()]
         for _, p in params.named():
-            p.zero_grad()
+            p.grad = None
         return out
 
     counters = att.Counters()

@@ -427,6 +427,17 @@ def test_cli_decode_beam_width_1_equals_greedy(trained, capsys):
     assert greedy_out == beam_out
 
 
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_cli_decode_and_eval_keep_the_heap_mapped(trained, capsys, monkeypatch, command):
+    """Both commands set the heap thresholds a training run sets, once,
+    before the first utterance is decoded."""
+    calls = []
+    monkeypatch.setattr(trn, "_keep_heap_mapped", lambda: calls.append("heap"))
+    monkeypatch.setattr(cli, "_decode", lambda *args: (calls.append("decode"), [])[1])
+    assert main([command, "--checkpoint", trained["ckpt"], "--dataset", trained["data"]]) == 0
+    assert calls == ["heap"] + ["decode"] * 24
+
+
 def test_cli_decode_output_file_and_ordering(trained, tmp_path):
     out = tmp_path / "hyp.txt"
     assert main(["decode", "--checkpoint", trained["ckpt"], "--dataset", trained["data"],

@@ -139,7 +139,7 @@ def _fused_and_composed(fused, composed, inputs, upstream):
     out = []
     for fn in (fused, composed):
         for t in inputs:
-            t.zero_grad()
+            t.grad = None
         y = fn(*inputs)
         finite = np.isfinite(y.values)
         backward(ops.tsum(ops.mul(ops.getitem(y, finite), Tensor(upstream[finite]))))

@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import struct
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,7 @@ from ttkit.config import load_run_config
 from ttkit.frontend import FrontendConfig
 from ttkit.model import desk_config, init_model, model_config_from_dict, pad, param_spec
 from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
-from ttkit.tensor import NumericsError, Rng, Tensor, backward
+from ttkit.tensor import FlatParams, NumericsError, ParamSpec, ParamTree, Rng, Tensor, backward, flat_params
 from ttkit.transducer import LogProbGrid, rnnt_log_prob
 from ttkit.train import (
     Adam,
@@ -125,7 +127,7 @@ def test_weight_noise_mean_is_centered():
 # ------------------------------------------------------------- optimizer
 
 class _Shim:
-    """Minimal named-parameter holder for optimizer-only tests."""
+    """Minimal named-parameter holder for the reference optimizer."""
 
     def __init__(self, values):
         self.w = Tensor(values)
@@ -135,8 +137,10 @@ class _Shim:
 
 
 def test_adam_converges_on_quadratic():
+    # the reference Adam, which the flat one matches bit for bit
+    # (test_flat_clip_and_adam_match_the_per_array_reference)
     shim = _Shim(np.array([5.0]))
-    opt = Adam(shim, TrainConfig())
+    opt = reference_step.Adam(shim, TrainConfig())
     for _ in range(2000):
         grad = 2.0 * (shim.w.values - 3.0)
         opt.step(shim, {"w": grad}, lr=0.05)
@@ -156,23 +160,85 @@ def test_zero_lr_leaves_params_bitwise_unchanged():
     assert before == after  # lr_at(0) == 0
 
 
+@dataclasses.dataclass
+class _Leaves(ParamTree):
+    items: list
+
+
+def _flat(arrays) -> FlatParams:
+    """Flat storage of parameters holding `arrays`, in order."""
+    values = iter(arrays)
+
+    def fill(name, spec, out):
+        out[...] = next(values)
+
+    _, flat = flat_params(_Leaves([ParamSpec(np.shape(a)) for a in arrays]), fill)
+    return flat
+
+
 def test_clip_preserves_direction_and_caps_norm():
     rng = Rng(2)
-    grads = {"a": rng.normal((4, 4)), "b": rng.normal((7,))}
-    originals = {k: v.copy() for k, v in grads.items()}
-    norm = clip_gradients(grads, max_norm=0.5)
+    originals = [rng.normal((4, 4)), rng.normal((7,))]
+    flat = _flat(originals)
+    grads, views = flat.values, flat.views(flat.values)
+    norm = clip_gradients(grads, views, max_norm=0.5)
     assert norm > 0.5
-    assert global_norm(list(grads.values())) == pytest.approx(0.5, rel=1e-9)
-    for k in grads:
-        ratio = grads[k] / originals[k]
+    assert global_norm(views) == pytest.approx(0.5, rel=1e-9)
+    for g, original in zip(views, originals):
+        ratio = g / original
         np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-9)
 
 
 def test_clip_noop_below_threshold():
-    grads = {"a": np.array([0.3, 0.4])}
-    norm = clip_gradients(grads, max_norm=5.0)
+    grads = np.array([0.3, 0.4])
+    norm = clip_gradients(grads, [grads], max_norm=5.0)
     assert norm == pytest.approx(0.5)
-    np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
+    np.testing.assert_array_equal(grads, [0.3, 0.4])
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -2.5]),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       shapes=st.lists(st.lists(st.integers(1, 5), max_size=3).map(tuple), min_size=1, max_size=6),
+       steps=st.integers(1, 4),
+       block=st.sampled_from([1, 3, 8, trn.ADAM_BLOCK]),
+       max_norm=st.sampled_from([1e-3, 1.0, 1e30]),
+       lr=st.sampled_from([0.0, 1e-3, 0.5]))
+def test_flat_clip_and_adam_match_the_per_array_reference(data, shapes, steps, block, max_norm, lr):
+    """Several steps of the flat clip and Adam against the per-array ones of
+    `reference_step`, from the same parameters and gradients (zeros of both
+    signs among them), with clipping firing and not, and Adam blocks that
+    split parameters: parameters, moments and norms agree bit for bit."""
+    def arrays():
+        return [np.array(data.draw(st.lists(_FLOATS, min_size=math.prod(s), max_size=math.prod(s))),
+                         dtype=np.float64).reshape(s) for s in shapes]
+
+    cfg = TrainConfig(grad_clip_norm=max_norm)
+    flat = _flat(arrays())
+    named = [(f"p{i}", Tensor(p.values.copy())) for i, p in enumerate(flat.leaves)]
+    ref = SimpleNamespace(named_params=lambda: named)
+
+    def joined(arrays):
+        return b"".join(a.tobytes() for a in arrays)
+
+    with mock.patch.object(trn, "ADAM_BLOCK", block):
+        opt, ref_opt = Adam(SimpleNamespace(flat=flat), cfg), reference_step.Adam(ref, cfg)
+        for _ in range(steps):
+            grads = arrays()
+            for view, g in zip(opt.grad_views, grads):
+                view[...] = g
+            ref_grads = {name: g for (name, _), g in zip(named, grads)}
+            norm = clip_gradients(opt.grads, opt.grad_views, max_norm)
+            assert norm.hex() == reference_step.clip_gradients(ref_grads, max_norm).hex()
+            opt.step(lr)
+            ref_opt.step(ref, ref_grads, lr)
+            assert opt.grads.tobytes() == joined(ref_grads.values())
+            assert flat.values.tobytes() == joined(p.values for _, p in named)
+            assert opt.m.tobytes() == joined(ref_opt.m.values())
+            assert opt.v.tobytes() == joined(ref_opt.v.values())
 
 
 # ------------------------------------------------------------- training
@@ -250,6 +316,73 @@ def test_train_loop_writes_metrics_and_checkpoints(tmp_path):
     assert (tmp_path / "ckpt_000003.ttck").exists()
     assert (tmp_path / "ckpt_000006.ttck").exists()
     assert (tmp_path / "ckpt_final.ttck").exists()
+
+
+def test_metrics_records_hold_the_pre_clip_gradient_norm(tmp_path):
+    """Every record carries the step's pre-clip global norm, finite, and
+    whether clipping fired; at this threshold it fires on some steps only."""
+    model, data = tiny_setup()
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=4, total_steps=6, seed=0, grad_clip_norm=24.0)
+    logged = []
+    train_loop(model, data, sched, cfg, out_dir=tmp_path, log_fn=logged.append)
+    records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert records == logged and len(records) == cfg.total_steps
+    for r in records:
+        assert math.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
+        assert r["clipped"] == (r["grad_norm"] > cfg.grad_clip_norm)
+    assert {r["clipped"] for r in records} == {True, False}
+
+
+def test_parameters_and_gradients_are_views_of_flat_buffers(tmp_path):
+    """After `init_model`, after `load_checkpoint` and after a step, each
+    parameter is its slice of the model's parameter buffer, in named order;
+    after a step each `.grad` is its slice of the optimizer's gradient
+    buffer, in the same layout."""
+    def check(array, flat, offset, shape):
+        assert np.shares_memory(array, flat) and array.flags.c_contiguous and array.shape == shape
+        assert array.ctypes.data == flat.ctypes.data + 8 * offset
+
+    def check_model(model, opt=None):
+        offset = 0
+        for (_, p), leaf in zip(model.named_params(), model.flat.leaves):
+            assert p is leaf
+            check(p.values, model.flat.values, offset, p.shape)
+            if opt is not None:
+                check(p.grad, opt.grads, offset, p.shape)
+            offset += p.size
+        assert offset == model.flat.values.size
+
+    model, data = tiny_setup(seed=4)
+    check_model(model)
+    save_checkpoint(model, tmp_path / "m.ttck")
+    loaded = load_checkpoint(tmp_path / "m.ttck")
+    check_model(loaded)
+    cfg = TrainConfig(batch_size=4)
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=1, hold_until=2, decay_until=3, final_lr=1e-4)
+    for m in (model, loaded):
+        opt = Adam(m, cfg)
+        assert opt.grads.size == opt.m.size == opt.v.size == m.flat.values.size
+        train_step(m, opt, data.utterances[:4], 1, sched, cfg, Rng(0))
+        check_model(m, opt)
+
+
+def test_in_place_parameter_edits_reach_training(tmp_path):
+    """An edit through `p.values[...]` is an edit of the buffer that Adam
+    steps: a model edited in place trains like one loaded with the edit."""
+    model, data = tiny_setup(seed=4)
+    model.params.joint.out_b.values[...] = 0.25
+    model.params.label.layers[0].w1.values[0] += 1.0
+    path = tmp_path / "edited.ttck"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    cfg = TrainConfig(batch_size=4)
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=1, hold_until=2, decay_until=3, final_lr=1e-4)
+    losses = [train_step(m, Adam(m, cfg), data.utterances[:4], 1, sched, cfg, Rng(0))
+              for m in (model, loaded)]
+    assert losses[0] == losses[1]
+    assert checkpoint_bytes(model) == checkpoint_bytes(loaded) != path.read_bytes()
+    assert not (model.params.joint.out_b.values == 0.25).any()  # the step moved the edited values
 
 
 def test_train_loop_rerun_into_same_dir_keeps_only_its_metrics(tmp_path):
@@ -601,8 +734,9 @@ def test_init_checkpoint_bytes_pinned(cfg, digest):
     assert hashlib.sha256(checkpoint_bytes(init_model(cfg, Rng(0)))).hexdigest() == digest
 
 
-def _regularized_run(step_fn=train_step):
-    """Six steps of `step_fn` with dropout, SpecAugment and weight noise all live."""
+def _regularized_run(step_fn=train_step, adam=Adam):
+    """Six steps of `step_fn` and its optimizer `adam` with dropout,
+    SpecAugment and weight noise all live."""
     task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
                                feature_dim=6, noise_sigma=0.1, size=8, seed=2)
     frontend = FrontendConfig(stack=2, subsample=2, freq_mask_width=2, freq_mask_count=1,
@@ -613,7 +747,7 @@ def _regularized_run(step_fn=train_step):
     sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=2e-4)
     train = TrainConfig(batch_size=4, total_steps=6, seed=5, weight_noise_sigma=0.01,
                         weight_noise_start_step=2)
-    with mock.patch.object(trn, "train_step", step_fn):
+    with mock.patch.object(trn, "train_step", step_fn), mock.patch.object(trn, "Adam", adam):
         losses = train_loop(model, gen_synthetic(task), sched, train)
     return np.array(losses).tobytes() + checkpoint_bytes(model)
 
@@ -621,7 +755,7 @@ def _regularized_run(step_fn=train_step):
 def test_regularized_training_bytes_pinned():
     # pins every draw of dropout, SpecAugment and weight noise through a short
     # run of the per-example reference step
-    assert hashlib.sha256(_regularized_run(reference_step.train_step)).hexdigest() == (
+    assert hashlib.sha256(_regularized_run(reference_step.train_step, reference_step.Adam)).hexdigest() == (
         "562bd39cb26376c2cd12b0f4bcea289f4b71fa9e2adb20d14436d8b92be04887")
 
 
@@ -709,10 +843,10 @@ def test_batched_step_matches_per_example_reference(shapes, stack, subsample, la
     banded = (layers > 0 and audio_mask.is_finite
               and audio_t >= 2 * (audio_mask.left + audio_mask.right) + att.BANDED_MIN_EXTRA_ROWS)
     results = []
-    for step_fn in (reference_step.train_step, train_step):
+    for step_fn, adam in ((reference_step.train_step, reference_step.Adam), (train_step, Adam)):
         model = init_model(cfg, Rng(seed + 1))
         with mock.patch.object(att, "band", wraps=att.band) as spy:
-            loss = step_fn(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(seed + 2))
+            loss = step_fn(model, adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(seed + 2))
         bands = [att.band(*c.args, **c.kwargs) for c in spy.call_args_list]
         assert any(b.n_blocks > 1 for b in bands) == (banded and step_fn is train_step)
         grads = {name: p.grad if p.grad is not None else np.zeros(p.shape)

@@ -419,13 +419,11 @@ def _feed_forward_values(x: np.ndarray, layer: LayerParams, config: EncoderConfi
     return x + f, (h2, xhat, inv, pre, a)
 
 
-def _feed_forward(x: Tensor, layer: LayerParams, config: EncoderConfig, rng) -> Tensor:
+def _feed_forward(x: Tensor, layer: LayerParams, config: EncoderConfig,
+                  s1: np.ndarray | None, s2: np.ndarray | None) -> Tensor:
     """The pre-norm feed-forward block with its residual as one graph node
-    over (x, ln2 gain and bias, W1, b1, W2, b2), its two dropouts drawn from
-    `rng` when one is given. The backward is closed-form."""
-    ratio = config.dropout_ratio
-    s1 = tt.dropout_scale(x.shape[:-1] + (config.ff_dim1,), ratio, rng)
-    s2 = tt.dropout_scale(x.shape, ratio, rng)
+    over (x, ln2 gain and bias, W1, b1, W2, b2), with the dropout factors
+    `s1`, `s2` when given. The backward is closed-form."""
     out, (h2, xhat, inv, pre, a) = _feed_forward_values(x.values, layer, config, s1, s2)
 
     def bw(g):
@@ -457,14 +455,17 @@ def encoder_layer(
     """One encoder layer over rows [T, d] or a padded batch [B, T, d]:
     pre-norm windowed multi-head attention with a residual, then the
     pre-norm feed-forward block with a residual. Attention runs in the
-    blocks of `band` (see `band`). Dropout draws from `rng` when one is
-    given (training)."""
+    blocks of `band` (see `band`). When an `rng` is given (training), its
+    three dropouts draw together, in the order attention, feed-forward 1,
+    feed-forward 2."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
     attn = _banded_attention(h, layer, params, config, band, counters, lengths)
-    x = tt.add(x, tt.dropout(attn, config.dropout_ratio, rng))
-    return _feed_forward(x, layer, config, rng)
+    shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
+    s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
+    x = tt.add(x, tt.apply_dropout(attn, s_attn))
+    return _feed_forward(x, layer, config, s1, s2)
 
 
 def final_norm(h: Tensor | np.ndarray, config: EncoderConfig,

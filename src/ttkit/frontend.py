@@ -36,9 +36,12 @@ class FrontendConfig:
 def stack_subsample(frames: np.ndarray, stack: int, subsample: int) -> np.ndarray:
     """Concatenate `stack` consecutive frames per output row, striding by
     `subsample`. Rows needing frames past the end repeat the final frame.
-    Output length is ceil(n / subsample)."""
+    Output length is ceil(n / subsample). With neither stacking nor
+    subsampling that is the input itself (as float64), not a copy."""
     frames = np.asarray(frames, dtype=np.float64)
     n, d = frames.shape
+    if stack == subsample == 1:
+        return frames
     m = math.ceil(n / subsample)
     idx = np.arange(m)[:, None] * subsample + np.arange(stack)[None, :]
     idx = np.minimum(idx, n - 1)  # edge padding by last-frame repetition

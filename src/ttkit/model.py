@@ -95,10 +95,13 @@ class TransducerModel:
     # ------------------------------------------------------------ forward
 
     def prepare_features(self, features: np.ndarray, rng: Rng | None = None) -> np.ndarray:
-        """Frontend: stacking/subsampling, plus masking when given an `rng`."""
-        out = fe.stack_subsample(features, self.config.frontend.stack, self.config.frontend.subsample)
-        if rng is not None:
-            out = fe.spec_augment(out, self.config.frontend, rng.substream("augment"))
+        """Frontend: stacking/subsampling, plus masking when given an `rng`
+        and augmentation is on. Without stacking or masking the result is
+        `features` itself (as float64), which no caller writes to."""
+        fc = self.config.frontend
+        out = fe.stack_subsample(features, fc.stack, fc.subsample)
+        if rng is not None and fc.augment_enabled:
+            out = fe.spec_augment(out, fc, rng.substream("augment"))
         return out
 
     def encode_audio(self, stacked: np.ndarray, rng: Rng | Sequence[Rng] | None = None,

@@ -3,15 +3,20 @@
 Every numeric quantity in the toolkit lives in a `Tensor`. Operations build a
 computation graph; calling `backward` on a scalar root accumulates gradients
 into every reachable tensor in a fixed topological order, so repeated runs
-with identical inputs produce bitwise-identical values and gradients.
+with identical inputs produce bitwise-identical values and gradients. By
+default `backward` then checks every leaf gradient for NaN and inf; a
+training step skips that and checks its one gradient buffer through the
+clip norm instead (`train.clip_gradients`).
 
 The cost of a graph is Python work per node, not arithmetic, so a training
 step is a few dozen coarse nodes over a padded batch. The modules build
 fused nodes with closed-form backwards (attention, the feed-forward block,
 the joint grid, the lattice loss) and wire them with the few primitives
 here: `add`, `matmul` (a 3-D left operand is a batch of matrices), the
-embedding gather `rows`, `layer_norm` and `dropout`. `BatchRng` gives each
-example of a padded batch the random draws it would get alone. The
+embedding gather `rows`, `layer_norm` and `apply_dropout`, whose factors a
+layer draws for all its sites in one `dropout_scales` call. `Rng` is a
+keyed Philox stream, and `BatchRng` gives each example of a padded batch
+the random draws it would get alone. The
 elementwise and reduction primitives that the composed test references are
 built from live with those tests.
 
@@ -29,6 +34,7 @@ from dataclasses import fields
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class ShapeError(ValueError):
@@ -194,9 +200,10 @@ def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     """`layer_norm`'s gradients on (x, gain, bias) from the upstream `g` and
     the forward's x̂ and inv: dx = inv * (dx̂ - mean(dx̂) - x̂ * mean(dx̂ * x̂)),
     dx̂ = g * gain. Gain and bias share a shape."""
+    n = g.shape[-1]
     dxhat = g * gain
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n))
     return dx, unbroadcast(g * xhat, gain.shape), unbroadcast(g, gain.shape)
 
 
@@ -207,22 +214,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(out, (x, gain, bias), lambda g: layer_norm_backward(g, gain.values, xhat, inv))
 
 
-def dropout_scale(shape: tuple[int, ...], ratio: float, rng: "Rng | BatchRng | None") -> np.ndarray | None:
-    """A dropout's factor per entry of `shape`: 0 for a dropped entry and
-    1/(1-ratio) for a survivor, each dropped with probability `ratio`. None
-    when dropout is the identity: without an `rng` (not training) or at
-    ratio 0."""
+def dropout_scales(shapes: Sequence[tuple[int, ...]], ratio: float,
+                   rng: "Rng | BatchRng | None") -> list[np.ndarray] | None:
+    """The dropout factors of several sites, one array per shape in `shapes`:
+    0 for a dropped entry and 1/(1-ratio) for a survivor, each dropped with
+    probability `ratio`. The sites draw in the order given, from one
+    `uniforms` call, so each draws what it would draw alone after the sites
+    before it. None when dropout is the identity: without an `rng` (not
+    training) or at ratio 0."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if rng is None or ratio == 0.0:
         return None
-    keep = rng.uniform(shape) >= ratio
-    return keep / (1.0 - ratio)
+    scales = rng.uniforms(shapes)
+    for s in scales:  # in place: kept as 1.0, dropped as 0.0, then scaled
+        np.greater_equal(s, ratio, out=s)
+        s /= 1.0 - ratio
+    return scales
 
 
-def dropout(x: Tensor, ratio: float, rng: "Rng | BatchRng | None") -> Tensor:
-    """`x` times its `dropout_scale`; without one this is the identity."""
-    scale = dropout_scale(x.shape, ratio, rng)
+def apply_dropout(x: Tensor, scale: np.ndarray | None) -> Tensor:
+    """`x` times a dropout factor of `dropout_scales`; the identity for None."""
     if scale is None:
         return x
     return Tensor(x.values * scale, (x,), lambda g: (g * scale,))
@@ -293,13 +305,16 @@ def max_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-class Rng:
+class Rng(ISeedSequence):
     """Counter-based random stream with labeled sub-streams.
 
     The same seed always yields the same stream, and `substream(label)`
     derives an independent stream keyed by the label: adding a new consumer
-    never perturbs existing ones. The underlying generator is created on
-    first draw, so derivation stays cheap.
+    never perturbs existing ones. The stream is Philox keyed by the seed,
+    `Generator(Philox(key=seed))`. An `Rng` is also a seed sequence that
+    hands Philox that key (`generate_state`), so building the generator
+    gathers no OS entropy. The generator is created on first draw, so
+    derivation stays cheap.
     """
 
     __slots__ = ("seed", "_gen")
@@ -308,10 +323,19 @@ class Rng:
         self.seed = int(seed)
         self._gen = None
 
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The seed's low 64 bits as `n_words` words of `dtype`, least
+        significant first, zero above: Philox asks for two uint64 words and
+        takes them as its 128-bit key."""
+        dtype = np.dtype(dtype)
+        key = self.seed & ((1 << 64) - 1)
+        return np.frombuffer(key.to_bytes(n_words * dtype.itemsize, "little"), dtype).copy()
+
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=self.seed & ((1 << 64) - 1)))
+            # Philox keeps its seed sequence; `self` there would be a reference cycle
+            self._gen = np.random.Generator(np.random.Philox(Rng(self.seed)))
         return self._gen
 
     def substream(self, label: str) -> "Rng":
@@ -323,6 +347,14 @@ class Rng:
 
     def uniform(self, shape=()) -> np.ndarray:
         return self.gen.random(size=shape)
+
+    def uniforms(self, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+        """One uniform draw per shape, in order: what consecutive `uniform`
+        calls return."""
+        out = [np.empty(shape) for shape in shapes]
+        for u in out:
+            self.gen.random(out=u)
+        return out
 
     def integers(self, low: int, high: int, shape=None):
         """Uniform integers in [low, high)."""
@@ -345,10 +377,15 @@ class BatchRng:
     def substream(self, label: str) -> "BatchRng":
         return BatchRng([r.substream(label) for r in self.rngs], self.lengths)
 
-    def uniform(self, shape) -> np.ndarray:
-        out = np.zeros(shape)
+    def uniforms(self, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+        """One padded uniform draw per shape [B, T, ...]: each example's
+        generator fills its rows of every draw in turn, as its `uniforms`
+        would."""
+        out = [np.zeros(shape) for shape in shapes]
         for b, (rng, n) in enumerate(zip(self.rngs, self.lengths)):
-            out[b, :n] = rng.uniform((n,) + tuple(shape[2:]))
+            gen = rng.gen
+            for u in out:
+                gen.random(out=u[b, :n])
         return out
 
 

@@ -10,7 +10,9 @@ noisy views are graph nodes over the stored leaves, so gradients land on the
 stored parameters while updates point against the perturbed loss.
 Gradients accumulate into one flat buffer that the optimizer holds, so
 clipping scales it in one op and Adam updates parameters and moments in a
-few ops per fixed block.
+few ops per fixed block. The step's finite check rides on the clip norm:
+backward skips its per-leaf check, and a non-finite norm over a buffer that
+holds a NaN or inf raises `NumericsError` before Adam moves anything.
 
 A training run keeps freed heap mapped for its whole process (glibc's mmap
 and trim thresholds): otherwise each step's MBs of grid and backward
@@ -23,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import os
 import struct
 import time
@@ -160,8 +163,16 @@ def clip_gradients(grads: np.ndarray, views: Sequence[np.ndarray], max_norm: flo
     most `max_norm`; direction is preserved. The squares are summed over
     `views`, its per-parameter views in named order, one at a time, so the
     norm's additions are those of per-array gradients. Returns the pre-clip
-    norm."""
+    norm.
+
+    This is `train_step`'s finite check on the gradients: a finite norm
+    proves every entry finite, so the buffer is searched only when the norm
+    is not, and `NumericsError` is raised, before anything is scaled, when
+    it holds a non-finite entry. Finite entries whose squares overflow give
+    an infinite norm and clip to zero."""
     norm = global_norm(views)
+    if not math.isfinite(norm) and not np.isfinite(grads).all():
+        raise NumericsError("non-finite gradient reached a leaf tensor")
     if norm > max_norm:
         grads *= max_norm / norm
     return norm
@@ -191,7 +202,9 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     one; each regularizer's own config decides whether it runs. Each
     parameter's `.grad` is its view of the optimizer's zeroed gradient
     buffer, so backward accumulates straight into the buffer that clipping
-    and Adam update as a whole.
+    and Adam update as a whole. Backward skips its per-leaf finite check:
+    `clip_gradients` makes it on the norm it computes anyway, and raises
+    `NumericsError` before Adam touches the parameters.
     """
     if not batch:
         raise ValueError("train_step needs a non-empty batch")
@@ -210,7 +223,7 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     if not np.isfinite(value):
         ids = [utt.id for utt in batch]
         raise NumericsError(f"non-finite loss {value} at step {step} (examples {ids})")
-    backward(loss)
+    backward(loss, check_finite=False)
 
     norm = clip_gradients(optimizer.grads, optimizer.grad_views, cfg.grad_clip_norm)
     optimizer.step(lr)

@@ -10,8 +10,11 @@ alignments through that grid, again one node for the whole batch: the
 forward pass runs the log-space alpha recursion over the lattices'
 anti-diagonals in numpy, each example on its own (T_b, U_b), and the
 backward pass gets the exact gradient in closed form from the matching beta
-recursion and the arc occupancies (Graves 2012). `rnnt_log_prob` is the same
-kernel for one example.
+recursion and the arc occupancies (Graves 2012). The examples' diagonals
+t+u = d form one contiguous row of the skewed arrays, and each step updates
+all U+1 columns of it: arcs off a lattice are -inf, so the lattice points
+get the bits of a step over their own column range. `rnnt_log_prob` is the
+same kernel for one example.
 
 `brute_force_log_prob` enumerates alignments outright and exists purely as
 the small-instance oracle for the recursion.
@@ -167,51 +170,61 @@ def _check_loss_args(lp: np.ndarray, frames: Sequence[int], ys: Sequence[Sequenc
 
 
 def _skew(a: np.ndarray) -> np.ndarray:
-    """[..., T, W] -> [..., T+W-1, W] with s[..., t+u, u] = a[..., t, u] and
-    -inf elsewhere, so each anti-diagonal t+u = d of `a` becomes the
+    """[B, T, W] -> [T+W-1, B, W] with s[t+u, b, u] = a[b, t, u] and -inf
+    elsewhere, so anti-diagonal t+u = d of every example becomes the
     contiguous row d."""
-    T, W = a.shape[-2:]
-    s = np.full(a.shape[:-2] + (T + W - 1, W), -np.inf)
+    B, T, W = a.shape
+    s = np.full((T + W - 1, B, W), -np.inf)
     t, u = np.indices((T, W))
-    s[..., t + u, u] = a
+    s[t + u, :, u] = a.transpose(1, 2, 0)
     return s
-
-
-def _diagonal(d: int, T: int, U: int) -> tuple[int, int]:
-    """Column range [lo, hi) of the lattice points (d-u, u) on diagonal d."""
-    return max(0, d - T + 1), min(d, U) + 1
 
 
 def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
     """Skewed forward variables of a batch of lattices padded to (T, U):
-    A[b, t+u, u] = log-mass of all path prefixes from (0, 0) to (t, u)."""
-    A = np.full(blank.shape[:1] + (T + U, U + 1), -np.inf)
-    A[:, 0, 0] = 0.0
-    for d in range(1, T + U):
-        lo, hi = _diagonal(d, T, U)
-        row = A[:, d - 1, lo:hi] + blank[:, d - 1, lo:hi]  # blank from (t-1, u); -inf at t = 0
-        e = max(lo, 1)
-        row[:, e - lo:] = np.logaddexp(row[:, e - lo:],
-                                       A[:, d - 1, e - 1:hi - 1] + emit[:, d - 1, e - 1:hi - 1])
-        A[:, d, lo:hi] = row
+    A[t+u, b, u] = log-mass of all path prefixes from (0, 0) to (t, u).
+
+    Each diagonal updates all U+1 columns of every example: two adds and
+    one in-place `logaddexp`. The emit arcs into a diagonal sit in columns
+    1..U of a scratch row whose column 0 stays -inf, as no arc enters
+    u = 0. Points before a lattice (t < 0) stay -inf; points past the
+    padded lattice (t >= T) get values that no lattice point reads."""
+    A = np.full((T + U,) + blank.shape[1:], -np.inf)
+    A[0, :, 0] = 0.0
+    arrive = np.full(blank.shape[1:], -np.inf)
+    emitted = arrive[:, 1:]
+    rows = list(A)
+    for prev, cur, blank_prev, emit_prev in zip(rows, rows[1:], blank, emit[:, :, :U]):
+        np.add(prev, blank_prev, out=cur)                          # blank from (t-1, u)
+        np.add(prev[:, :U], emit_prev, out=emitted)                # emit from (t, u-1)
+        np.logaddexp(cur, arrive, out=cur)
     return A
 
 
 def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
           lengths: np.ndarray) -> np.ndarray:
-    """Skewed backward variables: B[b, t+u, u] = log-mass of all path
+    """Skewed backward variables: B[t+u, b, u] = log-mass of all path
     suffixes from (t, u) to the end, the final blank included. The point
     past example b's final blank, (T_b, U_b) on diagonal ends[b], holds 0;
-    every other point off its lattice stays -inf."""
-    n = np.arange(blank.shape[0])
-    B = np.full(blank.shape[:1] + (T + U + 1, U + 2), -np.inf)
-    B[n, ends, lengths] = 0.0
+    every other point off its lattice that a lattice point reads is -inf.
+
+    Each diagonal updates all U+1 columns as `_alpha` does, the emit arcs
+    leaving it in columns 0..U-1 of a scratch row whose column U stays
+    -inf, then puts back the 0 of the examples that end on it."""
+    B = np.full((T + U + 1,) + blank.shape[1:], -np.inf)
+    stops: dict[int, list[tuple[int, int]]] = {}
+    for b, (d, u) in enumerate(zip(ends.tolist(), lengths.tolist())):
+        stops.setdefault(d, []).append((b, u))
+        B[d, b, u] = 0.0
+    leave = np.full(blank.shape[1:], -np.inf)
+    emitted = leave[:, :U]
     for d in range(T + U - 1, -1, -1):
-        lo, hi = _diagonal(d, T, U)
-        B[:, d, lo:hi] = np.logaddexp(blank[:, d, lo:hi] + B[:, d + 1, lo:hi],         # to (t+1, u)
-                                      emit[:, d, lo:hi] + B[:, d + 1, lo + 1:hi + 1])  # to (t, u+1)
-        done = ends == d  # restore the end points the recursion just overwrote
-        B[n[done], d, lengths[done]] = 0.0
+        cur, nxt = B[d], B[d + 1]
+        np.add(blank[d], nxt, out=cur)                             # to (t+1, u)
+        np.add(emit[d, :, :U], nxt[:, 1:], out=emitted)            # to (t, u+1)
+        np.logaddexp(cur, leave, out=cur)
+        for b, u in stops.get(d, ()):
+            cur[b, u] = 0.0
     return B
 
 
@@ -252,19 +265,20 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
         A = _alpha(blank, emit, T, U)
         ends = frames + lengths
         n = np.arange(B)
-        log_p = A[n, ends - 1, lengths] + blank[n, ends - 1, lengths]
+        log_p = A[ends - 1, n, lengths] + blank[ends - 1, n, lengths]
 
     def bw(g):
         grad = np.zeros_like(lp)
         with np.errstate(all="ignore"):
             beta = _beta(blank, emit, T, U, ends, lengths)
-            norm = np.where(np.isneginf(log_p), np.inf, log_p)[:, None, None]  # no mass: occupancy 0
-            blank_occ = np.exp(A + blank + beta[:, 1:, :U + 1] - norm)
-            emit_occ = np.exp(A + emit + beta[:, 1:, 1:] - norm)
+            norm = np.where(np.isneginf(log_p), np.inf, log_p)[:, None]  # no mass: occupancy 0
+            blank_occ = np.exp(A + blank + beta[1:] - norm)
+            emit_occ = np.exp(A[..., :U] + emit[..., :U] + beta[1:, :, 1:] - norm)
         g = g * sign
-        grad[:, :T, :U + 1, BLANK_ID] = g * blank_occ[:, t + u, u]
+        examples = n[:, None, None]
+        grad[:, :T, :U + 1, BLANK_ID] = g * blank_occ[t + u, examples, u]
         np.put_along_axis(grad[:, :T, :U], labels[:, None, :, None],
-                          (g * emit_occ[:, t + u, u][:, :, :U])[..., None], axis=-1)
+                          (g * emit_occ[t + u[:, :U], examples, u[:, :U]])[..., None], axis=-1)
         return (grad.reshape(log_probs.shape),)
 
     return Tensor(sign * log_p.sum(), (log_probs,), bw)

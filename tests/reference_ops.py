@@ -6,7 +6,10 @@ its modules; these stay as the independent pieces those nodes are checked
 against. `uniform_grid` is the input of the closed-form lattice oracle.
 `multi_head_attention` is the dense attention node that scores all T x T
 pairs, the reference for ttkit's blocked one, under the [T, T] window of
-`build_mask`.
+`build_mask`. `dropout` draws one site at a time (`dropout_scale`), the
+reference for a layer's masks drawn together. `lattice_alpha` and
+`lattice_beta` step each lattice diagonal over its own column range, the
+bitwise reference for the full-width diagonals of `ttkit.transducer`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ttkit import transducer as tr
-from ttkit.tensor import ShapeError, Tensor, flat_rows, unbroadcast
+from ttkit.tensor import BatchRng, Rng, ShapeError, Tensor, flat_rows, unbroadcast
 
 
 def uniform_grid(T: int, U: int, V: int) -> tr.LogProbGrid:
@@ -302,3 +305,72 @@ def multi_head_attention(h, layer, params, config, mask_bool, counters, lengths=
     parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias)
     return Tensor(heads @ wo, parents, bw)
+
+
+# ------------------------------------------------------ per-site dropout
+
+def batch_uniform(rng: BatchRng, shape) -> np.ndarray:
+    """One padded draw of shape [B, T, ...]: each example's own
+    [lengths[b], ...] draw stacked, zero past it."""
+    out = np.zeros(shape)
+    for b, (r, n) in enumerate(zip(rng.rngs, rng.lengths)):
+        out[b, :n] = r.uniform((n,) + tuple(shape[2:]))
+    return out
+
+
+def dropout_scale(shape: tuple[int, ...], ratio: float, rng: Rng | BatchRng | None) -> np.ndarray | None:
+    """One dropout site's factor per entry of `shape`: 0 for a dropped entry
+    and 1/(1-ratio) for a survivor, each dropped with probability `ratio`.
+    None when dropout is the identity: without an `rng` or at ratio 0."""
+    if not 0.0 <= ratio < 1.0:
+        raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
+    if rng is None or ratio == 0.0:
+        return None
+    keep = (batch_uniform(rng, shape) if isinstance(rng, BatchRng) else rng.uniform(shape)) >= ratio
+    return keep / (1.0 - ratio)
+
+
+def dropout(x: Tensor, ratio: float, rng: Rng | BatchRng | None) -> Tensor:
+    """`x` times its `dropout_scale`; without one this is the identity."""
+    scale = dropout_scale(x.shape, ratio, rng)
+    if scale is None:
+        return x
+    return Tensor(x.values * scale, (x,), lambda g: (g * scale,))
+
+
+# ------------------------------------------- the per-range lattice diagonals
+
+def _diagonal(d: int, T: int, U: int) -> tuple[int, int]:
+    """Column range [lo, hi) of the lattice points (d-u, u) on diagonal d."""
+    return max(0, d - T + 1), min(d, U) + 1
+
+
+def lattice_alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
+    """`transducer._alpha` with the example axis first, A[b, t+u, u], each
+    diagonal stepped over its lattice points only."""
+    A = np.full(blank.shape[:1] + (T + U, U + 1), -np.inf)
+    A[:, 0, 0] = 0.0
+    for d in range(1, T + U):
+        lo, hi = _diagonal(d, T, U)
+        row = A[:, d - 1, lo:hi] + blank[:, d - 1, lo:hi]  # blank from (t-1, u); -inf at t = 0
+        e = max(lo, 1)
+        row[:, e - lo:] = np.logaddexp(row[:, e - lo:],
+                                       A[:, d - 1, e - 1:hi - 1] + emit[:, d - 1, e - 1:hi - 1])
+        A[:, d, lo:hi] = row
+    return A
+
+
+def lattice_beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """`transducer._beta` with the example axis first, B[b, t+u, u] plus a
+    -inf column U+1, each diagonal stepped over its lattice points only."""
+    n = np.arange(blank.shape[0])
+    B = np.full(blank.shape[:1] + (T + U + 1, U + 2), -np.inf)
+    B[n, ends, lengths] = 0.0
+    for d in range(T + U - 1, -1, -1):
+        lo, hi = _diagonal(d, T, U)
+        B[:, d, lo:hi] = np.logaddexp(blank[:, d, lo:hi] + B[:, d + 1, lo:hi],         # to (t+1, u)
+                                      emit[:, d, lo:hi] + B[:, d + 1, lo + 1:hi + 1])  # to (t, u+1)
+        done = ends == d  # restore the end points the recursion just overwrote
+        B[n[done], d, lengths[done]] = 0.0
+    return B

@@ -77,10 +77,10 @@ def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):
     eps, ratio = config.ln_eps, config.dropout_ratio
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
     attn = ops.multi_head_attention(h, layer, params, config, mask_bool, counters)
-    x = tt.add(x, tt.dropout(attn, ratio, rng))
+    x = tt.add(x, ops.dropout(attn, ratio, rng))
     h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
-    f = tt.dropout(ops.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), ratio, rng)
-    f = tt.dropout(tt.add(tt.matmul(f, layer.w2), layer.b2), ratio, rng)
+    f = ops.dropout(ops.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), ratio, rng)
+    f = ops.dropout(tt.add(tt.matmul(f, layer.w2), layer.b2), ratio, rng)
     return tt.add(x, f)
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -212,28 +214,46 @@ def test_layer_norm_and_log_softmax_are_one_node():
 
 def test_dropout_inference_identity():
     x = Tensor(Rng(0).normal((8, 8)))
-    out = tt.dropout(x, 0.1, None)
-    assert out is x
+    assert tt.dropout_scales([x.shape], 0.1, None) is None
+    assert tt.apply_dropout(x, None) is x
 
 
 def test_dropout_zero_ratio_identity():
-    x = Tensor(Rng(0).normal((8, 8)))
-    out = tt.dropout(x, 0.0, Rng(1))
-    assert out is x
+    assert tt.dropout_scales([(8, 8)], 0.0, Rng(1)) is None
 
 
 def test_dropout_mean_preserved():
     x = tt.ones(100_000)
-    out = tt.dropout(x, 0.1, Rng(42))
+    out = tt.apply_dropout(x, tt.dropout_scales([x.shape], 0.1, Rng(42))[0])
     assert abs(out.values.mean() - 1.0) < 0.02
 
 
 def test_dropout_bad_ratio():
-    x = tt.ones(3)
     with pytest.raises(ValueError):
-        tt.dropout(x, 1.0, Rng(0))
+        tt.dropout_scales([(3,)], 1.0, Rng(0))
     with pytest.raises(ValueError):
-        tt.dropout(x, -0.1, Rng(0))
+        tt.dropout_scales([(3,)], -0.1, Rng(0))
+
+
+@pytest.mark.parametrize("lengths", [None, [3, 7, 1, 5]])
+def test_layer_masks_drawn_together_equal_per_site_draws(lengths):
+    """A layer's three dropout masks drawn in one call (attention, then the
+    two feed-forward sites) equal three per-site draws in that order, bit
+    for bit, for one example's `Rng` and for a padded batch."""
+    t, d, ff = 7, 4, 6
+
+    def rng():
+        if lengths is None:
+            return Rng(11).substream("layer0")
+        return tt.BatchRng([Rng(11 + b).substream("layer0") for b in range(len(lengths))], lengths)
+
+    lead = (t,) if lengths is None else (len(lengths), t)
+    shapes = [lead + (d,), lead + (ff,), lead + (d,)]
+    together = tt.dropout_scales(shapes, 0.1, rng())
+    apart = rng()
+    sites = [ops.dropout_scale(shape, 0.1, apart) for shape in shapes]
+    assert [s.tobytes() for s in together] == [s.tobytes() for s in sites]
+    assert [s.shape for s in together] == shapes
 
 
 def test_backward_sum_gives_ones():
@@ -348,6 +368,34 @@ def test_broadcast_add_gradients():
 
 def test_rng_same_seed_same_stream():
     assert Rng(9).normal((10,)).tobytes() == Rng(9).normal((10,)).tobytes()
+
+
+def test_rng_streams_equal_keyed_philox():
+    """`Rng(k)` streams as numpy's Philox keyed by k, though it builds the
+    generator without gathering OS entropy."""
+    keys = [0, 1, 2**64 - 1] + [int(k) for k in np.random.Generator(np.random.Philox(key=7)).integers(
+        0, 2**64, 200, dtype=np.uint64)]
+    for k in keys:
+        want = np.random.Generator(np.random.Philox(key=k))
+        rng = Rng(k)
+        assert rng.uniform((5,)).tobytes() == want.random(5).tobytes()
+        assert rng.normal((4,), sigma=2.0).tobytes() == want.normal(0.0, 2.0, size=4).tobytes()
+        assert rng.integers(0, 1000, (3,)).tobytes() == want.integers(0, 1000, size=3).tobytes()
+        assert rng.integers(3, 9) == int(want.integers(3, 9))
+
+
+def test_rng_generator_holds_no_reference_back():
+    """A drawn-from `Rng` is freed by reference counting alone: its Philox
+    keeps a seed sequence that is not the `Rng` itself."""
+    rng = Rng(3)
+    rng.uniform((2,))
+    gone = weakref.ref(rng)
+    gc.disable()
+    try:
+        del rng
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_rng_substreams_independent():

@@ -304,6 +304,79 @@ def test_non_finite_loss_saves_the_last_good_checkpoint(tmp_path):
     assert not (tmp_path / "ckpt_final.ttck").exists()
 
 
+def _poke_gradient(monkeypatch, model, value, steps=None):
+    """Make `train_step`'s backward write `value` into the first entry of
+    one parameter's gradient view (on the given steps only, or on all). The
+    wrapped backward still runs first, with the arguments it was given."""
+    calls = []
+
+    def poked(root, **kwargs):
+        backward(root, **kwargs)
+        if steps is None or len(calls) in steps:
+            model.params.joint.out_b.grad[0] = value
+        calls.append(kwargs)
+
+    monkeypatch.setattr(trn, "backward", poked)
+    return calls
+
+
+def test_non_finite_gradient_raises_before_the_update(monkeypatch):
+    """A NaN in the gradient buffer raises in `clip_gradients`, before Adam
+    moves anything: parameters, moments and step count keep their bytes."""
+    model, data = tiny_setup()
+    cfg = TrainConfig(batch_size=2)
+    opt = Adam(model, cfg)
+    train_step(model, opt, data.utterances[:2], 1, PAPER_SCHEDULE, cfg, Rng(0))
+    before = [a.tobytes() for a in (model.flat.values, opt.m, opt.v)] + [opt.t]
+    calls = _poke_gradient(monkeypatch, model, np.nan)
+    with pytest.raises(NumericsError, match="non-finite gradient reached a leaf tensor"):
+        train_step(model, opt, data.utterances[2:4], 2, PAPER_SCHEDULE, cfg, Rng(0))
+    assert calls == [{"check_finite": False}]
+    assert [a.tobytes() for a in (model.flat.values, opt.m, opt.v)] + [opt.t] == before
+
+
+def test_non_finite_gradient_saves_the_last_good_checkpoint(monkeypatch, tmp_path):
+    """Steps 0 and 1 train; step 2's gradient holds a NaN. The loop saves
+    the model as step 1 left it."""
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=2, total_steps=6, seed=0)
+    good, data = tiny_setup()
+    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2))
+    model, _ = tiny_setup()
+    _poke_gradient(monkeypatch, model, np.nan, steps={2})
+    with pytest.raises(NumericsError, match="non-finite gradient"):
+        train_loop(model, data, sched, cfg, out_dir=tmp_path)
+    assert (tmp_path / "ckpt_last_good.ttck").read_bytes() == checkpoint_bytes(good)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+def test_finite_gradient_with_an_overflowing_square_clips_to_zero(monkeypatch):
+    """A finite 1e200 makes the norm infinite but raises nothing: the step
+    is the one that checked every leaf in backward and clipped without a
+    finite check, so the whole gradient is scaled to zero."""
+    def parent_clip(grads, views, max_norm):
+        norm = global_norm(views)
+        if norm > max_norm:
+            grads *= max_norm / norm
+        return norm
+
+    cfg = TrainConfig(batch_size=2)
+    results = []
+    for parent in (False, True):
+        model, data = tiny_setup()
+        opt = Adam(model, cfg)
+        _poke_gradient(monkeypatch, model, 1e200)
+        if parent:
+            monkeypatch.setattr(trn, "backward", lambda root, backward=trn.backward, **kwargs: backward(root))
+            monkeypatch.setattr(trn, "clip_gradients", parent_clip)
+        stats = {}
+        loss = train_step(model, opt, data.utterances[:2], 1, PAPER_SCHEDULE, cfg, Rng(0), stats)
+        assert stats == {"grad_norm": math.inf, "clipped": True}
+        assert not opt.grads.any()
+        results.append([loss.hex(), opt.t] + [a.tobytes() for a in (model.flat.values, opt.m, opt.v)])
+    assert results[0] == results[1]
+
+
 def test_train_loop_writes_metrics_and_checkpoints(tmp_path):
     model, data = tiny_setup()
     sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
@@ -766,6 +839,24 @@ def test_batched_training_bytes_pinned():
         "5f8fec473397c4243c4134b76742b1c7ad2b1d281826d6fdf05dc56c1594a22a")
 
 
+def test_augmented_training_leaves_the_features_unchanged():
+    """With no stacking the frontend hands training the features array
+    itself; masking and padding write only copies."""
+    task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
+                               feature_dim=6, noise_sigma=0.1, size=8, seed=2)
+    data = gen_synthetic(task)
+    before = [utt.features.tobytes() for utt in data.utterances]
+    frontend = FrontendConfig(freq_mask_width=3, freq_mask_count=2, time_mask_width=2,
+                              time_mask_count=2, augment_enabled=True)
+    cfg = desk_config(vocab_size=5, feature_dim=6, label_left=2, dropout=0.1, model_dim=8,
+                      frontend=frontend)
+    model = init_model(cfg, Rng(1))
+    assert model.prepare_features(data.utterances[0].features) is data.utterances[0].features
+    sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=2e-4)
+    train_loop(model, data, sched, TrainConfig(batch_size=4, total_steps=4, seed=5))
+    assert [utt.features.tobytes() for utt in data.utterances] == before
+
+
 def test_grid_without_rng_ignores_regularizers():
     task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
                                feature_dim=6, noise_sigma=0.1, size=1, seed=3)
@@ -900,7 +991,7 @@ def _count_graph_nodes(root) -> int:
 
 def test_train_step_graph_size_is_independent_of_batch(monkeypatch):
     roots = []
-    monkeypatch.setattr(trn, "backward", lambda root: (roots.append(root), backward(root))[1])
+    monkeypatch.setattr(trn, "backward", lambda root, **kwargs: (roots.append(root), backward(root, **kwargs))[1])
     cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=AttentionMask(3, 1), label_left=2,
                       dropout=0.1, model_dim=8)
     train = TrainConfig(batch_size=8)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -348,6 +349,65 @@ def test_batch_loss_matches_each_example(batch):
         assert np.array_equal(leaf.grad[b, :T, :W], -own.grad)
         assert (leaf.grad[b, T:] == 0).all() and (leaf.grad[b, :, W:] == 0).all()
     assert loss.item() == expected or abs(loss.item() - expected) <= 1e-12 * abs(expected)
+
+
+@st.composite
+def lattice_batches(draw):
+    """A padded batch of normalized grids with -inf entries: per-example
+    frame counts and target lengths (0 among them), padding past the
+    longest of each, and a blank perturbation."""
+    V = draw(st.integers(2, 5))
+    B = draw(st.integers(1, 4))
+    frames = draw(st.lists(st.integers(1, 7), min_size=B, max_size=B))
+    ys = [draw(st.lists(st.integers(1, V - 1), max_size=5)) for _ in range(B)]
+    T = max(frames) + draw(st.integers(0, 1))
+    W = max(len(y) for y in ys) + 1 + draw(st.integers(0, 1))
+    rng = Rng(draw(st.integers(0, 2**31)))
+    lp = ops.log_softmax(Tensor(rng.normal((B, T, W, V), sigma=2.0)), axis=-1).values
+    lp[rng.substream("dead").uniform(lp.shape) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]))] = -np.inf
+    return lp, frames, ys, draw(st.sampled_from([0.0, 0.01, -0.7]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_batches())
+def test_full_width_diagonals_match_the_per_range_reference(batch):
+    """`_alpha` and `_beta` update every column of a diagonal; the reference
+    updates only its lattice points. Every point the loss and its gradient
+    read, the loss value and the grid gradient are the same bytes."""
+    lp, frames, ys, perturbation = batch
+
+    def run(alpha, beta):
+        out = {}
+
+        def keep(name, fn):
+            return lambda *args: out.setdefault(name, fn(*args))
+
+        with mock.patch.object(tr, "_alpha", keep("alpha", alpha)), \
+                mock.patch.object(tr, "_beta", keep("beta", beta)), \
+                mock.patch.object(tr, "dp_perturbation", perturbation):
+            leaf = Tensor(lp.copy())
+            loss = batch_loss(LogProbGrid(leaf, np.array(frames)), ys)
+            backward(loss, check_finite=False)
+        return loss.item(), leaf.grad, out["alpha"], out["beta"]
+
+    # the reference keeps the example axis first and one more -inf beta
+    # column; these views put it in the kernel's layout
+    def ref_alpha(blank, emit, T, U):
+        return ops.lattice_alpha(blank.swapaxes(0, 1), emit.swapaxes(0, 1), T, U).swapaxes(0, 1)
+
+    def ref_beta(blank, emit, T, U, ends, lengths):
+        return ops.lattice_beta(blank.swapaxes(0, 1), emit.swapaxes(0, 1), T, U, ends,
+                                lengths).swapaxes(0, 1)[..., :U + 1]
+
+    (loss, grad, A, B), (ref_loss, ref_grad, ref_A, ref_B) = (
+        run(tr._alpha, tr._beta), run(ref_alpha, ref_beta))
+    assert loss.hex() == ref_loss.hex()
+    assert grad.tobytes() == ref_grad.tobytes()
+    T = max(frames)
+    d, _, u = np.indices(A.shape)
+    assert A[(d - u >= 0) & (d - u < T)].tobytes() == ref_A[(d - u >= 0) & (d - u < T)].tobytes()
+    d, _, u = np.indices(B.shape)  # the backward reads beta up to t = T
+    assert B[(d - u >= 0) & (d - u <= T)].tobytes() == ref_B[(d - u >= 0) & (d - u <= T)].tobytes()
 
 
 def test_loss_on_non_finite_grid_raises_no_warning():

@@ -20,6 +20,11 @@ the random draws it would get alone. The
 elementwise and reduction primitives that the composed test references are
 built from live with those tests.
 
+A graph is differentiated once: `backward` drops each node's saved arrays
+as soon as its gradients have reached its parents, so the pass holds only
+what the nodes still ahead of it need. Build the graph again to
+differentiate again.
+
 Graph recording can be suspended with `no_grad()` for inference paths that
 must not retain history (e.g. streaming state caches).
 """
@@ -240,9 +245,19 @@ def apply_dropout(x: Tensor, scale: np.ndarray | None) -> Tensor:
     return Tensor(x.values * scale, (x,), lambda g: (g * scale,))
 
 
+def _spent(g):
+    raise RuntimeError("backward already ran through this node and freed what it saved; "
+                       "build the graph again to differentiate it again")
+
+
 def backward(root: Tensor, check_finite: bool = True):
     """Accumulate d(root)/d(node) into `.grad` of every node reachable from
-    the scalar `root`, visiting nodes in a fixed topological order."""
+    the scalar `root`, visiting nodes in a fixed topological order.
+
+    A graph is differentiated once. As soon as a node's gradients have
+    reached its parents, its `backward_fn` is replaced by one that raises,
+    which frees the arrays the node saved for its backward while the pass
+    goes on. `parents` stay, and the node stays a non-leaf."""
     if root.values.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
 
@@ -271,6 +286,7 @@ def backward(root: Tensor, check_finite: bool = True):
                 parent.grad = np.array(g)  # owned copy; bw outputs may alias inputs
             else:
                 parent.grad += g
+        node.backward_fn = _spent  # frees what the closure saved
 
     if check_finite:
         for node in order:

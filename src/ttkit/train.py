@@ -155,7 +155,10 @@ class Adam:
 
 
 def global_norm(grads: Sequence[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    """The gradients' Euclidean norm; inf, without a warning, when a square
+    overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 
 
 def clip_gradients(grads: np.ndarray, views: Sequence[np.ndarray], max_norm: float) -> float:

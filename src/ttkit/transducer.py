@@ -5,16 +5,20 @@ into a distribution over the output vocabulary (blank included). Stacking
 those distributions over every (frame, history-length) pair gives the
 log-probability grid: one graph node over a padded batch [B, T, U+1, V]
 that covers both joint projections, tanh, the output layer and log-softmax
-(`log_prob_grid`). The training loss marginalizes over all monotonic
-alignments through that grid, again one node for the whole batch: the
-forward pass runs the log-space alpha recursion over the lattices'
-anti-diagonals in numpy, each example on its own (T_b, U_b), and the
-backward pass gets the exact gradient in closed form from the matching beta
-recursion and the arc occupancies (Graves 2012). The examples' diagonals
-t+u = d form one contiguous row of the skewed arrays, and each step updates
-all U+1 columns of it: arcs off a lattice are -inf, so the lattice points
-get the bits of a step over their own column range. `rnnt_log_prob` is the
-same kernel for one example.
+(`log_prob_grid`). Its only [B, T, U+1, J] array is the tanh it saves for
+the backward. The backward first takes the output layer's gradient from
+it, then writes the gradient before the tanh over it, T rows at a time
+with `GRID_BLOCK_BYTES` of scratch, so it runs once per graph.
+
+The training loss marginalizes over all monotonic alignments through that
+grid, again one node for the whole batch: the forward pass runs the
+log-space alpha recursion over the lattices' anti-diagonals in numpy, each
+example on its own (T_b, U_b), and the backward pass gets the exact gradient
+in closed form from the matching beta recursion and the arc occupancies
+(Graves 2012). The examples' diagonals t+u = d form one contiguous row of
+the skewed arrays, and each step updates all U+1 columns of it: arcs off a
+lattice are -inf, so the lattice points get the bits of a step over their
+own column range. `rnnt_log_prob` is the same kernel for one example.
 
 `brute_force_log_prob` enumerates alignments outright and exists purely as
 the small-instance oracle for the recursion.
@@ -31,6 +35,10 @@ import numpy as np
 from .tensor import ParamSpec, ParamTree, Rng, ShapeError, Tensor, flat_rows, unbroadcast
 
 BLANK_ID = 0
+
+# bytes of 1 - tanh^2 that the joint grid's backward holds at once: a block
+# of T rows of its [..., U+1, J]; a desk batch's grid fits in one block
+GRID_BLOCK_BYTES = 1 << 18
 
 # Test hook: added to every blank transition inside the lattice kernel.
 # Non-zero values deliberately break the oracle-equivalence suite.
@@ -136,22 +144,35 @@ def log_prob_grid(audio_acts: Tensor, label_acts: Tensor, params: JointParams,
     out, lse = _log_softmax(logits)
 
     def bw(g):
-        # the [..., T, U+1, .] temporaries are reused in place: p becomes
-        # d_logits, and one scratch array holds 1 - hid^2
+        nonlocal hid
+        if hid is None:
+            raise RuntimeError("the joint grid's backward ran already: it wrote its gradient over "
+                               "the saved tanh")
+        d_pre, hid = hid, None
+        # p becomes d_logits in place
         with np.errstate(all="ignore"):
             p = np.exp(out)
         np.copyto(p, 0.0, where=np.isneginf(lse))
         p *= g.sum(axis=-1, keepdims=True)
         d_logits = np.subtract(g, p, out=p)
-        d_pre = d_logits @ j.out_w.values.T
-        tanh_slope = np.multiply(hid, hid)
-        d_pre *= np.subtract(1.0, tanh_slope, out=tanh_slope)
+        d_out_w = flat_rows(d_pre).T @ flat_rows(d_logits)
+        # the saved tanh becomes d_pre = (d_logits @ out_w.T) * (1 - tanh^2),
+        # T rows at a time, with 1 - tanh^2 in one block of scratch
+        T = d_pre.shape[-3]
+        rows = max(1, GRID_BLOCK_BYTES // max(1, d_pre[..., :1, :, :].nbytes))
+        scratch = np.empty(d_pre[..., :rows, :, :].shape)
+        for lo in range(0, T, rows):
+            h = d_pre[..., lo:lo + rows, :, :]
+            slope = np.multiply(h, h, out=scratch[..., :h.shape[-3], :, :])
+            np.subtract(1.0, slope, out=slope)
+            np.matmul(d_logits[..., lo:lo + rows, :, :], j.out_w.values.T, out=h)
+            h *= slope
         d_a = d_pre.sum(axis=-2)                                          # over histories
         d_l = d_pre.sum(axis=-3)                                          # over frames
         return (d_a @ j.audio_w.values.T, d_l @ j.label_w.values.T,
                 flat_rows(audio_acts.values).T @ flat_rows(d_a), unbroadcast(d_a, j.audio_b.shape),
                 flat_rows(label_acts.values).T @ flat_rows(d_l), unbroadcast(d_l, j.label_b.shape),
-                flat_rows(hid).T @ flat_rows(d_logits), unbroadcast(d_logits, j.out_b.shape))
+                d_out_w, unbroadcast(d_logits, j.out_b.shape))
 
     parents = (audio_acts, label_acts, j.audio_w, j.audio_b, j.label_w, j.label_b, j.out_w, j.out_b)
     return LogProbGrid(Tensor(out, parents, bw), frames)
@@ -182,7 +203,8 @@ def _skew(a: np.ndarray) -> np.ndarray:
 
 def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
     """Skewed forward variables of a batch of lattices padded to (T, U):
-    A[t+u, b, u] = log-mass of all path prefixes from (0, 0) to (t, u).
+    A[t+u, b, u] = log-mass of all path prefixes from (0, 0) to (t, u),
+    from the skewed blank arcs [T+U, B, U+1] and label arcs [T+U-1, B, U].
 
     Each diagonal updates all U+1 columns of every example: two adds and
     one in-place `logaddexp`. The emit arcs into a diagonal sit in columns
@@ -194,7 +216,7 @@ def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
     arrive = np.full(blank.shape[1:], -np.inf)
     emitted = arrive[:, 1:]
     rows = list(A)
-    for prev, cur, blank_prev, emit_prev in zip(rows, rows[1:], blank, emit[:, :, :U]):
+    for prev, cur, blank_prev, emit_prev in zip(rows, rows[1:], blank, emit):
         np.add(prev, blank_prev, out=cur)                          # blank from (t-1, u)
         np.add(prev[:, :U], emit_prev, out=emitted)                # emit from (t, u-1)
         np.logaddexp(cur, arrive, out=cur)
@@ -210,7 +232,9 @@ def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
 
     Each diagonal updates all U+1 columns as `_alpha` does, the emit arcs
     leaving it in columns 0..U-1 of a scratch row whose column U stays
-    -inf, then puts back the 0 of the examples that end on it."""
+    -inf, then puts back the 0 of the examples that end on it. No emit arc
+    leaves the last diagonal, T+U-1 (its points with u < U lie past frame
+    T-1), so `emit` has no row for it and the scratch row stays -inf."""
     B = np.full((T + U + 1,) + blank.shape[1:], -np.inf)
     stops: dict[int, list[tuple[int, int]]] = {}
     for b, (d, u) in enumerate(zip(ends.tolist(), lengths.tolist())):
@@ -221,7 +245,8 @@ def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
     for d in range(T + U - 1, -1, -1):
         cur, nxt = B[d], B[d + 1]
         np.add(blank[d], nxt, out=cur)                             # to (t+1, u)
-        np.add(emit[d, :, :U], nxt[:, 1:], out=emitted)            # to (t, u+1)
+        if d < T + U - 1:  # no emit arc leaves the last diagonal
+            np.add(emit[d], nxt[:, 1:], out=emitted)               # to (t, u+1)
         np.logaddexp(cur, leave, out=cur)
         for b, u in stops.get(d, ()):
             cur[b, u] = 0.0
@@ -259,8 +284,7 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
         blank = np.where(past_end | (u > lengths[:, None, None]), -np.inf,
                          lp[:, :T, :U + 1, BLANK_ID] + dp_perturbation)
         emit = np.take_along_axis(lp[:, :T, :U], labels[:, None, :, None], axis=-1)[..., 0]
-        emit = np.where(past_end | (u >= lengths[:, None, None]), -np.inf,
-                        np.concatenate([emit, np.zeros((B, T, 1))], axis=-1))
+        emit = np.where(past_end | (u[:, :U] >= lengths[:, None, None]), -np.inf, emit)
         blank, emit = _skew(blank), _skew(emit)
         A = _alpha(blank, emit, T, U)
         ends = frames + lengths
@@ -273,7 +297,7 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
             beta = _beta(blank, emit, T, U, ends, lengths)
             norm = np.where(np.isneginf(log_p), np.inf, log_p)[:, None]  # no mass: occupancy 0
             blank_occ = np.exp(A + blank + beta[1:] - norm)
-            emit_occ = np.exp(A[..., :U] + emit[..., :U] + beta[1:, :, 1:] - norm)
+            emit_occ = np.exp(A[:-1, :, :U] + emit + beta[1:-1, :, 1:] - norm)
         g = g * sign
         examples = n[:, None, None]
         grad[:, :T, :U + 1, BLANK_ID] = g * blank_occ[t + u, examples, u]

@@ -10,6 +10,9 @@ pairs, the reference for ttkit's blocked one, under the [T, T] window of
 reference for a layer's masks drawn together. `lattice_alpha` and
 `lattice_beta` step each lattice diagonal over its own column range, the
 bitwise reference for the full-width diagonals of `ttkit.transducer`.
+`log_prob_grid` is the joint grid node whose backward makes its two
+[..., T, U+1, J] temporaries whole and leaves the saved tanh as it was, the
+bitwise reference for the node that writes its backward over the tanh.
 """
 
 from __future__ import annotations
@@ -374,3 +377,43 @@ def lattice_beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.n
         done = ends == d  # restore the end points the recursion just overwrote
         B[n[done], d, lengths[done]] = 0.0
     return B
+
+
+# -------------------------------------------- the grid with whole temporaries
+
+def log_prob_grid(audio_acts: Tensor, label_acts: Tensor, params: tr.JointParams,
+                  frames: np.ndarray | None = None) -> tr.LogProbGrid:
+    """`transducer.log_prob_grid` whose backward holds the saved tanh, d_pre
+    and 1 - tanh^2, each a whole [..., T, U+1, J] array, and can run again."""
+    j = params
+    if audio_acts.shape[-1] != j.audio_w.shape[0] or label_acts.shape[-1] != j.label_w.shape[0]:
+        raise ShapeError(f"activations {audio_acts.shape} and {label_acts.shape} do not fit joint "
+                         f"inputs ({j.audio_w.shape[0]}, {j.label_w.shape[0]})")
+    a = audio_acts.values @ j.audio_w.values + j.audio_b.values          # [..., T, J]
+    l = label_acts.values @ j.label_w.values + j.label_b.values          # [..., U+1, J]
+    hid = a[..., :, None, :] + l[..., None, :, :]                         # [..., T, U+1, J]
+    np.tanh(hid, out=hid)
+    logits = hid @ j.out_w.values
+    logits += j.out_b.values
+    out, lse = tr._log_softmax(logits)
+
+    def bw(g):
+        # the [..., T, U+1, .] temporaries are reused in place: p becomes
+        # d_logits, and one scratch array holds 1 - hid^2
+        with np.errstate(all="ignore"):
+            p = np.exp(out)
+        np.copyto(p, 0.0, where=np.isneginf(lse))
+        p *= g.sum(axis=-1, keepdims=True)
+        d_logits = np.subtract(g, p, out=p)
+        d_pre = d_logits @ j.out_w.values.T
+        tanh_slope = np.multiply(hid, hid)
+        d_pre *= np.subtract(1.0, tanh_slope, out=tanh_slope)
+        d_a = d_pre.sum(axis=-2)                                          # over histories
+        d_l = d_pre.sum(axis=-3)                                          # over frames
+        return (d_a @ j.audio_w.values.T, d_l @ j.label_w.values.T,
+                flat_rows(audio_acts.values).T @ flat_rows(d_a), unbroadcast(d_a, j.audio_b.shape),
+                flat_rows(label_acts.values).T @ flat_rows(d_l), unbroadcast(d_l, j.label_b.shape),
+                flat_rows(hid).T @ flat_rows(d_logits), unbroadcast(d_logits, j.out_b.shape))
+
+    parents = (audio_acts, label_acts, j.audio_w, j.audio_b, j.label_w, j.label_b, j.out_w, j.out_b)
+    return tr.LogProbGrid(Tensor(out, parents, bw), frames)

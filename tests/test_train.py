@@ -8,6 +8,7 @@ import platform
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from ttkit.frontend import FrontendConfig
 from ttkit.model import desk_config, init_model, model_config_from_dict, pad, param_spec
 from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
 from ttkit.tensor import FlatParams, NumericsError, ParamSpec, ParamTree, Rng, Tensor, backward, flat_params
-from ttkit.transducer import LogProbGrid, rnnt_log_prob
+from ttkit.transducer import LogProbGrid, batch_loss, rnnt_log_prob
 from ttkit.train import (
     Adam,
     CheckpointFormatError,
@@ -349,7 +350,7 @@ def test_non_finite_gradient_saves_the_last_good_checkpoint(monkeypatch, tmp_pat
     assert (tmp_path / "ckpt_last_good.ttck").read_bytes() == checkpoint_bytes(good)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.filterwarnings("error")
 def test_finite_gradient_with_an_overflowing_square_clips_to_zero(monkeypatch):
     """A finite 1e200 makes the norm infinite but raises nothing: the step
     is the one that checked every leaf in backward and clipped without a
@@ -979,14 +980,50 @@ def test_padding_does_not_leak_into_other_examples():
         assert np.max(np.abs(long_rows[b] - short_rows[b])) <= 1e-12
 
 
-def _count_graph_nodes(root) -> int:
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop().parents:
+def _graph(root) -> list[Tensor]:
+    """The tensors reachable from `root` through `parents`, root first."""
+    seen, nodes = {id(root)}, [root]
+    for node in nodes:
+        for p in node.parents:
             if id(p) not in seen:
                 seen.add(id(p))
-                stack.append(p)
-    return len(seen)
+                nodes.append(p)
+    return nodes
+
+
+def _count_graph_nodes(root) -> int:
+    return len(_graph(root))
+
+
+def test_backward_frees_each_node_once_its_gradients_reach_its_parents():
+    """After `backward`, every non-leaf's backward closure is gone and its
+    `backward_fn` raises, while the graph keeps its nodes and operations; a
+    graph built again from the same model and draws differentiates again,
+    to the same gradient."""
+    cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=AttentionMask(3, 1), label_left=2,
+                      dropout=0.1, model_dim=8)
+    model = init_model(cfg, Rng(0))
+    opt = Adam(model, TrainConfig())
+    batch = _random_batch([(4, 2), (9, 3), (2, 1)], cfg.feature_dim, cfg.vocab_size, Rng(3))
+    ys = [u.labels for u in batch]
+    grads = []
+    for _ in range(2):
+        opt.zero_grad()
+        root = batch_loss(model.batch_grid([u.features for u in batch], ys,
+                                           [Rng(4).substream(f"ex{i}") for i in range(len(batch))]), ys)
+        nodes = _graph(root)
+        ops = [n for n in nodes if n.backward_fn is not None]
+        closures = [weakref.ref(n.backward_fn) for n in ops]
+        backward(root)
+        assert [id(n) for n in _graph(root)] == [id(n) for n in nodes]
+        assert [n for n in nodes if n.backward_fn is not None] == ops
+        assert all(c() is None for c in closures)
+        for n in ops:
+            with pytest.raises(RuntimeError, match="backward already ran through this node"):
+                n.backward_fn(np.ones(n.shape))
+        grads.append(opt.grads.copy())
+    assert len(ops) > 20
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_train_step_graph_size_is_independent_of_batch(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -109,6 +110,81 @@ def test_grid_is_pure_function_of_t_u():
     pair = joint_logits(ops.getitem(audio, 1), ops.getitem(label, 0), params)
     np.testing.assert_allclose(
         ops.log_softmax(pair, axis=0).values, g1[1, 0], atol=1e-12)
+
+
+@st.composite
+def grid_cases(draw):
+    """A joint, activations (a padded batch, or one example) and an upstream
+    gradient that is zero past each example's frames, with a block budget
+    of 0 to T+1 rows (one-row blocks, T below a block, at it, or not a
+    multiple of it) plus a remainder under one row. Some `out_b` entries,
+    or all of them, may be -inf: with all, every row's log-normalizer is
+    -inf."""
+    B, T, U = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(0, 4))
+    d_audio, d_label, J = (draw(st.integers(1, 6)) for _ in range(3))
+    V = draw(st.integers(2, 7))
+    rng = Rng(draw(st.integers(0, 2**31)))
+    params = tr.joint_param_spec(d_audio, d_label, J, V).map(
+        lambda name, spec: Tensor(rng.substream(name).normal(spec.shape)))
+    params.out_b.values[rng.substream("dead").uniform(V) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -np.inf
+    batched = draw(st.booleans())
+    lead = (B,) if batched else ()
+    audio, label = rng.normal(lead + (T, d_audio)), rng.normal(lead + (U + 1, d_label))
+    g = rng.substream("g").normal(lead + (T, U + 1, V))
+    frames = np.array([draw(st.integers(1, T)) for _ in range(B if batched else 1)])
+    for b, t in enumerate(frames):
+        g.reshape((-1,) + g.shape[-3:])[b, t:] = 0.0
+    row_bytes = math.prod(lead + (U + 1, J)) * 8
+    budget = draw(st.integers(0, T + 1)) * row_bytes + draw(st.integers(0, row_bytes - 1))
+    return params, audio, label, frames if batched else None, g, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_grid_backward_in_place_matches_the_whole_array_reference(case):
+    """The grid node that writes its backward over the saved tanh, block by
+    block, gives the reference node's values and all eight gradients, bit
+    for bit; a second call of its backward raises."""
+    params, audio, label, frames, g, budget = case
+    grid = log_prob_grid(Tensor(audio), Tensor(label), params, frames)
+    ref = ops.log_prob_grid(Tensor(audio), Tensor(label), params, frames)
+    assert np.array_equal(grid.log_probs.values, ref.log_probs.values, equal_nan=True)
+    with mock.patch.object(tr, "GRID_BLOCK_BYTES", budget):
+        grads = grid.log_probs.backward_fn(g)
+        with pytest.raises(RuntimeError, match="ran already"):
+            grid.log_probs.backward_fn(g)
+    ref_grads = ref.log_probs.backward_fn(g)
+    assert len(grads) == len(ref_grads) == 8
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that `fn()` allocates beyond what is held when it starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_backward_allocates_less_than_one_hidden_array():
+    """Beyond what it holds at entry, the grid's backward allocates less
+    than one [B, T, U+1, J] array; the reference's two whole temporaries
+    take more than two."""
+    B, T, U, J, V = 2, 48, 15, 128, 4
+    params = make_joint(d_audio=8, d_label=8, joint_dim=J, vocab=V)
+    rng = Rng(11)
+    audio, label = rng.normal((B, T, 8)), rng.normal((B, U + 1, 8))
+    g = rng.normal((B, T, U + 1, V))
+    hidden_bytes = B * T * (U + 1) * J * 8
+    assert hidden_bytes >= 4 * tr.GRID_BLOCK_BYTES  # the budget holds a fraction of it
+    peaks = []
+    for node in (log_prob_grid, ops.log_prob_grid):
+        bw = node(Tensor(audio), Tensor(label), params).log_probs.backward_fn
+        peaks.append(_traced_peak(lambda: bw(g)))
+    assert peaks[0] < hidden_bytes < 2 * hidden_bytes < peaks[1], peaks
 
 
 # ------------------------------------------------------------------ loss
@@ -391,11 +467,14 @@ def test_full_width_diagonals_match_the_per_range_reference(batch):
         return loss.item(), leaf.grad, out["alpha"], out["beta"]
 
     # the reference keeps the example axis first and one more -inf beta
-    # column; these views put it in the kernel's layout
+    # column, and reads label arcs in the blank arcs' [T+U, B, U+1] layout,
+    # -inf past the kernel's [T+U-1, B, U]; these views put it in the
+    # kernel's layout
     def ref_alpha(blank, emit, T, U):
         return ops.lattice_alpha(blank.swapaxes(0, 1), emit.swapaxes(0, 1), T, U).swapaxes(0, 1)
 
     def ref_beta(blank, emit, T, U, ends, lengths):
+        emit = np.pad(emit, ((0, 1), (0, 0), (0, 1)), constant_values=-np.inf)
         return ops.lattice_beta(blank.swapaxes(0, 1), emit.swapaxes(0, 1), T, U, ends,
                                 lengths).swapaxes(0, 1)[..., :U + 1]
 

@@ -8,28 +8,28 @@ That offset-only dependence is what makes cached streaming inference exact:
 a window's encoding is the same at any absolute position.
 
 `encode` runs one sequence [T, d] or a padded batch [B, T, d] with
-per-example lengths through the same code: a layer is five graph nodes
-whatever B, T and the head count. All heads of one attention block form a
-single node with a closed-form backward (`_banded_attention`). It cuts the
+per-example lengths through the same code: a layer is two graph nodes
+whatever B, T and the head count, each the pre-norm residual rule x +
+dropout(block(LN(x))) with a closed-form backward (`_residual`) around a
+block of plain arrays: all heads of attention (`_banded_attention`), then
+the feed-forward layers (`_feed_forward`). The attention block cuts the
 queries into the blocks of a `Band` and scores each block only against the
 keys its window reaches, under the window mask joined with each example's
 key-length mask. `band` picks the block size once per stack call, from T
 and the mask alone: a finite window past the measured crossover
 (`BANDED_MIN_EXTRA_ROWS`) gets blocks of left + right rows, so a layer
 costs O(T * window) instead of O(T^2); shorter sequences and unbounded
-windows get one block of all T rows, which scores all T x T pairs. The
-feed-forward block with its layer-norm, dropouts and residual is one node
-too (`_feed_forward`).
+windows get one block of all T rows, which scores all T x T pairs.
 The streaming `encoder_layer_step` builds no graph and projects nothing:
 each input row's query, key and value come from `qkv_row`, computed once
 when the row arrives (one call over the stacked `qkv_weights`, three
 one-row products), and the step reads its window's keys and values as one
 [3, Tk, H*dh] array, in the audio stream a slice of a per-layer buffer. It
 attends as one block holding one query; a stack of such rows, each with its
-own window, runs the same one-row products in one call. The node and the
+own window, runs the same one-row products in one call. The nodes and the
 step run one attention forward (`_attend`) over one cached relative-offset
-table (`_offset_index`), one feed-forward forward (`_feed_forward_values`)
-and one closing rule (`final_norm`).
+table (`_offset_index`), one feed-forward block (`_feed_forward`) and one
+closing rule (`final_norm`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -231,7 +231,7 @@ def _attend(
     Scores outside `allowed` get zero weight. Returns the content and
     position queries, the softmax weights [..., H, n_blocks, rows, width]
     and the weighted values with the blocks' rows in sequence, [..., H,
-    n_blocks * rows, dh]. The graph node and the streaming step both run
+    n_blocks * rows, dh]. The attention block and the streaming step both run
     this forward.
     """
     rel = params.rel_emb.values                            # [H, R, dh]
@@ -269,7 +269,7 @@ BANDED_MIN_EXTRA_ROWS = 32
 
 @dataclass(frozen=True)
 class Band:
-    """How the attention node cuts T rows into blocks: block b holds query
+    """How the attention block cuts T rows into blocks: block b holds query
     rows b*rows .. b*rows + rows - 1, and its window is the `span` chunks of
     `rows` keys from key row b*rows - front on, zero keys standing in past
     either end. `allowed` [..., 1, n_blocks, rows, span * rows] marks the
@@ -343,31 +343,32 @@ def _unwindow(d: np.ndarray, span: int) -> np.ndarray:
 
 
 def _banded_attention(
-    h: Tensor,
+    h: np.ndarray,
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
     band: Band,
     counters: Counters | None,
     lengths: Sequence[int] | None = None,
-) -> Tensor:
-    """All heads of windowed relative-position self-attention as one graph
-    node over h [T, d], or over a padded batch [B, T, d] with per-example
-    `lengths`, cut into the blocks of `band`.
+) -> tuple[np.ndarray, Callable]:
+    """All heads of windowed relative-position self-attention over h [T, d],
+    or over a padded batch [B, T, d] with per-example `lengths`, cut into
+    the blocks of `band`: the output and its closed-form backward.
 
     The q/k/v projections feed `_attend`: each block of queries against
     the keys and values of its window, and the concatenated heads are
     projected by wo. The offset from a block's query row r to its window
     column w is r + front - w, whatever the block, so all blocks share one
-    offset table. Heads run as [..., H, n_blocks, rows, head_dim] matmuls,
-    and the backward is closed-form over the eight parents. A batch counts
-    each example's own T_b^2 scores per head; padding adds none.
+    offset table. Heads run as [..., H, n_blocks, rows, head_dim] matmuls;
+    the backward gives the gradients of (h, wq, wk, wv, wo, rel_emb,
+    content_bias, pos_bias). A batch counts each example's own T_b^2 scores
+    per head; padding adds none.
     """
     t, rows, n_blocks, span, front = h.shape[-2], band.rows, band.n_blocks, band.span, band.front
     if counters is not None:
         n = np.full(h.shape[:-2], t) if lengths is None else np.asarray(lengths)
         counters.attention_scores += config.num_heads * int((n * n).sum())
-    q, k, v = (_split(h.values @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
+    q, k, v = (_split(h @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
     kb, vb = (_windows(_chunks(a, front, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
     idx = _offset_index(rows, front, span * rows, config.rel_offset)
     qc, qp, weights, heads = _attend(_chunks(q, 0, n_blocks, rows), kb, vb, params, config, idx,
@@ -386,7 +387,7 @@ def _banded_attention(
         # rows past T carry no gradient, so only the queries' gradients are cut to T rows
         d_qc, d_qp = _flat(d_scores @ kb)[..., :t, :], (d_pos @ rel)[..., :t, :]
         d_q, d_k, d_v = _merge(d_qc + d_qp), _merge(d_k), _merge(d_v)
-        hr = flat_rows(h.values)
+        hr = flat_rows(h)
         return (
             d_q @ layer.wq.values.T + (d_k @ layer.wk.values.T + d_v @ layer.wv.values.T),
             hr.T @ flat_rows(d_q),
@@ -398,48 +399,46 @@ def _banded_attention(
             unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
         )
 
-    parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
-               params.rel_emb, params.content_bias, params.pos_bias)
-    return Tensor(heads @ layer.wo.values, parents, bw)
+    return heads @ layer.wo.values, bw
 
 
-def _feed_forward_values(x: np.ndarray, layer: LayerParams, config: EncoderConfig,
-                         s1: np.ndarray | None = None, s2: np.ndarray | None = None):
-    """The feed-forward half of a layer over rows x: x + D2(D1(relu(LN(x) W1
-    + b1)) W2 + b2), with D1, D2 the dropout factors `s1`, `s2` when given.
-    Returns the output and what the backward needs."""
-    h2, xhat, inv = tt.layer_norm_forward(x, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)
-    pre = h2 @ layer.w1.values + layer.b1.values
+def _feed_forward(h: np.ndarray, layer: LayerParams, s1: np.ndarray | None = None):
+    """The feed-forward block over rows h, D1(relu(h W1 + b1)) W2 + b2 with
+    D1 the dropout factor `s1` when given: the output and its closed-form
+    backward, to the gradients of (h, W1, b1, W2, b2)."""
+    pre = h @ layer.w1.values + layer.b1.values
     a = np.where(pre > 0, pre, 0.0)
     if s1 is not None:
         a = a * s1
-    f = a @ layer.w2.values + layer.b2.values
-    if s2 is not None:
-        f = f * s2
-    return x + f, (h2, xhat, inv, pre, a)
 
-
-def _feed_forward(x: Tensor, layer: LayerParams, config: EncoderConfig,
-                  s1: np.ndarray | None, s2: np.ndarray | None) -> Tensor:
-    """The pre-norm feed-forward block with its residual as one graph node
-    over (x, ln2 gain and bias, W1, b1, W2, b2), with the dropout factors
-    `s1`, `s2` when given. The backward is closed-form."""
-    out, (h2, xhat, inv, pre, a) = _feed_forward_values(x.values, layer, config, s1, s2)
-
-    def bw(g):
-        d_f = g if s2 is None else g * s2
+    def bw(d_f):
         d_a = d_f @ layer.w2.values.T
         if s1 is not None:
             d_a = d_a * s1
         d_pre = d_a * (pre > 0)
-        dx, d_gain, d_bias = tt.layer_norm_backward(d_pre @ layer.w1.values.T, layer.ln2_g.values,
-                                                    xhat, inv)
-        return (g + dx, d_gain, d_bias,
-                flat_rows(h2).T @ flat_rows(d_pre), unbroadcast(d_pre, layer.b1.shape),
+        return (d_pre @ layer.w1.values.T,
+                flat_rows(h).T @ flat_rows(d_pre), unbroadcast(d_pre, layer.b1.shape),
                 flat_rows(a).T @ flat_rows(d_f), unbroadcast(d_f, layer.b2.shape))
 
-    parents = (x, layer.ln2_g, layer.ln2_b, layer.w1, layer.b1, layer.w2, layer.b2)
-    return Tensor(out, parents, bw)
+    return a @ layer.w2.values + layer.b2.values, bw
+
+
+def _residual(x: Tensor, gain: Tensor, bias: Tensor, config: EncoderConfig, scale: np.ndarray | None,
+              block: Callable, weights: Sequence[Tensor]) -> Tensor:
+    """A pre-norm residual block, x + D(block(LN(x))), as one graph node over
+    (x, gain, bias, *weights): LN the layer norm by `gain` and `bias`, D the
+    dropout factor `scale` when given. `block` maps the normed rows to its
+    output and a backward to the gradients of its input and `weights`."""
+    h, xhat, inv = tt.layer_norm_forward(x.values, gain.values, bias.values, config.ln_eps)
+    out, block_bw = block(h)
+    out = out if scale is None else out * scale
+
+    def bw(g):
+        d_h, *d_weights = block_bw(g if scale is None else g * scale)
+        dx, d_gain, d_bias = tt.layer_norm_backward(d_h, gain.values, xhat, inv)
+        return (g + dx, d_gain, d_bias, *d_weights)
+
+    return Tensor(x.values + out, (x, gain, bias, *weights), bw)
 
 
 def encoder_layer(
@@ -452,20 +451,20 @@ def encoder_layer(
     counters: Counters | None = None,
     lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """One encoder layer over rows [T, d] or a padded batch [B, T, d]:
-    pre-norm windowed multi-head attention with a residual, then the
-    pre-norm feed-forward block with a residual. Attention runs in the
-    blocks of `band` (see `band`). When an `rng` is given (training), its
-    three dropouts draw together, in the order attention, feed-forward 1,
-    feed-forward 2."""
+    """One encoder layer over rows [T, d] or a padded batch [B, T, d]: two
+    `_residual` nodes, the first around windowed multi-head attention in
+    the blocks of `band` (see `band`), the second around the feed-forward
+    block. When an `rng` is given (training), its three dropouts draw
+    together, in the order attention, feed-forward 1, feed-forward 2."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
-    h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
-    attn = _banded_attention(h, layer, params, config, band, counters, lengths)
-    shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
+    shapes = [x.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
     s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
-    x = tt.add(x, tt.apply_dropout(attn, s_attn))
-    return _feed_forward(x, layer, config, s1, s2)
+    x = _residual(x, layer.ln1_g, layer.ln1_b, config, s_attn,
+                  lambda h: _banded_attention(h, layer, params, config, band, counters, lengths),
+                  (layer.wq, layer.wk, layer.wv, layer.wo, params.rel_emb, params.content_bias, params.pos_bias))
+    return _residual(x, layer.ln2_g, layer.ln2_b, config, s2, lambda h: _feed_forward(h, layer, s1),
+                     (layer.w1, layer.b1, layer.w2, layer.b2))
 
 
 def final_norm(h: Tensor | np.ndarray, config: EncoderConfig,
@@ -548,8 +547,9 @@ def encoder_layer_step(
     kv = _split(window[..., 1:, :, :], config)[..., None, :, :]  # [..., 2, H, 1, Tk, dh]
     idx = _offset_index(1, q_local, tk, config.rel_offset)
     heads = _attend(q, kv[..., 0, :, :, :, :], kv[..., 1, :, :, :, :], params, config, idx, None)[-1]
-    heads = heads.reshape(x_row.shape[:-1] + (-1,))
-    return _feed_forward_values(x_row + heads @ layer.wo.values, layer, config)[0]
+    x = x_row + heads.reshape(x_row.shape[:-1] + (-1,)) @ layer.wo.values
+    h = tt.layer_norm_forward(x, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)[0]
+    return x + _feed_forward(h, layer)[0]
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,18 @@ step is a few dozen coarse nodes over a padded batch. The modules build
 fused nodes with closed-form backwards (attention, the feed-forward block,
 the joint grid, the lattice loss) and wire them with the few primitives
 here: `add`, `matmul` (a 3-D left operand is a batch of matrices), the
-embedding gather `rows`, `layer_norm` and `apply_dropout`, whose factors a
-layer draws for all its sites in one `dropout_scales` call. `Rng` is a
+embedding gather `rows` and `layer_norm`. A layer draws the dropout
+factors of all its sites in one `dropout_scales` call. `Rng` is a
 keyed Philox stream, and `BatchRng` gives each example of a padded batch
 the random draws it would get alone. The
 elementwise and reduction primitives that the composed test references are
 built from live with those tests.
 
 A graph is differentiated once: `backward` drops each node's saved arrays
-as soon as its gradients have reached its parents, so the pass holds only
-what the nodes still ahead of it need. Build the graph again to
-differentiate again.
+and its own gradient as soon as its gradients have reached its parents, so
+the pass holds only what the nodes still ahead of it need, and afterwards
+only the leaves hold gradients. Build the graph again to differentiate
+again.
 
 Graph recording can be suspended with `no_grad()` for inference paths that
 must not retain history (e.g. streaming state caches).
@@ -69,8 +70,9 @@ class Tensor:
     """A dense float64 array, optionally attached to a differentiation graph.
 
     `parents` and `backward_fn` describe the producing operation; leaves have
-    neither. `grad` is populated by `backward` and holds an array of the same
-    shape as `values`.
+    neither. `backward` fills `grad` with an array of the same shape as
+    `values`. A leaf keeps it; a non-leaf's is dropped (None again) as soon
+    as it has reached the node's parents.
     """
 
     __slots__ = ("values", "parents", "backward_fn", "grad")
@@ -238,13 +240,6 @@ def dropout_scales(shapes: Sequence[tuple[int, ...]], ratio: float,
     return scales
 
 
-def apply_dropout(x: Tensor, scale: np.ndarray | None) -> Tensor:
-    """`x` times a dropout factor of `dropout_scales`; the identity for None."""
-    if scale is None:
-        return x
-    return Tensor(x.values * scale, (x,), lambda g: (g * scale,))
-
-
 def _spent(g):
     raise RuntimeError("backward already ran through this node and freed what it saved; "
                        "build the graph again to differentiate it again")
@@ -257,7 +252,8 @@ def backward(root: Tensor, check_finite: bool = True):
     A graph is differentiated once. As soon as a node's gradients have
     reached its parents, its `backward_fn` is replaced by one that raises,
     which frees the arrays the node saved for its backward while the pass
-    goes on. `parents` stay, and the node stays a non-leaf."""
+    goes on, and its `.grad` is dropped. `parents` stay, and the node stays
+    a non-leaf. Leaves keep their gradients."""
     if root.values.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
 
@@ -286,7 +282,7 @@ def backward(root: Tensor, check_finite: bool = True):
                 parent.grad = np.array(g)  # owned copy; bw outputs may alias inputs
             else:
                 parent.grad += g
-        node.backward_fn = _spent  # frees what the closure saved
+        node.backward_fn, node.grad = _spent, None  # frees what the closure saved, and the gradient
 
     if check_finite:
         for node in order:

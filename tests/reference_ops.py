@@ -13,6 +13,11 @@ bitwise reference for the full-width diagonals of `ttkit.transducer`.
 `log_prob_grid` is the joint grid node whose backward makes its two
 [..., T, U+1, J] temporaries whole and leaves the saved tanh as it was, the
 bitwise reference for the node that writes its backward over the tanh.
+`encoder_layer` is a layer composed of five nodes: a layer norm, the
+attention node (`attention_node`, ttkit's attention block over a
+layer-normed `Tensor`), a dropout, a residual add, and the feed-forward node
+with its own layer norm, dropouts and residual (`feed_forward`). It is the
+bitwise reference for ttkit's layer of two pre-norm residual nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ttkit import attention as att
+from ttkit import tensor as tt
 from ttkit import transducer as tr
 from ttkit.tensor import BatchRng, Rng, ShapeError, Tensor, flat_rows, unbroadcast
 
@@ -333,12 +340,69 @@ def dropout_scale(shape: tuple[int, ...], ratio: float, rng: Rng | BatchRng | No
     return keep / (1.0 - ratio)
 
 
-def dropout(x: Tensor, ratio: float, rng: Rng | BatchRng | None) -> Tensor:
-    """`x` times its `dropout_scale`; without one this is the identity."""
-    scale = dropout_scale(x.shape, ratio, rng)
+def apply_dropout(x: Tensor, scale: np.ndarray | None) -> Tensor:
+    """`x` times a dropout factor; the identity for None."""
     if scale is None:
         return x
     return Tensor(x.values * scale, (x,), lambda g: (g * scale,))
+
+
+def dropout(x: Tensor, ratio: float, rng: Rng | BatchRng | None) -> Tensor:
+    """`x` times its `dropout_scale`; without one this is the identity."""
+    return apply_dropout(x, dropout_scale(x.shape, ratio, rng))
+
+
+# ------------------------------------------ the layer composed of five nodes
+
+def attention_node(h: Tensor, layer, params, config, band, counters, lengths=None) -> Tensor:
+    """`attention._banded_attention` as one graph node over h and the eight
+    tensors it reads."""
+    out, bw = att._banded_attention(h.values, layer, params, config, band, counters, lengths)
+    parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
+               params.rel_emb, params.content_bias, params.pos_bias)
+    return Tensor(out, parents, bw)
+
+
+def feed_forward(x: Tensor, layer, config, s1: np.ndarray | None, s2: np.ndarray | None) -> Tensor:
+    """The feed-forward half of a layer as one graph node over (x, ln2 gain
+    and bias, W1, b1, W2, b2): x + D2(D1(relu(LN(x) W1 + b1)) W2 + b2), with
+    D1, D2 the dropout factors `s1`, `s2` when given."""
+    h2, xhat, inv = tt.layer_norm_forward(x.values, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)
+    pre = h2 @ layer.w1.values + layer.b1.values
+    a = np.where(pre > 0, pre, 0.0)
+    if s1 is not None:
+        a = a * s1
+    f = a @ layer.w2.values + layer.b2.values
+    if s2 is not None:
+        f = f * s2
+
+    def bw(g):
+        d_f = g if s2 is None else g * s2
+        d_a = d_f @ layer.w2.values.T
+        if s1 is not None:
+            d_a = d_a * s1
+        d_pre = d_a * (pre > 0)
+        dx, d_gain, d_bias = tt.layer_norm_backward(d_pre @ layer.w1.values.T, layer.ln2_g.values,
+                                                    xhat, inv)
+        return (g + dx, d_gain, d_bias,
+                flat_rows(h2).T @ flat_rows(d_pre), unbroadcast(d_pre, layer.b1.shape),
+                flat_rows(a).T @ flat_rows(d_f), unbroadcast(d_f, layer.b2.shape))
+
+    parents = (x, layer.ln2_g, layer.ln2_b, layer.w1, layer.b1, layer.w2, layer.b2)
+    return Tensor(x.values + f, parents, bw)
+
+
+def encoder_layer(x: Tensor, band, layer, params, config, rng=None, counters=None, lengths=None) -> Tensor:
+    """`attention.encoder_layer` as five nodes: layer norm, attention,
+    dropout and residual add, then the feed-forward node. The three dropout
+    sites draw together as there, in the order attention, feed-forward 1,
+    feed-forward 2."""
+    h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
+    attn = attention_node(h, layer, params, config, band, counters, lengths)
+    shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
+    s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
+    x = tt.add(x, apply_dropout(attn, s_attn))
+    return feed_forward(x, layer, config, s1, s2)
 
 
 # ------------------------------------------- the per-range lattice diagonals

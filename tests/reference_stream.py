@@ -53,7 +53,9 @@ def encoder_layer_step(x_row, window, q_local, layer, params, config, counters=N
     scores = (qc @ k.swapaxes(-1, -2) + pos) * (1.0 / math.sqrt(config.head_dim))
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     heads = att._merge(e / e.sum(axis=-1, keepdims=True) @ v)
-    return att._feed_forward_values(x_row + heads[0] @ layer.wo.values, layer, config)[0]
+    x = x_row + heads[0] @ layer.wo.values
+    h = tt.layer_norm_forward(x, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)[0]
+    return x + att._feed_forward(h, layer)[0]
 
 
 class IncrementalEncoder:

@@ -208,7 +208,7 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
                params.rel_emb, params.content_bias, params.pos_bias]
 
     results = []
-    for fn in (lambda c: att._banded_attention(queries, layer, params, cfg, att.band(tk, window_mask), c),
+    for fn in (lambda c: ops.attention_node(queries, layer, params, cfg, att.band(tk, window_mask), c),
                lambda c: ops.multi_head_attention(queries, layer, params, cfg, mask, c),
                lambda c: composed_multi_head_attention(queries, layer, params, cfg, positions, mask, c)):
         for p in parents:
@@ -249,7 +249,7 @@ def _attention_case(cfg, lengths, seed, batched=True):
 
 def _banded(h, params, cfg, lengths, counters=None):
     band = att.band(h.shape[-2], cfg.mask, lengths)
-    return att._banded_attention(h, params.layers[0], params, cfg, band, counters, lengths)
+    return ops.attention_node(h, params.layers[0], params, cfg, band, counters, lengths)
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,7 +288,7 @@ def test_banded_attention_matches_dense(lengths, batched, left, right, offset_ch
     dense_mask = ops.build_mask(t, mask)
     dense_mask = ops.batch_mask(dense_mask, lengths) if batched else dense_mask
     results = []
-    for fn in (lambda c: att._banded_attention(h, params.layers[0], params, cfg, blocks, c, node_lengths),
+    for fn in (lambda c: ops.attention_node(h, params.layers[0], params, cfg, blocks, c, node_lengths),
                lambda c: ops.multi_head_attention(h, params.layers[0], params, cfg, dense_mask, c,
                                                   node_lengths)):
         for p in parents:
@@ -387,6 +387,53 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
 
 # ----------------------------------------------------------- encoder layer
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    batched=st.booleans(),
+    window=st.sampled_from([(2, 1), (3, 0), (1, 2), None]),
+    banded=st.booleans(),
+    dropout=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[12, 1, 7], batched=True, window=(2, 1), banded=True, dropout=0.3, seed=0)
+@example(lengths=[9], batched=False, window=(3, 0), banded=True, dropout=0.3, seed=1)
+def test_encoder_layer_equals_the_composed_layer(lengths, batched, window, banded, dropout, seed):
+    """A layer of two residual nodes gives the five-node layer of
+    `reference_ops` bit for bit: its values, the attention-score count, and
+    the gradients of its input and of every parameter. Drawn over padded
+    batches and single sequences, with dropout on and off, in one block or
+    in several (the crossover moved to 0 rows)."""
+    mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
+    cfg = small_config(num_layers=1, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
+    lengths = lengths if batched else lengths[:1]
+    node_lengths = lengths if batched else None
+    rng = Rng(seed)
+    params = init_encoder_params(cfg, rng.substream("params"))
+    for name, p in params.named("p"):
+        p.values[...] = rng.substream(name).normal(p.shape)
+    shape = (len(lengths), max(lengths), cfg.model_dim) if batched else (lengths[0], cfg.model_dim)
+    x_values = rng.substream("x").normal(shape)
+    upstream = Tensor(rng.substream("g").normal(shape))
+    with mock.patch.object(att, "BANDED_MIN_EXTRA_ROWS", 0 if banded else math.inf):
+        blocks = att.band(shape[-2], mask, node_lengths)
+
+    def drop_rng():
+        drops = [rng.substream(f"drop{b}") for b in range(len(lengths))]
+        return tt.BatchRng(drops, lengths) if batched else drops[0]
+
+    results = []
+    for layer_fn in (att.encoder_layer, ops.encoder_layer):
+        for _, p in params.named():
+            p.grad = None
+        x, counters = Tensor(x_values), att.Counters()
+        out = layer_fn(x, blocks, params.layers[0], params, cfg, drop_rng(), counters, node_lengths)
+        backward(ops.tsum(ops.mul(out, upstream)))
+        grads = [None if p.grad is None else p.grad.tobytes() for _, p in params.named()]
+        results.append((out.values.tobytes(), counters.attention_scores, x.grad.tobytes(), grads))
+    assert results[0] == results[1]
+
+
 def test_zero_parameter_layer_is_identity():
     cfg = small_config(num_layers=1)
     params = zero_params(init_encoder_params(cfg, Rng(3)))
@@ -450,10 +497,9 @@ def _graph_ops(root):
 
 @pytest.mark.parametrize("training", [False, True])
 def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
-    # a layer norm, the attention node and its residual add, a dropout when
-    # training, and the feed-forward block (its layer norm, both dense
-    # layers, relu, two dropouts and residual) as one node
-    expected = 4 + (1 if training else 0)
+    # two residual nodes, each with its layer norm and dropout: one around
+    # all heads of attention, one around both dense layers and the relu
+    expected = 2
     for num_heads in (1, 2, 3):
         for seq_len in (1, 4, 9):
             cfg = small_config(num_layers=1, num_heads=num_heads, dropout_ratio=0.1)

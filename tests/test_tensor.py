@@ -215,7 +215,6 @@ def test_layer_norm_and_log_softmax_are_one_node():
 def test_dropout_inference_identity():
     x = Tensor(Rng(0).normal((8, 8)))
     assert tt.dropout_scales([x.shape], 0.1, None) is None
-    assert tt.apply_dropout(x, None) is x
 
 
 def test_dropout_zero_ratio_identity():
@@ -223,9 +222,8 @@ def test_dropout_zero_ratio_identity():
 
 
 def test_dropout_mean_preserved():
-    x = tt.ones(100_000)
-    out = tt.apply_dropout(x, tt.dropout_scales([x.shape], 0.1, Rng(42))[0])
-    assert abs(out.values.mean() - 1.0) < 0.02
+    scale = tt.dropout_scales([(100_000,)], 0.1, Rng(42))[0]
+    assert abs(scale.mean() - 1.0) < 0.02
 
 
 def test_dropout_bad_ratio():
@@ -276,8 +274,8 @@ def test_backward_rejects_non_scalar_root():
 
 def test_backward_flags_non_finite_gradient():
     w = Tensor([0.0])
-    out = ops.log(w)  # -inf value, infinite gradient
-    with pytest.raises(NumericsError):
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        out = ops.log(w)  # -inf value, infinite gradient
         backward(ops.tsum(out))
 
 

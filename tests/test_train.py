@@ -996,10 +996,11 @@ def _count_graph_nodes(root) -> int:
 
 
 def test_backward_frees_each_node_once_its_gradients_reach_its_parents():
-    """After `backward`, every non-leaf's backward closure is gone and its
-    `backward_fn` raises, while the graph keeps its nodes and operations; a
-    graph built again from the same model and draws differentiates again,
-    to the same gradient."""
+    """After `backward`, every non-leaf's backward closure and gradient are
+    gone and its `backward_fn` raises, while the graph keeps its nodes and
+    operations and every leaf keeps its gradient (the parameters' are views
+    of the optimizer's buffer); a graph built again from the same model and
+    draws differentiates again, to the same gradient."""
     cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=AttentionMask(3, 1), label_left=2,
                       dropout=0.1, model_dim=8)
     model = init_model(cfg, Rng(0))
@@ -1018,11 +1019,17 @@ def test_backward_frees_each_node_once_its_gradients_reach_its_parents():
         assert [id(n) for n in _graph(root)] == [id(n) for n in nodes]
         assert [n for n in nodes if n.backward_fn is not None] == ops
         assert all(c() is None for c in closures)
+        assert all(n.grad is None for n in ops)
+        assert all(n.grad is not None for n in nodes if n.backward_fn is None)
+        assert all(np.shares_memory(p.grad, opt.grads) for _, p in model.named_params())
         for n in ops:
             with pytest.raises(RuntimeError, match="backward already ran through this node"):
                 n.backward_fn(np.ones(n.shape))
         grads.append(opt.grads.copy())
-    assert len(ops) > 20
+    # the audio stack's input projection and bias, two nodes per layer and
+    # the final norm; the label stack's embedding lookup, projection, bias,
+    # one layer and final norm; the joint grid and the lattice loss
+    assert len(ops) == (2 + 2 * 2 + 1) + (3 + 2 + 1) + 2
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
@@ -1039,8 +1046,8 @@ def test_train_step_graph_size_is_independent_of_batch(monkeypatch):
         train_step(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(1))
         sizes.append(_count_graph_nodes(roots.pop()))
     # 57 parameter leaves and the features leaf; the audio stack's input
-    # projection and bias, five nodes per layer (two layer norms' first,
-    # attention, its dropout and residual, the feed-forward block) and the
-    # final norm; the label stack's embedding lookup, projection, bias, one
-    # layer and final norm; the joint grid and the lattice loss
-    assert sizes == [57 + 1 + (2 + 2 * 5 + 1) + (3 + 5 + 1) + 2] * 4
+    # projection and bias, two residual nodes per layer (attention, the
+    # feed-forward block) and the final norm; the label stack's embedding
+    # lookup, projection, bias, one layer and final norm; the joint grid and
+    # the lattice loss
+    assert sizes == [57 + 1 + (2 + 2 * 2 + 1) + (3 + 2 + 1) + 2] * 4

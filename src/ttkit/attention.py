@@ -487,13 +487,14 @@ def encode(
     counters: Counters | None = None,
     lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """Project the input to model_dim, run the full layer stack under the
-    shared mask and close with `final_norm`. `x` is one sequence's rows
-    [T, input_dim], or a batch padded to [B, T, input_dim] whose example b
-    fills its first lengths[b] rows; a padded row never reaches a valid one."""
+    """Project the input to model_dim (one `linear` node), run the full
+    layer stack under the shared mask and close with `final_norm`. `x` is
+    one sequence's rows [T, input_dim], or a batch padded to [B, T,
+    input_dim] whose example b fills its first lengths[b] rows; a padded
+    row never reaches a valid one."""
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
-    h = tt.add(tt.matmul(x, params.input_w), params.input_b)
+    h = tt.linear(x, params.input_w, params.input_b)
     blocks = band(x.shape[-2], config.mask, lengths) if params.layers else None
     for i, layer in enumerate(params.layers):
         h = encoder_layer(h, blocks, layer, params, config,

@@ -74,8 +74,8 @@ def param_spec(config: ModelConfig) -> ModelParams:
 
 
 class TransducerModel:
-    """`flat` is the storage of `params` in a model that trains; a model
-    over substituted parameters (`with_params`) has none."""
+    """`flat` is the storage of `params` in a model that trains. A model
+    built over some other parameter tree has none."""
 
     def __init__(self, config: ModelConfig, params: ModelParams, counters: Counters | None = None,
                  flat: FlatParams | None = None):
@@ -86,11 +86,6 @@ class TransducerModel:
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return list(self.params.named())
-
-    def with_params(self, params: ModelParams) -> "TransducerModel":
-        """Same config and counters over substituted parameters (weight
-        noise views share the underlying leaves through the graph)."""
-        return TransducerModel(self.config, params, self.counters)
 
     # ------------------------------------------------------------ forward
 

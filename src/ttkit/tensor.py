@@ -9,16 +9,16 @@ training step skips that and checks its one gradient buffer through the
 clip norm instead (`train.clip_gradients`).
 
 The cost of a graph is Python work per node, not arithmetic, so a training
-step is a few dozen coarse nodes over a padded batch. The modules build
-fused nodes with closed-form backwards (attention, the feed-forward block,
-the joint grid, the lattice loss) and wire them with the few primitives
-here: `add`, `matmul` (a 3-D left operand is a batch of matrices), the
-embedding gather `rows` and `layer_norm`. A layer draws the dropout
-factors of all its sites in one `dropout_scales` call. `Rng` is a
-keyed Philox stream, and `BatchRng` gives each example of a padded batch
-the random draws it would get alone. The
-elementwise and reduction primitives that the composed test references are
-built from live with those tests.
+step is a few dozen coarse nodes over a padded batch, each fused with a
+closed-form backward: the modules' (attention, the feed-forward block, the
+joint grid, the lattice loss) and the few here, an encoder's input
+projection `linear`, the embedding gather `rows` and `layer_norm`. Weight
+noise adds no node: training perturbs the stored parameters in place
+(`train.weight_noise`). A layer draws the dropout factors of all its sites
+in one `dropout_scales` call. `Rng` is a keyed Philox stream, and
+`BatchRng` gives each example of a padded batch the random draws it would
+get alone. The elementwise, reduction and generic product primitives that
+the composed test references are built from live with those tests.
 
 A graph is differentiated once: `backward` drops each node's saved arrays
 and its own gradient as soon as its gradients have reached its parents, so
@@ -132,42 +132,23 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values + b.values
-
-    def bw(g):
-        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
-
-    return Tensor(out, (a, b), bw)
-
-
 def flat_rows(a: np.ndarray) -> np.ndarray:
     """[..., n] -> [rows, n]: every leading axis folded into one."""
     return a.reshape(-1, a.shape[-1])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a 1-D, 2-D or 3-D left operand (3-D: a batch of
-    matrices sharing `b`) with a 1-D or 2-D right one, with the usual vector
-    promotion."""
-    if a.ndim not in (1, 2, 3) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1D-3D @ 1D/2D operands, got {a.shape} @ {b.shape}")
-    ak = a.shape[-1]
-    bk = b.shape[0]
-    if ak != bk:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    out = a.values @ b.values
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x W + b over the last axis of `x` [..., n], for W [n, m] and b [m]:
+    one node over (x, w, b). Its backward runs the products over every
+    leading axis folded into rows (`flat_rows`)."""
+    out = x.values @ w.values + b.values
 
     def bw(g):
-        av, bv = a.values, b.values
-        a2 = flat_rows(av)
-        b2 = bv if bv.ndim == 2 else bv[:, None]
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
-        ga = g2 @ b2.T
-        gb = a2.T @ g2
-        return ga.reshape(av.shape), gb.reshape(bv.shape)
+        g2 = flat_rows(g)
+        return ((g2 @ w.values.T).reshape(x.shape), flat_rows(x.values).T @ g2,
+                unbroadcast(g, b.shape))
 
-    return Tensor(out, (a, b), bw)
+    return Tensor(out, (x, w, b), bw)
 
 
 def rows(a: Tensor, ids: np.ndarray) -> Tensor:
@@ -449,9 +430,6 @@ class ParamTree:
             mapped = [v.map(fn, n) if isinstance(v, ParamTree) else fn(n, v) for n, v in items]
             out[key] = mapped if is_list else mapped[0]
         return type(self)(**out)
-
-    def transform(self, fn: Callable[[object], object]):
-        return self.map(lambda _, value: fn(value))
 
 
 class FlatParams(NamedTuple):

@@ -5,9 +5,10 @@ A step builds one graph for the whole batch (`TransducerModel.batch_grid`
 and `batch_loss`), padded to its longest example, with every example's
 SpecAugment and dropout drawn from its own substreams. The schedule ramps
 linearly from zero to the peak rate, holds, then decays geometrically to the
-final rate. Weight noise perturbs only the forward pass:
-noisy views are graph nodes over the stored leaves, so gradients land on the
-stored parameters while updates point against the perturbed loss.
+final rate. Weight noise is added to the stored parameters in place for a
+step's forward and backward and taken off before the update
+(`weight_noise`), so gradients land on the stored leaves while updates
+point against the perturbed loss; it adds no graph node.
 Gradients accumulate into one flat buffer that the optimizer holds, so
 clipping scales it in one op and Adam updates parameters and moments in a
 few ops per fixed block. The step's finite check rides on the clip norm:
@@ -29,15 +30,15 @@ import math
 import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import tensor as tt
-from .model import ModelParams, TransducerModel, model_config_from_dict, param_spec
+from .model import TransducerModel, model_config_from_dict, param_spec
 from .tasks import BinaryReader, Utterance
-from .tensor import NumericsError, Rng, Tensor, backward, flat_params
+from .tensor import NumericsError, Rng, backward, flat_params
 from .transducer import batch_loss
 
 
@@ -181,15 +182,24 @@ def clip_gradients(grads: np.ndarray, views: Sequence[np.ndarray], max_norm: flo
     return norm
 
 
-def apply_weight_noise(params: ModelParams, sigma: float, step: int,
-                       start_step: int, rng: Rng) -> ModelParams:
-    """Forward-pass weights: params + N(0, sigma^2) once `step` reaches
-    `start_step`. The noise is a constant in the graph, so gradients flow to
-    the stored parameters and the noise itself is never persisted."""
+@contextmanager
+def weight_noise(model: TransducerModel, sigma: float, step: int, start_step: int, rng: Rng):
+    """Inside the block, the model's parameters are params + N(0, sigma^2),
+    once `step` reaches `start_step`: each parameter's draw, in named order
+    from the `weight_noise/{step}` substream of `rng`, is added to it in
+    place. On exit, however the block ends, the parameter buffer gets back
+    the bytes it had on entry, so the noise is never stepped or saved."""
     if sigma == 0.0 or step < start_step:
-        return params
-    stream = rng.substream(f"weight_noise/{step}")
-    return params.transform(lambda p: tt.add(p, Tensor(stream.normal(p.shape, sigma=sigma))))
+        yield
+        return
+    clean = model.flat.values.copy()
+    try:
+        stream = rng.substream(f"weight_noise/{step}")
+        for p in model.flat.leaves:
+            p.values += stream.normal(p.shape, sigma=sigma)
+        yield
+    finally:
+        model.flat.values[...] = clean
 
 
 def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utterance],
@@ -202,7 +212,9 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     Deterministic for a given (seed, step): augmentation, dropout, and noise
     all draw from labeled sub-streams keyed by the step and example index.
     Passing each example its `Rng` is what makes the forward pass a training
-    one; each regularizer's own config decides whether it runs. Each
+    one; each regularizer's own config decides whether it runs. The forward
+    and backward run inside `weight_noise`, so the backward reads the
+    perturbed values the forward used, and Adam steps the clean ones. Each
     parameter's `.grad` is its view of the optimizer's zeroed gradient
     buffer, so backward accumulates straight into the buffer that clipping
     and Adam update as a whole. Backward skips its per-leaf finite check:
@@ -214,19 +226,16 @@ def train_step(model: TransducerModel, optimizer: Adam, batch: Sequence[Utteranc
     lr = lr_at(step, schedule)
     step_rng = rng.substream(f"step{step}")
     optimizer.zero_grad()
-
-    fwd = model.with_params(apply_weight_noise(
-        model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
-
     ys = [utt.labels for utt in batch]
-    grid = fwd.batch_grid([utt.features for utt in batch], ys,
-                          [step_rng.substream(f"ex{i}") for i in range(len(batch))])
-    loss = batch_loss(grid, ys)
-    value = loss.item()
-    if not np.isfinite(value):
-        ids = [utt.id for utt in batch]
-        raise NumericsError(f"non-finite loss {value} at step {step} (examples {ids})")
-    backward(loss, check_finite=False)
+    with weight_noise(model, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng):
+        grid = model.batch_grid([utt.features for utt in batch], ys,
+                                [step_rng.substream(f"ex{i}") for i in range(len(batch))])
+        loss = batch_loss(grid, ys)
+        value = loss.item()
+        if not np.isfinite(value):
+            ids = [utt.id for utt in batch]
+            raise NumericsError(f"non-finite loss {value} at step {step} (examples {ids})")
+        backward(loss, check_finite=False)
 
     norm = clip_gradients(optimizer.grads, optimizer.grad_views, cfg.grad_clip_norm)
     optimizer.step(lr)
@@ -323,7 +332,10 @@ def checkpoint_bytes(model: TransducerModel) -> bytes:
 
 def save_checkpoint(model: TransducerModel, path):
     """Write to a temporary file beside `path`, then rename it over `path`,
-    so a failure part-way leaves any previous checkpoint there intact."""
+    so a failure part-way leaves any previous checkpoint there intact. The
+    file is synced before the rename and, where the platform can open a
+    directory (`os.O_DIRECTORY`), the directory after it, so the rename
+    itself survives a crash."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -334,6 +346,12 @@ def save_checkpoint(model: TransducerModel, path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    if hasattr(os, "O_DIRECTORY"):
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def load_checkpoint(path) -> TransducerModel:

@@ -1,9 +1,10 @@
 """Tensor operations that only the tests use: the primitives that the
 composed references (per-head attention, composed layer norm and
 log-softmax, the scalar-node lattice, the per-example training step) are
-built from. ttkit's own graphs use the fused nodes of `ttkit.tensor` and
-its modules; these stay as the independent pieces those nodes are checked
-against. `uniform_grid` is the input of the closed-form lattice oracle.
+built from, the generic `add` and `matmul` among them. ttkit's own graphs
+use only the fused nodes of `ttkit.tensor` and its modules; these stay as
+the independent pieces those nodes are checked against: `add(matmul(x, W),
+b)` is the reference for an encoder's input node `ttkit.tensor.linear`. `uniform_grid` is the input of the closed-form lattice oracle.
 `multi_head_attention` is the dense attention node that scores all T x T
 pairs, the reference for ttkit's blocked one, under the [T, T] window of
 `build_mask`. `dropout` draws one site at a time (`dropout_scale`), the
@@ -37,6 +38,39 @@ def uniform_grid(T: int, U: int, V: int) -> tr.LogProbGrid:
     """The grid whose every distribution is uniform over the V symbols: the
     input of the closed-form lattice oracle."""
     return tr.LogProbGrid(Tensor(tr._log_softmax(np.zeros((T, U + 1, V)))[0]))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out = a.values + b.values
+
+    def bw(g):
+        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
+
+    return Tensor(out, (a, b), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of a 1-D, 2-D or 3-D left operand (3-D: a batch of
+    matrices sharing `b`) with a 1-D or 2-D right one, with the usual vector
+    promotion."""
+    if a.ndim not in (1, 2, 3) or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul supports 1D-3D @ 1D/2D operands, got {a.shape} @ {b.shape}")
+    ak = a.shape[-1]
+    bk = b.shape[0]
+    if ak != bk:
+        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+    out = a.values @ b.values
+
+    def bw(g):
+        av, bv = a.values, b.values
+        a2 = flat_rows(av)
+        b2 = bv if bv.ndim == 2 else bv[:, None]
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        ga = g2 @ b2.T
+        gb = a2.T @ g2
+        return ga.reshape(av.shape), gb.reshape(bv.shape)
+
+    return Tensor(out, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -401,7 +435,7 @@ def encoder_layer(x: Tensor, band, layer, params, config, rng=None, counters=Non
     attn = attention_node(h, layer, params, config, band, counters, lengths)
     shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
     s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
-    x = tt.add(x, apply_dropout(attn, s_attn))
+    x = add(x, apply_dropout(attn, s_attn))
     return feed_forward(x, layer, config, s1, s2)
 
 

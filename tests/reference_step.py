@@ -9,6 +9,10 @@ trained with before the batch axis, so this step reproduces its pinned
 training bytes exactly, while the batched step agrees with it within
 rounding. Randomness is drawn from the same per-example substreams.
 
+Its weight noise is the node-based one ttkit used before perturbing the
+stored parameters in place (`noisy_model`): a node over each leaf that adds
+that leaf's draw.
+
 Its optimizer is the per-array one ttkit stepped with before the flat
 parameter buffer: a gradient dict of per-leaf copies, clipped array by array,
 and an `Adam` with one moment array per parameter. It is also the reference
@@ -26,8 +30,9 @@ import reference_ops as ops
 from ttkit import attention as att
 from ttkit import tensor as tt
 from ttkit import transducer as tr
+from ttkit.model import TransducerModel
 from ttkit.tensor import NumericsError, ShapeError, Tensor, backward
-from ttkit.train import apply_weight_noise, lr_at
+from ttkit.train import lr_at
 
 
 class Adam:
@@ -71,21 +76,36 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
+def noisy_model(model, cfg, step, step_rng):
+    """The model whose forward runs on params + N(0, sigma^2) once `step`
+    reaches the start step, as a node over each stored leaf: an add of a
+    constant noise leaf, drawn in named order from the step's
+    `weight_noise/{step}` substream. Gradients reach the stored leaves
+    through those nodes, which leave the stored values as they are. The
+    model itself when the noise is off."""
+    sigma = cfg.weight_noise_sigma
+    if sigma == 0.0 or step < cfg.weight_noise_start_step:
+        return model
+    stream = step_rng.substream(f"weight_noise/{step}")
+    params = model.params.map(lambda _, p: ops.add(p, Tensor(stream.normal(p.shape, sigma=sigma))))
+    return TransducerModel(model.config, params, model.counters)
+
+
 def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):
     """One layer over unpadded rows [T, d], the feed-forward block composed
     of matmul, bias, relu, dropout and residual nodes."""
     eps, ratio = config.ln_eps, config.dropout_ratio
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, eps)
     attn = ops.multi_head_attention(h, layer, params, config, mask_bool, counters)
-    x = tt.add(x, ops.dropout(attn, ratio, rng))
+    x = ops.add(x, ops.dropout(attn, ratio, rng))
     h2 = tt.layer_norm(x, layer.ln2_g, layer.ln2_b, eps)
-    f = ops.dropout(ops.relu(tt.add(tt.matmul(h2, layer.w1), layer.b1)), ratio, rng)
-    f = ops.dropout(tt.add(tt.matmul(f, layer.w2), layer.b2), ratio, rng)
-    return tt.add(x, f)
+    f = ops.dropout(ops.relu(ops.add(ops.matmul(h2, layer.w1), layer.b1)), ratio, rng)
+    f = ops.dropout(ops.add(ops.matmul(f, layer.w2), layer.b2), ratio, rng)
+    return ops.add(x, f)
 
 
 def encode(x, config, params, rng=None, counters=None):
-    h = tt.add(tt.matmul(x, params.input_w), params.input_b)
+    h = ops.add(ops.matmul(x, params.input_w), params.input_b)
     mask_bool = ops.build_mask(x.shape[0], config.mask)
     for i, layer in enumerate(params.layers):
         h = encoder_layer(h, mask_bool, layer, params, config,
@@ -100,23 +120,23 @@ def joint_logits(audio_t, label_u, params):
         raise ShapeError(f"audio activation shape {audio_t.shape} != ({params.audio_w.shape[0]},)")
     if label_u.shape != (params.label_w.shape[0],):
         raise ShapeError(f"label activation shape {label_u.shape} != ({params.label_w.shape[0]},)")
-    pre = tt.add(
-        tt.add(tt.matmul(audio_t, params.audio_w), params.audio_b),
-        tt.add(tt.matmul(label_u, params.label_w), params.label_b),
+    pre = ops.add(
+        ops.add(ops.matmul(audio_t, params.audio_w), params.audio_b),
+        ops.add(ops.matmul(label_u, params.label_w), params.label_b),
     )
-    return tt.add(tt.matmul(ops.tanh(pre), params.out_w), params.out_b)
+    return ops.add(ops.matmul(ops.tanh(pre), params.out_w), params.out_b)
 
 
 def log_prob_grid(audio_acts, label_acts, params) -> tr.LogProbGrid:
     """`joint_logits` at every (frame, history) pair, as a chain of nodes."""
     T = audio_acts.shape[0]
     u1 = label_acts.shape[0]
-    a = tt.add(tt.matmul(audio_acts, params.audio_w), params.audio_b)   # [T, J]
-    l = tt.add(tt.matmul(label_acts, params.label_w), params.label_b)  # [U+1, J]
+    a = ops.add(ops.matmul(audio_acts, params.audio_w), params.audio_b)   # [T, J]
+    l = ops.add(ops.matmul(label_acts, params.label_w), params.label_b)  # [U+1, J]
     joint_dim = a.shape[1]
-    pre = tt.add(ops.reshape(a, (T, 1, joint_dim)), ops.reshape(l, (1, u1, joint_dim)))
+    pre = ops.add(ops.reshape(a, (T, 1, joint_dim)), ops.reshape(l, (1, u1, joint_dim)))
     hid = ops.reshape(ops.tanh(pre), (T * u1, joint_dim))
-    logits = tt.add(tt.matmul(hid, params.out_w), params.out_b)
+    logits = ops.add(ops.matmul(hid, params.out_w), params.out_b)
     return tr.LogProbGrid(ops.log_softmax(ops.reshape(logits, (T, u1, params.out_w.shape[1])), axis=-1))
 
 
@@ -139,7 +159,7 @@ def batch_loss(items) -> Tensor:
     total = None
     for grid, y in items:
         term = tr.rnnt_log_prob(grid, y)
-        total = term if total is None else tt.add(total, term)
+        total = term if total is None else ops.add(total, term)
     return ops.neg(total)
 
 
@@ -151,8 +171,7 @@ def train_step(model, optimizer, batch, step, schedule, cfg, rng, stats=None) ->
     named = model.named_params()
     for _, p in named:
         p.grad = None
-    fwd = model.with_params(apply_weight_noise(
-        model.params, cfg.weight_noise_sigma, step, cfg.weight_noise_start_step, step_rng))
+    fwd = noisy_model(model, cfg, step, step_rng)
     items = [(example_grid(fwd, utt.features, utt.labels, step_rng.substream(f"ex{i}")), utt.labels)
              for i, utt in enumerate(batch)]
     loss = batch_loss(items)

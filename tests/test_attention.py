@@ -29,7 +29,7 @@ def small_config(num_layers=2, left=2, right=1, model_dim=8, **kw):
 
 
 def init_encoder_params(config, rng):
-    return att.encoder_param_spec(config).transform(lambda spec: spec.materialize(rng))
+    return att.encoder_param_spec(config).map(lambda _, spec: spec.materialize(rng))
 
 
 def zero_params(params):
@@ -105,17 +105,17 @@ def attention_scores(q, k, rel_emb, content_bias, pos_bias, q_positions, k_posit
     head_dim = q.shape[-1]
     offsets = np.asarray(q_positions)[:, None] - np.asarray(k_positions)[None, :]
     idx = np.clip(offsets, -max_offset, max_offset) + max_offset
-    content = tt.matmul(tt.add(q, content_bias), ops.transpose(k))
-    pos_all = tt.matmul(tt.add(q, pos_bias), ops.transpose(rel_emb))
+    content = ops.matmul(ops.add(q, content_bias), ops.transpose(k))
+    pos_all = ops.matmul(ops.add(q, pos_bias), ops.transpose(rel_emb))
     pos = ops.gather_cols(pos_all, idx)
-    return ops.mul(tt.add(content, pos), Tensor(1.0 / math.sqrt(head_dim)))
+    return ops.mul(ops.add(content, pos), Tensor(1.0 / math.sqrt(head_dim)))
 
 
 def composed_multi_head_attention(h, layer, params, config, positions, mask_bool, counters):
     dh = config.head_dim
-    q_all = tt.matmul(h, layer.wq)
-    k_all = tt.matmul(h, layer.wk)
-    v_all = tt.matmul(h, layer.wv)
+    q_all = ops.matmul(h, layer.wq)
+    k_all = ops.matmul(h, layer.wk)
+    v_all = ops.matmul(h, layer.wv)
     heads = []
     for i in range(config.num_heads):
         cols = (slice(None), slice(i * dh, (i + 1) * dh))
@@ -129,8 +129,8 @@ def composed_multi_head_attention(h, layer, params, config, positions, mask_bool
         if mask_bool is not None:
             scores = ops.apply_mask(scores, mask_bool)
         weights = ops.softmax(scores, axis=-1)
-        heads.append(tt.matmul(weights, ops.getitem(v_all, cols)))
-    return tt.matmul(ops.concat(heads, axis=1), layer.wo)
+        heads.append(ops.matmul(weights, ops.getitem(v_all, cols)))
+    return ops.matmul(ops.concat(heads, axis=1), layer.wo)
 
 
 # ------------------------------------------------------- attention scores

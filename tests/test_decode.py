@@ -750,7 +750,7 @@ def test_incremental_encoder_equals_list_window_reference(left, label_left, righ
     cfg = EncoderConfig(num_layers=layers, model_dim=6, ff_dim1=7, ff_dim2=6, num_heads=heads,
                         head_dim=head_dim, mask=AttentionMask(left, right), input_dim=6,
                         dropout_ratio=0.0, max_relative_offset=max_offset)
-    params = randomized(att.encoder_param_spec(cfg).transform(lambda spec: spec.materialize(Rng(0))), seed)
+    params = randomized(att.encoder_param_spec(cfg).map(lambda _, spec: spec.materialize(Rng(0))), seed)
     rng = Rng(seed + 1)
     rows = rng.substream("rows").normal((frames, cfg.input_dim))
     outputs = []

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ops
@@ -23,14 +23,14 @@ from ttkit.tensor import (
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = tt.matmul(eye, b)
+    out = ops.matmul(eye, b)
     np.testing.assert_array_equal(out.values, b.values)
 
 
 def test_matmul_hand_product():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = tt.matmul(a, b)
+    out = ops.matmul(a, b)
     np.testing.assert_array_equal(out.values, [[19.0, 22.0], [43.0, 50.0]])
 
 
@@ -38,7 +38,7 @@ def test_matmul_shape_mismatch_names_both_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((2, 2)))
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        tt.matmul(a, b)
+        ops.matmul(a, b)
 
 
 def test_matmul_batched_left_operand():
@@ -46,12 +46,12 @@ def test_matmul_batched_left_operand():
     a = Tensor(rng.normal((3, 4, 5)))
     b = Tensor(rng.normal((5, 2)))
     upstream = Tensor(rng.normal((3, 4, 2)))
-    out = tt.matmul(a, b)
+    out = ops.matmul(a, b)
     for i in range(3):
         np.testing.assert_allclose(out.values[i], a.values[i] @ b.values, atol=1e-12)
     backward(ops.tsum(ops.mul(out, upstream)))
     for p in (a, b):
-        num = finite_difference_gradient(lambda: ops.tsum(ops.mul(tt.matmul(a, b), upstream)).item(), p)
+        num = finite_difference_gradient(lambda: ops.tsum(ops.mul(ops.matmul(a, b), upstream)).item(), p)
         assert max_gradient_error(p.grad, num) < 1e-4
 
 
@@ -127,8 +127,8 @@ def composed_layer_norm(x, gain, bias, eps):
     mu = ops.mean(x, axis=-1, keepdims=True)
     xc = ops.sub(x, mu)
     var = ops.mean(ops.mul(xc, xc), axis=-1, keepdims=True)
-    inv = ops.powc(tt.add(var, Tensor(eps)), -0.5)
-    return tt.add(ops.mul(ops.mul(xc, inv), gain), bias)
+    inv = ops.powc(ops.add(var, Tensor(eps)), -0.5)
+    return ops.add(ops.mul(ops.mul(xc, inv), gain), bias)
 
 
 def composed_log_softmax(a, axis):
@@ -206,6 +206,27 @@ def test_fused_log_softmax_matches_composed(shape, axis, masked, seed):
     assert np.max(np.abs(fg[0] - cg[0])) <= 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(lead=st.sampled_from([(1,), (7,), (1, 1), (2, 5), (4, 1), (3, 9)]),
+       n=st.integers(1, 40),
+       m=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(lead=(20,), n=48, m=32, seed=0)
+@example(lead=(8, 20), n=48, m=32, seed=1)
+def test_linear_matches_matmul_then_add_bit_for_bit(lead, n, m, seed):
+    """The input node x W + b over one sequence [T, n] or a batch [B, T, n]
+    equals `add(matmul(x, W), b)` bit for bit: its values and the gradients
+    of x, W and b."""
+    rng = Rng(seed)
+    inputs = [Tensor(rng.normal(lead + (n,))), Tensor(rng.normal((n, m))), Tensor(rng.normal((m,)))]
+    (fv, fg), (cv, cg) = _fused_and_composed(
+        tt.linear, lambda x, w, b: ops.add(ops.matmul(x, w), b), inputs, rng.normal(lead + (m,)))
+    assert fv.tobytes() == cv.tobytes()
+    for name, a, b in zip(("x", "W", "b"), fg, cg):
+        assert a.tobytes() == b.tobytes(), name
+    assert tt.linear(*inputs).parents == tuple(inputs)
+
+
 def test_layer_norm_and_log_softmax_are_one_node():
     x, gain, bias = Tensor(Rng(0).normal((3, 4))), tt.ones(4), tt.zeros(4)
     assert tt.layer_norm(x, gain, bias).parents == (x, gain, bias)
@@ -281,9 +302,9 @@ def test_backward_flags_non_finite_gradient():
 
 def _composite_graph(w: Tensor, x: Tensor) -> Tensor:
     """Touches every differentiable op in the library."""
-    h = tt.matmul(x, w)                                  # [4, 5]
+    h = ops.matmul(x, w)                                  # [4, 5]
     h = tt.layer_norm(h, tt.ones(5), tt.zeros(5), 1e-5)
-    h = tt.add(ops.tanh(h), ops.mul(ops.relu(h), Tensor(0.5)))
+    h = ops.add(ops.tanh(h), ops.mul(ops.relu(h), Tensor(0.5)))
     g = ops.gather_cols(h, np.array([[0, 1]] * 4))
     r = tt.rows(h, np.array([1, 2, 1]))
     m = ops.apply_mask(h, np.tril(np.ones((4, 5), dtype=bool)))
@@ -291,9 +312,9 @@ def _composite_graph(w: Tensor, x: Tensor) -> Tensor:
     lse = ops.logsumexp(h, axis=1)
     la = ops.getitem(ops.logaddexp(lse, ops.tsum(g, axis=1)), slice(2))
     parts = ops.concat([ops.reshape(r, (3, 5)), ops.exp(sm)], axis=0)
-    return tt.add(tt.add(
+    return ops.add(ops.add(
         ops.tsum(ops.exp(ops.mul(Tensor(-1.0), ops.powc(
-            tt.add(ops.mul(ops.mean(parts, axis=0), ops.mean(parts, axis=0)), Tensor(1.0)), 0.5)))),
+            ops.add(ops.mul(ops.mean(parts, axis=0), ops.mean(parts, axis=0)), Tensor(1.0)), 0.5)))),
         ops.tsum(la)),
         # unmasked block only; -inf entries stay out of arithmetic
         ops.tsum(ops.getitem(sm, (slice(1, None), slice(2)))))
@@ -318,13 +339,13 @@ def test_gradient_check_random_small_graphs(seed):
     x = Tensor(rng.normal((3, 3)))
 
     def build():
-        h = tt.matmul(w, x)
-        h = ops.logaddexp(h, ops.transpose(tt.matmul(x, ops.transpose(w))))
+        h = ops.matmul(w, x)
+        h = ops.logaddexp(h, ops.transpose(ops.matmul(x, ops.transpose(w))))
         s = ops.softmax(h, axis=-1)
         return ops.tsum(ops.mul(s, ops.tanh(h))).item()
 
-    h = tt.matmul(w, x)
-    h = ops.logaddexp(h, ops.transpose(tt.matmul(x, ops.transpose(w))))
+    h = ops.matmul(w, x)
+    h = ops.logaddexp(h, ops.transpose(ops.matmul(x, ops.transpose(w))))
     s = ops.softmax(h, axis=-1)
     loss = ops.tsum(ops.mul(s, ops.tanh(h)))
     backward(loss)
@@ -337,7 +358,7 @@ def test_forward_and_gradients_bitwise_deterministic():
         rng = Rng(123)
         w = Tensor(rng.normal((4, 4)))
         x = Tensor(rng.normal((4, 4)))
-        out = ops.tsum(ops.mul(ops.softmax(tt.matmul(x, ops.tanh(w)), axis=-1), Tensor(3.0)))
+        out = ops.tsum(ops.mul(ops.softmax(ops.matmul(x, ops.tanh(w)), axis=-1), Tensor(3.0)))
         backward(out)
         return out.values.copy(), w.grad.copy()
 
@@ -350,14 +371,14 @@ def test_forward_and_gradients_bitwise_deterministic():
 def test_no_grad_blocks_graph():
     w = Tensor(np.ones((2, 2)))
     with tt.no_grad():
-        out = tt.matmul(w, w)
+        out = ops.matmul(w, w)
     assert out.parents == () and out.backward_fn is None
 
 
 def test_broadcast_add_gradients():
     a = Tensor(Rng(1).normal((3, 1, 4)))
     b = Tensor(Rng(2).normal((5, 4)))
-    out = ops.tsum(tt.add(a, b))
+    out = ops.tsum(ops.add(a, b))
     backward(out)
     assert a.grad.shape == a.shape and b.grad.shape == b.shape
     np.testing.assert_allclose(a.grad, 5.0)

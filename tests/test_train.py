@@ -34,7 +34,6 @@ from ttkit.train import (
     CheckpointFormatError,
     ScheduleConfig,
     TrainConfig,
-    apply_weight_noise,
     checkpoint_bytes,
     clip_gradients,
     global_norm,
@@ -43,6 +42,7 @@ from ttkit.train import (
     save_checkpoint,
     train_loop,
     train_step,
+    weight_noise,
 )
 
 PAPER_SCHEDULE = ScheduleConfig()  # 2.5e-4 peak, 4K warmup, 30K hold, 200K decay
@@ -99,24 +99,76 @@ def test_schedule_validation():
 
 def test_weight_noise_inactive_before_start():
     model, _ = tiny_setup()
-    out = apply_weight_noise(model.params, sigma=0.01, step=5, start_step=10, rng=Rng(0))
-    assert out is model.params
+    stored = model.flat.values.tobytes()
+    with weight_noise(model, sigma=0.01, step=5, start_step=10, rng=Rng(0)):
+        assert model.flat.values.tobytes() == stored
 
 
 def test_weight_noise_zero_sigma_identity():
     model, _ = tiny_setup()
-    out = apply_weight_noise(model.params, sigma=0.0, step=50, start_step=10, rng=Rng(0))
-    assert out is model.params
+    stored = model.flat.values.tobytes()
+    with weight_noise(model, sigma=0.0, step=50, start_step=10, rng=Rng(0)):
+        assert model.flat.values.tobytes() == stored
 
 
 def test_weight_noise_perturbs_forward_only():
+    """Inside the block each stored parameter is its value plus its draw,
+    in named order from the step's substream, and a graph built there
+    differentiates to the stored leaves; on exit the buffer has its bytes
+    back."""
+    model, data = tiny_setup()
+    stored = model.flat.values.copy()
+    stream = Rng(0).substream("weight_noise/50")
+    noisy = [p.values + stream.normal(p.shape, sigma=0.01) for p in model.flat.leaves]
+    utt = data.utterances[0]
+    with weight_noise(model, sigma=0.01, step=50, start_step=10, rng=Rng(0)):
+        assert [p.values.tobytes() for p in model.flat.leaves] == [n.tobytes() for n in noisy]
+        backward(rnnt_log_prob(model.example_grid(utt.features, utt.labels), utt.labels))
+    assert model.flat.values.tobytes() == stored.tobytes()
+    assert all(p.grad is not None for p in model.flat.leaves)
+
+
+def test_weight_noise_restores_the_parameters_when_the_block_raises():
     model, _ = tiny_setup()
-    stored = model.params.joint.out_w.values.copy()
-    noisy = apply_weight_noise(model.params, sigma=0.01, step=50, start_step=10, rng=Rng(0))
-    assert not np.array_equal(noisy.joint.out_w.values, stored)
-    np.testing.assert_array_equal(model.params.joint.out_w.values, stored)
-    # gradient path reaches the stored leaf through the noisy view
-    assert model.params.joint.out_w in noisy.joint.out_w.parents
+    stored = model.flat.values.tobytes()
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with weight_noise(model, sigma=0.01, step=50, start_step=10, rng=Rng(0)):
+            assert model.flat.values.tobytes() != stored
+            raise RuntimeError("inside the block")
+    assert model.flat.values.tobytes() == stored
+
+
+@pytest.mark.parametrize("fault", ["loss", "backward"])
+def test_a_noisy_step_that_raises_leaves_the_clean_parameters(fault, monkeypatch, tmp_path):
+    """Steps 0 and 1 train with weight noise; step 2 raises, on a
+    non-finite loss or from inside backward. The parameter buffer is then
+    byte-identical to its value before step 2, and so is the last good
+    checkpoint that `train_loop` saves."""
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=2, total_steps=6, seed=0, weight_noise_sigma=0.05,
+                      weight_noise_start_step=0)
+    good, data = tiny_setup()
+    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2))
+    if fault == "loss":
+        bad = data.utterances[5]
+        features = bad.features.copy()
+        features[0, 0] = np.nan
+        data.utterances[5] = Utterance(bad.id, features, bad.labels)
+    else:
+        roots = []
+
+        def raising(root, **kwargs):
+            roots.append(root)
+            backward(root, **kwargs)
+            if len(roots) == 3:
+                raise NumericsError("raised from backward")
+
+        monkeypatch.setattr(trn, "backward", raising)
+    model, _ = tiny_setup()
+    with pytest.raises(NumericsError, match="step 2" if fault == "loss" else "raised from backward"):
+        train_loop(model, data, sched, cfg, out_dir=tmp_path)
+    assert model.flat.values.tobytes() == good.flat.values.tobytes()
+    assert (tmp_path / "ckpt_last_good.ttck").read_bytes() == checkpoint_bytes(good)
 
 
 def test_weight_noise_mean_is_centered():
@@ -574,13 +626,21 @@ def test_loaded_checkpoint_trains_like_the_original(tmp_path):
 
 
 def test_checkpoint_is_synced_before_rename(tmp_path, monkeypatch):
+    """The file is synced before the rename, and its directory after it."""
     model, _ = tiny_setup()
-    calls = []
+    calls, synced = [], []
     fsync, replace = os.fsync, os.replace
-    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd))[1])
+
+    def spy(fd):
+        calls.append("fsync")
+        synced.append(os.fstat(fd))
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
     monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b))[1])
     save_checkpoint(model, tmp_path / "m.ttck")
-    assert calls == ["fsync", "replace"]
+    assert calls == ["fsync", "replace", "fsync"]
+    assert os.path.samestat(synced[-1], os.stat(tmp_path))
 
 
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
@@ -892,8 +952,7 @@ def _per_example_losses(model, batch, cfg, rng):
     its slice of the batched grid, under the step's weight noise and
     substreams."""
     step_rng = rng.substream("step0")
-    fwd = model.with_params(apply_weight_noise(model.params, cfg.weight_noise_sigma, 0,
-                                               cfg.weight_noise_start_step, step_rng))
+    fwd = reference_step.noisy_model(model, cfg, 0, step_rng)
     rngs = [step_rng.substream(f"ex{i}") for i in range(len(batch))]
     ref = [-rnnt_log_prob(reference_step.example_grid(fwd, u.features, u.labels, r), u.labels).item()
            for u, r in zip(batch, rngs)]
@@ -1026,28 +1085,31 @@ def test_backward_frees_each_node_once_its_gradients_reach_its_parents():
             with pytest.raises(RuntimeError, match="backward already ran through this node"):
                 n.backward_fn(np.ones(n.shape))
         grads.append(opt.grads.copy())
-    # the audio stack's input projection and bias, two nodes per layer and
-    # the final norm; the label stack's embedding lookup, projection, bias,
-    # one layer and final norm; the joint grid and the lattice loss
-    assert len(ops) == (2 + 2 * 2 + 1) + (3 + 2 + 1) + 2
+    # the audio stack's input node, two nodes per layer and the final norm;
+    # the label stack's embedding lookup, input node, one layer and final
+    # norm; the joint grid and the lattice loss
+    assert len(ops) == (1 + 2 * 2 + 1) + (2 + 2 + 1) + 2
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_train_step_graph_size_is_independent_of_batch(monkeypatch):
+    """The same node count whatever the batch, with or without weight
+    noise: the noise is added to the stored parameters, not by nodes over
+    them."""
     roots = []
     monkeypatch.setattr(trn, "backward", lambda root, **kwargs: (roots.append(root), backward(root, **kwargs))[1])
     cfg = desk_config(vocab_size=5, feature_dim=8, audio_mask=AttentionMask(3, 1), label_left=2,
                       dropout=0.1, model_dim=8)
-    train = TrainConfig(batch_size=8)
     sizes = []
-    for shapes in ([(1, 0)], [(4, 2), (9, 3)], [(2, 1)] * 8, [(1, 0), (12, 5)] * 4):
-        model = init_model(cfg, Rng(0))
-        batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(len(shapes)))
-        train_step(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(1))
-        sizes.append(_count_graph_nodes(roots.pop()))
+    for sigma in (0.0, 0.05):
+        train = TrainConfig(batch_size=8, weight_noise_sigma=sigma, weight_noise_start_step=0)
+        for shapes in ([(1, 0)], [(4, 2), (9, 3)], [(2, 1)] * 8, [(1, 0), (12, 5)] * 4):
+            model = init_model(cfg, Rng(0))
+            batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(len(shapes)))
+            train_step(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(1))
+            sizes.append(_count_graph_nodes(roots.pop()))
     # 57 parameter leaves and the features leaf; the audio stack's input
-    # projection and bias, two residual nodes per layer (attention, the
-    # feed-forward block) and the final norm; the label stack's embedding
-    # lookup, projection, bias, one layer and final norm; the joint grid and
-    # the lattice loss
-    assert sizes == [57 + 1 + (2 + 2 * 2 + 1) + (3 + 2 + 1) + 2] * 4
+    # node, two residual nodes per layer (attention, the feed-forward block)
+    # and the final norm; the label stack's embedding lookup, input node,
+    # one layer and final norm; the joint grid and the lattice loss
+    assert sizes == [57 + 1 + (1 + 2 * 2 + 1) + (2 + 2 + 1) + 2] * 8

@@ -26,8 +26,8 @@ from ttkit.transducer import (
 
 
 def make_joint(d_audio=4, d_label=3, joint_dim=5, vocab=3, seed=0):
-    return tr.joint_param_spec(d_audio, d_label, joint_dim, vocab).transform(
-        lambda spec: spec.materialize(Rng(seed)))
+    return tr.joint_param_spec(d_audio, d_label, joint_dim, vocab).map(
+        lambda _, spec: spec.materialize(Rng(seed)))
 
 
 # ----------------------------------------------------------------- vocab
@@ -320,15 +320,15 @@ def scalar_graph_log_prob(grid, y):
         labels = ops.reshape(ops.gather_cols(emit_rows, idx), (T, U))
     prev_row = [Tensor(0.0)]
     for u in range(1, U + 1):
-        prev_row.append(tt.add(prev_row[u - 1], ops.getitem(labels, (0, u - 1))))
+        prev_row.append(ops.add(prev_row[u - 1], ops.getitem(labels, (0, u - 1))))
     for t in range(1, T):
-        row = [tt.add(prev_row[0], ops.getitem(blanks, (t - 1, 0)))]
+        row = [ops.add(prev_row[0], ops.getitem(blanks, (t - 1, 0)))]
         for u in range(1, U + 1):
-            stay = tt.add(prev_row[u], ops.getitem(blanks, (t - 1, u)))
-            emit = tt.add(row[u - 1], ops.getitem(labels, (t, u - 1)))
+            stay = ops.add(prev_row[u], ops.getitem(blanks, (t - 1, u)))
+            emit = ops.add(row[u - 1], ops.getitem(labels, (t, u - 1)))
             row.append(ops.logaddexp(stay, emit))
         prev_row = row
-    return tt.add(prev_row[U], ops.getitem(blanks, (T - 1, U)))
+    return ops.add(prev_row[U], ops.getitem(blanks, (T - 1, U)))
 
 
 @pytest.mark.parametrize("T,U,V", [(9, 4, 7), (71, 16, 7), (200, 40, 7)])

@@ -30,7 +30,7 @@ import math
 import os
 import struct
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -262,7 +262,9 @@ def _keep_heap_mapped() -> None:
 def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: TrainConfig,
                out_dir=None, log_fn=None) -> list[float]:
     """Run `total_steps` over the dataset in fixed batch order, optionally
-    writing periodic checkpoints and per-step metric records. A non-finite
+    writing periodic checkpoints and per-step metric records (to
+    `metrics.jsonl`, through one handle per run, each record flushed as it
+    is written, so a run that raises keeps every earlier one). A non-finite
     loss raises `NumericsError` before the step touches the parameters; with
     an `out_dir`, the model as the last good step left it is first saved to
     `ckpt_last_good.ttck`, and the error names that file. The first call
@@ -275,34 +277,34 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
     if not utts:
         raise ValueError("training dataset is empty")
     losses = []
-    metrics_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.jsonl")
-        open(metrics_path, "w").close()  # this run's records only
-    start = time.monotonic()
-    for step in range(cfg.total_steps):
-        at = (step * cfg.batch_size) % len(utts)
-        batch = [utts[(at + k) % len(utts)] for k in range(cfg.batch_size)]
-        stats = {}
-        try:
-            loss = train_step(model, optimizer, batch, step, schedule, cfg, rng, stats)
-        except NumericsError as e:
-            if out_dir is None:
-                raise
-            path = os.path.join(out_dir, "ckpt_last_good.ttck")
-            save_checkpoint(model, path)
-            raise NumericsError(f"{e}; the last good parameters are in {path}") from e
-        losses.append(loss)
-        record = {"step": step, "loss": loss, **stats, "lr": lr_at(step, schedule),
-                  "wall_clock": time.monotonic() - start}
-        if metrics_path is not None:
-            with open(metrics_path, "a") as f:
-                f.write(json.dumps(record) + "\n")
-        if log_fn is not None:
-            log_fn(record)
-        if out_dir is not None and (step + 1) % cfg.checkpoint_interval == 0:
-            save_checkpoint(model, os.path.join(out_dir, f"ckpt_{step + 1:06d}.ttck"))
+    # one handle per run, for this run's records only
+    with (open(os.path.join(out_dir, "metrics.jsonl"), "w") if out_dir is not None
+          else nullcontext()) as metrics:
+        start = time.monotonic()
+        for step in range(cfg.total_steps):
+            at = (step * cfg.batch_size) % len(utts)
+            batch = [utts[(at + k) % len(utts)] for k in range(cfg.batch_size)]
+            stats = {}
+            try:
+                loss = train_step(model, optimizer, batch, step, schedule, cfg, rng, stats)
+            except NumericsError as e:
+                if out_dir is None:
+                    raise
+                path = os.path.join(out_dir, "ckpt_last_good.ttck")
+                save_checkpoint(model, path)
+                raise NumericsError(f"{e}; the last good parameters are in {path}") from e
+            losses.append(loss)
+            record = {"step": step, "loss": loss, **stats, "lr": lr_at(step, schedule),
+                      "wall_clock": time.monotonic() - start}
+            if metrics is not None:
+                metrics.write(json.dumps(record) + "\n")
+                metrics.flush()  # a run that raises later keeps this record
+            if log_fn is not None:
+                log_fn(record)
+            if out_dir is not None and (step + 1) % cfg.checkpoint_interval == 0:
+                save_checkpoint(model, os.path.join(out_dir, f"ckpt_{step + 1:06d}.ttck"))
     if out_dir is not None:
         save_checkpoint(model, os.path.join(out_dir, "ckpt_final.ttck"))
     return losses

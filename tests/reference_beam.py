@@ -3,9 +3,11 @@
 Every round builds a child for every candidate of every active hypothesis
 (its blank and each label), sorts them all and keeps `beam_width`; every
 active hypothesis gets its own joint call, even when another one holds the
-same label state in the same frame. ttkit's `beam_decode` scores each
-(frame, state) once and builds children only at or above the round's cut,
-so its n-best labels and scores equal this one's bit for bit.
+same label state in the same frame, and every frame runs every round until
+no child emits. ttkit's `beam_decode` scores each (frame, state) once,
+builds children only at or above the round's cut and ends a frame once no
+later round can change its n-best, so its n-best labels and scores equal
+this one's bit for bit.
 """
 
 from __future__ import annotations

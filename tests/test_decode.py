@@ -445,12 +445,15 @@ def nbest_bits(beam):
 @settings(max_examples=60, deadline=None)
 @given(width=st.integers(1, 8), label_left=st.one_of(st.none(), st.integers(0, 3)),
        label_layers=st.integers(0, 3), cap=st.integers(1, 10), vocab=st.integers(2, 5),
-       fusion=st.sampled_from(["off", "lm", "bonus"]), seed=st.integers(0, 2**16),
-       frames=st.integers(0, 10), data=st.data())
+       fusion=st.sampled_from(["off", "lm", "bonus", "penalty"]), seed=st.integers(0, 2**16),
+       frames=st.integers(0, 25), data=st.data())
 def test_beam_equals_reference_beam(width, label_left, label_layers, cap, vocab, fusion, seed,
                                     frames, data):
     """The n-best labels and score bits equal those of the reference, which
-    builds and sorts every child and calls the joint per hypothesis."""
+    builds and sorts every child, calls the joint per hypothesis and runs
+    every round of every frame. Frames run long enough for the early exit
+    to fire (fusion off, or a negative length bonus) and for it to be
+    barred (an LM, or a positive length bonus)."""
     model = small_model(seed=seed, vocab_size=vocab, label_left=label_left,
                         num_label_layers=label_layers, blank_bias=data.draw(st.floats(-1.0, 2.0)))
     feats = Rng(seed + 1).normal((frames, 6))
@@ -461,9 +464,81 @@ def test_beam_equals_reference_beam(width, label_left, label_layers, cap, vocab,
         config = FusionConfig(lm_weight=data.draw(st.floats(0.05, 1.0)), lm=lm)
     elif fusion == "bonus":
         config = FusionConfig(length_bonus=data.draw(st.floats(0.01, 2.0)))
+    elif fusion == "penalty":
+        config = FusionConfig(length_bonus=-data.draw(st.floats(0.01, 2.0)))
     got = beam_decode(model, feats, width, fusion=config, max_symbols_per_frame=cap)
     want = reference_beam.beam_decode(model, feats, width, fusion=config, max_symbols_per_frame=cap)
     assert nbest_bits(got) == nbest_bits(want)
+
+
+def test_beam_early_exit_fires_and_keeps_the_nbest(monkeypatch):
+    """Ending a frame once `_settled` holds saves joint evaluations, and the
+    n-best bits equal those of a search that runs every round."""
+    model = small_model(seed=3, blank_bias=1.0)
+    feats = Rng(21).normal((30, 6))
+    for fusion in (None, FusionConfig(length_bonus=-0.5)):
+        before = model.counters.joint_evals
+        got = beam_decode(model, feats, 4, fusion=fusion)
+        evals = model.counters.joint_evals - before
+        with monkeypatch.context() as m:
+            m.setattr(dec, "_settled", lambda *args: False)
+            before = model.counters.joint_evals
+            want = beam_decode(model, feats, 4, fusion=fusion)
+            assert evals < model.counters.joint_evals - before
+        assert nbest_bits(got) == nbest_bits(want)
+
+
+def test_beam_never_exits_early_when_fusion_can_raise_a_score(monkeypatch):
+    """An LM or a positive length bonus can lift a child above its parent,
+    so no frame ends before its last round."""
+    def refuse(*args):
+        raise AssertionError("_settled consulted")
+
+    monkeypatch.setattr(dec, "_settled", refuse)
+    model = small_model(seed=3, blank_bias=1.0)
+    feats = Rng(21).normal((30, 6))
+    lm = BigramLm.fit([[1, 2, 3], [3, 3], [2]], num_labels=3)
+    for fusion in (FusionConfig(length_bonus=0.5), FusionConfig(lm_weight=0.5, lm=lm)):
+        beam_decode(model, feats, 4, fusion=fusion)
+
+
+def settled(done, emitting, beam_width=2, rounds_left=3):
+    return dec._settled({labels: dec.Hypothesis(labels, score, None) for labels, score in done},
+                        emitting, beam_width, rounds_left)
+
+
+def test_settled_holds_when_no_later_child_can_reach_the_nbest():
+    done = [((2,), -1.0), ((3,), -2.0), ((1, 4), -60.0)]
+    assert settled(done, [((1,), -50.0), ((5,), -55.0)])
+    # the entry that extends an emitting child may rise from -2.1 to about -1.88
+    assert not settled(done[:2] + [((1, 4), -2.1)], [((1,), -5.3)])
+    assert settled(done[:2] + [((1, 4), -2.1)], [((5,), -5.3)])
+    # n = 3 * 2 blank children scoring -2 - log 5 each sum to more than -2
+    assert not settled(done, [((1,), -2.0 - math.log(5.0))])
+    assert settled(done, [((1,), -2.0 - math.log(7.0))])
+
+
+def test_settled_needs_beam_width_finished_entries():
+    assert not settled([((2,), -1.0)], [((1,), -50.0)])
+    assert settled([((2,), -1.0)], [((1,), -50.0)], beam_width=1)
+
+
+def test_settled_needs_finite_emitting_scores():
+    done = [((2,), -1.0), ((3,), -2.0)]
+    for bad in (-math.inf, math.nan):
+        assert not settled(done, [((1,), -50.0), ((4,), bad)])
+
+
+@pytest.mark.parametrize("top", [(1,), (1, 3)])
+def test_settled_refuses_a_top_entry_that_extends_an_emitting_child(top):
+    """A later blank child may merge into it, which would change its score
+    bits, however low the emitting score."""
+    assert not settled([(top, -1.0), ((2,), -2.0)], [((1,), -500.0)])
+
+
+def test_settled_does_not_overflow_far_above_the_emitting_score():
+    """An extending entry 900 nats above the best emitting score."""
+    assert settled([((2,), -1.0), ((3,), -1.5), ((1, 4), -100.0)], [((1,), -1000.0)])
 
 
 def test_beam_ties_break_on_labels_like_the_reference():

@@ -511,6 +511,30 @@ def test_in_place_parameter_edits_reach_training(tmp_path):
     assert not (model.params.joint.out_b.values == 0.25).any()  # the step moved the edited values
 
 
+def test_metrics_records_reach_disk_as_written(tmp_path):
+    """Each record is on disk, as its JSON line, before the next step runs;
+    a run that raises at step 2 leaves the records of steps 0 and 1."""
+    model, data = tiny_setup()
+    bad = data.utterances[5]
+    features = bad.features.copy()
+    features[0, 0] = np.nan
+    data.utterances[5] = Utterance(bad.id, features, bad.labels)
+    sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
+    cfg = TrainConfig(batch_size=2, total_steps=6, seed=0)
+    path = tmp_path / "metrics.jsonl"
+    logged, seen = [], []
+
+    def log(record):
+        logged.append(record)
+        seen.append(path.read_bytes())
+
+    with pytest.raises(NumericsError, match="step 2"):
+        train_loop(model, data, sched, cfg, out_dir=tmp_path, log_fn=log)
+    lines = [(json.dumps(r) + "\n").encode() for r in logged]
+    assert seen == [b"".join(lines[:k + 1]) for k in range(2)]
+    assert path.read_bytes() == b"".join(lines)
+
+
 def test_train_loop_rerun_into_same_dir_keeps_only_its_metrics(tmp_path):
     """A second run into the same directory starts `metrics.jsonl` afresh
     instead of appending to the first run's records."""

@@ -348,12 +348,10 @@ def _banded_attention(
     params: EncoderParams,
     config: EncoderConfig,
     band: Band,
-    counters: Counters | None,
-    lengths: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, Callable]:
     """All heads of windowed relative-position self-attention over h [T, d],
-    or over a padded batch [B, T, d] with per-example `lengths`, cut into
-    the blocks of `band`: the output and its closed-form backward.
+    or over a padded batch [B, T, d] whose key-length masks `band` holds,
+    cut into the blocks of `band`: the output and its closed-form backward.
 
     The q/k/v projections feed `_attend`: each block of queries against
     the keys and values of its window, and the concatenated heads are
@@ -361,13 +359,9 @@ def _banded_attention(
     column w is r + front - w, whatever the block, so all blocks share one
     offset table. Heads run as [..., H, n_blocks, rows, head_dim] matmuls;
     the backward gives the gradients of (h, wq, wk, wv, wo, rel_emb,
-    content_bias, pos_bias). A batch counts each example's own T_b^2 scores
-    per head; padding adds none.
+    content_bias, pos_bias).
     """
     t, rows, n_blocks, span, front = h.shape[-2], band.rows, band.n_blocks, band.span, band.front
-    if counters is not None:
-        n = np.full(h.shape[:-2], t) if lengths is None else np.asarray(lengths)
-        counters.attention_scores += config.num_heads * int((n * n).sum())
     q, k, v = (_split(h @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
     kb, vb = (_windows(_chunks(a, front, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
     idx = _offset_index(rows, front, span * rows, config.rel_offset)
@@ -448,20 +442,19 @@ def encoder_layer(
     params: EncoderParams,
     config: EncoderConfig,
     rng: Rng | BatchRng | None = None,
-    counters: Counters | None = None,
-    lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """One encoder layer over rows [T, d] or a padded batch [B, T, d]: two
     `_residual` nodes, the first around windowed multi-head attention in
     the blocks of `band` (see `band`), the second around the feed-forward
     block. When an `rng` is given (training), its three dropouts draw
-    together, in the order attention, feed-forward 1, feed-forward 2."""
+    together, in the order attention, feed-forward 1, feed-forward 2. It
+    counts nothing: `encode` counts a stack's scores."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     shapes = [x.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
     s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
     x = _residual(x, layer.ln1_g, layer.ln1_b, config, s_attn,
-                  lambda h: _banded_attention(h, layer, params, config, band, counters, lengths),
+                  lambda h: _banded_attention(h, layer, params, config, band),
                   (layer.wq, layer.wk, layer.wv, layer.wo, params.rel_emb, params.content_bias, params.pos_bias))
     return _residual(x, layer.ln2_g, layer.ln2_b, config, s2, lambda h: _feed_forward(h, layer, s1),
                      (layer.w1, layer.b1, layer.w2, layer.b2))
@@ -491,14 +484,19 @@ def encode(
     layer stack under the shared mask and close with `final_norm`. `x` is
     one sequence's rows [T, input_dim], or a batch padded to [B, T,
     input_dim] whose example b fills its first lengths[b] rows; a padded
-    row never reaches a valid one."""
+    row never reaches a valid one. `counters` gain the stack's attention
+    scores once, L * H * sum(n^2) over layers, heads and each example's own
+    length n (T for one sequence), whatever the blocks of `band`."""
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
+    t = x.shape[-2]
     h = tt.linear(x, params.input_w, params.input_b)
-    blocks = band(x.shape[-2], config.mask, lengths) if params.layers else None
+    blocks = band(t, config.mask, lengths) if params.layers else None
+    if counters is not None:
+        n = np.full(x.shape[:-2], t) if lengths is None else np.asarray(lengths)
+        counters.attention_scores += len(params.layers) * config.num_heads * int((n * n).sum())
     for i, layer in enumerate(params.layers):
-        h = encoder_layer(h, blocks, layer, params, config,
-                          rng.substream(f"layer{i}") if rng else None, counters, lengths)
+        h = encoder_layer(h, blocks, layer, params, config, rng.substream(f"layer{i}") if rng else None)
     return final_norm(h, config, params)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as tt
 from . import transducer as tr
 from .attention import AttentionMask
-from .decode import StreamState, greedy_decode
+from .decode import IncrementalEncoder, StreamState, greedy_decode
 from .model import desk_config, init_model
 from .tensor import Rng
 from .train import ScheduleConfig, lr_at
@@ -71,7 +71,7 @@ class StreamRun(NamedTuple):
     setting: tuple                    # (audio mask, label_left)
     streamed: list[int]
     batch: list[int]
-    activation_gap: float             # streamed vs batch encoder rows
+    activation_gap: float             # incremental vs batch encoder rows
     per_frame: list[tuple[int, int]]  # (joint evaluations, labels emitted) per step
     warmup: int                       # steps before the first row is final
     ok: bool
@@ -87,7 +87,7 @@ def stream_runs():
             model = init_model(cfg, Rng(61))
             feats = Rng(62).normal((40, 8))
             batch = greedy_decode(model, feats)
-            state = StreamState(model, record_activations=True)
+            state = StreamState(model)
             streamed, per_frame = [], []
             for t in range(40):
                 before = model.counters.joint_evals
@@ -95,9 +95,13 @@ def stream_runs():
                 streamed.extend(out)
                 per_frame.append((model.counters.joint_evals - before, len(out)))
             streamed.extend(state.flush())
+            # the encoder `state` drives, fed the rows a batch encode reads
+            stacked = model.prepare_features(feats)
+            encoder = IncrementalEncoder(cfg.audio, model.params.audio)
+            rows = [r for row in stacked for r in encoder.push(row)] + encoder.finish()
             with tt.no_grad():
-                enc = model.encode_audio(model.prepare_features(feats)).values
-            gap = float(np.abs(np.stack(state.activations) - enc).max())
+                enc = model.encode_audio(stacked).values
+            gap = float(np.abs(np.stack(rows) - enc).max())
             warmup = cfg.audio.num_layers * audio_mask.right
             # one evaluation closes a frame on blank, plus one per label;
             # at the cap the frame closes without the blank check

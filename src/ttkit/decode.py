@@ -489,8 +489,7 @@ class StreamState:
     """
 
     def __init__(self, model: TransducerModel,
-                 max_symbols_per_frame: int = DecodeOptions.max_symbols_per_frame,
-                 record_activations: bool = False):
+                 max_symbols_per_frame: int = DecodeOptions.max_symbols_per_frame):
         DecodeOptions(max_symbols_per_frame=max_symbols_per_frame)  # the range check
         self.model = model
         self.max_symbols_per_frame = max_symbols_per_frame
@@ -500,7 +499,6 @@ class StreamState:
         self.skip = 0  # frames before the next row's first, when subsample > stack
         self.encoder = IncrementalEncoder(model.config.audio, model.params.audio, model.counters)
         self.label_state = LabelState(model)
-        self.activations: list[np.ndarray] | None = [] if record_activations else None
 
     def step(self, frame: np.ndarray) -> list[int]:
         """Consume one raw feature frame; return labels emitted by it."""
@@ -533,8 +531,6 @@ class StreamState:
     def _decode_rows(self, rows: list[np.ndarray]) -> list[int]:
         emitted: list[int] = []
         for row in rows:
-            if self.activations is not None:
-                self.activations.append(row)
             _greedy_frame(self.model, row, self.label_state, emitted, self.max_symbols_per_frame)
         return emitted
 

@@ -8,12 +8,13 @@ with a flat named-parameter view. A model made by `init_model` or
 
 An `Rng` passed to the forward methods means training: SpecAugment and
 dropout draw from its labeled substreams. Without one they are skipped. A
-batch runs as one padded graph (`batch_grid`) with one `Rng` per example.
+batch runs as one padded graph (`batch_grid`) with one `Rng` per example,
+and one example's grid (`example_grid`) is a view of a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -99,20 +100,20 @@ class TransducerModel:
             out = fe.spec_augment(out, fc, rng.substream("augment"))
         return out
 
-    def encode_audio(self, stacked: np.ndarray, rng: Rng | Sequence[Rng] | None = None,
+    def encode_audio(self, stacked: np.ndarray, rngs: Sequence[Rng] | None = None,
                      lengths: np.ndarray | None = None) -> Tensor:
         """Audio encoder over prepared (stacked) features: one example's
-        [T, F] rows and its `Rng`, or a batch padded to [B, T, F] with its
-        examples' frame counts `lengths` and one `Rng` each."""
+        [T, F] rows, or a batch padded to [B, T, F] with its examples' frame
+        counts `lengths` (and, in training, one `Rng` each)."""
         return att.encode(Tensor(stacked), self.config.audio, self.params.audio,
-                          _substream(rng, "audio", lengths), self.counters, lengths)
+                          _substream(rngs, "audio", lengths), self.counters, lengths)
 
-    def encode_labels(self, y: Sequence[int] | np.ndarray, rng: Rng | Sequence[Rng] | None = None,
+    def encode_labels(self, y: Sequence[int] | np.ndarray, rngs: Sequence[Rng] | None = None,
                       lengths: np.ndarray | None = None) -> Tensor:
         """Label encoder over the start token plus the target history; row u
         encodes the first u labels. `y` is one example's targets, or a batch's
-        padded [B, U] with its examples' label counts `lengths` (and one
-        `Rng` each)."""
+        padded [B, U] with its examples' label counts `lengths` (and, in
+        training, one `Rng` each)."""
         y = np.asarray(y, dtype=np.intp)
         for targets, n in zip(np.atleast_2d(y), [y.shape[-1]] if lengths is None else lengths):
             tr.check_targets(targets[:n], self.config.vocab_size)
@@ -120,15 +121,14 @@ class TransducerModel:
         rows = None if lengths is None else np.asarray(lengths) + 1
         emb = tt.rows(self.params.label_embedding, ids)
         return att.encode(emb, self.config.label, self.params.label,
-                          _substream(rng, "label", rows), self.counters, rows)
+                          _substream(rngs, "label", rows), self.counters, rows)
 
-    def example_grid(self, features: np.ndarray, y: Sequence[int], rng: Rng | None = None) -> LogProbGrid:
-        """One example's [T, U+1, V] grid."""
-        stacked = self.prepare_features(features, rng)
-        audio = self.encode_audio(stacked, rng)
-        labels = self.encode_labels(y, rng)
-        self.counters.joint_evals += audio.shape[0] * labels.shape[0]
-        return tr.log_prob_grid(audio, labels, self.params.joint)
+    def example_grid(self, features: np.ndarray, y: Sequence[int]) -> LogProbGrid:
+        """One example's [T, U+1, V] grid: the one-example view of
+        `batch_grid([features], [y])`, with the same values, gradients and
+        counts."""
+        grid = self.batch_grid([features], [y]).log_probs
+        return LogProbGrid(Tensor(grid.values[0], (grid,), lambda g: (g[None],)))
 
     def batch_grid(self, features: Sequence[np.ndarray], ys: Sequence[Sequence[int]],
                    rngs: Sequence[Rng] | None = None) -> LogProbGrid:
@@ -175,12 +175,10 @@ def pad(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def _substream(rng: Rng | Sequence[Rng] | None, label: str, lengths) -> Rng | BatchRng | None:
-    """The `label` substream of one example's `Rng`, or of each example's
-    in a batch padded past `lengths`."""
-    if rng is None:
-        return None
-    return rng.substream(label) if lengths is None else BatchRng(rng, lengths).substream(label)
+def _substream(rngs: Sequence[Rng] | None, label: str, lengths) -> BatchRng | None:
+    """The `label` substream of each example's `Rng` in a batch padded past
+    `lengths`."""
+    return None if rngs is None else BatchRng(rngs, lengths).substream(label)
 
 
 def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
@@ -221,13 +219,8 @@ def desk_config(
         input_dim=feature_dim * frontend.stack,
         max_relative_offset=max_relative_offset,
     )
-    label = EncoderConfig(
-        num_layers=num_label_layers, model_dim=model_dim, ff_dim1=2 * model_dim,
-        ff_dim2=model_dim, num_heads=2, head_dim=model_dim // 2,
-        dropout_ratio=dropout, mask=AttentionMask(label_left, 0),
-        input_dim=model_dim,
-        max_relative_offset=max_relative_offset,
-    )
+    label = replace(audio, num_layers=num_label_layers, mask=AttentionMask(label_left, 0),
+                    input_dim=model_dim)
     return ModelConfig(
         vocab_size=vocab_size, feature_dim=feature_dim, joint_dim=model_dim,
         audio=audio, label=label, frontend=frontend,

@@ -68,15 +68,6 @@ class Dataset:
     num_labels: int                # non-blank symbols
     utterances: list[Utterance] = field(default_factory=list)
 
-    def split(self, *sizes: int) -> list["Dataset"]:
-        """Slice into consecutive subsets; the remainder forms a final part."""
-        parts, at = [], 0
-        for n in sizes:
-            parts.append(Dataset(self.num_labels, self.utterances[at:at + n]))
-            at += n
-        parts.append(Dataset(self.num_labels, self.utterances[at:]))
-        return parts
-
 
 def symbol_templates(config: SyntheticTaskConfig) -> np.ndarray:
     """Per-symbol feature templates, unit Gaussian, frozen by the seed.

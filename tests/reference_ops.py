@@ -388,10 +388,10 @@ def dropout(x: Tensor, ratio: float, rng: Rng | BatchRng | None) -> Tensor:
 
 # ------------------------------------------ the layer composed of five nodes
 
-def attention_node(h: Tensor, layer, params, config, band, counters, lengths=None) -> Tensor:
+def attention_node(h: Tensor, layer, params, config, band) -> Tensor:
     """`attention._banded_attention` as one graph node over h and the eight
     tensors it reads."""
-    out, bw = att._banded_attention(h.values, layer, params, config, band, counters, lengths)
+    out, bw = att._banded_attention(h.values, layer, params, config, band)
     parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias)
     return Tensor(out, parents, bw)
@@ -426,13 +426,13 @@ def feed_forward(x: Tensor, layer, config, s1: np.ndarray | None, s2: np.ndarray
     return Tensor(x.values + f, parents, bw)
 
 
-def encoder_layer(x: Tensor, band, layer, params, config, rng=None, counters=None, lengths=None) -> Tensor:
+def encoder_layer(x: Tensor, band, layer, params, config, rng=None) -> Tensor:
     """`attention.encoder_layer` as five nodes: layer norm, attention,
     dropout and residual add, then the feed-forward node. The three dropout
     sites draw together as there, in the order attention, feed-forward 1,
     feed-forward 2."""
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
-    attn = attention_node(h, layer, params, config, band, counters, lengths)
+    attn = attention_node(h, layer, params, config, band)
     shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
     s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
     x = add(x, apply_dropout(attn, s_attn))

@@ -6,6 +6,7 @@ import time
 import numpy as np
 
 import reference_ops as ops
+from test_tasks import split
 import ttkit.tensor as tt
 from ttkit import checks
 from ttkit import transducer as tr
@@ -57,7 +58,7 @@ def train_toy(seed: int, mask: AttentionMask, label_left):
     if key in _toy_cache:
         return _toy_cache[key]
     data = gen_synthetic(toy_task(seed))
-    train, dev, test = data.split(2000, 100)
+    train, dev, test = split(data, 2000, 100)
     cfg = desk_config(vocab_size=7, feature_dim=16, audio_mask=mask,
                       label_left=label_left, dropout=0.1)
     model = init_model(cfg, Rng(seed))
@@ -221,7 +222,7 @@ def test_criterion_10_shallow_fusion_helps():
         structured = toy_task(seed, noise=1.8, bigram_scale=5.0, size=300)
         assert symbol_templates(toy_task(seed, noise=1.8)).tobytes() \
             == symbol_templates(structured).tobytes()
-        dev, test = gen_synthetic(structured).split(150)
+        dev, test = split(gen_synthetic(structured), 150)
         lm_text = toy_task(seed, noise=0.0, bigram_scale=5.0, size=4000)
         lm = BigramLm.fit([u.labels for u in gen_synthetic(lm_text).utterances], 6, add_k=0.1)
 
@@ -250,7 +251,7 @@ def test_criterion_10_shallow_fusion_helps():
 def test_criterion_11_determinism_and_roundtrips(tmp_path):
     # identical seeds, identical checkpoints (fresh short runs, twice)
     def short_run():
-        data = gen_synthetic(toy_task(3, size=300)).split(256)[0]
+        data = split(gen_synthetic(toy_task(3, size=300)), 256)[0]
         cfg = desk_config(vocab_size=7, feature_dim=16, audio_mask=STREAMABLE,
                           label_left=2, dropout=0.1)
         model = init_model(cfg, Rng(3))

@@ -208,7 +208,7 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
                params.rel_emb, params.content_bias, params.pos_bias]
 
     results = []
-    for fn in (lambda c: ops.attention_node(queries, layer, params, cfg, att.band(tk, window_mask), c),
+    for fn in (lambda c: ops.attention_node(queries, layer, params, cfg, att.band(tk, window_mask)),
                lambda c: ops.multi_head_attention(queries, layer, params, cfg, mask, c),
                lambda c: composed_multi_head_attention(queries, layer, params, cfg, positions, mask, c)):
         for p in parents:
@@ -219,8 +219,9 @@ def test_fused_attention_matches_composed(tk, heads, head_dim, model_dim, max_of
         results.append((out.values, [p.grad.copy() for p in parents], counters.attention_scores))
 
     ref, ref_grads, ref_count = results.pop()
-    for fused, fused_grads, fused_count in results:
-        assert fused_count == ref_count == heads * queries.shape[0] * tk
+    assert ref_count == heads * queries.shape[0] * tk
+    for (fused, fused_grads, fused_count), count in zip(results, (0, ref_count)):  # the node counts nothing
+        assert fused_count == count
         assert np.max(np.abs(fused - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))  # relative to scale
         for i, (a, b) in enumerate(zip(fused_grads, ref_grads)):
             assert np.max(np.abs(a - b)) <= 1e-10, f"parent {i}"
@@ -247,9 +248,9 @@ def _attention_case(cfg, lengths, seed, batched=True):
     return params, h, upstream, valid, parents
 
 
-def _banded(h, params, cfg, lengths, counters=None):
+def _banded(h, params, cfg, lengths):
     band = att.band(h.shape[-2], cfg.mask, lengths)
-    return ops.attention_node(h, params.layers[0], params, cfg, band, counters, lengths)
+    return ops.attention_node(h, params.layers[0], params, cfg, band)
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,9 +273,10 @@ def _banded(h, params, cfg, lengths, counters=None):
 def test_banded_attention_matches_dense(lengths, batched, left, right, offset_change, heads, head_dim,
                                         seed):
     """On a ragged padded batch or one unpadded sequence, the attention node
-    gives the dense reference node's outputs, parent gradients and score
-    count: bit for bit in one block, within rounding in blocks past the
-    crossover. Padded rows stay finite and get no input gradient."""
+    gives the dense reference node's outputs and parent gradients: bit for
+    bit in one block, within rounding in blocks past the crossover. Padded
+    rows stay finite and get no input gradient. The node counts no scores;
+    the reference counts each example's own."""
     mask = AttentionMask(left, right)
     cfg = EncoderConfig(num_layers=1, model_dim=5, ff_dim1=2, ff_dim2=5, num_heads=heads,
                         head_dim=head_dim, dropout_ratio=0.0, mask=mask, input_dim=5,
@@ -288,7 +290,7 @@ def test_banded_attention_matches_dense(lengths, batched, left, right, offset_ch
     dense_mask = ops.build_mask(t, mask)
     dense_mask = ops.batch_mask(dense_mask, lengths) if batched else dense_mask
     results = []
-    for fn in (lambda c: ops.attention_node(h, params.layers[0], params, cfg, blocks, c, node_lengths),
+    for fn in (lambda c: ops.attention_node(h, params.layers[0], params, cfg, blocks),
                lambda c: ops.multi_head_attention(h, params.layers[0], params, cfg, dense_mask, c,
                                                   node_lengths)):
         for p in parents:
@@ -299,7 +301,7 @@ def test_banded_attention_matches_dense(lengths, batched, left, right, offset_ch
         results.append((out.values, [p.grad.copy() for p in parents], counters.attention_scores))
 
     (banded, banded_grads, banded_count), (dense, dense_grads, dense_count) = results
-    assert banded_count == dense_count == heads * sum(n * n for n in lengths)
+    assert (banded_count, dense_count) == (0, heads * sum(n * n for n in lengths))
     assert np.isfinite(banded).all()
     if blocks.n_blocks == 1:
         assert np.array_equal(banded, dense)
@@ -385,6 +387,37 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
         assert np.max(np.abs(a - r)) <= 1e-10
 
 
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("lengths,batched", [([9], False), ([60], False), ([5, 1, 60], True)])
+def test_encode_counts_a_stacks_scores_once(lengths, batched, layers):
+    """`encode` adds L * H * sum(n^2) attention scores, n each example's own
+    length (T for one sequence), in blocks past the crossover (T = 60) and
+    in one block; its `encoder_layer` and `_banded_attention` calls and the
+    backward add none."""
+    cfg = small_config(num_layers=layers, left=3, right=1)
+    params = init_encoder_params(cfg, Rng(11))
+    shape = (len(lengths), max(lengths), cfg.input_dim) if batched else (lengths[0], cfg.input_dim)
+    counters = att.Counters()
+    added = []
+
+    def counted(fn):
+        def call(*args, **kw):
+            before = counters.attention_scores
+            out = fn(*args, **kw)
+            added.append(counters.attention_scores - before)
+            return out
+        return call
+
+    with mock.patch.object(att, "encoder_layer", counted(att.encoder_layer)), \
+            mock.patch.object(att, "_banded_attention", counted(att._banded_attention)):
+        out = att.encode(Tensor(Rng(12).normal(shape)), cfg, params, None, counters,
+                         lengths if batched else None)
+    expected = layers * cfg.num_heads * sum(n * n for n in lengths)
+    assert added == [0] * (2 * layers) and counters.attention_scores == expected
+    backward(ops.tsum(out))
+    assert counters.attention_scores == expected
+
+
 # ----------------------------------------------------------- encoder layer
 
 @settings(max_examples=60, deadline=None)
@@ -400,10 +433,10 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
 @example(lengths=[9], batched=False, window=(3, 0), banded=True, dropout=0.3, seed=1)
 def test_encoder_layer_equals_the_composed_layer(lengths, batched, window, banded, dropout, seed):
     """A layer of two residual nodes gives the five-node layer of
-    `reference_ops` bit for bit: its values, the attention-score count, and
-    the gradients of its input and of every parameter. Drawn over padded
-    batches and single sequences, with dropout on and off, in one block or
-    in several (the crossover moved to 0 rows)."""
+    `reference_ops` bit for bit: its values and the gradients of its input
+    and of every parameter. Drawn over padded batches and single sequences,
+    with dropout on and off, in one block or in several (the crossover moved
+    to 0 rows)."""
     mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
     cfg = small_config(num_layers=1, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
     lengths = lengths if batched else lengths[:1]
@@ -426,11 +459,11 @@ def test_encoder_layer_equals_the_composed_layer(lengths, batched, window, bande
     for layer_fn in (att.encoder_layer, ops.encoder_layer):
         for _, p in params.named():
             p.grad = None
-        x, counters = Tensor(x_values), att.Counters()
-        out = layer_fn(x, blocks, params.layers[0], params, cfg, drop_rng(), counters, node_lengths)
+        x = Tensor(x_values)
+        out = layer_fn(x, blocks, params.layers[0], params, cfg, drop_rng())
         backward(ops.tsum(ops.mul(out, upstream)))
         grads = [None if p.grad is None else p.grad.tobytes() for _, p in params.named()]
-        results.append((out.values.tobytes(), counters.attention_scores, x.grad.tobytes(), grads))
+        results.append((out.values.tobytes(), x.grad.tobytes(), grads))
     assert results[0] == results[1]
 
 

@@ -28,9 +28,12 @@ def test_every_workload_runs_and_checks_out(tmp_path):
     for name in ("perfbench", "configs", "src"):
         shutil.copytree(REPO / name, tmp_path / name, ignore=skip)
     shutil.copy(REPO / "BENCHMARK.json", tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all", "--seconds", "0.1", "--seed", "901"],
-        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    # the traced run wraps the benchmark's span targets and records the counts
+    for trace in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "all", "--seconds", "0.1", "--seed", "901",
+             "--trace", trace],
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, (trace, proc.stderr)

@@ -28,7 +28,7 @@ from ttkit.frontend import FrontendConfig
 from ttkit.model import desk_config, init_model, model_config_from_dict, pad, param_spec
 from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
 from ttkit.tensor import FlatParams, NumericsError, ParamSpec, ParamTree, Rng, Tensor, backward, flat_params
-from ttkit.transducer import LogProbGrid, batch_loss, rnnt_log_prob
+from ttkit.transducer import LogProbGrid, batch_loss, log_prob_grid, rnnt_log_prob
 from ttkit.train import (
     Adam,
     CheckpointFormatError,
@@ -952,6 +952,59 @@ def test_grid_without_rng_ignores_regularizers():
         cfg = desk_config(vocab_size=5, feature_dim=6, dropout=dropout, model_dim=8, frontend=frontend)
         grids.append(init_model(cfg, Rng(4)).example_grid(utt.features, utt.labels))
     assert grids[0].log_probs.values.tobytes() == grids[1].log_probs.values.tobytes()
+
+
+def unbatched_grid(model, features, y) -> LogProbGrid:
+    """One example's grid composed from the one-sequence encoders: the
+    reference for `example_grid`, a batch of one."""
+    stacked = model.prepare_features(features)
+    audio = model.encode_audio(stacked)
+    labels = model.encode_labels(y)
+    model.counters.joint_evals += audio.shape[0] * labels.shape[0]
+    return log_prob_grid(audio, labels, model.params.joint)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    frames=st.integers(1, 120),
+    labels=st.integers(0, 4),
+    stack=st.integers(1, 3),
+    subsample=st.integers(1, 3),
+    audio_layers=st.integers(0, 2),
+    label_layers=st.integers(0, 2),
+    audio_mask=st.sampled_from([AttentionMask(10, 0), AttentionMask(2, 1), AttentionMask(3, 0),
+                                AttentionMask(None, None)]),
+    label_left=st.sampled_from([None, 1]),
+    seed=st.integers(0, 2**16),
+)
+@example(frames=120, labels=4, stack=1, subsample=1, audio_layers=2, label_layers=2,
+         audio_mask=AttentionMask(10, 0), label_left=1, seed=0)
+@example(frames=90, labels=3, stack=2, subsample=1, audio_layers=1, label_layers=0,
+         audio_mask=AttentionMask(2, 1), label_left=None, seed=1)
+def test_example_grid_equals_the_unbatched_composition(frames, labels, stack, subsample, audio_layers,
+                                                       label_layers, audio_mask, label_left, seed):
+    """`example_grid`, a batch of one, gives the one-sequence composition's
+    grid, log-probability, parameter gradients and both counters bit for
+    bit, with stacking, in one attention block and in blocks past the
+    crossover; SpecAugment and dropout are configured, and skipped without
+    an `Rng`."""
+    frontend = FrontendConfig(stack=stack, subsample=subsample, freq_mask_width=2, freq_mask_count=1,
+                              time_mask_width=1, time_mask_count=1, augment_enabled=True)
+    cfg = desk_config(vocab_size=5, feature_dim=3, audio_mask=audio_mask, label_left=label_left,
+                      num_audio_layers=audio_layers, num_label_layers=label_layers, model_dim=8,
+                      dropout=0.2, frontend=frontend, max_relative_offset=3)
+    (utt,) = _random_batch([(frames, labels)], cfg.feature_dim, cfg.vocab_size, Rng(seed))
+    results = []
+    for grid_fn in (unbatched_grid, lambda m, f, y: m.example_grid(f, y)):
+        model = init_model(cfg, Rng(seed + 1))
+        grid = grid_fn(model, utt.features, utt.labels)
+        values = grid.log_probs.values.tobytes()
+        log_prob = rnnt_log_prob(grid, utt.labels)
+        backward(log_prob)
+        grads = [None if p.grad is None else p.grad.tobytes() for _, p in model.named_params()]
+        counts = (model.counters.attention_scores, model.counters.joint_evals)
+        results.append((values, log_prob.item().hex(), grads, counts))
+    assert results[0] == results[1]
 
 
 # ------------------------------------------- batched step vs per-example step

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as tt
-from .tensor import BatchRng, ParamSpec, ParamTree, Rng, ShapeError, Tensor, flat_rows, unbroadcast
+from .tensor import BatchRng, ParamSpec, ParamTree, ShapeError, Tensor, flat_rows, unbroadcast
 
 
 @dataclass(frozen=True)
@@ -441,14 +441,14 @@ def encoder_layer(
     layer: LayerParams,
     params: EncoderParams,
     config: EncoderConfig,
-    rng: Rng | BatchRng | None = None,
+    rng: BatchRng | None = None,
 ) -> Tensor:
     """One encoder layer over rows [T, d] or a padded batch [B, T, d]: two
     `_residual` nodes, the first around windowed multi-head attention in
     the blocks of `band` (see `band`), the second around the feed-forward
-    block. When an `rng` is given (training), its three dropouts draw
-    together, in the order attention, feed-forward 1, feed-forward 2. It
-    counts nothing: `encode` counts a stack's scores."""
+    block. Training gives a padded batch and its `BatchRng`: the three
+    dropouts draw together, in the order attention, feed-forward 1,
+    feed-forward 2. It counts nothing: `encode` counts a stack's scores."""
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     shapes = [x.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
@@ -476,17 +476,17 @@ def encode(
     x: Tensor,
     config: EncoderConfig,
     params: EncoderParams,
-    rng: Rng | BatchRng | None = None,
+    rng: BatchRng | None = None,
     counters: Counters | None = None,
     lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """Project the input to model_dim (one `linear` node), run the full
     layer stack under the shared mask and close with `final_norm`. `x` is
     one sequence's rows [T, input_dim], or a batch padded to [B, T,
-    input_dim] whose example b fills its first lengths[b] rows; a padded
-    row never reaches a valid one. `counters` gain the stack's attention
-    scores once, L * H * sum(n^2) over layers, heads and each example's own
-    length n (T for one sequence), whatever the blocks of `band`."""
+    input_dim] whose example b fills its first lengths[b] rows, as training
+    passes it with its `BatchRng`; a padded row never reaches a valid one.
+    `counters` gain the stack's attention scores once, L * H * sum(n^2) over
+    layers, heads and each example's own length n (T for one sequence)."""
     if x.shape[-1] != config.input_dim:
         raise ShapeError(f"encode input dim {x.shape[-1]} != config input_dim {config.input_dim}")
     t = x.shape[-2]

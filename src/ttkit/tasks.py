@@ -3,7 +3,8 @@
 Each utterance renders its label sequence as runs of a fixed per-symbol
 template vector plus Gaussian noise, so a non-neural nearest-template decoder
 recovers the labels exactly at zero noise. Consecutive labels are always
-distinct, which keeps run-length deduplication lossless.
+distinct, which keeps run-length deduplication lossless. Datasets (`.ttds`)
+and checkpoints (`.ttck`) share one `BinaryWriter` and one `BinaryReader`.
 """
 
 from __future__ import annotations
@@ -129,19 +130,17 @@ def edit_distance(ref, hyp) -> int:
 
 
 def wer(ref, hyp) -> float:
-    """(substitutions + insertions + deletions) / |ref|."""
-    ref = list(ref)
-    if not ref:
-        raise ValueError("wer needs a non-empty reference")
-    return edit_distance(ref, hyp) / len(ref)
+    """(substitutions + insertions + deletions) / |ref|: one pair's `corpus_wer`."""
+    return corpus_wer([(ref, hyp)])
 
 
 def corpus_wer(pairs) -> float:
     """Total edits over total reference length across (ref, hyp) pairs."""
     edits, total = 0, 0
     for ref, hyp in pairs:
+        ref = list(ref)
         edits += edit_distance(ref, hyp)
-        total += len(list(ref))
+        total += len(ref)
     if total == 0:
         raise ValueError("corpus_wer needs non-empty references")
     return edits / total
@@ -152,24 +151,40 @@ _VERSION = 1
 
 
 def dataset_bytes(dataset: Dataset) -> bytes:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<QQ", dataset.num_labels, len(dataset.utterances))
+    w = BinaryWriter(_MAGIC, _VERSION)
+    w.u64(dataset.num_labels, len(dataset.utterances))
     for utt in dataset.utterances:
-        ident = utt.id.encode("utf-8")
+        w.text(utt.id)
         t, d = utt.features.shape
-        out += struct.pack("<Q", len(ident)) + ident
-        out += struct.pack("<QQ", t, d)
-        out += np.ascontiguousarray(utt.features, dtype="<f8").tobytes()
-        out += struct.pack("<Q", len(utt.labels))
-        out += np.asarray(utt.labels, dtype="<u4").tobytes()
-    return bytes(out)
+        w.u64(t, d)
+        w.array(utt.features, "<f8")
+        w.u64(len(utt.labels))
+        w.array(utt.labels, "<u4")
+    return bytes(w)
 
 
 def write_dataset(dataset: Dataset, path):
     with open(path, "wb") as f:
         f.write(dataset_bytes(dataset))
+
+
+class BinaryWriter(bytearray):
+    """A `.ttds` or `.ttck` file's bytes as `BinaryReader` reads them: magic,
+    u32 version, then little-endian u64s, u64-length-prefixed text, arrays."""
+
+    def __init__(self, magic: bytes, version: int):
+        super().__init__(magic + struct.pack("<I", version))
+
+    def u64(self, *values: int):
+        self.extend(struct.pack(f"<{len(values)}Q", *values))
+
+    def text(self, value: str):
+        raw = value.encode("utf-8")
+        self.u64(len(raw))
+        self.extend(raw)
+
+    def array(self, values, dtype: str):
+        self.extend(np.ascontiguousarray(values, dtype=dtype).tobytes())
 
 
 class BinaryReader:
@@ -182,7 +197,7 @@ class BinaryReader:
         self.error = error
         if self.take(4) != magic:
             raise error(f"bad magic: not a {kind} file")
-        found = self.u32()
+        found = struct.unpack("<I", self.take(4))[0]
         if found != version:
             raise error(f"unsupported {kind} version {found}")
 
@@ -192,9 +207,6 @@ class BinaryReader:
         chunk = self.data[self.at:self.at + n]
         self.at += n
         return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]

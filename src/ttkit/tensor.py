@@ -14,11 +14,11 @@ closed-form backward: the modules' (attention, the feed-forward block, the
 joint grid, the lattice loss) and the few here, an encoder's input
 projection `linear`, the embedding gather `rows` and `layer_norm`. Weight
 noise adds no node: training perturbs the stored parameters in place
-(`train.weight_noise`). A layer draws the dropout factors of all its sites
-in one `dropout_scales` call. `Rng` is a keyed Philox stream, and
-`BatchRng` gives each example of a padded batch the random draws it would
-get alone. The elementwise, reduction and generic product primitives that
-the composed test references are built from live with those tests.
+(`train.weight_noise`). `Rng` is a keyed Philox stream; training draws
+dropout per example of a padded batch, each layer's sites in one
+`dropout_scales` call through a `BatchRng`. The elementwise, reduction and
+generic product primitives that the composed test references are built
+from live with those tests.
 
 A graph is differentiated once: `backward` drops each node's saved arrays
 and its own gradient as soon as its gradients have reached its parents, so
@@ -203,13 +203,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def dropout_scales(shapes: Sequence[tuple[int, ...]], ratio: float,
-                   rng: "Rng | BatchRng | None") -> list[np.ndarray] | None:
-    """The dropout factors of several sites, one array per shape in `shapes`:
-    0 for a dropped entry and 1/(1-ratio) for a survivor, each dropped with
-    probability `ratio`. The sites draw in the order given, from one
-    `uniforms` call, so each draws what it would draw alone after the sites
-    before it. None when dropout is the identity: without an `rng` (not
-    training) or at ratio 0."""
+                   rng: "BatchRng | None") -> list[np.ndarray] | None:
+    """The dropout factors of a padded batch's sites, one array per shape
+    [B, T, ...] in `shapes`: 0 for a dropped entry or padding, 1/(1-ratio)
+    for a survivor, each entry dropped with probability `ratio`. The sites
+    draw in the order given, from one `BatchRng.uniforms` call. None when
+    dropout is the identity: without an `rng` (not training) or at ratio 0."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if rng is None or ratio == 0.0:
@@ -341,14 +340,6 @@ class Rng(ISeedSequence):
     def uniform(self, shape=()) -> np.ndarray:
         return self.gen.random(size=shape)
 
-    def uniforms(self, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-        """One uniform draw per shape, in order: what consecutive `uniform`
-        calls return."""
-        out = [np.empty(shape) for shape in shapes]
-        for u in out:
-            self.gen.random(out=u)
-        return out
-
     def integers(self, low: int, high: int, shape=None):
         """Uniform integers in [low, high)."""
         out = self.gen.integers(low, high, size=shape)
@@ -372,8 +363,8 @@ class BatchRng:
 
     def uniforms(self, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
         """One padded uniform draw per shape [B, T, ...]: each example's
-        generator fills its rows of every draw in turn, as its `uniforms`
-        would."""
+        generator fills its first `lengths[b]` rows of every draw in turn,
+        as consecutive `Rng.uniform` calls would: the sites' one draw order."""
         out = [np.zeros(shape) for shape in shapes]
         for b, (rng, n) in enumerate(zip(self.rngs, self.lengths)):
             gen = rng.gen

@@ -28,7 +28,6 @@ import functools
 import json
 import math
 import os
-import struct
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import TransducerModel, model_config_from_dict, param_spec
-from .tasks import BinaryReader, Utterance
+from .tasks import BinaryReader, BinaryWriter, Utterance
 from .tensor import NumericsError, Rng, backward, flat_params
 from .transducer import batch_loss
 
@@ -315,21 +314,17 @@ _VERSION = 1
 
 
 def checkpoint_bytes(model: TransducerModel) -> bytes:
-    config_doc = json.dumps(asdict(model.config),
-                            sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The `.ttck` file, by `tasks.BinaryWriter`: the config as JSON text, the
+    tensor count, then per parameter in named order its name, shape, values."""
+    w = BinaryWriter(_MAGIC, _VERSION)
+    w.text(json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")))
     named = model.named_params()
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<Q", len(config_doc)) + config_doc
-    out += struct.pack("<Q", len(named))
+    w.u64(len(named))
     for name, p in named:
-        ident = name.encode("utf-8")
-        out += struct.pack("<Q", len(ident)) + ident
-        out += struct.pack("<Q", p.values.ndim)
-        out += struct.pack(f"<{p.values.ndim}Q", *p.values.shape)
-        out += np.ascontiguousarray(p.values, dtype="<f8").tobytes()
-    return bytes(out)
+        w.text(name)
+        w.u64(p.values.ndim, *p.values.shape)
+        w.array(p.values, "<f8")
+    return bytes(w)
 
 
 def save_checkpoint(model: TransducerModel, path):

@@ -346,6 +346,7 @@ def brute_force_log_prob(grid: LogProbGrid | np.ndarray, y: Sequence[int], max_s
         raise ValueError(f"instance too large for enumeration: T + U = {T + U} > {max_size}")
     if T == 0:
         raise ShapeError("grid must cover at least one frame")
+    check_targets(y, lp.shape[2])
 
     path_scores = []
     for moves in enumerate_alignments(T, U):

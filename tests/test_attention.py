@@ -373,13 +373,13 @@ def test_batched_encode_matches_each_example(lengths, window, layers, dropout, s
     batch_grads, x_grad = grads(), x.grad
     ref_count, ref_grads = 0, None
     for b, n in enumerate(lengths):
-        ref_counters, xb = att.Counters(), Tensor(xs[b])
+        ref_counters, xb = att.Counters(), Tensor(xs[b][None])
         with mock.patch.object(att, "BANDED_MIN_EXTRA_ROWS", math.inf):
-            out = att.encode(xb, cfg, params, rngs[b], ref_counters)
-        backward(ops.tsum(ops.mul(out, Tensor(gs[b]))))
+            out = att.encode(xb, cfg, params, tt.BatchRng([rngs[b]], [n]), ref_counters, [n])
+        backward(ops.tsum(ops.mul(out, Tensor(gs[b][None]))))
         ref_count += ref_counters.attention_scores
-        assert np.max(np.abs(batch.values[b, :n] - out.values)) <= 1e-12
-        assert np.max(np.abs(x_grad[b, :n] - xb.grad)) <= 1e-10
+        assert np.max(np.abs(batch.values[b, :n] - out.values[0])) <= 1e-12
+        assert np.max(np.abs(x_grad[b, :n] - xb.grad[0])) <= 1e-10
         assert (x_grad[b, n:] == 0).all()
     ref_grads = grads()  # accumulated over the examples
     assert counters.attention_scores == ref_count
@@ -435,11 +435,13 @@ def test_encoder_layer_equals_the_composed_layer(lengths, batched, window, bande
     """A layer of two residual nodes gives the five-node layer of
     `reference_ops` bit for bit: its values and the gradients of its input
     and of every parameter. Drawn over padded batches and single sequences,
-    with dropout on and off, in one block or in several (the crossover moved
-    to 0 rows)."""
+    with dropout on and off (dropout draws per example, so a single sequence
+    runs without it), in one block or in several (the crossover moved to 0
+    rows)."""
     mask = AttentionMask(None, None) if window is None else AttentionMask(*window)
     cfg = small_config(num_layers=1, mask=mask, dropout_ratio=dropout, max_relative_offset=3)
     lengths = lengths if batched else lengths[:1]
+    batched = batched or dropout > 0  # dropout draws per example: a batch of one
     node_lengths = lengths if batched else None
     rng = Rng(seed)
     params = init_encoder_params(cfg, rng.substream("params"))
@@ -453,7 +455,7 @@ def test_encoder_layer_equals_the_composed_layer(lengths, batched, window, bande
 
     def drop_rng():
         drops = [rng.substream(f"drop{b}") for b in range(len(lengths))]
-        return tt.BatchRng(drops, lengths) if batched else drops[0]
+        return tt.BatchRng(drops, lengths) if batched else None
 
     results = []
     for layer_fn in (att.encoder_layer, ops.encoder_layer):
@@ -537,9 +539,10 @@ def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
         for seq_len in (1, 4, 9):
             cfg = small_config(num_layers=1, num_heads=num_heads, dropout_ratio=0.1)
             params = init_encoder_params(cfg, Rng(num_heads))
-            x = Tensor(Rng(seq_len).normal((seq_len, cfg.model_dim)))
+            shape = (1, seq_len, cfg.model_dim) if training else (seq_len, cfg.model_dim)
+            x = Tensor(Rng(seq_len).normal(shape))
             out = att.encoder_layer(x, att.band(seq_len, cfg.mask), params.layers[0], params, cfg,
-                                    Rng(0) if training else None)
+                                    tt.BatchRng([Rng(0)], [seq_len]) if training else None)
             assert _graph_ops(out) == expected, (num_heads, seq_len)
 
 

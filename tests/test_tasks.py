@@ -1,9 +1,16 @@
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ttkit.tasks import (
+    BinaryReader,
+    BinaryWriter,
     Dataset,
     Utterance,
     DatasetFormatError,
@@ -229,6 +236,49 @@ def test_dataset_zero_width_features_still_load(tmp_path):
     path = tmp_path / "d.ttds"
     write_dataset(Dataset(2, [Utterance("u0", np.zeros((3, 0)), [1])]), path)
     assert read_dataset(path).utterances[0].features.shape == (3, 0)
+
+
+def test_dataset_bytes_pinned():
+    """A fixed set whose first utterance id is non-ASCII encodes to pinned
+    bytes: any change to the `.ttds` encoding shows here."""
+    data = gen_synthetic(task_config(size=6))
+    data.utterances[0].id = "äußerung-語"
+    raw = dataset_bytes(data)
+    assert len(raw) == 3570
+    assert hashlib.sha256(raw).hexdigest() == "a2f568e6aca8e72d218d6b7ac038d6266204108949d067bf68e20e817e7a2437"
+
+
+@given(magic=st.binary(min_size=4, max_size=4), version=st.integers(0, 2**32 - 1),
+       values=st.lists(st.integers(0, 2**64 - 1), max_size=4), text=st.text(),
+       floats=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+       transpose=st.booleans(), labels=st.lists(st.integers(0, 2**32 - 1), max_size=4))
+@example(magic=b"TTDS", version=1, values=[0, 2**64 - 1], text="",
+         floats=np.array([-0.0, math.inf, -math.inf, math.nan]), transpose=False, labels=[])
+@example(magic=b"TTCK", version=1, values=[], text="äußerung-語", floats=np.zeros((0, 3)),
+         transpose=True, labels=[1, 2**32 - 1])
+@settings(max_examples=200, deadline=None)
+def test_writer_fields_read_back_and_match_struct_packing(magic, version, values, text, floats,
+                                                          transpose, labels):
+    """Each `BinaryWriter` field gives the bytes of the `struct` packing the
+    writers are held to, and `BinaryReader` reads it back."""
+    floats = floats.T if transpose else floats
+    w = BinaryWriter(magic, version)
+    w.u64(*values)
+    w.text(text)
+    w.array(floats, "<f8")
+    w.array(labels, "<u4")
+    raw = bytes(w)
+    ident = text.encode("utf-8")
+    assert raw == (magic + struct.pack("<I", version) + struct.pack(f"<{len(values)}Q", *values)
+                   + struct.pack("<Q", len(ident)) + ident
+                   + struct.pack(f"<{floats.size}d", *floats.ravel().tolist())
+                   + struct.pack(f"<{len(labels)}I", *labels))
+    r = BinaryReader(raw, DatasetFormatError, magic, version, "test")
+    assert [r.u64() for _ in values] == values
+    assert r.text() == text
+    assert r.array(floats.shape, "<f8").tobytes() == np.ascontiguousarray(floats).tobytes()
+    assert r.array((len(labels),), "<u4").tolist() == labels
+    r.finish("field")
 
 
 @st.composite

@@ -243,7 +243,7 @@ def test_dropout_zero_ratio_identity():
 
 
 def test_dropout_mean_preserved():
-    scale = tt.dropout_scales([(100_000,)], 0.1, Rng(42))[0]
+    scale = tt.dropout_scales([(1, 100_000)], 0.1, tt.BatchRng([Rng(42)], [100_000]))[0]
     assert abs(scale.mean() - 1.0) < 0.02
 
 
@@ -258,15 +258,15 @@ def test_dropout_bad_ratio():
 def test_layer_masks_drawn_together_equal_per_site_draws(lengths):
     """A layer's three dropout masks drawn in one call (attention, then the
     two feed-forward sites) equal three per-site draws in that order, bit
-    for bit, for one example's `Rng` and for a padded batch."""
+    for bit, for a batch of one and for a padded batch."""
     t, d, ff = 7, 4, 6
 
     def rng():
         if lengths is None:
-            return Rng(11).substream("layer0")
+            return tt.BatchRng([Rng(11).substream("layer0")], [t])
         return tt.BatchRng([Rng(11 + b).substream("layer0") for b in range(len(lengths))], lengths)
 
-    lead = (t,) if lengths is None else (len(lengths), t)
+    lead = (1, t) if lengths is None else (len(lengths), t)
     shapes = [lead + (d,), lead + (ff,), lead + (d,)]
     together = tt.dropout_scales(shapes, 0.1, rng())
     apart = rng()

@@ -246,6 +246,16 @@ def test_oracle_rejects_large_instance():
         brute_force_log_prob(grid, [1] * 6)
 
 
+@pytest.mark.parametrize("y", [[0], [-1], [3]], ids=["blank", "negative", "past-vocab"])
+def test_oracle_rejects_the_targets_the_recursion_rejects(y):
+    """Blank, a negative id and an id past the vocab are not targets, for the
+    enumeration as for the recursion."""
+    grid = random_grid(2, 1, 3, Rng(0))
+    for log_prob in (rnnt_log_prob, brute_force_log_prob):
+        with pytest.raises(ValueError, match=rf"target label {y[0]} outside vocab of size 3 \(blank forbidden\)"):
+            log_prob(grid, y)
+
+
 def test_log_prob_never_positive():
     rng = Rng(10)
     for trial in range(50):

@@ -399,7 +399,10 @@ def _banded_attention(
 def _feed_forward(h: np.ndarray, layer: LayerParams, s1: np.ndarray | None = None):
     """The feed-forward block over rows h, D1(relu(h W1 + b1)) W2 + b2 with
     D1 the dropout factor `s1` when given: the output and its closed-form
-    backward, to the gradients of (h, W1, b1, W2, b2)."""
+    backward, to the gradients of (h, W1, b1, W2, b2). The backward masks
+    by `a > 0`, which is `pre > 0` wherever it matters: `s1` is 0 or at
+    least 1, and where it is 0 the incoming `d_a * s1` is already ±0 or NaN
+    under either mask."""
     pre = h @ layer.w1.values + layer.b1.values
     a = np.where(pre > 0, pre, 0.0)
     if s1 is not None:
@@ -409,7 +412,7 @@ def _feed_forward(h: np.ndarray, layer: LayerParams, s1: np.ndarray | None = Non
         d_a = d_f @ layer.w2.values.T
         if s1 is not None:
             d_a = d_a * s1
-        d_pre = d_a * (pre > 0)
+        d_pre = d_a * (a > 0)
         return (d_pre @ layer.w1.values.T,
                 flat_rows(h).T @ flat_rows(d_pre), unbroadcast(d_pre, layer.b1.shape),
                 flat_rows(a).T @ flat_rows(d_f), unbroadcast(d_f, layer.b2.shape))

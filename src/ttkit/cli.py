@@ -133,6 +133,7 @@ def _transcribe(model, data, mode: str, opts: DecodeOptions, fusion: FusionConfi
     they are read; the mode is checked against the model at once."""
     if mode == "stream" and not model.config.audio.mask.is_finite:
         raise UsageError("stream mode requires a finite audio attention window in the checkpoint")
+    trn._keep_heap_mapped()  # a decode frees and reuses its temporaries as a training step does
     return ((utt, _decode(model, utt.features, mode, opts, fusion))
             for utt in sorted(data.utterances, key=lambda u: u.id))
 
@@ -160,7 +161,6 @@ def cmd_decode(args) -> int:
     data = _load_dataset_or_exit(args.dataset)
     _check_fits(data, args.dataset, model.config, labels=False)
     fusion = _build_fusion(args, model)
-    trn._keep_heap_mapped()  # a decode frees and reuses its temporaries as a training step does
     transcripts = _transcribe(model, data, args.mode, opts, fusion)
     # opened before decoding, so a path that cannot be written fails at once
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
@@ -177,7 +177,6 @@ def cmd_eval(args) -> int:
     _check_fits(data, args.dataset, model.config)
     if not any(utt.labels for utt in data.utterances):
         raise UsageError(f"dataset {args.dataset} has no reference labels to score against")
-    trn._keep_heap_mapped()
     per_utt = [{"id": utt.id, "ref_len": len(utt.labels), "errors": edit_distance(utt.labels, hyp),
                 "ref": utt.labels, "hyp": hyp}
                for utt, hyp in _transcribe(model, data, args.mode, opts, None)]

@@ -338,23 +338,23 @@ def greedy_decode(model: TransducerModel, features: np.ndarray,
     reached, then advance to the next frame."""
     DecodeOptions(max_symbols_per_frame=max_symbols_per_frame)  # the range check
     enc = _batch_encode_audio(model, features)
-    state = LabelState(model)
+    return _greedy_rows(model, enc, LabelState(model), max_symbols_per_frame)
+
+
+def _greedy_rows(model, rows, state: LabelState, cap: int) -> list[int]:
+    """The labels greedy decoding emits over encoder rows, moving `state` in
+    place: per row, the argmax until blank wins or `cap` labels are out."""
     out: list[int] = []
-    for t in range(enc.shape[0]):
-        _greedy_frame(model, enc[t], state, out, max_symbols_per_frame)
+    for row in rows:
+        audio_proj = model.project_audio(row)
+        for _ in range(cap):
+            lp = model.joint_from_projections(audio_proj, state.proj)
+            best = int(np.argmax(lp))  # argmax takes the lowest index on ties
+            if best == BLANK_ID:
+                break
+            out.append(best)
+            state.advance(best)
     return out
-
-
-def _greedy_frame(model, enc_row, state: LabelState, out: list[int], cap: int):
-    audio_proj = model.project_audio(enc_row)
-    for _ in range(cap):
-        lp = model.joint_from_projections(audio_proj, state.proj)
-        best = int(np.argmax(lp))  # argmax takes the lowest index on ties
-        if best == BLANK_ID:
-            return
-        out.append(best)
-        state.advance(best)
-    # cap reached: force the frame to close
 
 
 @dataclass
@@ -514,7 +514,7 @@ class StreamState:
         new = self.encoder.push(np.concatenate(self.frames))
         del self.frames[:self.subsample]
         self.skip = max(0, self.subsample - self.stack)
-        return self._decode_rows(new)
+        return _greedy_rows(self.model, new, self.label_state, self.max_symbols_per_frame)
 
     def flush(self) -> list[int]:
         """End of stream: process pending look-ahead as if the right context
@@ -526,11 +526,4 @@ class StreamState:
             for row in fe.stack_subsample(np.stack(self.frames), self.stack, self.subsample):
                 new.extend(self.encoder.push(row))
         new.extend(self.encoder.finish())
-        return self._decode_rows(new)
-
-    def _decode_rows(self, rows: list[np.ndarray]) -> list[int]:
-        emitted: list[int] = []
-        for row in rows:
-            _greedy_frame(self.model, row, self.label_state, emitted, self.max_symbols_per_frame)
-        return emitted
-
+        return _greedy_rows(self.model, new, self.label_state, self.max_symbols_per_frame)

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -259,13 +259,14 @@ def _keep_heap_mapped() -> None:
 
 
 def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: TrainConfig,
-               out_dir=None, log_fn=None) -> list[float]:
-    """Run `total_steps` over the dataset in fixed batch order, optionally
-    writing periodic checkpoints and per-step metric records (to
-    `metrics.jsonl`, through one handle per run, each record flushed as it
-    is written, so a run that raises keeps every earlier one). A non-finite
-    loss raises `NumericsError` before the step touches the parameters; with
-    an `out_dir`, the model as the last good step left it is first saved to
+               out_dir, log_fn=None) -> list[float]:
+    """Run `total_steps` over the dataset in fixed batch order, writing into
+    `out_dir`, made if missing: a per-step metric record in `metrics.jsonl`
+    (through one handle per run, each record flushed as it is written, so a
+    run that raises keeps every earlier one), a checkpoint every
+    `checkpoint_interval` steps, and `ckpt_final.ttck` at the end. A
+    non-finite loss raises `NumericsError` before the step touches the
+    parameters; the model as the last good step left it is first saved to
     `ckpt_last_good.ttck`, and the error names that file. The first call
     sets the heap thresholds for the whole process (`_keep_heap_mapped`), so
     a step reuses the memory the step before it freed."""
@@ -276,11 +277,9 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
     if not utts:
         raise ValueError("training dataset is empty")
     losses = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     # one handle per run, for this run's records only
-    with (open(os.path.join(out_dir, "metrics.jsonl"), "w") if out_dir is not None
-          else nullcontext()) as metrics:
+    with open(os.path.join(out_dir, "metrics.jsonl"), "w") as metrics:
         start = time.monotonic()
         for step in range(cfg.total_steps):
             at = (step * cfg.batch_size) % len(utts)
@@ -289,23 +288,19 @@ def train_loop(model: TransducerModel, dataset, schedule: ScheduleConfig, cfg: T
             try:
                 loss = train_step(model, optimizer, batch, step, schedule, cfg, rng, stats)
             except NumericsError as e:
-                if out_dir is None:
-                    raise
                 path = os.path.join(out_dir, "ckpt_last_good.ttck")
                 save_checkpoint(model, path)
                 raise NumericsError(f"{e}; the last good parameters are in {path}") from e
             losses.append(loss)
             record = {"step": step, "loss": loss, **stats, "lr": lr_at(step, schedule),
                       "wall_clock": time.monotonic() - start}
-            if metrics is not None:
-                metrics.write(json.dumps(record) + "\n")
-                metrics.flush()  # a run that raises later keeps this record
+            metrics.write(json.dumps(record) + "\n")
+            metrics.flush()  # a run that raises later keeps this record
             if log_fn is not None:
                 log_fn(record)
-            if out_dir is not None and (step + 1) % cfg.checkpoint_interval == 0:
+            if (step + 1) % cfg.checkpoint_interval == 0:
                 save_checkpoint(model, os.path.join(out_dir, f"ckpt_{step + 1:06d}.ttck"))
-    if out_dir is not None:
-        save_checkpoint(model, os.path.join(out_dir, "ckpt_final.ttck"))
+    save_checkpoint(model, os.path.join(out_dir, "ckpt_final.ttck"))
     return losses
 
 

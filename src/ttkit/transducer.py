@@ -94,14 +94,6 @@ class LogProbGrid:
     def T(self) -> int:
         return self.log_probs.shape[-3]
 
-    @property
-    def U(self) -> int:
-        return self.log_probs.shape[-2] - 1
-
-    @property
-    def vocab_size(self) -> int:
-        return self.log_probs.shape[-1]
-
 
 def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-softmax over the last axis and its log-normalizer. The result is
@@ -340,13 +332,9 @@ def brute_force_log_prob(grid: LogProbGrid | np.ndarray, y: Sequence[int], max_s
     lp = grid.log_probs.values if isinstance(grid, LogProbGrid) else np.asarray(grid)
     y = list(y)
     T, U = lp.shape[0], len(y)
-    if U + 1 > lp.shape[1]:
-        raise ShapeError(f"grid holds {lp.shape[1] - 1} history rows but targets have length {U}")
+    _check_loss_args(lp[None], [T], [y])
     if T + U > max_size:
         raise ValueError(f"instance too large for enumeration: T + U = {T + U} > {max_size}")
-    if T == 0:
-        raise ShapeError("grid must cover at least one frame")
-    check_targets(y, lp.shape[2])
 
     path_scores = []
     for moves in enumerate_alignments(T, U):

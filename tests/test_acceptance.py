@@ -51,7 +51,7 @@ def toy_schedule(steps: int = TOY_STEPS) -> ScheduleConfig:
                           hold_until=steps // 3, decay_until=steps, final_lr=3e-4)
 
 
-def train_toy(seed: int, mask: AttentionMask, label_left):
+def train_toy(tmp_path_factory, seed: int, mask: AttentionMask, label_left):
     """Train the default desk config (2 audio layers, 1 label layer,
     model_dim 32, vocab 6, 2000 train utterances); cached per setting."""
     key = (seed, mask.left, mask.right, label_left)
@@ -63,7 +63,8 @@ def train_toy(seed: int, mask: AttentionMask, label_left):
                       label_left=label_left, dropout=0.1)
     model = init_model(cfg, Rng(seed))
     start = time.monotonic()
-    train_loop(model, train, toy_schedule(), TrainConfig(batch_size=8, total_steps=TOY_STEPS, seed=seed))
+    train_loop(model, train, toy_schedule(), TrainConfig(batch_size=8, total_steps=TOY_STEPS, seed=seed),
+               out_dir=tmp_path_factory.mktemp("toy"))
     elapsed = time.monotonic() - start
     ser = corpus_wer([(u.labels, greedy_decode(model, u.features)) for u in test.utterances])
     _toy_cache[key] = (model, ser, elapsed, test)
@@ -181,9 +182,9 @@ def test_criterion_7_lr_schedule_published_points():
           "{0, 2.5e-4, 2.5e-4, 2.5e-5, 2.5e-6} exactly")
 
 
-def test_criterion_8_toy_convergence_within_budget():
-    model_f, ser_full, time_full, _ = train_toy(0, FULL, None)
-    model_s, ser_stream, time_stream, _ = train_toy(0, STREAMABLE, 2)
+def test_criterion_8_toy_convergence_within_budget(tmp_path_factory):
+    model_f, ser_full, time_full, _ = train_toy(tmp_path_factory, 0, FULL, None)
+    model_s, ser_stream, time_stream, _ = train_toy(tmp_path_factory, 0, STREAMABLE, 2)
     budget = time_full + time_stream
     assert budget < 900.0
     assert ser_full < 0.05, ser_full
@@ -193,12 +194,12 @@ def test_criterion_8_toy_convergence_within_budget():
           f"{ser_stream:.3f} (<10%), full <= streamable, trained in {budget:.0f}s (<900s)")
 
 
-def test_criterion_9_lookahead_bridges_the_gap():
+def test_criterion_9_lookahead_bridges_the_gap(tmp_path_factory):
     rows = []
     for seed in (0, 1, 2):
-        _, ser_full, _, _ = train_toy(seed, FULL, None)
-        _, ser_stream, _, _ = train_toy(seed, STREAMABLE, 2)
-        _, ser_look, _, _ = train_toy(seed, LOOKAHEAD, 2)
+        _, ser_full, _, _ = train_toy(tmp_path_factory, seed, FULL, None)
+        _, ser_stream, _, _ = train_toy(tmp_path_factory, seed, STREAMABLE, 2)
+        _, ser_look, _, _ = train_toy(tmp_path_factory, seed, LOOKAHEAD, 2)
         assert ser_look <= ser_stream, (seed, ser_look, ser_stream)
         assert ser_look >= ser_full, (seed, ser_look, ser_full)
         rows.append((seed, ser_full, ser_look, ser_stream))
@@ -207,7 +208,7 @@ def test_criterion_9_lookahead_bridges_the_gap():
     print(f"\n[PASS] criterion 9: {table}")
 
 
-def test_criterion_10_shallow_fusion_helps():
+def test_criterion_10_shallow_fusion_helps(tmp_path):
     """Transducer trained on flat label statistics, evaluated where labels
     follow a bigram process the bundled LM was fit on: fusion must not hurt,
     and is expected to help, on the held-out split for most seeds."""
@@ -230,7 +231,7 @@ def test_criterion_10_shallow_fusion_helps():
                           label_left=2, dropout=0.1)
         model = init_model(cfg, Rng(seed))
         train_loop(model, train, toy_schedule(400),
-                   TrainConfig(batch_size=8, total_steps=400, seed=seed))
+                   TrainConfig(batch_size=8, total_steps=400, seed=seed), out_dir=tmp_path / f"seed{seed}")
 
         base_dev = beam_wer(model, dev.utterances)
         best, best_wer = None, base_dev - 0.01  # adopt fusion only on a clear dev win
@@ -248,14 +249,15 @@ def test_criterion_10_shallow_fusion_helps():
     print(f"\n[PASS] criterion 10: fusion <= baseline on {wins}/3 seeds; " + "; ".join(details))
 
 
-def test_criterion_11_determinism_and_roundtrips(tmp_path):
+def test_criterion_11_determinism_and_roundtrips(tmp_path, tmp_path_factory):
     # identical seeds, identical checkpoints (fresh short runs, twice)
     def short_run():
         data = split(gen_synthetic(toy_task(3, size=300)), 256)[0]
         cfg = desk_config(vocab_size=7, feature_dim=16, audio_mask=STREAMABLE,
                           label_left=2, dropout=0.1)
         model = init_model(cfg, Rng(3))
-        train_loop(model, data, toy_schedule(60), TrainConfig(batch_size=8, total_steps=60, seed=3))
+        train_loop(model, data, toy_schedule(60), TrainConfig(batch_size=8, total_steps=60, seed=3),
+                   out_dir=tmp_path / "short")
         return model
 
     bytes_a = checkpoint_bytes(short_run())
@@ -264,7 +266,7 @@ def test_criterion_11_determinism_and_roundtrips(tmp_path):
 
     # save -> load -> save is byte-identical, and the restored model scores
     # the toy evaluation identically
-    model, ser, _, test = train_toy(0, STREAMABLE, 2)
+    model, ser, _, test = train_toy(tmp_path_factory, 0, STREAMABLE, 2)
     p1, p2 = tmp_path / "m1.ttck", tmp_path / "m2.ttck"
     save_checkpoint(model, p1)
     restored = load_checkpoint(p1)

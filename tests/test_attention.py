@@ -487,6 +487,45 @@ def test_single_position_layer():
     assert np.all(np.isfinite(out.values))
 
 
+def _kept_pre_feed_forward(h, layer, s1):
+    """`att._feed_forward` with its backward masked by the saved
+    pre-activation, `pre > 0`: the reference for its `a > 0` mask."""
+    pre = h @ layer.w1.values + layer.b1.values
+    a = np.where(pre > 0, pre, 0.0) * s1
+
+    def bw(d_f):
+        d_pre = (d_f @ layer.w2.values.T) * s1 * (pre > 0)
+        return (d_pre @ layer.w1.values.T,
+                tt.flat_rows(h).T @ tt.flat_rows(d_pre), tt.unbroadcast(d_pre, layer.b1.shape),
+                tt.flat_rows(a).T @ tt.flat_rows(d_f), tt.unbroadcast(d_f, layer.b2.shape))
+
+    return a @ layer.w2.values + layer.b2.values, bw
+
+
+def test_feed_forward_relu_mask_at_its_edges():
+    """Pre-activations of exactly +0.0 (a zero column and bias) and -0.0
+    (products that underflow to -0.0, and a -0.0 bias), and a dropout
+    factor that drops positive ones: the output and gradient bytes are those
+    of the form that masks by the pre-activation."""
+    cfg = small_config(num_layers=1)
+    layer = init_encoder_params(cfg, Rng(9)).layers[0]
+    h = np.linspace(0.05, 0.45, 4 * cfg.model_dim).reshape(4, cfg.model_dim)
+    w1, b1 = layer.w1.values, layer.b1.values
+    w1[:, 0], b1[0] = 0.0, 0.0
+    w1[:, 1], b1[1] = -5e-324, -0.0
+    b1[2:] = np.where(np.arange(2, len(b1)) % 2, 3.0, -3.0)
+    s1 = np.where(np.arange(4 * len(b1)).reshape(4, -1) % 3, 1 / 0.9, 0.0)
+    pre = h @ w1 + b1
+    assert (pre[:, 0] == 0).all() and not np.signbit(pre[:, 0]).any()
+    assert (pre[:, 1] == 0).all() and np.signbit(pre[:, 1]).all()
+    assert ((pre > 0) & (s1 == 0)).any() and ((pre < 0) & (s1 > 0)).any()
+    d_f = Rng(10).normal((4, cfg.ff_dim2))
+    out, bw = att._feed_forward(h, layer, s1)
+    want_out, want_bw = _kept_pre_feed_forward(h, layer, s1)
+    assert out.tobytes() == want_out.tobytes()
+    assert [g.tobytes() for g in bw(d_f)] == [g.tobytes() for g in want_bw(d_f)]
+
+
 def test_layer_rejects_wrong_dims():
     cfg = small_config(num_layers=1)
     params = init_encoder_params(cfg, Rng(5))

@@ -8,6 +8,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tempfile
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -148,7 +149,7 @@ def test_a_noisy_step_that_raises_leaves_the_clean_parameters(fault, monkeypatch
     cfg = TrainConfig(batch_size=2, total_steps=6, seed=0, weight_noise_sigma=0.05,
                       weight_noise_start_step=0)
     good, data = tiny_setup()
-    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2))
+    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2), out_dir=tmp_path / "good")
     if fault == "loss":
         bad = data.utterances[5]
         features = bad.features.copy()
@@ -296,14 +297,14 @@ def test_flat_clip_and_adam_match_the_per_array_reference(data, shapes, steps, b
 
 # ------------------------------------------------------------- training
 
-def test_training_deterministic_under_seed():
+def test_training_deterministic_under_seed(tmp_path):
     def run():
         model, data = tiny_setup(seed=7)
         sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=5, hold_until=10,
                                decay_until=40, final_lr=2e-4)
         cfg = TrainConfig(batch_size=4, total_steps=12, seed=3, weight_noise_sigma=0.01,
                           weight_noise_start_step=5)
-        losses = train_loop(model, data, sched, cfg)
+        losses = train_loop(model, data, sched, cfg, out_dir=tmp_path)
         return losses, checkpoint_bytes(model)
 
     losses_a, bytes_a = run()
@@ -312,14 +313,14 @@ def test_training_deterministic_under_seed():
     assert bytes_a == bytes_b
 
 
-def test_training_reduces_loss_on_fixed_batch():
+def test_training_reduces_loss_on_fixed_batch(tmp_path):
     wins = 0
     for seed in range(10):
         model, data = tiny_setup(seed=seed, size=4)
         sched = ScheduleConfig(peak_lr=3e-3, warmup_steps=5, hold_until=50,
                                decay_until=100, final_lr=3e-4)
         cfg = TrainConfig(batch_size=4, total_steps=50, seed=seed)
-        losses = train_loop(model, data, sched, cfg)
+        losses = train_loop(model, data, sched, cfg, out_dir=tmp_path)
         wins += losses[-1] < losses[0]
     assert wins >= 9
 
@@ -346,7 +347,7 @@ def test_non_finite_loss_saves_the_last_good_checkpoint(tmp_path):
     features[0, 0] = np.nan
     data.utterances[5] = Utterance(bad.id, features, bad.labels)
     good, _ = tiny_setup()
-    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2))
+    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2), out_dir=tmp_path / "good")
     want = checkpoint_bytes(good)
     path = tmp_path / "ckpt_last_good.ttck"
     with pytest.raises(NumericsError, match="step 2") as raised:
@@ -394,7 +395,7 @@ def test_non_finite_gradient_saves_the_last_good_checkpoint(monkeypatch, tmp_pat
     sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
     cfg = TrainConfig(batch_size=2, total_steps=6, seed=0)
     good, data = tiny_setup()
-    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2))
+    train_loop(good, data, sched, dataclasses.replace(cfg, total_steps=2), out_dir=tmp_path / "good")
     model, _ = tiny_setup()
     _poke_gradient(monkeypatch, model, np.nan, steps={2})
     with pytest.raises(NumericsError, match="non-finite gradient"):
@@ -572,14 +573,14 @@ data = gen_synthetic(SyntheticTaskConfig(
     feature_dim=run.model.feature_dim, noise_sigma=0.3, size=4 * steps, seed=0))
 cfg = dataclasses.replace(run.train, batch_size=4, total_steps=steps, seed=0)
 marks = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
-train_loop(init_model(run.model, Rng(0)), data, run.schedule, cfg,
+train_loop(init_model(run.model, Rng(0)), data, run.schedule, cfg, sys.argv[2],
            log_fn=lambda record: marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
 print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
 """
 
 
 @pytest.mark.skipif(not _has_glibc_mallopt(), reason="needs glibc's mallopt")
-def test_long_train_steps_reuse_freed_heap():
+def test_long_train_steps_reuse_freed_heap(tmp_path):
     """After the first steps have grown the heap, a step on long utterances
     (the desk model at batch 4, 12-20 labels, 3-6 frames per label) reuses
     the memory the step before it freed. Were it handed back to the kernel,
@@ -587,8 +588,8 @@ def test_long_train_steps_reuse_freed_heap():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, str(root / "configs" / "desk.json")],
-                         env=env, capture_output=True, text=True, check=True).stdout
+    argv = [sys.executable, "-c", _FAULTS_PER_STEP, str(root / "configs" / "desk.json"), str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     faults = json.loads(out)
     assert len(faults) == 12
     assert np.mean(faults[2:]) < 300, faults
@@ -598,7 +599,7 @@ def test_long_train_steps_reuse_freed_heap():
                                   mock.Mock(side_effect=TypeError("no handle")),
                                   mock.Mock(return_value=object())],
                          ids=["oserror", "typeerror", "no-mallopt"])
-def test_train_loop_runs_without_mallopt(cdll):
+def test_train_loop_runs_without_mallopt(cdll, tmp_path):
     """Where the C library cannot be loaded or has no `mallopt`, training
     runs as it does with the heap thresholds set, to the same bits."""
     sched = ScheduleConfig(peak_lr=1e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=1e-4)
@@ -606,7 +607,7 @@ def test_train_loop_runs_without_mallopt(cdll):
 
     def run():
         model, data = tiny_setup(seed=5)
-        return train_loop(model, data, sched, cfg), checkpoint_bytes(model)
+        return train_loop(model, data, sched, cfg, out_dir=tmp_path), checkpoint_bytes(model)
 
     want = run()
     trn._keep_heap_mapped.cache_clear()
@@ -905,8 +906,9 @@ def _regularized_run(step_fn=train_step, adam=Adam):
     sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=2e-4)
     train = TrainConfig(batch_size=4, total_steps=6, seed=5, weight_noise_sigma=0.01,
                         weight_noise_start_step=2)
-    with mock.patch.object(trn, "train_step", step_fn), mock.patch.object(trn, "Adam", adam):
-        losses = train_loop(model, gen_synthetic(task), sched, train)
+    with mock.patch.object(trn, "train_step", step_fn), mock.patch.object(trn, "Adam", adam), \
+            tempfile.TemporaryDirectory() as out_dir:
+        losses = train_loop(model, gen_synthetic(task), sched, train, out_dir=out_dir)
     return np.array(losses).tobytes() + checkpoint_bytes(model)
 
 
@@ -924,7 +926,7 @@ def test_batched_training_bytes_pinned():
         "5f8fec473397c4243c4134b76742b1c7ad2b1d281826d6fdf05dc56c1594a22a")
 
 
-def test_augmented_training_leaves_the_features_unchanged():
+def test_augmented_training_leaves_the_features_unchanged(tmp_path):
     """With no stacking the frontend hands training the features array
     itself; masking and padding write only copies."""
     task = SyntheticTaskConfig(vocab=4, label_len=(2, 3), frames_per_label=(2, 3),
@@ -938,7 +940,7 @@ def test_augmented_training_leaves_the_features_unchanged():
     model = init_model(cfg, Rng(1))
     assert model.prepare_features(data.utterances[0].features) is data.utterances[0].features
     sched = ScheduleConfig(peak_lr=2e-3, warmup_steps=2, hold_until=4, decay_until=8, final_lr=2e-4)
-    train_loop(model, data, sched, TrainConfig(batch_size=4, total_steps=4, seed=5))
+    train_loop(model, data, sched, TrainConfig(batch_size=4, total_steps=4, seed=5), out_dir=tmp_path)
     assert [utt.features.tobytes() for utt in data.utterances] == before
 
 

@@ -88,7 +88,7 @@ def test_grid_minimal_shape():
     params = make_joint(vocab=5)
     grid = log_prob_grid(Tensor(Rng(3).normal((1, 4))), Tensor(Rng(4).normal((1, 3))), params)
     assert grid.log_probs.shape == (1, 1, 5)
-    assert grid.T == 1 and grid.U == 0
+    assert grid.T == 1 and grid.log_probs.shape[1] == 1
 
 
 def test_grid_rows_normalized():
@@ -246,6 +246,28 @@ def test_oracle_rejects_large_instance():
         brute_force_log_prob(grid, [1] * 6)
 
 
+def test_oracle_enumerates_up_to_max_size():
+    grid, y = random_grid(T=3, U=2, V=3, rng=Rng(16)), [1, 2]
+    assert brute_force_log_prob(grid, y, max_size=5) == pytest.approx(rnnt_log_prob(grid, y).item(), abs=1e-9)
+    with pytest.raises(ValueError, match=r"T \+ U = 5 > 4"):
+        brute_force_log_prob(grid, y, max_size=4)
+
+
+@pytest.mark.parametrize("U", [0, 2, 20])
+def test_zero_frame_lattices_are_refused(U):
+    """No alignment covers zero frames: the recursion, a padded batch with
+    one such example, and the enumeration, before its size bound, each
+    raise `ShapeError`."""
+    y = [1] * U
+    with pytest.raises(ShapeError, match="at least one frame"):
+        rnnt_log_prob(LogProbGrid(Tensor(np.zeros((0, U + 1, 3)))), y)
+    with pytest.raises(ShapeError, match="at least one frame"):
+        brute_force_log_prob(np.zeros((0, U + 1, 3)), y)
+    padded = np.stack([random_grid(T=2, U=U, V=3, rng=Rng(b)).log_probs.values for b in range(2)])
+    with pytest.raises(ShapeError, match="at least one frame"):
+        batch_loss(LogProbGrid(Tensor(padded), np.array([2, 0])), [y, y])
+
+
 @pytest.mark.parametrize("y", [[0], [-1], [3]], ids=["blank", "negative", "past-vocab"])
 def test_oracle_rejects_the_targets_the_recursion_rejects(y):
     """Blank, a negative id and an id past the vocab are not targets, for the
@@ -321,7 +343,7 @@ def scalar_graph_log_prob(grid, y):
     """Slow reference: the lattice recursion as about 3*T*U scalar graph
     nodes, each alpha entry an add or logaddexp node over the one before."""
     y = list(y)
-    T, U, V = grid.T, len(y), grid.vocab_size
+    T, U, V = grid.T, len(y), grid.log_probs.shape[-1]
     lp = grid.log_probs
     blanks = ops.getitem(lp, (slice(None), slice(U + 1), BLANK_ID))  # [T, U+1]
     if U > 0:
@@ -508,6 +530,27 @@ def test_loss_on_non_finite_grid_raises_no_warning():
         value = rnnt_log_prob(LogProbGrid(leaf), [2, 1])
         backward(value, check_finite=False)
     assert np.isnan(value.item())
+
+
+def test_entries_off_a_lattice_never_reach_the_loss():
+    """NaN in three places off the second example's (2, 1) lattice: its
+    frames past its end, its history rows past its label, and the label
+    entries of its last history row, which the emit mask keeps out of the
+    recursion. The loss and the gradient keep their bytes, and backward's
+    finite check passes."""
+    ys = [[1, 2, 1], [2]]
+    clean = np.stack([random_grid(T=4, U=3, V=3, rng=Rng(17 + b)).log_probs.values for b in range(2)])
+    dirty = clean.copy()
+    dirty[1, 2:] = np.nan
+    dirty[1, :, 2:] = np.nan
+    dirty[1, :, 1, 1:] = np.nan
+    runs = []
+    for values in (clean, dirty):
+        leaf = Tensor(values)
+        loss = batch_loss(LogProbGrid(leaf, np.array([4, 2])), ys)
+        backward(loss)
+        runs.append((loss.values.tobytes(), leaf.grad.tobytes()))
+    assert runs[1] == runs[0]
 
 
 def test_grid_from_non_finite_logits_raises_no_warning():

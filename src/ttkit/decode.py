@@ -27,10 +27,12 @@ never-mutated state. It scores each (frame, state) pair with the joint once,
 however many hypotheses hold the state, and each round builds children only
 for the scores at or above its `beam_width`-th best. The round's new states
 are computed together, one stacked encoder step per label layer, bit for
-bit as one at a time. With no LM and no positive length bonus, no child
-outscores its parent, so a frame ends once the blank children of its later
-rounds could neither reach its n-best nor merge into it, which is exact
-(see `beam_decode`). A label id's input row (embedding times input
+bit as one at a time. With no LM and no positive length bonus, the children
+of a hypothesis together carry no more probability than it does, so the
+later rounds of a frame add to its finished set at most the probability
+mass of the round's emitting children; a frame ends once that mass could
+neither reach its n-best nor lift an entry it may merge into, which is
+exact (see `beam_decode`). A label id's input row (embedding times input
 projection) and its first-layer query, key and value depend on the id
 alone, so every decode call computes them once per id.
 """
@@ -383,23 +385,26 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
     the plain argmax, so the result reduces to `greedy_decode`.
 
     With no LM and a length bonus of at most 0, a frame ends after the round
-    whose blank children settle it (`_settled`). A log-sum-exp is at least
-    its max logit and float rounding is monotone, so a log-prob is at most
-    0 and every later child scores at most the round's best emitting score
-    a. At most n = (rounds left) * beam_width blank children still reach
-    `done`, each merging only into labels that extend (or equal) its
-    emitting ancestor's, and a log-sum-exp of n terms of at most a is at
-    most a + log n. When that, and every finished entry that extends an
-    emitting child with it merged in, stay below the `beam_width`-th best
-    finished score, the later rounds change none of the frame's n-best, its
-    score bits or its order.
+    whose blank children settle it (`_settled`). Each joint row is a
+    distribution and such a bonus only lowers a label child, so the
+    children of a hypothesis scoring s together carry at most exp(s) of
+    probability. Every later child of the frame descends from one of the
+    round's emitting children, scoring s_1..s_k, and pruning only drops
+    children, so the blank children of all later rounds together carry at
+    most M = exp(s_1) + ... + exp(s_k), whether it lands in one entry of
+    `done` or is spread over many. Each merges only into labels that extend
+    (or equal) its emitting ancestor's. So a new entry scores at most
+    log M, and an entry that extends an emitting child at most
+    logaddexp(its score, log M). When these stay below the `beam_width`-th
+    best finished score, the later rounds change none of the frame's
+    n-best, its score bits or its order.
     """
     DecodeOptions(beam_width=beam_width, max_symbols_per_frame=max_symbols_per_frame)  # the range check
     fusion = fusion if fusion is not None else FusionConfig()
     enc = _batch_encode_audio(model, features)
     beam = [Hypothesis(labels=(), score=0.0, state=LabelState(model))]
     vocab = model.config.vocab_size
-    falling = fusion.lm_weight == 0.0 and fusion.length_bonus <= 0.0  # no child outscores its parent
+    falling = fusion.lm_weight == 0.0 and fusion.length_bonus <= 0.0  # children share their parent's mass
 
     for t in range(enc.shape[0]):
         audio_proj = model.project_audio(enc[t])
@@ -441,7 +446,7 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
                 else:
                     emitting.append((labels, score))
                     pairs.append((state, v))
-            if falling and emitting and _settled(done, emitting, beam_width, max_symbols_per_frame - round_i):
+            if falling and emitting and _settled(done, emitting, beam_width):
                 break  # no later round of this frame changes its n-best
             active = [Hypothesis(labels, score, state)
                       for (labels, score), state in zip(emitting, LabelState.advanced_all(pairs))]
@@ -451,16 +456,20 @@ def beam_decode(model: TransducerModel, features: np.ndarray, beam_width: int,
     return beam
 
 
-def _settled(done: dict, emitting: list, beam_width: int, rounds_left: int) -> bool:
-    """Whether no later round of a frame in which no child outscores its
-    parent can change the top `beam_width` of `done` (see `beam_decode`),
-    given the round's emitting children as (labels, score). The bar's
-    margin lies far above the rounding of the merges."""
+def _settled(done: dict, emitting: list, beam_width: int) -> bool:
+    """Whether no later round of a frame in which children carry at most
+    their parent's probability can change the top `beam_width` of `done`
+    (see `beam_decode`), given the round's emitting children as (labels,
+    score). `lift` is the log of their total mass. The bar's margin lies far
+    above the rounding that the mass argument leaves out: a row's
+    exponentials sum to 1 only to a few ulp, and the scores along a path,
+    the mass and the merges round too."""
     if len(done) < beam_width or not all(math.isfinite(score) for _, score in emitting):
         return False
     bar = sorted(hyp.score for hyp in done.values())[-beam_width]
     bar -= 1e-9 * (1.0 + abs(bar))
-    lift = max(score for _, score in emitting) + math.log(rounds_left * beam_width)
+    top = max(score for _, score in emitting)
+    lift = top + math.log(math.fsum(math.exp(score - top) for _, score in emitting))
     if not lift < bar:
         return False
     prefixes = {labels for labels, _ in emitting}

@@ -14,7 +14,8 @@ import ttkit.tensor as tt
 from ttkit import decode as dec
 from ttkit import transducer as tr
 from ttkit.attention import AttentionMask, EncoderConfig
-from ttkit.decode import BigramLm, FusionConfig, StreamError, StreamState, beam_decode, greedy_decode
+from ttkit.decode import (BigramLm, DecodeOptions, FusionConfig, StreamError, StreamState, beam_decode,
+                          greedy_decode)
 from ttkit.frontend import FrontendConfig, stack_subsample
 from ttkit.model import ModelConfig, desk_config, init_model
 from ttkit.tensor import Rng
@@ -513,20 +514,96 @@ def test_beam_never_exits_early_when_fusion_can_raise_a_score(monkeypatch):
         beam_decode(model, feats, 4, fusion=fusion)
 
 
-def settled(done, emitting, beam_width=2, rounds_left=3):
-    return dec._settled({labels: dec.Hypothesis(labels, score, None) for labels, score in done},
-                        emitting, beam_width, rounds_left)
+def finished(entries):
+    return {labels: dec.Hypothesis(labels, score, None) for labels, score in entries}
+
+
+def settled(done, emitting, beam_width=2):
+    return dec._settled(finished(done), emitting, beam_width)
+
+
+def old_settled(done, emitting, beam_width, rounds_left):
+    """`_settled` with the looser bound it replaced: at most rounds_left *
+    beam_width blank children still reach `done`, each scoring at most the
+    best emitting score a, so they lift it by at most a + log(rounds_left *
+    beam_width)."""
+    if len(done) < beam_width or not all(math.isfinite(score) for _, score in emitting):
+        return False
+    bar = sorted(hyp.score for hyp in done.values())[-beam_width]
+    bar -= 1e-9 * (1.0 + abs(bar))
+    lift = max(score for _, score in emitting) + math.log(rounds_left * beam_width)
+    prefixes = {labels for labels, _ in emitting}
+    lengths = {len(labels) for labels in prefixes}
+    return lift < bar and all(np.logaddexp(hyp.score, lift) < bar for hyp in done.values()
+                              if any(hyp.labels[:k] in prefixes for k in lengths))
 
 
 def test_settled_holds_when_no_later_child_can_reach_the_nbest():
+    """Beam width 2 and a bar of -2: the emitting children's total mass
+    must stay below exp(-2)."""
     done = [((2,), -1.0), ((3,), -2.0), ((1, 4), -60.0)]
     assert settled(done, [((1,), -50.0), ((5,), -55.0)])
-    # the entry that extends an emitting child may rise from -2.1 to about -1.88
-    assert not settled(done[:2] + [((1, 4), -2.1)], [((1,), -5.3)])
-    assert settled(done[:2] + [((1, 4), -2.1)], [((5,), -5.3)])
-    # n = 3 * 2 blank children scoring -2 - log 5 each sum to more than -2
-    assert not settled(done, [((1,), -2.0 - math.log(5.0))])
-    assert settled(done, [((1,), -2.0 - math.log(7.0))])
+    # two children of half the bar's mass each reach it together
+    assert not settled(done, [((1,), -2.0 - math.log(2.0)), ((5,), -2.0 - math.log(2.0))])
+    assert settled(done, [((1,), -2.0 - math.log(2.1)), ((5,), -2.0 - math.log(2.1))])
+    # unequal children: 1/1.5 + 1/4 of the bar's mass settles, though twice
+    # the larger one would not
+    assert settled(done, [((1,), -2.0 - math.log(1.5)), ((5,), -2.0 - math.log(4.0))])
+    # a lone child at -2 - log 5 settles; a + log(rounds_left * beam_width)
+    # with 3 rounds left refused it
+    assert settled(done, [((1,), -2.0 - math.log(5.0))])
+    assert not old_settled(finished(done), [((1,), -2.0 - math.log(5.0))], 2, 3)
+    # the entry that extends an emitting child may rise from -2.1 to about -1.76
+    assert not settled(done[:2] + [((1, 4), -2.1)], [((1,), -3.0)])
+    assert settled(done[:2] + [((1, 4), -2.1)], [((5,), -3.0)])
+
+
+def test_mass_bound_ends_frames_sooner_than_the_rounds_left_bound(monkeypatch):
+    """On a fixed model the mass bound ends frames that the bound it
+    replaced kept open: fewer joint evaluations, the same n-best bits.
+    `beam_decode` consults `_settled` once per round until the frame ends,
+    so the calls on one `done` count the rounds."""
+    model = small_model(seed=3, blank_bias=1.0)
+    feats = Rng(21).normal((30, 6))
+    cap = DecodeOptions.max_symbols_per_frame
+    frame = {"done": None, "rounds": 0}
+
+    def by_rounds_left(done, emitting, beam_width):
+        if done is not frame["done"]:
+            frame.update(done=done, rounds=0)
+        frame["rounds"] += 1
+        return old_settled(done, emitting, beam_width, cap + 1 - frame["rounds"])
+
+    for fusion in (None, FusionConfig(length_bonus=-0.5)):
+        before = model.counters.joint_evals
+        got = beam_decode(model, feats, 4, fusion=fusion)
+        evals = model.counters.joint_evals - before
+        with monkeypatch.context() as m:
+            m.setattr(dec, "_settled", by_rounds_left)
+            before = model.counters.joint_evals
+            want = beam_decode(model, feats, 4, fusion=fusion)
+            assert evals < model.counters.joint_evals - before
+        assert nbest_bits(got) == nbest_bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), vocab=st.integers(2, 8), scale=st.floats(1e-3, 1e3),
+       spread=st.floats(1e-3, 1e3))
+def test_joint_rows_are_distributions(seed, vocab, scale, spread):
+    """Every row `joint_from_projections` returns is a distribution to
+    1e-12, the premise of `_settled`'s mass bound. Output weights up to
+    about 1e3 spread the logits over thousands of nats, so the max shift in
+    the log-softmax matters."""
+    model = small_model(seed=seed, vocab_size=vocab)
+    joint = model.params.joint
+    joint.out_w.values[...] *= scale
+    joint.out_b.values[...] *= scale
+    rng = Rng(seed + 1)
+    width = joint.audio_w.values.shape[1]
+    for _ in range(4):
+        row = model.joint_from_projections(rng.normal((width,), spread), rng.normal((width,), spread))
+        assert row.shape == (vocab,)
+        assert abs(math.fsum(np.exp(row)) - 1.0) <= 1e-12
 
 
 def test_settled_needs_beam_width_finished_entries():

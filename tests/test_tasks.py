@@ -24,6 +24,8 @@ from ttkit.tasks import (
     wer,
     write_dataset,
 )
+from ttkit.tasks import _bigram_table
+from ttkit.tensor import Rng
 
 
 def task_config(**kw):
@@ -246,6 +248,72 @@ def test_dataset_bytes_pinned():
     raw = dataset_bytes(data)
     assert len(raw) == 3570
     assert hashlib.sha256(raw).hexdigest() == "a2f568e6aca8e72d218d6b7ac038d6266204108949d067bf68e20e817e7a2437"
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(bigram_scale=3.0), "9410b4e1547d9f2917396105f7074e1f099ad268e5d57163143fbbe95531f7cb"),
+    (dict(noise_sigma=0.0), "a2919e8b7b771d968619be3b575b9166239396c0b3208a6c86d4b772ddee4318"),
+    (dict(first_index=1000), "77050384ddfed574eb815131f43f8ddd5d4f8d95c18851e654b773ba8c4de666"),
+    (dict(vocab=2), "9b5afd2c5c267e0969bd96fbb0c378b6d9204d287cd39e2a9801ccfaad4f13eb"),
+    (dict(label_len=(4, 4), frames_per_label=(2, 2)), "62c67983af4a86ec8f94378a577520c9a36561413c70adaccfab57db9a27dbf9"),
+], ids=["bigram", "noiseless", "first-index", "vocab-2", "width-1-ranges"])
+def test_generated_bytes_pinned(kw, digest):
+    """The generator's draws pinned where `test_dataset_bytes_pinned` does
+    not reach: a bigram table, no noise, a later first index, a vocab whose
+    every label forces the next, and one-value label and frame ranges."""
+    raw = dataset_bytes(gen_synthetic(task_config(size=6, **kw)))
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def per_label_gen_synthetic(config: SyntheticTaskConfig) -> Dataset:
+    """`gen_synthetic` drawn one number per call and built from one tile per
+    label: the reference its whole-array draws are held to, byte for byte."""
+    templates = symbol_templates(config)
+    table = _bigram_table(config)
+    root = Rng(config.seed)
+    utts = []
+    for i in range(config.first_index, config.first_index + config.size):
+        rng = root.substream(f"utt{i}")
+        u = rng.integers(config.label_len[0], config.label_len[1] + 1)
+        labels = []
+        prev = 0
+        for _ in range(u):
+            r = rng.uniform()
+            label = int(np.searchsorted(np.cumsum(table[prev]), r)) + 1
+            label = min(label, config.vocab)
+            labels.append(label)
+            prev = label
+        rows = []
+        for label in labels:
+            k = rng.integers(config.frames_per_label[0], config.frames_per_label[1] + 1)
+            rows.append(np.tile(templates[label - 1], (k, 1)))
+        features = np.concatenate(rows, axis=0)
+        if config.noise_sigma > 0:
+            features = features + rng.normal(features.shape, sigma=config.noise_sigma)
+        utts.append(Utterance(id=f"utt{i:05d}", features=features, labels=labels))
+    return Dataset(config.vocab, utts)
+
+
+@st.composite
+def synthetic_configs(draw) -> SyntheticTaskConfig:
+    label_lo = draw(st.integers(1, 6))
+    frames_lo = draw(st.integers(1, 4))
+    return SyntheticTaskConfig(
+        vocab=draw(st.integers(2, 7)),
+        label_len=(label_lo, draw(st.integers(label_lo, 8))),
+        frames_per_label=(frames_lo, draw(st.integers(frames_lo, 6))),
+        feature_dim=draw(st.integers(1, 6)),
+        noise_sigma=draw(st.just(0.0) | st.floats(1e-3, 2.0)),
+        size=draw(st.integers(0, 12)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        bigram_scale=draw(st.just(0.0) | st.floats(0.0, 4.0)),
+        first_index=draw(st.integers(0, 10**6)))
+
+
+@given(config=synthetic_configs())
+@settings(max_examples=150, deadline=None)
+def test_gen_synthetic_equals_per_label_reference(config):
+    assert dataset_bytes(gen_synthetic(config)) == dataset_bytes(per_label_gen_synthetic(config))
 
 
 @given(magic=st.binary(min_size=4, max_size=4), version=st.integers(0, 2**32 - 1),

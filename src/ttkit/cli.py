@@ -23,7 +23,7 @@ from . import checks
 from . import decode as dec
 from . import train as trn
 from . import transducer as tr
-from .config import ConfigError, load_run_config, resolved_config_dict
+from .config import ConfigError, finite_float, load_run_config, resolved_config_dict
 from .decode import BigramLm, DecodeOptions, FusionConfig, StreamState
 from .model import init_model
 from .tasks import DatasetFormatError, SyntheticTaskConfig, corpus_wer, edit_distance, gen_synthetic, read_dataset, write_dataset
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DecodeOptions.max_symbols_per_frame)
 
     p = sub.add_parser("decode", parents=[decoding], help="transcribe a dataset with a checkpoint")
-    p.add_argument("--lm-weight", type=float, default=FusionConfig.lm_weight)
-    p.add_argument("--length-bonus", type=float, default=FusionConfig.length_bonus)
+    p.add_argument("--lm-weight", type=finite_float, default=FusionConfig.lm_weight)
+    p.add_argument("--length-bonus", type=finite_float, default=FusionConfig.length_bonus)
     p.add_argument("--lm-dataset", help="dataset whose labels fit the bundled bigram scorer")
     p.add_argument("--output", help="write transcripts here instead of stdout")
     p.set_defaults(fn=cmd_decode)
@@ -268,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-frames", type=int, default=1)
     p.add_argument("--max-frames", type=int, default=3)
     p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=finite_float, default=0.1)
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bigram-scale", type=float, default=SyntheticTaskConfig.bigram_scale)
+    p.add_argument("--bigram-scale", type=finite_float, default=SyntheticTaskConfig.bigram_scale)
     p.add_argument("--first-index", type=int, default=SyntheticTaskConfig.first_index,
                    help="start utterance index; same seed + disjoint ranges share "
                         "symbol templates, giving proper held-out splits")

@@ -11,6 +11,7 @@ key is the training `dataset`, are read by hand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .attention import AttentionMask, EncoderConfig
@@ -42,7 +43,7 @@ class _Section:
             return default
         try:
             return cast(self.data[key])
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{self.path}.{key}", str(e)) from e
 
     def section(self, key: str, required: bool = True) -> "_Section":
@@ -67,7 +68,14 @@ def _int(x):
 def _float(x):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a number, got {x!r}")
-    return float(x)
+    return finite_float(x)
+
+
+def finite_float(x) -> float:
+    """`float(x)`, refusing NaN and the infinities: config and flag floats."""
+    if not math.isfinite(value := float(x)):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return value
 
 
 def _bool(x):

@@ -243,15 +243,14 @@ class LabelState:
         """`[state.advanced(label) for state, label in pairs]` for states of
         one search, with the states not yet in its memo computed together
         (`_label_steps`)."""
-        if len(pairs) > 1:  # `advanced` computes a lone state as cheaply
-            new: dict[tuple[int, ...], tuple[LabelState, int]] = {}
-            for state, label in pairs:
-                context = (state.context + (label,))[state.keep]
-                if context not in state.memo:
-                    new.setdefault(context, (state, label))
-            if new:
-                for (context, (state, _)), step in zip(new.items(), _label_steps(list(new.values()))):
-                    state.memo[context] = state._child(context, *step)
+        new: dict[tuple[int, ...], tuple[LabelState, int]] = {}
+        for state, label in pairs:
+            context = (state.context + (label,))[state.keep]
+            if context not in state.memo:
+                new.setdefault(context, (state, label))
+        if new:
+            for (context, (state, _)), step in zip(new.items(), _label_steps(list(new.values()))):
+                state.memo[context] = state._child(context, *step)
         return [state.advanced(label) for state, label in pairs]
 
     def advance(self, label: int):

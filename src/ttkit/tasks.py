@@ -9,6 +9,7 @@ and checkpoints (`.ttck`) share one `BinaryWriter` and one `BinaryReader`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 from dataclasses import dataclass, field
@@ -81,8 +82,7 @@ def _bigram_table(config: SyntheticTaskConfig) -> np.ndarray:
     immediate repeats are forbidden so template runs stay unambiguous."""
     rng = Rng(config.seed).substream("bigram")
     logits = rng.normal((config.vocab + 1, config.vocab), sigma=config.bigram_scale)
-    for prev in range(1, config.vocab + 1):
-        logits[prev, prev - 1] = -np.inf
+    np.fill_diagonal(logits[1:], -np.inf)  # label id i is row i, column i - 1
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     return probs / probs.sum(axis=1, keepdims=True)
 
@@ -90,27 +90,20 @@ def _bigram_table(config: SyntheticTaskConfig) -> np.ndarray:
 def gen_synthetic(config: SyntheticTaskConfig) -> Dataset:
     """Render `size` utterances. Label sequences follow the (possibly flat)
     bigram table; each label occupies a sampled number of consecutive frames
-    of its template plus noise."""
+    of its template plus noise. Utterance i's substream draws, in order, its
+    label count u, u uniforms for the label chain, u frame counts, then noise."""
     templates = symbol_templates(config)
-    table = _bigram_table(config)
-    root = Rng(config.seed)
+    cumulative = np.cumsum(_bigram_table(config), axis=1).tolist()
     utts = []
     for i in range(config.first_index, config.first_index + config.size):
-        rng = root.substream(f"utt{i}")
+        rng = Rng(config.seed).substream(f"utt{i}")
         u = rng.integers(config.label_len[0], config.label_len[1] + 1)
-        labels = []
-        prev = 0
-        for _ in range(u):
-            r = rng.uniform()
-            label = int(np.searchsorted(np.cumsum(table[prev]), r)) + 1
-            label = min(label, config.vocab)
-            labels.append(label)
-            prev = label
-        rows = []
-        for label in labels:
-            k = rng.integers(config.frames_per_label[0], config.frames_per_label[1] + 1)
-            rows.append(np.tile(templates[label - 1], (k, 1)))
-        features = np.concatenate(rows, axis=0)
+        labels, prev = [], 0
+        for r in rng.uniform(u).tolist():
+            prev = min(bisect.bisect_left(cumulative[prev], r) + 1, config.vocab)
+            labels.append(prev)
+        counts = rng.integers(config.frames_per_label[0], config.frames_per_label[1] + 1, u)
+        features = templates[np.repeat(np.array(labels) - 1, counts)]
         if config.noise_sigma > 0:
             features = features + rng.normal(features.shape, sigma=config.noise_sigma)
         utts.append(Utterance(id=f"utt{i:05d}", features=features, labels=labels))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -224,6 +225,9 @@ CONFIG_ERRORS = [
     (("paths",), {"dataset": 5}, "config.paths.dataset: expected a string, got 5"),
     (("paths",), {"dataset": "a.ttds", "test": "b.ttds"}, "config.paths.test: unknown key"),
     (("paths",), "data", "config.paths: expected an object, got str"),
+    (("train", "grad_clip_norm"), math.nan, "config.train.grad_clip_norm: expected a finite number, got nan"),
+    (("schedule", "peak_lr"), math.inf, "config.schedule.peak_lr: expected a finite number, got inf"),
+    (("schedule", "final_lr"), -math.inf, "config.schedule.final_lr: expected a finite number, got -inf"),
 ]
 
 
@@ -389,6 +393,28 @@ def test_cli_train_invalid_config_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config.train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, literal, message", [
+    ("grad_clip_norm", "NaN", "expected a finite number, got nan"),
+    ("peak_lr", "Infinity", "expected a finite number, got inf"),
+    ("peak_lr", "-Infinity", "expected a finite number, got -inf"),
+    ("peak_lr", "9" * 400, "int too large to convert to float"),
+], ids=["nan", "infinity", "minus-infinity", "400-digit-int"])
+def test_cli_train_non_finite_config_number_exits_2(tmp_path, capsys, key, literal, message):
+    """JSON's NaN and Infinity, and an integer no float holds, are refused by
+    key path before a run starts, with a valid dataset to train on."""
+    data_path = tmp_path / "d.ttds"
+    small_dataset(data_path, size=4)
+    doc = base_config(paths={"dataset": str(data_path)})
+    section = "train" if key == "grad_clip_norm" else "schedule"
+    doc[section][key] = "@value@"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(doc).replace('"@value@"', literal))
+    code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config.{section}.{key}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------- decode / eval
@@ -768,6 +794,33 @@ def test_cli_gen_data_out_of_range_exits_2(tmp_path, capsys, flags, message):
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--noise", "nan"],
+    ["gen-data", "--noise", "inf"],
+    ["gen-data", "--bigram-scale", "nan"],
+    ["gen-data", "--bigram-scale", "inf"],
+    ["decode", "--mode", "beam", "--length-bonus", "nan"],
+    ["decode", "--mode", "beam", "--lm-weight", "nan"],
+    ["decode", "--mode", "beam", "--length-bonus", "inf"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_cli_non_finite_float_flags_exit_2(trained, tmp_path, capsys, argv):
+    """A NaN or infinite float flag is a usage error before anything is read
+    or written."""
+    flag, value = argv[-2:]
+    out = tmp_path / "out"
+    if argv[0] == "gen-data":
+        argv = argv + ["--out", str(out), "--size", "2"]
+    else:
+        argv = argv + ["--checkpoint", trained["ckpt"], "--dataset", trained["data"],
+                       "--lm-dataset", trained["data"], "--output", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"argument {flag}: invalid finite_float value: '{value}'" in captured.err
 
 
 # ------------------------------------------------------- records and flags

@@ -20,6 +20,14 @@ and the mask alone: a finite window past the measured crossover
 (`BANDED_MIN_EXTRA_ROWS`) gets blocks of left + right rows, so a layer
 costs O(T * window) instead of O(T^2); shorter sequences and unbounded
 windows get one block of all T rows, which scores all T x T pairs.
+A layer keeps for its backward only what the graph cannot rebuild bit for
+bit: each node keeps its layer norm's inv and a bool dropout mask, and its
+backward rebuilds x̂, LN(x) and the dropout factor from them and the
+node's input by the forward's own ops; the attention block keeps its
+blocked queries, the key and value chunks that its windows view without
+copying (`_windows`) and the softmax weights, and rebuilds the biased
+queries and the merged heads; the feed-forward block keeps its
+activations after the ReLU.
 The streaming `encoder_layer_step` builds no graph and projects nothing:
 each input row's query, key and value come from `qkv_row`, computed once
 when the row arrives (one call over the stacked `qkv_weights`, three
@@ -219,7 +227,7 @@ def _attend(
     config: EncoderConfig,
     idx: np.ndarray,
     allowed: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Windowed relative-position attention of blocked queries q [..., H,
     n_blocks, rows, dh] against their blocks' windows of keys and values
     k, v [..., H, n_blocks, width, dh].
@@ -228,15 +236,13 @@ def _attend(
     . r_{o(r, w)}] / sqrt(head_dim), with o(r, w) the clipped offset read
     through `idx` (`_offset_index`), the same for every block; only the
     offset enters, so shifting both positions leaves the scores unchanged.
-    Scores outside `allowed` get zero weight. Returns the content and
-    position queries, the softmax weights [..., H, n_blocks, rows, width]
-    and the weighted values with the blocks' rows in sequence, [..., H,
-    n_blocks * rows, dh]. The attention block and the streaming step both run
-    this forward.
+    Scores outside `allowed` get zero weight. Returns the softmax weights
+    [..., H, n_blocks, rows, width] and the weighted values with the blocks'
+    rows in sequence, [..., H, n_blocks * rows, dh]. The attention block and
+    the streaming step both run this forward.
     """
     rel = params.rel_emb.values                            # [H, R, dh]
-    qc = q + params.content_bias.values[:, None, None, :]
-    qp = q + params.pos_bias.values[:, None, None, :]
+    qc, qp = _biased(q, params)
     pos = (_flat(qp) @ rel.swapaxes(-1, -2)).reshape(q.shape[:-2] + (-1,))  # [..., H, n_blocks, rows * R]
     scores = qc @ k.swapaxes(-1, -2)
     scores += pos.take(idx, axis=-1)
@@ -245,7 +251,14 @@ def _attend(
         scores = np.where(allowed, scores, -np.inf)
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     weights = e / np.add.reduce(e, axis=-1, keepdims=True)  # [..., H, n_blocks, rows, width]
-    return qc, qp, weights, _flat(weights @ v)
+    return weights, _flat(weights @ v)
+
+
+def _biased(q: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """`_attend`'s content and position queries of blocked queries q [..., H,
+    n_blocks, rows, dh]: q plus each head's content and position bias."""
+    return (q + params.content_bias.values[:, None, None, :],
+            q + params.pos_bias.values[:, None, None, :])
 
 
 def _offset_grads(d_scores: np.ndarray, idx: np.ndarray, n_off: int) -> np.ndarray:
@@ -324,10 +337,14 @@ def _chunks(a: np.ndarray, front: int, n_chunks: int, rows: int) -> np.ndarray:
 
 def _windows(chunks: np.ndarray, n_blocks: int, span: int) -> np.ndarray:
     """[..., n_blocks + span - 1, C, n] -> [..., n_blocks, span * C, n]: block
-    b's window is the `span` chunks from chunk b on."""
+    b's window is the `span` chunks from chunk b on. A read-only view that
+    steps C rows per block over the chunks' rows, so the windows share rows
+    and copy none."""
     if span == 1:
         return chunks
-    return np.concatenate([chunks[..., a:a + n_blocks, :, :] for a in range(span)], axis=-2)
+    rows = chunks.shape[-2]
+    slides = np.lib.stride_tricks.sliding_window_view(_flat(chunks), span * rows, axis=-2)
+    return slides[..., ::rows, :, :].swapaxes(-1, -2)
 
 
 def _unwindow(d: np.ndarray, span: int) -> np.ndarray:
@@ -351,7 +368,8 @@ def _banded_attention(
 ) -> tuple[np.ndarray, Callable]:
     """All heads of windowed relative-position self-attention over h [T, d],
     or over a padded batch [B, T, d] whose key-length masks `band` holds,
-    cut into the blocks of `band`: the output and its closed-form backward.
+    cut into the blocks of `band`: the output and its closed-form backward,
+    which takes the upstream gradient and h again.
 
     The q/k/v projections feed `_attend`: each block of queries against
     the keys and values of its window, and the concatenated heads are
@@ -359,19 +377,23 @@ def _banded_attention(
     column w is r + front - w, whatever the block, so all blocks share one
     offset table. Heads run as [..., H, n_blocks, rows, head_dim] matmuls;
     the backward gives the gradients of (h, wq, wk, wv, wo, rel_emb,
-    content_bias, pos_bias).
+    content_bias, pos_bias). It keeps the blocked queries, the keys' and
+    values' chunks under their windows (`_windows`) and the softmax weights,
+    and rebuilds the biased queries and the merged heads by the forward's
+    ops.
     """
     t, rows, n_blocks, span, front = h.shape[-2], band.rows, band.n_blocks, band.span, band.front
     q, k, v = (_split(h @ w.values, config) for w in (layer.wq, layer.wk, layer.wv))
+    qb = _chunks(q, 0, n_blocks, rows)
     kb, vb = (_windows(_chunks(a, front, n_blocks + span - 1, rows), n_blocks, span) for a in (k, v))
     idx = _offset_index(rows, front, span * rows, config.rel_offset)
-    qc, qp, weights, heads = _attend(_chunks(q, 0, n_blocks, rows), kb, vb, params, config, idx,
-                                     band.allowed)
-    heads = _merge(heads[..., :t, :])
+    weights, heads = _attend(qb, kb, vb, params, config, idx, band.allowed)
     rel = params.rel_emb.values
     scale = 1.0 / math.sqrt(config.head_dim)
 
-    def bw(g):
+    def bw(g, h):
+        qc, qp = _biased(qb, params)
+        merged = _merge(_flat(weights @ vb)[..., :t, :])  # `_attend`'s last product
         d_heads = _chunks(_split(g @ layer.wo.values.T, config), 0, n_blocks, rows)
         d_weights = d_heads @ vb.swapaxes(-1, -2)
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * scale
@@ -387,31 +409,42 @@ def _banded_attention(
             hr.T @ flat_rows(d_q),
             hr.T @ flat_rows(d_k),
             hr.T @ flat_rows(d_v),
-            flat_rows(heads).T @ flat_rows(g),
+            flat_rows(merged).T @ flat_rows(g),
             unbroadcast(d_pos.swapaxes(-1, -2) @ _flat(qp), params.rel_emb.shape),
             unbroadcast(d_qc.sum(axis=-2), params.content_bias.shape),
             unbroadcast(d_qp.sum(axis=-2), params.pos_bias.shape),
         )
 
-    return heads @ layer.wo.values, bw
+    return _merge(heads[..., :t, :]) @ layer.wo.values, bw
 
 
-def _feed_forward(h: np.ndarray, layer: LayerParams, s1: np.ndarray | None = None):
+def _relu(pre: np.ndarray) -> np.ndarray:
+    """max(pre, 0) in place, with the bits of `where(pre > 0, pre, 0.0)`:
+    NaN and -0.0 become +0.0, +inf and positive subnormals stay. `fmax`
+    alone may keep -0.0; adding +0.0 turns it into +0.0 and changes no
+    other value. (A signalling NaN, which no arithmetic op yields, would
+    come out NaN.)"""
+    np.fmax(pre, 0.0, out=pre)
+    pre += 0.0
+    return pre
+
+
+def _feed_forward(h: np.ndarray, layer: LayerParams, keep1: np.ndarray | None = None, ratio: float = 0.0):
     """The feed-forward block over rows h, D1(relu(h W1 + b1)) W2 + b2 with
-    D1 the dropout factor `s1` when given: the output and its closed-form
-    backward, to the gradients of (h, W1, b1, W2, b2). The backward masks
-    by `a > 0`, which is `pre > 0` wherever it matters: `s1` is 0 or at
-    least 1, and where it is 0 the incoming `d_a * s1` is already ±0 or NaN
-    under either mask."""
-    pre = h @ layer.w1.values + layer.b1.values
-    a = np.where(pre > 0, pre, 0.0)
-    if s1 is not None:
-        a = a * s1
+    D1 the dropout factor of the keep mask `keep1` at `ratio` when given:
+    the output and its closed-form backward, which takes the upstream
+    gradient and h again, to the gradients of (h, W1, b1, W2, b2). The
+    backward masks by `a > 0`, which is `pre > 0` wherever it matters: the
+    factor is 0 or at least 1, and where it is 0 the incoming `d_a` times it
+    is already ±0 or NaN under either mask."""
+    a = _relu(h @ layer.w1.values + layer.b1.values)
+    if keep1 is not None:
+        a *= tt.dropout_factor(keep1, ratio)
 
-    def bw(d_f):
+    def bw(d_f, h):
         d_a = d_f @ layer.w2.values.T
-        if s1 is not None:
-            d_a = d_a * s1
+        if keep1 is not None:
+            d_a *= tt.dropout_factor(keep1, ratio)
         d_pre = d_a * (a > 0)
         return (d_pre @ layer.w1.values.T,
                 flat_rows(h).T @ flat_rows(d_pre), unbroadcast(d_pre, layer.b1.shape),
@@ -420,18 +453,24 @@ def _feed_forward(h: np.ndarray, layer: LayerParams, s1: np.ndarray | None = Non
     return a @ layer.w2.values + layer.b2.values, bw
 
 
-def _residual(x: Tensor, gain: Tensor, bias: Tensor, config: EncoderConfig, scale: np.ndarray | None,
+def _residual(x: Tensor, gain: Tensor, bias: Tensor, config: EncoderConfig, keep: np.ndarray | None,
               block: Callable, weights: Sequence[Tensor]) -> Tensor:
     """A pre-norm residual block, x + D(block(LN(x))), as one graph node over
     (x, gain, bias, *weights): LN the layer norm by `gain` and `bias`, D the
-    dropout factor `scale` when given. `block` maps the normed rows to its
-    output and a backward to the gradients of its input and `weights`."""
-    h, xhat, inv = tt.layer_norm_forward(x.values, gain.values, bias.values, config.ln_eps)
+    dropout factor of the keep mask `keep` when given. `block` maps the
+    normed rows h to its output and a backward from the upstream gradient
+    and h to the gradients of h and `weights`. The node keeps only LN's inv:
+    its backward rebuilds x̂ and h from x (`tt.layer_norm_rebuild`) and the
+    factor from `keep`, bit for bit."""
+    h, _, inv = tt.layer_norm_forward(x.values, gain.values, bias.values, config.ln_eps)
     out, block_bw = block(h)
-    out = out if scale is None else out * scale
+    if keep is not None:
+        out *= tt.dropout_factor(keep, config.dropout_ratio)
 
     def bw(g):
-        d_h, *d_weights = block_bw(g if scale is None else g * scale)
+        h, xhat = tt.layer_norm_rebuild(x.values, gain.values, bias.values, inv)
+        d_out = g if keep is None else g * tt.dropout_factor(keep, config.dropout_ratio)
+        d_h, *d_weights = block_bw(d_out, h)
         dx, d_gain, d_bias = tt.layer_norm_backward(d_h, gain.values, xhat, inv)
         return (g + dx, d_gain, d_bias, *d_weights)
 
@@ -455,11 +494,12 @@ def encoder_layer(
     if x.shape[-1] != config.model_dim:
         raise ShapeError(f"layer input dim {x.shape[-1]} != model_dim {config.model_dim}")
     shapes = [x.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
-    s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
-    x = _residual(x, layer.ln1_g, layer.ln1_b, config, s_attn,
+    k_attn, k1, k2 = tt.dropout_masks(shapes, config.dropout_ratio, rng) or (None,) * 3
+    x = _residual(x, layer.ln1_g, layer.ln1_b, config, k_attn,
                   lambda h: _banded_attention(h, layer, params, config, band),
                   (layer.wq, layer.wk, layer.wv, layer.wo, params.rel_emb, params.content_bias, params.pos_bias))
-    return _residual(x, layer.ln2_g, layer.ln2_b, config, s2, lambda h: _feed_forward(h, layer, s1),
+    return _residual(x, layer.ln2_g, layer.ln2_b, config, k2,
+                     lambda h: _feed_forward(h, layer, k1, config.dropout_ratio),
                      (layer.w1, layer.b1, layer.w2, layer.b2))
 
 

@@ -45,10 +45,11 @@ class SyntheticTaskConfig:
                 raise ValueError(f"{name} range ({lo}, {hi}) is empty or non-positive")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.bigram_scale < 0:
-            raise ValueError("bigram_scale must be >= 0")
+        for name in ("noise_sigma", "bigram_scale"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.size < 0 or self.first_index < 0:
             raise ValueError("size and first_index must be >= 0")
 

@@ -16,7 +16,7 @@ projection `linear`, the embedding gather `rows` and `layer_norm`. Weight
 noise adds no node: training perturbs the stored parameters in place
 (`train.weight_noise`). `Rng` is a keyed Philox stream; training draws
 dropout per example of a padded batch, each layer's sites in one
-`dropout_scales` call through a `BatchRng`. The elementwise, reduction and
+`dropout_masks` call through a `BatchRng`. The elementwise, reduction and
 generic product primitives that the composed test references are built
 from live with those tests.
 
@@ -164,6 +164,15 @@ def rows(a: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(out, (a,), bw)
 
 
+def _centered(x: np.ndarray) -> np.ndarray:
+    """x minus its mean over the last axis; for one row [n] the mean is a
+    plain float."""
+    scale = 1.0 / x.shape[-1]
+    if x.ndim == 1:
+        return x - float(np.add.reduce(x)) * scale
+    return x - np.add.reduce(x, axis=-1, keepdims=True) * scale
+
+
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """`layer_norm`'s values: (output, x̂, inv) for x̂ = (x - mean) * inv,
@@ -172,15 +181,22 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     Python's differs in the last bit), which is faster than [1]-arrays and
     gives the same bits as the row's own line of a batch."""
     scale = 1.0 / x.shape[-1]
+    xc = _centered(x)
     if x.ndim == 1:
-        xc = x - float(np.add.reduce(x)) * scale
         inv = float(np.power(float(np.add.reduce(xc * xc)) * scale + eps, -0.5))
-        xhat = xc * inv
-        return xhat * gain + bias, xhat, inv
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) * scale
-    inv = np.power(np.add.reduce(xc * xc, axis=-1, keepdims=True) * scale + eps, -0.5)
+    else:
+        inv = np.power(np.add.reduce(xc * xc, axis=-1, keepdims=True) * scale + eps, -0.5)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_rebuild(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       inv: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """The output and x̂ of `layer_norm_forward` from its input and the inv
+    it returned, by the forward's own ops, so bit for bit: a backward that
+    kept only inv rebuilds them from the input's values."""
+    xhat = _centered(x) * inv
+    return xhat * gain + bias, xhat
 
 
 def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
@@ -202,22 +218,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor(out, (x, gain, bias), lambda g: layer_norm_backward(g, gain.values, xhat, inv))
 
 
-def dropout_scales(shapes: Sequence[tuple[int, ...]], ratio: float,
-                   rng: "BatchRng | None") -> list[np.ndarray] | None:
-    """The dropout factors of a padded batch's sites, one array per shape
-    [B, T, ...] in `shapes`: 0 for a dropped entry or padding, 1/(1-ratio)
-    for a survivor, each entry dropped with probability `ratio`. The sites
-    draw in the order given, from one `BatchRng.uniforms` call. None when
-    dropout is the identity: without an `rng` (not training) or at ratio 0."""
+def dropout_masks(shapes: Sequence[tuple[int, ...]], ratio: float,
+                  rng: "BatchRng | None") -> list[np.ndarray] | None:
+    """The keep masks of a padded batch's dropout sites, one bool array per
+    shape [B, T, ...] in `shapes`: False for a dropped entry or padding, each
+    entry dropped with probability `ratio`. The sites draw in the order
+    given, from one `BatchRng.uniforms` call. None when dropout is the
+    identity: without an `rng` (not training) or at ratio 0. A mask takes an
+    eighth of its factor's bytes; `dropout_factor` rebuilds the factor."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if rng is None or ratio == 0.0:
         return None
-    scales = rng.uniforms(shapes)
-    for s in scales:  # in place: kept as 1.0, dropped as 0.0, then scaled
-        np.greater_equal(s, ratio, out=s)
-        s /= 1.0 - ratio
-    return scales
+    return [u >= ratio for u in rng.uniforms(shapes)]
+
+
+def dropout_factor(keep: np.ndarray, ratio: float) -> np.ndarray:
+    """A `dropout_masks` mask's factor: 0 where dropped, 1/(1-ratio) where
+    kept, the same bits wherever it is rebuilt."""
+    return keep / (1.0 - ratio)
 
 
 def _spent(g):

@@ -97,9 +97,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.total_steps < 0 or self.checkpoint_interval < 1:
             raise ValueError("batch_size/checkpoint_interval must be >= 1 and total_steps >= 0")
+        if not math.isfinite(self.weight_noise_sigma):
+            raise ValueError(f"weight_noise_sigma must be finite, got {self.weight_noise_sigma}")
         if self.weight_noise_sigma < 0:
             raise ValueError("weight_noise_sigma must be >= 0")
-        if self.grad_clip_norm <= 0:
+        if not self.grad_clip_norm > 0:
             raise ValueError("grad_clip_norm must be positive")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError(f"adam_beta1 and adam_beta2 must be in [0, 1), got "

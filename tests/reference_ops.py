@@ -394,7 +394,7 @@ def attention_node(h: Tensor, layer, params, config, band) -> Tensor:
     out, bw = att._banded_attention(h.values, layer, params, config, band)
     parents = (h, layer.wq, layer.wk, layer.wv, layer.wo,
                params.rel_emb, params.content_bias, params.pos_bias)
-    return Tensor(out, parents, bw)
+    return Tensor(out, parents, lambda g: bw(g, h.values))
 
 
 def feed_forward(x: Tensor, layer, config, s1: np.ndarray | None, s2: np.ndarray | None) -> Tensor:
@@ -430,11 +430,13 @@ def encoder_layer(x: Tensor, band, layer, params, config, rng=None) -> Tensor:
     """`attention.encoder_layer` as five nodes: layer norm, attention,
     dropout and residual add, then the feed-forward node. The three dropout
     sites draw together as there, in the order attention, feed-forward 1,
-    feed-forward 2."""
+    feed-forward 2, and each mask becomes its factor by `dropout_scale`'s
+    division."""
     h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
     attn = attention_node(h, layer, params, config, band)
     shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
-    s_attn, s1, s2 = tt.dropout_scales(shapes, config.dropout_ratio, rng) or (None,) * 3
+    keeps = tt.dropout_masks(shapes, config.dropout_ratio, rng) or (None,) * 3
+    s_attn, s1, s2 = (None if k is None else k / (1.0 - config.dropout_ratio) for k in keeps)
     x = add(x, apply_dropout(attn, s_attn))
     return feed_forward(x, layer, config, s1, s2)
 

@@ -514,16 +514,59 @@ def test_feed_forward_relu_mask_at_its_edges():
     w1[:, 0], b1[0] = 0.0, 0.0
     w1[:, 1], b1[1] = -5e-324, -0.0
     b1[2:] = np.where(np.arange(2, len(b1)) % 2, 3.0, -3.0)
-    s1 = np.where(np.arange(4 * len(b1)).reshape(4, -1) % 3, 1 / 0.9, 0.0)
+    keep1 = np.arange(4 * len(b1)).reshape(4, -1) % 3 != 0
+    s1 = np.where(keep1, 1 / 0.9, 0.0)
     pre = h @ w1 + b1
     assert (pre[:, 0] == 0).all() and not np.signbit(pre[:, 0]).any()
     assert (pre[:, 1] == 0).all() and np.signbit(pre[:, 1]).all()
     assert ((pre > 0) & (s1 == 0)).any() and ((pre < 0) & (s1 > 0)).any()
     d_f = Rng(10).normal((4, cfg.ff_dim2))
-    out, bw = att._feed_forward(h, layer, s1)
+    out, bw = att._feed_forward(h, layer, keep1, 0.1)
     want_out, want_bw = _kept_pre_feed_forward(h, layer, s1)
     assert out.tobytes() == want_out.tobytes()
-    assert [g.tobytes() for g in bw(d_f)] == [g.tobytes() for g in want_bw(d_f)]
+    assert [g.tobytes() for g in bw(d_f, h)] == [g.tobytes() for g in want_bw(d_f)]
+
+
+_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+             2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308, -1.0, 3.0]
+
+
+def test_relu_bits_at_special_values():
+    """The in-place ReLU gives the bytes of `where(pre > 0, pre, 0.0)` on
+    NaN of either sign and with a payload, ±0, ±inf, subnormals of either
+    sign and the extremes, alone and among ordinary values."""
+    payload = np.frombuffer(np.array([0x7FF8000000000123, 0xFFF8000000000001], dtype=np.uint64).tobytes())
+    pre = np.concatenate([_SPECIALS, payload, Rng(3).normal((43,))])
+    pre = np.stack([pre, pre[::-1]]).reshape(2, 5, -1)
+    want = np.where(pre > 0, pre, 0.0)
+    got = att._relu(pre.copy())
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_feed_forward_bits_at_special_pre_activations(dropout):
+    """Pre-activations of NaN, ±inf, ±0, subnormals and the extremes (a bias
+    over a zero weight column; -0.0 from products that underflow): the
+    block's output and gradient bytes are those of the form that masks by
+    the saved pre-activation, with dropout and without."""
+    cfg = small_config(num_layers=1)
+    layer = init_encoder_params(cfg, Rng(9)).layers[0]
+    h = np.linspace(0.05, 0.45, 4 * cfg.model_dim).reshape(4, cfg.model_dim)
+    w1, b1 = layer.w1.values, layer.b1.values
+    specials = [v for v in _SPECIALS if v != -0.0][:len(b1) - 1]
+    w1[:, :len(specials)], b1[:len(specials)] = 0.0, specials
+    w1[:, -1], b1[-1] = -5e-324, -0.0
+    pre = h @ w1 + b1
+    assert np.signbit(pre[:, -1]).all() and np.isnan(pre[:, 0]).all() and np.isinf(pre[:, 2:4]).all()
+    keep1 = np.arange(4 * len(b1)).reshape(4, -1) % 3 != 0 if dropout else None
+    s1 = np.where(keep1, 1 / 0.9, 0.0) if dropout else np.ones(pre.shape)
+    d_f = Rng(10).normal((4, cfg.ff_dim2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        out, bw = att._feed_forward(h, layer, keep1, 0.1)
+        want_out, want_bw = _kept_pre_feed_forward(h, layer, s1)
+        assert out.tobytes() == want_out.tobytes()
+        assert [g.tobytes() for g in bw(d_f, h)] == [g.tobytes() for g in want_bw(d_f)]
 
 
 def test_layer_rejects_wrong_dims():

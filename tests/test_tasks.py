@@ -121,6 +121,24 @@ def test_bigram_scale_changes_distribution():
     assert spread_biased > spread_flat * 1.5
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("noise_sigma", -0.1, "noise_sigma must be >= 0"),
+    ("noise_sigma", math.nan, "noise_sigma must be finite, got nan"),
+    ("noise_sigma", math.inf, "noise_sigma must be finite, got inf"),
+    ("bigram_scale", -1.0, "bigram_scale must be >= 0"),
+    ("bigram_scale", math.nan, "bigram_scale must be finite, got nan"),
+    ("bigram_scale", math.inf, "bigram_scale must be finite, got inf"),
+    ("bigram_scale", -math.inf, "bigram_scale must be finite, got -inf"),
+])
+def test_task_config_rejects_negative_and_non_finite_floats(field, value, message):
+    """Python callers get the range checks that config files and flags get:
+    a NaN bigram scale would repeat labels, and a NaN noise level would
+    give a noiseless set."""
+    with pytest.raises(ValueError) as err:
+        task_config(**{field: value})
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------------- wer
 
 def test_wer_identical_zero():

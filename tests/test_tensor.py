@@ -235,30 +235,30 @@ def test_layer_norm_and_log_softmax_are_one_node():
 
 def test_dropout_inference_identity():
     x = Tensor(Rng(0).normal((8, 8)))
-    assert tt.dropout_scales([x.shape], 0.1, None) is None
+    assert tt.dropout_masks([x.shape], 0.1, None) is None
 
 
 def test_dropout_zero_ratio_identity():
-    assert tt.dropout_scales([(8, 8)], 0.0, Rng(1)) is None
+    assert tt.dropout_masks([(8, 8)], 0.0, Rng(1)) is None
 
 
 def test_dropout_mean_preserved():
-    scale = tt.dropout_scales([(1, 100_000)], 0.1, tt.BatchRng([Rng(42)], [100_000]))[0]
-    assert abs(scale.mean() - 1.0) < 0.02
+    keep = tt.dropout_masks([(1, 100_000)], 0.1, tt.BatchRng([Rng(42)], [100_000]))[0]
+    assert keep.dtype == bool and abs(tt.dropout_factor(keep, 0.1).mean() - 1.0) < 0.02
 
 
 def test_dropout_bad_ratio():
     with pytest.raises(ValueError):
-        tt.dropout_scales([(3,)], 1.0, Rng(0))
+        tt.dropout_masks([(3,)], 1.0, Rng(0))
     with pytest.raises(ValueError):
-        tt.dropout_scales([(3,)], -0.1, Rng(0))
+        tt.dropout_masks([(3,)], -0.1, Rng(0))
 
 
 @pytest.mark.parametrize("lengths", [None, [3, 7, 1, 5]])
 def test_layer_masks_drawn_together_equal_per_site_draws(lengths):
     """A layer's three dropout masks drawn in one call (attention, then the
-    two feed-forward sites) equal three per-site draws in that order, bit
-    for bit, for a batch of one and for a padded batch."""
+    two feed-forward sites) give the factors of three per-site draws in that
+    order, bit for bit, for a batch of one and for a padded batch."""
     t, d, ff = 7, 4, 6
 
     def rng():
@@ -268,11 +268,11 @@ def test_layer_masks_drawn_together_equal_per_site_draws(lengths):
 
     lead = (1, t) if lengths is None else (len(lengths), t)
     shapes = [lead + (d,), lead + (ff,), lead + (d,)]
-    together = tt.dropout_scales(shapes, 0.1, rng())
+    together = tt.dropout_masks(shapes, 0.1, rng())
     apart = rng()
     sites = [ops.dropout_scale(shape, 0.1, apart) for shape in shapes]
-    assert [s.tobytes() for s in together] == [s.tobytes() for s in sites]
-    assert [s.shape for s in together] == shapes
+    assert [tt.dropout_factor(k, 0.1).tobytes() for k in together] == [s.tobytes() for s in sites]
+    assert [k.shape for k in together] == shapes
 
 
 def test_backward_sum_gives_ones():

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -94,6 +95,22 @@ def test_schedule_validation():
         ScheduleConfig(hold_until=300000)  # hold past decay
     with pytest.raises(ValueError):
         ScheduleConfig(final_lr=1.0)  # above peak
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("weight_noise_sigma", -0.1, "weight_noise_sigma must be >= 0"),
+    ("weight_noise_sigma", math.nan, "weight_noise_sigma must be finite, got nan"),
+    ("weight_noise_sigma", math.inf, "weight_noise_sigma must be finite, got inf"),
+    ("grad_clip_norm", 0.0, "grad_clip_norm must be positive"),
+    ("grad_clip_norm", math.nan, "grad_clip_norm must be positive"),
+])
+def test_train_config_validation(field, value, message):
+    """NaN fails the range checks as a number outside them does; an
+    infinite clip norm (never clip) stays valid."""
+    with pytest.raises(ValueError) as err:
+        TrainConfig(**{field: value})
+    assert str(err.value) == message
+    assert TrainConfig(grad_clip_norm=math.inf).grad_clip_norm == math.inf
 
 
 # ---------------------------------------------------------- weight noise
@@ -618,6 +635,40 @@ def test_train_loop_runs_without_mallopt(cdll, tmp_path):
         trn._keep_heap_mapped.cache_clear()
     cdll.assert_called_once_with(None)
     assert got == want
+
+
+def test_long_step_holds_little_when_backward_starts():
+    """The memory a step holds when `backward` starts, on a batch shaped
+    like perfbench's `train_long` (the desk model at batch 4, 12-20 labels,
+    3-6 frames per label, T at least 52, so attention runs in blocks over
+    shared windows), stays within what the graph cannot rebuild: the encoder
+    layers keep bool dropout masks and no layer-norm outputs, biased queries,
+    merged heads or concatenated windows: 5.08 MB, where keeping those held
+    7.44 MB."""
+    root = Path(__file__).resolve().parent.parent
+    run = load_run_config(root / "configs" / "desk.json")
+    batch = gen_synthetic(SyntheticTaskConfig(
+        vocab=run.model.vocab_size - 1, label_len=(12, 20), frames_per_label=(3, 6),
+        feature_dim=run.model.feature_dim, noise_sigma=0.3, size=4, seed=0)).utterances
+    mask = run.model.audio.mask
+    assert max(u.features.shape[0] for u in batch) >= 2 * (mask.left + mask.right) + att.BANDED_MIN_EXTRA_ROWS
+    model = init_model(run.model, Rng(0))
+    cfg = dataclasses.replace(run.train, batch_size=4, seed=0)
+    opt = Adam(model, cfg)
+    held = []
+
+    def measured(root, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return backward(root, **kwargs)
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(trn, "backward", measured):
+            train_step(model, opt, batch, 0, run.schedule, cfg, Rng(0))
+    finally:
+        tracemalloc.stop()
+    assert held[0] - start < 5.2e6, held[0] - start
 
 
 # ----------------------------------------------------------- checkpoints

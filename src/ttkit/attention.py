@@ -462,7 +462,7 @@ def _residual(x: Tensor, gain: Tensor, bias: Tensor, config: EncoderConfig, keep
     and h to the gradients of h and `weights`. The node keeps only LN's inv:
     its backward rebuilds x̂ and h from x (`tt.layer_norm_rebuild`) and the
     factor from `keep`, bit for bit."""
-    h, _, inv = tt.layer_norm_forward(x.values, gain.values, bias.values, config.ln_eps)
+    h, inv = tt.layer_norm_forward(x.values, gain.values, bias.values, config.ln_eps)
     out, block_bw = block(h)
     if keep is not None:
         out *= tt.dropout_factor(keep, config.dropout_ratio)

@@ -20,21 +20,22 @@ final frames.
 The label encoder is causal, so a label state needs no encoder of its own:
 it carries, per label layer, the window of query, key and value rows its
 newest position attended, and a child extends its parent's windows by its
-own row. Beam search shares these states: a finite label window makes the
-label activation a function of the last few ids, so one search computes one
-state per distinct context and every hypothesis ending in it holds that same,
-never-mutated state. It scores each (frame, state) pair with the joint once,
-however many hypotheses hold the state, and each round builds children only
-for the scores at or above its `beam_width`-th best. The round's new states
-are computed together, one stacked encoder step per label layer, bit for
-bit as one at a time. With no LM and no positive length bonus, the children
-of a hypothesis together carry no more probability than it does, so the
-later rounds of a frame add to its finished set at most the probability
-mass of the round's emitting children; a frame ends once that mass could
-neither reach its n-best nor lift an entry it may merge into, which is
-exact (see `beam_decode`). A label id's input row (embedding times input
-projection) and its first-layer query, key and value depend on the id
-alone, so every decode call computes them once per id.
+own row. Moving on builds a child and leaves the parent as it was. Beam
+search shares these states: a finite label window makes the label activation
+a function of the last few ids, so one search computes one state per
+distinct context and every hypothesis ending in it holds that same state. It
+scores each (frame, state) pair with the joint once, however many hypotheses
+hold the state, and each round builds children only for the scores at or
+above its `beam_width`-th best. The round's new states are computed
+together, one stacked encoder step per label layer, bit for bit as one at a
+time. With no LM and no positive length bonus, the children of a hypothesis
+together carry no more probability than it does, so the later rounds of a
+frame add to its finished set at most the probability mass of the round's
+emitting children; a frame ends once that mass could neither reach its
+n-best nor lift an entry it may merge into, which is exact (see
+`beam_decode`). A label id's input row (embedding times input projection)
+and its first-layer query, key and value depend on the id alone, so every
+decode call computes them once per id.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ class LabelState:
     histories ending in the same such `context` see identical windows at
     identical relative offsets. States derived through `advanced` or
     `advanced_all` from one root therefore share one `memo`, holding one
-    state per context, and are never mutated once reached that way;
-    `advance` moves a state in place. They share `inputs` too: each label
-    id's projected input row and its first-layer `qkv_row` (query, key and
-    value), computed on the id's first push; and `weights`, each label
+    state per context; `advance` builds a child outside it. No state
+    changes once built. The states of one root share `inputs` too: each
+    label id's projected input row and its first-layer `qkv_row` (query, key
+    and value), computed on the id's first push; and `weights`, each label
     layer's `qkv_weights`, copied when the root is built, so a root built
     before the parameters change must not be advanced after."""
 
@@ -235,7 +236,7 @@ class LabelState:
         context = (self.context + (label,))[self.keep]
         other = self.memo.get(context)
         if other is None:
-            other = self.memo[context] = self._child(context, *_label_steps([(self, label)])[0])
+            other = self.memo[context] = self._child(label)
         return other
 
     @staticmethod
@@ -249,21 +250,21 @@ class LabelState:
             if context not in state.memo:
                 new.setdefault(context, (state, label))
         if new:
-            for (context, (state, _)), step in zip(new.items(), _label_steps(list(new.values()))):
-                state.memo[context] = state._child(context, *step)
+            for (context, (state, label)), step in zip(new.items(), _label_steps(list(new.values()))):
+                state.memo[context] = state._child(label, step)
         return [state.advanced(label) for state, label in pairs]
 
-    def advance(self, label: int):
-        """Move this state one label on, in place."""
-        if self.memo.get(self.context) is self:
-            del self.memo[self.context]  # its context no longer describes it
-        self.context = (self.context + (label,))[self.keep]
-        self.windows, self.vec, self.proj = _label_steps([(self, label)])[0]
+    def advance(self, label: int) -> "LabelState":
+        """The state one label on, kept out of the memo: a decoder that drops
+        each state as it moves on holds one window."""
+        return self._child(label)
 
-    def _child(self, context, windows, vec, proj) -> "LabelState":
+    def _child(self, label: int, step: tuple | None = None) -> "LabelState":
+        """The state one label on, from its `_label_steps` entry if given."""
         other = LabelState.__new__(LabelState)  # a shallow copy, faster than copy.copy
         other.__dict__.update(self.__dict__)
-        other.context, other.windows, other.vec, other.proj = context, windows, vec, proj
+        other.context = (self.context + (label,))[self.keep]
+        other.windows, other.vec, other.proj = _label_steps([(self, label)])[0] if step is None else step
         return other
 
     def _input(self, label: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -339,12 +340,13 @@ def greedy_decode(model: TransducerModel, features: np.ndarray,
     reached, then advance to the next frame."""
     DecodeOptions(max_symbols_per_frame=max_symbols_per_frame)  # the range check
     enc = _batch_encode_audio(model, features)
-    return _greedy_rows(model, enc, LabelState(model), max_symbols_per_frame)
+    return _greedy_rows(model, enc, LabelState(model), max_symbols_per_frame)[0]
 
 
-def _greedy_rows(model, rows, state: LabelState, cap: int) -> list[int]:
-    """The labels greedy decoding emits over encoder rows, moving `state` in
-    place: per row, the argmax until blank wins or `cap` labels are out."""
+def _greedy_rows(model, rows, state: LabelState, cap: int) -> tuple[list[int], LabelState]:
+    """The labels greedy decoding emits over encoder rows from `state`, and
+    the state it reaches: per row, the argmax until blank wins or `cap`
+    labels are out."""
     out: list[int] = []
     for row in rows:
         audio_proj = model.project_audio(row)
@@ -354,8 +356,8 @@ def _greedy_rows(model, rows, state: LabelState, cap: int) -> list[int]:
             if best == BLANK_ID:
                 break
             out.append(best)
-            state.advance(best)
-    return out
+            state = state.advance(best)
+    return out, state
 
 
 @dataclass
@@ -522,7 +524,8 @@ class StreamState:
         new = self.encoder.push(np.concatenate(self.frames))
         del self.frames[:self.subsample]
         self.skip = max(0, self.subsample - self.stack)
-        return _greedy_rows(self.model, new, self.label_state, self.max_symbols_per_frame)
+        out, self.label_state = _greedy_rows(self.model, new, self.label_state, self.max_symbols_per_frame)
+        return out
 
     def flush(self) -> list[int]:
         """End of stream: process pending look-ahead as if the right context
@@ -534,4 +537,5 @@ class StreamState:
             for row in fe.stack_subsample(np.stack(self.frames), self.stack, self.subsample):
                 new.extend(self.encoder.push(row))
         new.extend(self.encoder.finish())
-        return _greedy_rows(self.model, new, self.label_state, self.max_symbols_per_frame)
+        out, self.label_state = _greedy_rows(self.model, new, self.label_state, self.max_symbols_per_frame)
+        return out

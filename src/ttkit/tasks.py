@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import Rng
+from .transducer import check_targets
 
 
 class DatasetFormatError(ValueError):
@@ -235,10 +236,8 @@ def read_dataset(path) -> Dataset:
         ident = r.text()
         features = r.array((r.u64(), r.u64()), "<f8").copy()
         labels = r.array((r.u64(),), "<u4").tolist()
-        for label in labels:
-            if not 1 <= label <= num_labels:
-                raise DatasetFormatError(f"label {label} outside declared vocab of {num_labels}")
         try:
+            check_targets(labels, num_labels + 1)
             utts.append(Utterance(id=ident, features=features, labels=labels))
         except ValueError as e:
             raise DatasetFormatError(f"utterance {ident!r}: {e}") from e

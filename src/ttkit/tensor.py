@@ -174,20 +174,19 @@ def _centered(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
-    """`layer_norm`'s values: (output, x̂, inv) for x̂ = (x - mean) * inv,
-    inv = 1 / sqrt(var + eps), output = x̂ * gain + bias over the last axis.
-    For one row [n], the mean and inv are plain floats (numpy's power kept:
-    Python's differs in the last bit), which is faster than [1]-arrays and
-    gives the same bits as the row's own line of a batch."""
+                       eps: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """`layer_norm`'s values: (x̂ * gain + bias, inv) for x̂ = (x - mean) * inv,
+    inv = 1 / sqrt(var + eps) over the last axis; `layer_norm_rebuild` gives
+    x̂. For one row [n], the mean and inv are plain floats (numpy's power
+    kept: Python's differs in the last bit), which is faster than [1]-arrays
+    and gives the same bits as the row's own line of a batch."""
     scale = 1.0 / x.shape[-1]
     xc = _centered(x)
     if x.ndim == 1:
         inv = float(np.power(float(np.add.reduce(xc * xc)) * scale + eps, -0.5))
     else:
         inv = np.power(np.add.reduce(xc * xc, axis=-1, keepdims=True) * scale + eps, -0.5)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    return xc * inv * gain + bias, inv
 
 
 def layer_norm_rebuild(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -213,9 +212,15 @@ def layer_norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
-    One node over (x, gain, bias) with the closed-form `layer_norm_backward`."""
-    out, xhat, inv = layer_norm_forward(x.values, gain.values, bias.values, eps)
-    return Tensor(out, (x, gain, bias), lambda g: layer_norm_backward(g, gain.values, xhat, inv))
+    One node over (x, gain, bias) with the closed-form `layer_norm_backward`,
+    keeping only inv: the backward rebuilds x̂ (`layer_norm_rebuild`)."""
+    out, inv = layer_norm_forward(x.values, gain.values, bias.values, eps)
+
+    def bw(g):
+        xhat = layer_norm_rebuild(x.values, gain.values, bias.values, inv)[1]
+        return layer_norm_backward(g, gain.values, xhat, inv)
+
+    return Tensor(out, (x, gain, bias), bw)
 
 
 def dropout_masks(shapes: Sequence[tuple[int, ...]], ratio: float,

@@ -14,11 +14,12 @@ The training loss marginalizes over all monotonic alignments through that
 grid, again one node for the whole batch: the forward pass runs the
 log-space alpha recursion over the lattices' anti-diagonals in numpy, each
 example on its own (T_b, U_b), and the backward pass gets the exact gradient
-in closed form from the matching beta recursion and the arc occupancies
-(Graves 2012). The examples' diagonals t+u = d form one contiguous row of
-the skewed arrays, and each step updates all U+1 columns of it: arcs off a
-lattice are -inf, so the lattice points get the bits of a step over their
-own column range. `rnnt_log_prob` is the same kernel for one example.
+in closed form from the beta recursion, which is the same sweep over the
+lattice turned around, and the arc occupancies (Graves 2012). The
+examples' diagonals t+u = d form one contiguous row of the skewed arrays,
+and each step updates all U+1 columns of it: arcs off a lattice are -inf,
+so the lattice points get the bits of a step over their own column range.
+`rnnt_log_prob` is the same kernel for one example.
 
 `brute_force_log_prob` enumerates alignments outright and exists purely as
 the small-instance oracle for the recursion.
@@ -193,26 +194,39 @@ def _skew(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def _sweep(rows: np.ndarray, blank: np.ndarray, emit: np.ndarray, U: int,
+           starts: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The log-space lattice recursion, in place over skewed rows [n, B, U+1]:
+    row i+1 at column u is logaddexp(row i at u + blank[i] at u, row i at
+    u-1 + emit[i] at u-1), two adds and one in-place `logaddexp` over all
+    U+1 columns, the label arcs in columns 1..U of a scratch row whose
+    column 0 stays -inf. Example b's start (row, column) `starts[b]` holds
+    0, put back after its row is computed."""
+    stops: dict[int, list[tuple[int, int]]] = {}
+    for b, (i, u) in enumerate(starts):
+        stops.setdefault(i, []).append((b, u))
+        rows[i, b, u] = 0.0
+    arrive = np.full(rows.shape[1:], -np.inf)
+    emitted = arrive[:, 1:]
+    views = list(rows)
+    for i, (prev, cur, blank_prev, emit_prev) in enumerate(zip(views, views[1:], blank, emit), 1):
+        np.add(prev, blank_prev, out=cur)
+        np.add(prev[:, :U], emit_prev, out=emitted)
+        np.logaddexp(cur, arrive, out=cur)
+        for b, u in stops.get(i, ()):
+            cur[b, u] = 0.0
+    return rows
+
+
 def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
     """Skewed forward variables of a batch of lattices padded to (T, U):
     A[t+u, b, u] = log-mass of all path prefixes from (0, 0) to (t, u),
-    from the skewed blank arcs [T+U, B, U+1] and label arcs [T+U-1, B, U].
-
-    Each diagonal updates all U+1 columns of every example: two adds and
-    one in-place `logaddexp`. The emit arcs into a diagonal sit in columns
-    1..U of a scratch row whose column 0 stays -inf, as no arc enters
-    u = 0. Points before a lattice (t < 0) stay -inf; points past the
+    from the skewed blank arcs [T+U, B, U+1] and label arcs [T+U-1, B, U]:
+    the `_sweep` from (0, 0), blank arcs from (t-1, u), label arcs from
+    (t, u-1). Points before a lattice (t < 0) stay -inf; points past the
     padded lattice (t >= T) get values that no lattice point reads."""
     A = np.full((T + U,) + blank.shape[1:], -np.inf)
-    A[0, :, 0] = 0.0
-    arrive = np.full(blank.shape[1:], -np.inf)
-    emitted = arrive[:, 1:]
-    rows = list(A)
-    for prev, cur, blank_prev, emit_prev in zip(rows, rows[1:], blank, emit):
-        np.add(prev, blank_prev, out=cur)                          # blank from (t-1, u)
-        np.add(prev[:, :U], emit_prev, out=emitted)                # emit from (t, u-1)
-        np.logaddexp(cur, arrive, out=cur)
-    return A
+    return _sweep(A, blank, emit, U, [(0, 0)] * blank.shape[1])
 
 
 def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
@@ -222,27 +236,14 @@ def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
     past example b's final blank, (T_b, U_b) on diagonal ends[b], holds 0;
     every other point off its lattice that a lattice point reads is -inf.
 
-    Each diagonal updates all U+1 columns as `_alpha` does, the emit arcs
-    leaving it in columns 0..U-1 of a scratch row whose column U stays
-    -inf, then puts back the 0 of the examples that end on it. No emit arc
-    leaves the last diagonal, T+U-1 (its points with u < U lie past frame
-    T-1), so `emit` has no row for it and the scratch row stays -inf."""
-    B = np.full((T + U + 1,) + blank.shape[1:], -np.inf)
-    stops: dict[int, list[tuple[int, int]]] = {}
-    for b, (d, u) in enumerate(zip(ends.tolist(), lengths.tolist())):
-        stops.setdefault(d, []).append((b, u))
-        B[d, b, u] = 0.0
-    leave = np.full(blank.shape[1:], -np.inf)
-    emitted = leave[:, :U]
-    for d in range(T + U - 1, -1, -1):
-        cur, nxt = B[d], B[d + 1]
-        np.add(blank[d], nxt, out=cur)                             # to (t+1, u)
-        if d < T + U - 1:  # no emit arc leaves the last diagonal
-            np.add(emit[d], nxt[:, 1:], out=emitted)               # to (t, u+1)
-        np.logaddexp(cur, leave, out=cur)
-        for b, u in stops.get(d, ()):
-            cur[b, u] = 0.0
-    return B
+    It is the `_sweep` over the lattice turned around (diagonal d becomes
+    row T+U-d, column u becomes U-u), returned as a view turned back. The
+    label arcs are reversed behind one -inf row, as no label arc leaves the
+    last diagonal, T+U-1 (its points with u < U lie past frame T-1)."""
+    rows = np.full((T + U + 1,) + blank.shape[1:], -np.inf)
+    turned_emit = np.concatenate([np.full((1,) + emit.shape[1:], -np.inf), emit[::-1, :, ::-1]])
+    starts = list(zip((T + U - ends).tolist(), (U - lengths).tolist()))
+    return _sweep(rows, np.ascontiguousarray(blank[::-1, :, ::-1]), turned_emit, U, starts)[::-1, :, ::-1]
 
 
 def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int]],
@@ -256,11 +257,11 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
     closes with the blank consuming the example's final frame. The forward
     runs the alpha recursion over the whole batch, one anti-diagonal t+u at a
     time; arcs off an example's own (T_b, U_b) lattice are -inf, so its
-    points see exactly its own arithmetic. The backward runs the matching
-    beta recursion and writes the arc occupancies exp(alpha + arc + beta_next
-    - log P) into the blank and target-label entries of the grid. Every other
-    entry gets gradient 0, and so does every entry of an example whose
-    log P is -inf (no path has mass).
+    points see exactly its own arithmetic. The backward runs the beta
+    recursion, the same sweep turned around, and writes the arc occupancies
+    exp(alpha + arc + beta_next - log P) into the blank and target-label
+    entries of the grid. Every other entry gets gradient 0, and so does
+    every entry of an example whose log P is -inf (no path has mass).
     """
     lp = log_probs.values if log_probs.ndim == 4 else log_probs.values[None]
     _check_loss_args(lp, frames, ys)

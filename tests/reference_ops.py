@@ -14,11 +14,12 @@ bitwise reference for the full-width diagonals of `ttkit.transducer`.
 `log_prob_grid` is the joint grid node whose backward makes its two
 [..., T, U+1, J] temporaries whole and leaves the saved tanh as it was, the
 bitwise reference for the node that writes its backward over the tanh.
-`encoder_layer` is a layer composed of five nodes: a layer norm, the
-attention node (`attention_node`, ttkit's attention block over a
-layer-normed `Tensor`), a dropout, a residual add, and the feed-forward node
-with its own layer norm, dropouts and residual (`feed_forward`). It is the
-bitwise reference for ttkit's layer of two pre-norm residual nodes.
+`encoder_layer` is a layer composed of five nodes: a layer norm that saves
+x̂ (`layer_norm`), the attention node (`attention_node`, ttkit's attention
+block over a layer-normed `Tensor`), a dropout, a residual add, and the
+feed-forward node with its own layer norm, dropouts and residual
+(`feed_forward`). It is the bitwise reference for ttkit's layer of two
+pre-norm residual nodes.
 """
 
 from __future__ import annotations
@@ -397,11 +398,20 @@ def attention_node(h: Tensor, layer, params, config, band) -> Tensor:
     return Tensor(out, parents, lambda g: bw(g, h.values))
 
 
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """`ttkit.tensor.layer_norm` saving x̂ at its forward beside inv, where
+    ttkit's node rebuilds it in the backward."""
+    _, inv = tt.layer_norm_forward(x.values, gain.values, bias.values, eps)
+    out, xhat = tt.layer_norm_rebuild(x.values, gain.values, bias.values, inv)
+    return Tensor(out, (x, gain, bias), lambda g: tt.layer_norm_backward(g, gain.values, xhat, inv))
+
+
 def feed_forward(x: Tensor, layer, config, s1: np.ndarray | None, s2: np.ndarray | None) -> Tensor:
     """The feed-forward half of a layer as one graph node over (x, ln2 gain
     and bias, W1, b1, W2, b2): x + D2(D1(relu(LN(x) W1 + b1)) W2 + b2), with
     D1, D2 the dropout factors `s1`, `s2` when given."""
-    h2, xhat, inv = tt.layer_norm_forward(x.values, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)
+    _, inv = tt.layer_norm_forward(x.values, layer.ln2_g.values, layer.ln2_b.values, config.ln_eps)
+    h2, xhat = tt.layer_norm_rebuild(x.values, layer.ln2_g.values, layer.ln2_b.values, inv)
     pre = h2 @ layer.w1.values + layer.b1.values
     a = np.where(pre > 0, pre, 0.0)
     if s1 is not None:
@@ -432,7 +442,7 @@ def encoder_layer(x: Tensor, band, layer, params, config, rng=None) -> Tensor:
     sites draw together as there, in the order attention, feed-forward 1,
     feed-forward 2, and each mask becomes its factor by `dropout_scale`'s
     division."""
-    h = tt.layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
+    h = layer_norm(x, layer.ln1_g, layer.ln1_b, config.ln_eps)
     attn = attention_node(h, layer, params, config, band)
     shapes = [attn.shape, x.shape[:-1] + (config.ff_dim1,), x.shape]
     keeps = tt.dropout_masks(shapes, config.dropout_ratio, rng) or (None,) * 3

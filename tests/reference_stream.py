@@ -126,10 +126,10 @@ class IncrementalEncoder:
 class LabelState:
     """A label history's state on a private `IncrementalEncoder`: `vec`, the
     top activation of the newest position, and `proj`, its joint
-    projection. States derived through `advanced` from one root share a
-    `memo` of one state per context, the last `num_layers * left + 1` ids;
-    a new one clones its parent's encoder and pushes one row. `advance`
-    pushes in place and takes the state out of the memo."""
+    projection. `advance` gives the state one label on a clone of this
+    state's encoder, sharing nothing. States derived through `advanced`
+    from one root share a `memo` of one state per context, the last
+    `num_layers * left + 1` ids."""
 
     def __init__(self, model):
         cfg = model.config.label
@@ -145,12 +145,7 @@ class LabelState:
         context = (self.context + (label,))[self.keep]
         other = self.memo.get(context)
         if other is None:
-            other = LabelState.__new__(LabelState)
-            other.model, other.keep, other.memo = self.model, self.keep, self.memo
-            other.context = context
-            other.encoder = self.encoder.clone()
-            other._push(label)
-            self.memo[context] = other
+            other = self.memo[context] = self.advance(label)
         return other
 
     @staticmethod
@@ -158,10 +153,12 @@ class LabelState:
         return [state.advanced(label) for state, label in pairs]
 
     def advance(self, label):
-        if self.memo.get(self.context) is self:
-            del self.memo[self.context]
-        self.context = (self.context + (label,))[self.keep]
-        self._push(label)
+        other = LabelState.__new__(LabelState)
+        other.model, other.keep, other.memo = self.model, self.keep, self.memo
+        other.context = (self.context + (label,))[self.keep]
+        other.encoder = self.encoder.clone()
+        other._push(label)
+        return other
 
     def _push(self, label):
         self.vec = self.encoder.push(self.model.params.label_embedding.values[label])[0]

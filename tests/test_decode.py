@@ -105,7 +105,7 @@ def greedy_path_score(model, feats, labels):
             assert remaining and remaining[0] == best
             remaining.pop(0)
             score += lp[best]
-            state.advance(best)
+            state = state.advance(best)
     assert not remaining
     return score
 
@@ -254,37 +254,28 @@ def test_beam_nbest_ordering_deterministic():
     assert [h.labels for h in nbest] == [h.labels for h in again]
 
 
-def unshared_advanced(self, label):
-    """Reference for `LabelState.advanced`, on `reference_stream.LabelState`:
-    a private clone of the parent's encoder and one push for every call,
-    sharing nothing between hypotheses."""
-    other = reference_stream.LabelState.__new__(reference_stream.LabelState)
-    other.model = self.model
-    other.encoder = self.encoder.clone()
-    other.vec = other.encoder.push(self.model.params.label_embedding.values[label])[0]
-    other.proj = self.model.project_label(other.vec)
-    return other
-
-
 def use_unshared_states(monkeypatch):
     """Decode with clone-per-state label states: `reference_stream.LabelState`
-    with `unshared_advanced` in place of `decode.LabelState`."""
+    in place of `decode.LabelState`, its `advance` (a private clone of the
+    parent's encoder and one push for every call, sharing nothing between
+    hypotheses) in place of `advanced`."""
     monkeypatch.setattr(dec, "LabelState", reference_stream.LabelState)
-    monkeypatch.setattr(reference_stream.LabelState, "advanced", unshared_advanced)
+    monkeypatch.setattr(reference_stream.LabelState, "advanced", reference_stream.LabelState.advance)
 
 
 def unshared_state_after(model, history):
     state = reference_stream.LabelState(model)
     for label in history:
-        state = unshared_advanced(state, label)
+        state = state.advance(label)
     return state
 
 
 def label_state_after(model, history):
-    """A fresh state moved along the full history with in-place `advance`."""
+    """A fresh state moved along the full history by `advance`, outside
+    any memo."""
     state = dec.LabelState(model)
     for label in history:
-        state.advance(label)
+        state = state.advance(label)
     return state
 
 
@@ -325,17 +316,63 @@ def test_shared_label_states_equal_full_history_states(label_layers, label_left,
         assert by_context.setdefault(context, state) is state  # one state per context
         assert_same_state(state, label_state_after(model, h))
 
-    # `advance` on a state reached through `advanced` takes it out of the
-    # memo, and on the root keeps its context in step with its history
+    # `advance` from a state reached through `advanced`, or from the root,
+    # leaves that state and the memo as they were
+    for state in [root, *(walk(root, h) for h in histories)]:
+        memo = dict(root.memo)
+        before = (state.context, state.vec.tobytes(), state.proj.tobytes())
+        child = state.advance(extra)
+        assert child.context == (state.context + (extra,))[state.keep]
+        assert (state.context, state.vec.tobytes(), state.proj.tobytes()) == before
+        assert root.memo == memo and all(root.memo[c] is s for c, s in memo.items())
     for h in histories:
-        if h:
-            state = walk(root, h)
-            state.advance(extra)
-            assert_same_state(state, label_state_after(model, h + [extra]))
-            assert_same_state(walk(root, h), label_state_after(model, h))
-    root.advance(extra)
-    for h in histories:
-        assert_same_state(walk(root, h), label_state_after(model, [extra] + h))
+        assert_same_state(walk(root, h).advance(extra), label_state_after(model, h + [extra]))
+
+
+def state_bytes(state):
+    return (state.context, [w.tobytes() for w in state.windows], state.vec.tobytes(), state.proj.tobytes())
+
+
+@pytest.mark.parametrize("label_left", [None, 1])
+def test_label_states_never_change_once_built(monkeypatch, label_left):
+    """The root, its `advance` and `advanced` children and every state that
+    greedy, stream and beam decoding build keep their context, windows, vec
+    and proj bytes while decoding goes on from them; `advance` adds nothing
+    to the memo."""
+    model = small_model(label_left=label_left, num_label_layers=2, blank_bias=-1.0)
+    feats = Rng(31).normal((16, 6))
+    built = []
+    init, child = dec.LabelState.__init__, dec.LabelState._child
+
+    def recording_init(self, model):
+        init(self, model)
+        built.append((self, state_bytes(self)))
+
+    def recording_child(self, label, step=None):
+        state = child(self, label, step)
+        built.append((state, state_bytes(state)))
+        return state
+
+    monkeypatch.setattr(dec.LabelState, "__init__", recording_init)
+    monkeypatch.setattr(dec.LabelState, "_child", recording_child)
+    root = dec.LabelState(model)
+    shared = root.advanced(2)
+    memo = dict(root.memo)
+    unshared = root.advance(1)
+    assert root.memo == memo
+    rows = dec._batch_encode_audio(model, feats)
+    for state in (root, unshared, shared):  # decode on from each
+        labels, reached = dec._greedy_rows(model, rows, state, 10)
+        assert len(labels) > len(rows)  # several states per row
+        assert root.memo == memo and reached not in root.memo.values()
+    dec.LabelState.advanced_all([(root, 1), (unshared, 2), (shared, 3), (shared, 1)])
+    greedy_decode(model, feats)
+    stream_decode(model, feats)
+    beam_decode(model, feats, beam_width=4)
+    roots = [state for state, _ in built if len(state.context) == 1]
+    assert len(roots) == 4  # this test's, greedy's, stream's and beam's
+    for state, snapshot in built:
+        assert state_bytes(state) == snapshot
 
 
 def test_beam_equals_unshared_beam(monkeypatch):
@@ -905,7 +942,7 @@ def test_incremental_encoder_equals_list_window_reference(left, label_left, righ
     bit, with the same score count, over streams that wrap its window many
     times; so do label states, which carry their windows, against the
     reference's clone-per-state ones, through `advanced` from any earlier
-    state and through `advance` in place."""
+    state and through `advance` outside the memo."""
     cfg = EncoderConfig(num_layers=layers, model_dim=6, ff_dim1=7, ff_dim2=6, num_heads=heads,
                         head_dim=head_dim, mask=AttentionMask(left, right), input_dim=6,
                         dropout_ratio=0.0, max_relative_offset=max_offset)
@@ -935,7 +972,7 @@ def test_incremental_encoder_equals_list_window_reference(left, label_left, righ
         states, walker = [cls(label_model)], cls(label_model)
         for i, label in enumerate(labels):
             states.append(states[picks[i] % len(states)].advanced(label))
-            walker.advance(label)
+            walker = walker.advance(label)
             states.append(walker)
             walker = cls(label_model) if i == length // 2 else walker
         walks.append(([(s.vec, s.proj) for s in states], label_model.counters.attention_scores - before))
@@ -957,8 +994,8 @@ def test_step_offset_cache_stays_bounded_under_full_history_labels():
     sizes = []
     for i in range(limit + 40):
         label = 1 + i % (model.config.vocab_size - 1)
-        state.advance(label)
-        reference.advance(label)
+        state = state.advance(label)
+        reference = reference.advance(label)
         sizes.append(att._offset_index.cache_info().currsize)
     assert limit is not None and max(sizes) == sizes[-1] == limit  # full, and evicting since
     assert np.array_equal(state.vec, reference.vec) and np.array_equal(state.proj, reference.proj)

@@ -8,6 +8,8 @@ import ast
 import re
 from pathlib import Path
 
+import code_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ttkit"
 
@@ -69,3 +71,28 @@ def test_every_definition_in_src_has_a_program_use():
         if not used:
             unused.append(f"{path.stem}.{name}" + (f".{method}" if method else ""))
     assert unused == []
+
+
+CODE_LINES_SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment
+
+
+class A:
+    """A class docstring."""
+
+    def f(self, x):
+        """A function docstring."""
+        # a comment line
+        y = (x +
+             1)
+        s = """a string that is no docstring"""
+        return y, s
+'''
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    """`code_lines` counts import, class, def, the two lines of one
+    statement, the string assignment and the return."""
+    assert code_lines.code_lines(CODE_LINES_SAMPLE) == 7

@@ -2,9 +2,9 @@
 
 Ties the encoder stacks and joint parameters to a vocabulary and frontend so
 training, decoding, and checkpointing can treat the whole model as one unit
-with a flat named-parameter view. A model made by `init_model` or
-`train.load_checkpoint` stores every parameter in one contiguous buffer
-(`tensor.FlatParams`), which training updates as a whole.
+with a flat named-parameter view. A model stores every parameter in one
+contiguous buffer (`tensor.FlatParams`), which training updates as a whole,
+and counts its own work (`attention.Counters`).
 
 An `Rng` passed to the forward methods means training: SpecAugment and
 dropout draw from its labeled substreams. Without one they are skipped. A
@@ -75,15 +75,13 @@ def param_spec(config: ModelConfig) -> ModelParams:
 
 
 class TransducerModel:
-    """`flat` is the storage of `params` in a model that trains. A model
-    built over some other parameter tree has none."""
+    """`flat` is the storage of `params`, which training updates as a whole."""
 
-    def __init__(self, config: ModelConfig, params: ModelParams, counters: Counters | None = None,
-                 flat: FlatParams | None = None):
+    def __init__(self, config: ModelConfig, params: ModelParams, flat: FlatParams):
         self.config = config
         self.params = params
-        self.counters = counters if counters is not None else Counters()
         self.flat = flat
+        self.counters = Counters()
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return list(self.params.named())
@@ -186,7 +184,7 @@ def init_model(config: ModelConfig, rng: Rng) -> TransducerModel:
         out[...] = spec.materialize(rng).values
 
     params, flat = flat_params(param_spec(config), draw)
-    return TransducerModel(config, params, flat=flat)
+    return TransducerModel(config, params, flat)
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:

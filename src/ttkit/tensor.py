@@ -2,11 +2,12 @@
 
 Every numeric quantity in the toolkit lives in a `Tensor`. Operations build a
 computation graph; calling `backward` on a scalar root accumulates gradients
-into every reachable tensor in a fixed topological order, so repeated runs
-with identical inputs produce bitwise-identical values and gradients. By
-default `backward` then checks every leaf gradient for NaN and inf; a
-training step skips that and checks its one gradient buffer through the
-clip norm instead (`train.clip_gradients`).
+into every reachable tensor (`graph`), newest first by creation. A node is
+built after its parents, so that order is topological, and it is fixed:
+repeated runs with identical inputs produce bitwise-identical values and
+gradients. By default `backward` then checks every leaf gradient for NaN
+and inf; a training step skips that and checks its one gradient buffer
+through the clip norm instead (`train.clip_gradients`).
 
 The cost of a graph is Python work per node, not arithmetic, so a training
 step is a few dozen coarse nodes over a padded batch, each fused with a
@@ -33,6 +34,7 @@ must not retain history (e.g. streaming state caches).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 from contextlib import contextmanager
@@ -52,6 +54,7 @@ class NumericsError(ArithmeticError):
 
 
 _grad_enabled = True
+_created = itertools.count()  # every Tensor's `seq`: the order tensors were built in
 
 
 @contextmanager
@@ -70,12 +73,13 @@ class Tensor:
     """A dense float64 array, optionally attached to a differentiation graph.
 
     `parents` and `backward_fn` describe the producing operation; leaves have
-    neither. `backward` fills `grad` with an array of the same shape as
-    `values`. A leaf keeps it; a non-leaf's is dropped (None again) as soon
-    as it has reached the node's parents.
+    neither. `seq` numbers the tensors in the order they were built, so it
+    is larger than every parent's. `backward` fills `grad` with an array of
+    the same shape as `values`. A leaf keeps it; a non-leaf's is dropped
+    (None again) as soon as it has reached the node's parents.
     """
 
-    __slots__ = ("values", "parents", "backward_fn", "grad")
+    __slots__ = ("values", "parents", "backward_fn", "grad", "seq")
 
     def __init__(
         self,
@@ -91,6 +95,7 @@ class Tensor:
             self.parents = ()
             self.backward_fn = None
         self.grad: np.ndarray | None = None
+        self.seq = next(_created)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -249,9 +254,26 @@ def _spent(g):
                        "build the graph again to differentiate it again")
 
 
+def graph(root: Tensor) -> list[Tensor]:
+    """The tensors reachable from `root` through `parents`, each once, in
+    the order they were built (`seq`): every node after all its parents."""
+    found = {id(root): root}
+    stack = [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in found:
+                found[id(p)] = p
+                stack.append(p)
+    return sorted(found.values(), key=operator.attrgetter("seq"))
+
+
 def backward(root: Tensor, check_finite: bool = True):
     """Accumulate d(root)/d(node) into `.grad` of every node reachable from
-    the scalar `root`, visiting nodes in a fixed topological order.
+    the scalar `root`, visiting the nodes of `graph(root)` newest first. A
+    node is built after its parents, so each node's gradient is complete
+    before it runs, and a gradient that reaches a tensor from several
+    consumers is summed newest consumer first, whatever order a node lists
+    its parents in.
 
     A graph is differentiated once. As soon as a node's gradients have
     reached its parents, its `backward_fn` is replaced by one that raises,
@@ -261,22 +283,7 @@ def backward(root: Tensor, check_finite: bool = True):
     if root.values.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
 
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in reversed(node.parents):
-            if id(p) not in seen:
-                stack.append((p, False))
-
+    order = graph(root)
     root.grad = np.ones_like(root.values)
     for node in reversed(order):
         if node.backward_fn is None or node.grad is None:

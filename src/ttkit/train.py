@@ -390,4 +390,4 @@ def load_checkpoint(path) -> TransducerModel:
         out[...] = stored[name]  # a read-only view of the file's bytes
 
     params, flat = flat_params(spec, copy)
-    return TransducerModel(config, params, flat=flat)
+    return TransducerModel(config, params, flat)

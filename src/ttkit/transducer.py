@@ -194,14 +194,14 @@ def _skew(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sweep(rows: np.ndarray, blank: np.ndarray, emit: np.ndarray, U: int,
+def _sweep(rows: np.ndarray, blank: np.ndarray, emit: np.ndarray,
            starts: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The log-space lattice recursion, in place over skewed rows [n, B, U+1]:
-    row i+1 at column u is logaddexp(row i at u + blank[i] at u, row i at
-    u-1 + emit[i] at u-1), two adds and one in-place `logaddexp` over all
-    U+1 columns, the label arcs in columns 1..U of a scratch row whose
-    column 0 stays -inf. Example b's start (row, column) `starts[b]` holds
-    0, put back after its row is computed."""
+    """The log-space lattice recursion, in place over skewed rows [n, B, U+1]
+    and label arcs [n-1, B, U]: row i+1 at column u is logaddexp(row i at u
+    + blank[i] at u, row i at u-1 + emit[i] at u-1), two adds and one
+    in-place `logaddexp` over all U+1 columns, the label arcs in columns
+    1..U of a scratch row whose column 0 stays -inf. Example b's start (row,
+    column) `starts[b]` holds 0, put back after its row is computed."""
     stops: dict[int, list[tuple[int, int]]] = {}
     for b, (i, u) in enumerate(starts):
         stops.setdefault(i, []).append((b, u))
@@ -211,25 +211,25 @@ def _sweep(rows: np.ndarray, blank: np.ndarray, emit: np.ndarray, U: int,
     views = list(rows)
     for i, (prev, cur, blank_prev, emit_prev) in enumerate(zip(views, views[1:], blank, emit), 1):
         np.add(prev, blank_prev, out=cur)
-        np.add(prev[:, :U], emit_prev, out=emitted)
+        np.add(prev[:, :-1], emit_prev, out=emitted)
         np.logaddexp(cur, arrive, out=cur)
         for b, u in stops.get(i, ()):
             cur[b, u] = 0.0
     return rows
 
 
-def _alpha(blank: np.ndarray, emit: np.ndarray, T: int, U: int) -> np.ndarray:
+def _alpha(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
     """Skewed forward variables of a batch of lattices padded to (T, U):
     A[t+u, b, u] = log-mass of all path prefixes from (0, 0) to (t, u),
     from the skewed blank arcs [T+U, B, U+1] and label arcs [T+U-1, B, U]:
     the `_sweep` from (0, 0), blank arcs from (t-1, u), label arcs from
     (t, u-1). Points before a lattice (t < 0) stay -inf; points past the
     padded lattice (t >= T) get values that no lattice point reads."""
-    A = np.full((T + U,) + blank.shape[1:], -np.inf)
-    return _sweep(A, blank, emit, U, [(0, 0)] * blank.shape[1])
+    A = np.full(blank.shape, -np.inf)
+    return _sweep(A, blank, emit, [(0, 0)] * blank.shape[1])
 
 
-def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
+def _beta(blank: np.ndarray, emit: np.ndarray, ends: np.ndarray,
           lengths: np.ndarray) -> np.ndarray:
     """Skewed backward variables: B[t+u, b, u] = log-mass of all path
     suffixes from (t, u) to the end, the final blank included. The point
@@ -240,10 +240,10 @@ def _beta(blank: np.ndarray, emit: np.ndarray, T: int, U: int, ends: np.ndarray,
     row T+U-d, column u becomes U-u), returned as a view turned back. The
     label arcs are reversed behind one -inf row, as no label arc leaves the
     last diagonal, T+U-1 (its points with u < U lie past frame T-1)."""
-    rows = np.full((T + U + 1,) + blank.shape[1:], -np.inf)
+    rows = np.full((len(blank) + 1,) + blank.shape[1:], -np.inf)
     turned_emit = np.concatenate([np.full((1,) + emit.shape[1:], -np.inf), emit[::-1, :, ::-1]])
-    starts = list(zip((T + U - ends).tolist(), (U - lengths).tolist()))
-    return _sweep(rows, np.ascontiguousarray(blank[::-1, :, ::-1]), turned_emit, U, starts)[::-1, :, ::-1]
+    starts = list(zip((len(blank) - ends).tolist(), (emit.shape[-1] - lengths).tolist()))
+    return _sweep(rows, np.ascontiguousarray(blank[::-1, :, ::-1]), turned_emit, starts)[::-1, :, ::-1]
 
 
 def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int]],
@@ -279,7 +279,7 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
         emit = np.take_along_axis(lp[:, :T, :U], labels[:, None, :, None], axis=-1)[..., 0]
         emit = np.where(past_end | (u[:, :U] >= lengths[:, None, None]), -np.inf, emit)
         blank, emit = _skew(blank), _skew(emit)
-        A = _alpha(blank, emit, T, U)
+        A = _alpha(blank, emit)
         ends = frames + lengths
         n = np.arange(B)
         log_p = A[ends - 1, n, lengths] + blank[ends - 1, n, lengths]
@@ -287,7 +287,7 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
     def bw(g):
         grad = np.zeros_like(lp)
         with np.errstate(all="ignore"):
-            beta = _beta(blank, emit, T, U, ends, lengths)
+            beta = _beta(blank, emit, ends, lengths)
             norm = np.where(np.isneginf(log_p), np.inf, log_p)[:, None]  # no mass: occupancy 0
             blank_occ = np.exp(A + blank + beta[1:] - norm)
             emit_occ = np.exp(A[:-1, :, :U] + emit + beta[1:-1, :, 1:] - norm)

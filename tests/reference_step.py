@@ -22,6 +22,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ import reference_ops as ops
 from ttkit import attention as att
 from ttkit import tensor as tt
 from ttkit import transducer as tr
-from ttkit.model import TransducerModel
 from ttkit.tensor import NumericsError, ShapeError, Tensor, backward
 from ttkit.train import lr_at
 
@@ -77,18 +77,19 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def noisy_model(model, cfg, step, step_rng):
-    """The model whose forward runs on params + N(0, sigma^2) once `step`
-    reaches the start step, as a node over each stored leaf: an add of a
-    constant noise leaf, drawn in named order from the step's
-    `weight_noise/{step}` substream. Gradients reach the stored leaves
-    through those nodes, which leave the stored values as they are. The
-    model itself when the noise is off."""
+    """A copy of the model, sharing its counters, whose forward runs on
+    params + N(0, sigma^2) once `step` reaches the start step, as a node
+    over each stored leaf: an add of a constant noise leaf, drawn in named
+    order from the step's `weight_noise/{step}` substream. Gradients reach
+    the stored leaves through those nodes, which leave the stored values as
+    they are. The model itself when the noise is off."""
     sigma = cfg.weight_noise_sigma
     if sigma == 0.0 or step < cfg.weight_noise_start_step:
         return model
     stream = step_rng.substream(f"weight_noise/{step}")
-    params = model.params.map(lambda _, p: ops.add(p, Tensor(stream.normal(p.shape, sigma=sigma))))
-    return TransducerModel(model.config, params, model.counters)
+    noisy = copy.copy(model)
+    noisy.params = model.params.map(lambda _, p: ops.add(p, Tensor(stream.normal(p.shape, sigma=sigma))))
+    return noisy
 
 
 def encoder_layer(x, mask_bool, layer, params, config, rng=None, counters=None):

@@ -599,19 +599,6 @@ def test_layer_gradient_check():
         assert max_gradient_error(p.grad, num) < 1e-4, name
 
 
-def _graph_ops(root):
-    """Non-leaf tensors reachable from `root`."""
-    seen, stack, ops = {id(root)}, [root], 0
-    while stack:
-        node = stack.pop()
-        ops += node.backward_fn is not None
-        for p in node.parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return ops
-
-
 @pytest.mark.parametrize("training", [False, True])
 def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
     # two residual nodes, each with its layer norm and dropout: one around
@@ -625,7 +612,7 @@ def test_encoder_layer_graph_size_is_independent_of_length_and_heads(training):
             x = Tensor(Rng(seq_len).normal(shape))
             out = att.encoder_layer(x, att.band(seq_len, cfg.mask), params.layers[0], params, cfg,
                                     tt.BatchRng([Rng(0)], [seq_len]) if training else None)
-            assert _graph_ops(out) == expected, (num_heads, seq_len)
+            assert sum(n.backward_fn is not None for n in tt.graph(out)) == expected, (num_heads, seq_len)
 
 
 # ----------------------------------------------------------------- stack

@@ -375,6 +375,34 @@ def test_no_grad_blocks_graph():
     assert out.parents == () and out.backward_fn is None
 
 
+def test_graph_lists_each_reachable_tensor_once_after_its_parents():
+    """A diamond's shared input appears once, a node that lists its parents
+    newest first still comes after both, and a node built under `no_grad`
+    ends the walk: its input is not reached."""
+    def node(*parents):
+        return Tensor(1.0, parents, lambda g: (g,) * len(parents))
+
+    x, hidden = Tensor(1.0), Tensor(2.0)
+    a, b = node(x), node(x)
+    c = node(b, a)
+    with tt.no_grad():
+        cut = node(hidden)
+    root = node(c, cut, a)
+    assert tt.graph(root) == [x, a, b, c, cut, root]
+
+
+def test_backward_sums_a_tensors_gradients_newest_consumer_first():
+    """Consumers a, b and c of x, built in that order, send it 1, 1e-16 and
+    -1 through a root that lists them as (c, a, b). Summed newest consumer
+    first, (-1 + 1e-16) + 1 keeps the small term as 2**-53; any order that
+    adds 1e-16 to 1 first loses it."""
+    x = Tensor([0.0])
+    a, b, c = (Tensor([0.0], (x,), lambda g, s=s: (g * s,)) for s in (1.0, 1e-16, -1.0))
+    root = Tensor([0.0], (c, a, b), lambda g: (g, g, g))
+    backward(root)
+    assert x.grad.tolist() == [2.0 ** -53]
+
+
 def test_broadcast_add_gradients():
     a = Tensor(Rng(1).normal((3, 1, 4)))
     b = Tensor(Rng(2).normal((5, 4)))

@@ -29,7 +29,8 @@ from ttkit.config import load_run_config
 from ttkit.frontend import FrontendConfig
 from ttkit.model import desk_config, init_model, model_config_from_dict, pad, param_spec
 from ttkit.tasks import SyntheticTaskConfig, Utterance, gen_synthetic
-from ttkit.tensor import FlatParams, NumericsError, ParamSpec, ParamTree, Rng, Tensor, backward, flat_params
+from ttkit.tensor import (FlatParams, NumericsError, ParamSpec, ParamTree, Rng, Tensor, backward, flat_params,
+                          graph)
 from ttkit.transducer import LogProbGrid, batch_loss, log_prob_grid, rnnt_log_prob
 from ttkit.train import (
     Adam,
@@ -1169,21 +1170,6 @@ def test_padding_does_not_leak_into_other_examples():
         assert np.max(np.abs(long_rows[b] - short_rows[b])) <= 1e-12
 
 
-def _graph(root) -> list[Tensor]:
-    """The tensors reachable from `root` through `parents`, root first."""
-    seen, nodes = {id(root)}, [root]
-    for node in nodes:
-        for p in node.parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                nodes.append(p)
-    return nodes
-
-
-def _count_graph_nodes(root) -> int:
-    return len(_graph(root))
-
-
 def test_backward_frees_each_node_once_its_gradients_reach_its_parents():
     """After `backward`, every non-leaf's backward closure and gradient are
     gone and its `backward_fn` raises, while the graph keeps its nodes and
@@ -1201,11 +1187,11 @@ def test_backward_frees_each_node_once_its_gradients_reach_its_parents():
         opt.zero_grad()
         root = batch_loss(model.batch_grid([u.features for u in batch], ys,
                                            [Rng(4).substream(f"ex{i}") for i in range(len(batch))]), ys)
-        nodes = _graph(root)
+        nodes = graph(root)
         ops = [n for n in nodes if n.backward_fn is not None]
         closures = [weakref.ref(n.backward_fn) for n in ops]
         backward(root)
-        assert [id(n) for n in _graph(root)] == [id(n) for n in nodes]
+        assert [id(n) for n in graph(root)] == [id(n) for n in nodes]
         assert [n for n in nodes if n.backward_fn is not None] == ops
         assert all(c() is None for c in closures)
         assert all(n.grad is None for n in ops)
@@ -1237,7 +1223,7 @@ def test_train_step_graph_size_is_independent_of_batch(monkeypatch):
             model = init_model(cfg, Rng(0))
             batch = _random_batch(shapes, cfg.feature_dim, cfg.vocab_size, Rng(len(shapes)))
             train_step(model, Adam(model, train), batch, 0, PAPER_SCHEDULE, train, Rng(1))
-            sizes.append(_count_graph_nodes(roots.pop()))
+            sizes.append(len(graph(roots.pop())))
     # 57 parameter leaves and the features leaf; the audio stack's input
     # node, two residual nodes per layer (attention, the feed-forward block)
     # and the final norm; the label stack's embedding lookup, input node,

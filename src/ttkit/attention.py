@@ -106,6 +106,8 @@ class EncoderConfig:
             raise ValueError(f"max_relative_offset must be >= 0, got {self.max_relative_offset}")
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ValueError(f"dropout_ratio must be in [0, 1), got {self.dropout_ratio}")
+        if not 0.0 < self.ln_eps < math.inf:
+            raise ValueError(f"ln_eps must be positive and finite, got {self.ln_eps}")
         if self.ff_dim2 != self.model_dim:
             raise ValueError(
                 f"ff_dim2 ({self.ff_dim2}) must equal model_dim ({self.model_dim}) for the residual")

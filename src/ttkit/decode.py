@@ -88,6 +88,7 @@ class FusionConfig:
     lm: LmScorer | None = None
 
     def __post_init__(self):
+        tt.finite_fields(self, "lm_weight", "length_bonus")
         if self.lm_weight != 0.0 and self.lm is None:
             raise ValueError("fusion with lm_weight != 0 needs an lm scorer")
 

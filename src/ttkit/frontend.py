@@ -55,17 +55,13 @@ def sample_mask_regions(n: int, d: int, config: FrontendConfig, rng: Rng) -> tup
     are uniform over the valid range. Kept separate from application so tests
     can replay the coordinates from the same stream.
     """
-    freq_regions = []
-    for _ in range(config.freq_mask_count):
-        w = rng.integers(0, min(config.freq_mask_width, d) + 1)
-        start = rng.integers(0, d - w + 1)
-        freq_regions.append((start, w))
-    time_regions = []
-    for _ in range(config.time_mask_count):
-        w = rng.integers(0, min(config.time_mask_width, n) + 1)
-        start = rng.integers(0, n - w + 1)
-        time_regions.append((start, w))
-    return freq_regions, time_regions
+    regions = ([], [])
+    for out, count, width, extent in ((regions[0], config.freq_mask_count, config.freq_mask_width, d),
+                                      (regions[1], config.time_mask_count, config.time_mask_width, n)):
+        for _ in range(count):
+            w = rng.integers(0, min(width, extent) + 1)
+            out.append((rng.integers(0, extent - w + 1), w))
+    return regions
 
 
 def spec_augment(features: np.ndarray, config: FrontendConfig, rng: Rng) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Rng
+from .tensor import Rng, finite_fields
 from .transducer import check_targets
 
 
@@ -46,10 +46,9 @@ class SyntheticTaskConfig:
                 raise ValueError(f"{name} range ({lo}, {hi}) is empty or non-positive")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        finite_fields(self, "noise_sigma", "bigram_scale")
         for name in ("noise_sigma", "bigram_scale"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.size < 0 or self.first_index < 0:
             raise ValueError("size and first_index must be >= 0")

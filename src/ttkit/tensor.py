@@ -53,6 +53,14 @@ class NumericsError(ArithmeticError):
     """A non-finite value appeared where only finite values are allowed."""
 
 
+def finite_fields(config, *names: str):
+    """Raise a ValueError naming the first of `config`'s fields `names`
+    that holds NaN or an infinity: the config dataclasses' float check."""
+    for name in names:
+        if not math.isfinite(value := getattr(config, name)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 _grad_enabled = True
 _created = itertools.count()  # every Tensor's `seq`: the order tensors were built in
 

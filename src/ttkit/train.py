@@ -37,7 +37,7 @@ import numpy as np
 
 from .model import TransducerModel, model_config_from_dict, param_spec
 from .tasks import BinaryReader, BinaryWriter, Utterance
-from .tensor import NumericsError, Rng, backward, flat_params
+from .tensor import NumericsError, Rng, backward, finite_fields, flat_params
 from .transducer import batch_loss
 
 
@@ -62,6 +62,7 @@ class ScheduleConfig:
             raise ValueError(
                 f"need 0 < warmup_steps <= hold_until < decay_until, got "
                 f"{self.warmup_steps}, {self.hold_until}, {self.decay_until}")
+        finite_fields(self, "peak_lr", "final_lr")
         if not 0 < self.final_lr <= self.peak_lr:
             raise ValueError(f"need 0 < final_lr <= peak_lr, got {self.final_lr}, {self.peak_lr}")
 
@@ -97,8 +98,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.total_steps < 0 or self.checkpoint_interval < 1:
             raise ValueError("batch_size/checkpoint_interval must be >= 1 and total_steps >= 0")
-        if not math.isfinite(self.weight_noise_sigma):
-            raise ValueError(f"weight_noise_sigma must be finite, got {self.weight_noise_sigma}")
+        finite_fields(self, "weight_noise_sigma", "adam_eps")  # not grad_clip_norm: inf never clips
         if self.weight_noise_sigma < 0:
             raise ValueError("weight_noise_sigma must be >= 0")
         if not self.grad_clip_norm > 0:

@@ -19,6 +19,8 @@ lattice turned around, and the arc occupancies (Graves 2012). The
 examples' diagonals t+u = d form one contiguous row of the skewed arrays,
 and each step updates all U+1 columns of it: arcs off a lattice are -inf,
 so the lattice points get the bits of a step over their own column range.
+That layout is written once, in `_frames`: the [B, T, W] strided view of
+skewed rows through which the arcs go in and the occupancies come out.
 `rnnt_log_prob` is the same kernel for one example.
 
 `brute_force_log_prob` enumerates alignments outright and exists purely as
@@ -183,25 +185,25 @@ def _check_loss_args(lp: np.ndarray, frames: Sequence[int], ys: Sequence[Sequenc
         check_targets(y, lp.shape[3])
 
 
-def _skew(a: np.ndarray) -> np.ndarray:
-    """[B, T, W] -> [T+W-1, B, W] with s[t+u, b, u] = a[b, t, u] and -inf
-    elsewhere, so anti-diagonal t+u = d of every example becomes the
-    contiguous row d."""
-    B, T, W = a.shape
-    s = np.full((T + W - 1, B, W), -np.inf)
-    t, u = np.indices((T, W))
-    s[t + u, :, u] = a.transpose(1, 2, 0)
-    return s
+def _frames(s: np.ndarray) -> np.ndarray:
+    """The [B, T, W] view of skewed rows s [T+W-1, B, W]: view[b, t, u] =
+    s[t+u, b, u], so anti-diagonal t+u = d of every example is the
+    contiguous row d of s. T is len(s) - W + 1, so the view stays inside s,
+    and its points are distinct cells of s, so it can be written through."""
+    n, B, W = s.shape
+    r, e, c = s.strides
+    return np.lib.stride_tricks.as_strided(s, (B, n - W + 1, W), (e, r, r + c))
 
 
 def _sweep(rows: np.ndarray, blank: np.ndarray, emit: np.ndarray,
            starts: Sequence[tuple[int, int]]) -> np.ndarray:
     """The log-space lattice recursion, in place over skewed rows [n, B, U+1]
-    and label arcs [n-1, B, U]: row i+1 at column u is logaddexp(row i at u
-    + blank[i] at u, row i at u-1 + emit[i] at u-1), two adds and one
-    in-place `logaddexp` over all U+1 columns, the label arcs in columns
-    1..U of a scratch row whose column 0 stays -inf. Example b's start (row,
-    column) `starts[b]` holds 0, put back after its row is computed."""
+    and label arcs [n-1, B, U], both in `_frames`' layout: row i+1 at column
+    u is logaddexp(row i at u + blank[i] at u, row i at u-1 + emit[i] at
+    u-1), two adds and one in-place `logaddexp` over all U+1 columns, the
+    label arcs in columns 1..U of a scratch row whose column 0 stays -inf.
+    Example b's start (row, column) `starts[b]` holds 0, put back after its
+    row is computed."""
     stops: dict[int, list[tuple[int, int]]] = {}
     for b, (i, u) in enumerate(starts):
         stops.setdefault(i, []).append((b, u))
@@ -257,8 +259,10 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
     closes with the blank consuming the example's final frame. The forward
     runs the alpha recursion over the whole batch, one anti-diagonal t+u at a
     time; arcs off an example's own (T_b, U_b) lattice are -inf, so its
-    points see exactly its own arithmetic. The backward runs the beta
-    recursion, the same sweep turned around, and writes the arc occupancies
+    points see exactly its own arithmetic. The arcs are written into -inf
+    skewed arrays through `_frames`, and log P and the occupancies are read
+    back out through it. The backward runs the beta recursion, the same sweep
+    turned around, and writes the arc occupancies
     exp(alpha + arc + beta_next - log P) into the blank and target-label
     entries of the grid. Every other entry gets gradient 0, and so does
     every entry of an example whose log P is -inf (no path has mass).
@@ -274,15 +278,15 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
     t, u = np.arange(T)[:, None], np.arange(U + 1)[None, :]
     past_end = t >= frames[:, None, None]                                           # [B, T, 1]
     with np.errstate(all="ignore"):
-        blank = np.where(past_end | (u > lengths[:, None, None]), -np.inf,
-                         lp[:, :T, :U + 1, BLANK_ID] + dp_perturbation)
-        emit = np.take_along_axis(lp[:, :T, :U], labels[:, None, :, None], axis=-1)[..., 0]
-        emit = np.where(past_end | (u[:, :U] >= lengths[:, None, None]), -np.inf, emit)
-        blank, emit = _skew(blank), _skew(emit)
+        blank, emit = np.full((T + U, B, U + 1), -np.inf), np.full((T + U - 1, B, U), -np.inf)
+        _frames(blank)[...] = np.where(past_end | (u > lengths[:, None, None]), -np.inf,
+                                       lp[:, :T, :U + 1, BLANK_ID] + dp_perturbation)
+        emit_lp = np.take_along_axis(lp[:, :T, :U], labels[:, None, :, None], axis=-1)[..., 0]
+        _frames(emit)[...] = np.where(past_end | (u[:, :U] >= lengths[:, None, None]), -np.inf, emit_lp)
         A = _alpha(blank, emit)
         ends = frames + lengths
-        n = np.arange(B)
-        log_p = A[ends - 1, n, lengths] + blank[ends - 1, n, lengths]
+        n, last = np.arange(B), frames - 1
+        log_p = _frames(A)[n, last, lengths] + _frames(blank)[n, last, lengths]
 
     def bw(g):
         grad = np.zeros_like(lp)
@@ -292,10 +296,8 @@ def _lattice(log_probs: Tensor, frames: Sequence[int], ys: Sequence[Sequence[int
             blank_occ = np.exp(A + blank + beta[1:] - norm)
             emit_occ = np.exp(A[:-1, :, :U] + emit + beta[1:-1, :, 1:] - norm)
         g = g * sign
-        examples = n[:, None, None]
-        grad[:, :T, :U + 1, BLANK_ID] = g * blank_occ[t + u, examples, u]
-        np.put_along_axis(grad[:, :T, :U], labels[:, None, :, None],
-                          (g * emit_occ[t + u[:, :U], examples, u[:, :U]])[..., None], axis=-1)
+        grad[:, :T, :U + 1, BLANK_ID] = g * _frames(blank_occ)
+        np.put_along_axis(grad[:, :T, :U], labels[:, None, :, None], (g * _frames(emit_occ))[..., None], axis=-1)
         return (grad.reshape(log_probs.shape),)
 
     return Tensor(sign * log_p.sum(), (log_probs,), bw)

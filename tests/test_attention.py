@@ -51,6 +51,14 @@ def _map_named(params, fn):
 
 # ---------------------------------------------------------------- masks
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_encoder_config_refuses_an_ln_eps_not_positive_and_finite(eps):
+    """A zero, negative, NaN or infinite layer-norm epsilon would make the
+    first loss NaN or every normalized row 0; the config refuses it."""
+    with pytest.raises(ValueError, match=f"ln_eps must be positive and finite, got {eps}"):
+        small_config(ln_eps=eps)
+
+
 def test_mask_fig_window():
     # 1-based row 7 with left=2, right=1 allows columns {5, 6, 7, 8}
     m = ops.build_mask(10, AttentionMask(2, 1))

@@ -186,6 +186,7 @@ CONFIG_ERRORS = [
     (("model", "audio", "max_relative_offset"), None,
      "config.model.audio.max_relative_offset: expected an integer, got None"),
     (("model", "audio", "num_layers"), -1, "config.model.audio: num_layers must be >= 0, got -1"),
+    (("model", "audio", "ln_eps"), 0, "config.model.audio: ln_eps must be positive and finite, got 0.0"),
     (("model", "label", "input_dim"), "x", "config.model.label.input_dim: expected an integer, got 'x'"),
     (("model", "label", "input_dim"), 0, "config.model.label: input_dim must be positive, got 0"),
     (("model", "label", "model_dim"), _DELETE, "config.model.label.model_dim: missing required key"),

@@ -747,6 +747,16 @@ def test_label_input_rows_computed_once_per_call(monkeypatch, decoder):
     assert sum(pushes) > 3 * len(projected)  # ids are pushed again and again
 
 
+@pytest.mark.parametrize("field", ["lm_weight", "length_bonus"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fusion_config_refuses_non_finite_floats(field, value):
+    """A NaN or infinite weight or bonus would turn every beam score NaN
+    or infinite."""
+    with pytest.raises(ValueError) as err:
+        FusionConfig(**{field: value}, lm=BigramLm(3))
+    assert str(err.value) == f"{field} must be finite, got {value}"
+
+
 def test_fusion_requires_lm():
     with pytest.raises(ValueError):
         FusionConfig(lm_weight=0.5, lm=None)

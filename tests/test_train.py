@@ -114,6 +114,24 @@ def test_train_config_validation(field, value, message):
     assert TrainConfig(grad_clip_norm=math.inf).grad_clip_norm == math.inf
 
 
+@pytest.mark.parametrize("field, value", [("peak_lr", math.inf), ("peak_lr", math.nan),
+                                          ("final_lr", math.nan)])
+def test_schedule_config_refuses_non_finite_rates(field, value):
+    """An infinite peak rate passes 0 < final_lr <= peak_lr but would step
+    by inf; NaN rates, which that check refuses too, get the same message."""
+    with pytest.raises(ValueError) as err:
+        ScheduleConfig(**{field: value})
+    assert str(err.value) == f"{field} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_train_config_refuses_a_non_finite_adam_eps(value):
+    """Adam divides by sqrt(v) + eps, so an infinite eps steps by exactly 0."""
+    with pytest.raises(ValueError) as err:
+        TrainConfig(adam_eps=value)
+    assert str(err.value) == f"adam_eps must be finite, got {value}"
+
+
 # ---------------------------------------------------------- weight noise
 
 def test_weight_noise_inactive_before_start():
@@ -802,6 +820,20 @@ def test_checkpoint_ff_dim2_mismatch_is_config_error(tmp_path):
     path.write_bytes(raw[:8] + struct.pack("<Q", len(new_doc)) + new_doc + raw[16 + config_len:])
     with pytest.raises(CheckpointFormatError,
                        match=r"bad embedded config: ff_dim2 \(4\) must equal model_dim \(8\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_zero_ln_eps_is_config_error(tmp_path):
+    model, _ = tiny_setup()
+    raw = checkpoint_bytes(model)
+    config_len = struct.unpack("<Q", raw[8:16])[0]
+    doc = json.loads(raw[16:16 + config_len].decode())
+    doc["audio"]["ln_eps"] = 0
+    new_doc = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "m.ttck"
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new_doc)) + new_doc + raw[16 + config_len:])
+    with pytest.raises(CheckpointFormatError,
+                       match=r"bad embedded config: ln_eps must be positive and finite, got 0"):
         load_checkpoint(path)
 
 

@@ -476,6 +476,23 @@ def lattice_batches(draw):
     return lp, frames, ys, draw(st.sampled_from([0.0, 0.01, -0.7]))
 
 
+@pytest.mark.parametrize("B, T, W", [(1, 1, 1), (2, 1, 3), (3, 4, 1), (2, 5, 3)])
+def test_frames_is_the_skewed_layout_read_and_written(B, T, W):
+    """`_frames(s)` of skewed rows s [T+W-1, B, W] is the [B, T, W] view
+    with view[b, t, u] = s[t+u, b, u], W = 1 (blank arcs of U = 0) and T = 1
+    included. Ones written through it into zeros mark exactly B*T*W cells,
+    each on its row t+u."""
+    s = np.arange((T + W - 1) * B * W, dtype=float).reshape(T + W - 1, B, W)
+    view = tr._frames(s)
+    assert view.shape == (B, T, W)
+    b, t, u = np.indices(view.shape)
+    assert np.array_equal(view, s[t + u, b, u])
+    marks = np.zeros_like(s)
+    tr._frames(marks)[...] = 1.0
+    assert marks.sum() == B * T * W
+    assert (marks[t + u, b, u] == 1.0).all()
+
+
 @settings(max_examples=200, deadline=None)
 @given(lattice_batches())
 def test_full_width_diagonals_match_the_per_range_reference(batch):

@@ -189,10 +189,19 @@ def _frames(s: np.ndarray) -> np.ndarray:
     """The [B, T, W] view of skewed rows s [T+W-1, B, W]: view[b, t, u] =
     s[t+u, b, u], so anti-diagonal t+u = d of every example is the
     contiguous row d of s. T is len(s) - W + 1, so the view stays inside s,
-    and its points are distinct cells of s, so it can be written through."""
+    and its points are distinct cells of s, so it can be written through.
+    The `np.ndarray` constructor builds it over s's buffer, which numpy
+    checks it against, not `as_strided`, whose `__array_interface__` round
+    trip can leave a ~1 MB allocator block alive for good in a long run.
+    The constructor reads s from its first byte, so s must be C-contiguous,
+    as every array the lattice allocates is; any other s is refused, never
+    copied, as writes through the view must land in s."""
+    if not s.flags.c_contiguous:
+        raise ValueError(f"_frames needs C-contiguous skewed rows, got shape {s.shape} "
+                         f"with strides {s.strides}")
     n, B, W = s.shape
     r, e, c = s.strides
-    return np.lib.stride_tricks.as_strided(s, (B, n - W + 1, W), (e, r, r + c))
+    return np.ndarray((B, n - W + 1, W), s.dtype, s, 0, (e, r, r + c))
 
 
 def _sweep(rows: np.ndarray, blank: np.ndarray, emit: np.ndarray,
